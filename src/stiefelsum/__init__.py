@@ -22,7 +22,7 @@ from .diagonal import (
 )
 from .hppca import HppcaModel, build_instance, expected_instance, make_model
 from .hppca import sample as sample_hppca
-from .sdp import SolveReport, check_kkt, extract_candidate, solve_sdp
+from .sdp import SolveReport, check_kkt, extract_candidate, is_tight, solve_sdp
 from .stiefel import SolverConfig, objective, random_stiefel, stmm_solve
 
 __version__ = "0.1.0"
@@ -43,6 +43,7 @@ __all__ = [
     "extract_candidate",
     "goldman_tucker_dual",
     "instance_distance",
+    "is_tight",
     "joint_diagonalize",
     "load_instance",
     "make_model",

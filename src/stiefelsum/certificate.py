@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance, StiefelPoint, sym
+from .core import ROP_TOL, ProblemInstance, StiefelPoint, sym
 from .ipm import DenseOps, solve_ipm
-from .sdp import KktResiduals, SdpDualSolution, check_kkt
+from .sdp import KKT_TOL, KktResiduals, SdpDualSolution, check_kkt
 from .stiefel import LambdaMatrix, lambda_matrix, objective, riemannian_gradient
 
 STATUS_CERTIFIED = "CertifiedGlobal"
@@ -123,7 +123,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint,
 
     The verdict is computed from freshly evaluated eigenvalue slacks at the
     recovered witness, and a CertifiedGlobal result additionally passes the
-    induced primal/dual optimality check within 1e-6. Weak stationarity of
+    induced primal/dual optimality check within KKT_TOL. Weak stationarity of
     u_bar does not abort the computation; it only flags the result.
     """
     if not isinstance(u_bar, StiefelPoint):
@@ -166,7 +166,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint,
     slacks = _lmi_slacks(c, u, lam_s, nu)
     meta["ipm_iterations"] = res.iterations
 
-    if min(float(slacks.min()), t_star) < -tol:
+    if not (slacks.min() >= -tol and t_star >= -tol):  # NaN fails too
         return CertificateResult(
             status=STATUS_INCONCLUSIVE, nu_witness=None, classification=None,
             min_eig_slacks=slacks, t_star=t_star, precondition_weak=weak,
@@ -180,7 +180,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint,
     dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks, nu=nu,
                            objective=-(float(np.trace(y_mat)) + float(np.sum(nu))))
     kkt = check_kkt(c, x_blocks, dual)
-    if kkt.max_residual > 1e-6:
+    if not kkt.max_residual <= KKT_TOL:  # NaN fails too
         meta["gate"] = "constructed pair failed verification"
         return CertificateResult(
             status=STATUS_INCONCLUSIVE, nu_witness=None, classification=None,
@@ -202,7 +202,7 @@ def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,
     suboptimal stationary point; anything else stays Unknown."""
     if sdp_report is None:
         return CLASS_UNKNOWN
-    if sdp_report.rop_err > 1e-5:
+    if sdp_report.rop_err > ROP_TOL:
         return CLASS_NOT_TIGHT
     if objective(c, u_bar) < sdp_report.value - 1e-5:
         return CLASS_SUBOPTIMAL

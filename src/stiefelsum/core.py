@@ -19,6 +19,9 @@ import numpy as np
 ORTH_TOL = 1e-10
 ROP_TOL = 1e-5
 VEC_ORTH_TOL = 1e-6
+# solver blocks carry O(sqrt(rop)) eigenvector noise, so the exact-block
+# orthogonality default is too strict when adjudicating 1e-8 solves
+SOLVER_ORTH_TOL = 1e-4
 
 
 class RopPreconditionError(ValueError):
@@ -75,7 +78,7 @@ class StiefelPoint:
         if k > d:
             raise ValueError(f"need k <= d, got d={d}, k={k}")
         err = np.linalg.norm(cols.T @ cols - np.eye(k))
-        if err > self.orth_tol:
+        if not err <= self.orth_tol:  # NaN fails too
             raise ValueError(f"columns not orthonormal: ||U'U - I||_F = {err:.3e}")
         object.__setattr__(self, "cols", _readonly(cols))
 
@@ -106,6 +109,8 @@ class ProblemInstance:
         for m in mats:
             if m.shape != (d, d):
                 raise ValueError("all matrices must share one square dimension")
+            if not np.all(np.isfinite(m)):
+                raise ValueError("matrices must have finite entries")
         if len(mats) > d:
             raise ValueError(f"need k <= d, got d={d}, k={len(mats)}")
         object.__setattr__(self, "mats", mats)
@@ -195,7 +200,7 @@ def rop_error(x_blocks) -> float:
     """Mean squared distance of each block's descending spectrum from e_1.
 
     Zero iff every block is exactly a rank-one trace-one projector. Used
-    with the 1e-5 threshold to declare the rank-one property.
+    with the ROP_TOL threshold to declare the rank-one property.
     """
     x_blocks = list(x_blocks)
     total = 0.0
@@ -235,7 +240,7 @@ def check_rop_orthogonality(
     """
     x_blocks = [sym(np.asarray(x, dtype=float)) for x in x_blocks]
     err = rop_error(x_blocks)
-    if err > rop_tol:
+    if not err <= rop_tol:
         raise RopPreconditionError(
             f"blocks are not rank-one: rop_error={err:.3e} > {rop_tol:.1e}"
         )

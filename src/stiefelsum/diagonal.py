@@ -23,7 +23,7 @@ from .core import (
     normalize_instance,
     sym,
 )
-from .sdp import SdpDualSolution
+from .sdp import SdpDualSolution, is_tight, solve_sdp
 
 TIE_TOL = 1e-9
 GT_EPS = 1e-6
@@ -223,11 +223,8 @@ def perturb_instance(c: ProblemInstance, scale: float,
 
 def tightness_sweep(center: ProblemInstance, perturbation_scale: float,
                     trials: int, seed: int, cfg=None) -> float:
-    """Fraction of perturbed instances whose relaxation stays rank-one.
-
-    Solver failures count against tightness, never toward it."""
-    from .sdp import STATUS_OPTIMAL, solve_sdp
-
+    """Fraction of perturbed instances whose relaxation stays tight
+    (sdp.is_tight). Solver failures count against tightness, never toward it."""
     jd = joint_diagonalize(center)
     if jd is None:
         raise ValueError("center is not jointly diagonalizable")
@@ -238,7 +235,5 @@ def tightness_sweep(center: ProblemInstance, perturbation_scale: float,
     tight = 0
     for _ in range(trials):
         inst = perturb_instance(center, perturbation_scale, rng)
-        rep = solve_sdp(inst, cfg)
-        if rep.status == STATUS_OPTIMAL and rep.rop_err <= 1e-5:
-            tight += 1
+        tight += is_tight(solve_sdp(inst, cfg))
     return tight / trials

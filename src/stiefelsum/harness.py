@@ -17,21 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .certificate import STATUS_CERTIFIED, CertificateNumericalError, certify
-from .core import (
-    RopPreconditionError,
-    check_rop_orthogonality,
-    max_commuting_distance,
-    normalize_instance,
-)
+from .core import max_commuting_distance, normalize_instance
 from .generators import gen_cjd, gen_random_diagonal, gen_random_psd
 from .hppca import build_instance, make_model, sample
-from .sdp import STATUS_OPTIMAL, extract_candidate, solve_sdp
+from .sdp import STATUS_OPTIMAL, extract_candidate, is_tight, solve_sdp
 from .stiefel import SolverConfig, objective, random_stiefel, stmm_solve
-
-ROP_THRESHOLD = 1e-5
-# solver blocks carry O(sqrt(rop)) eigenvector noise, so the exact-block
-# orthogonality default is too strict when adjudicating 1e-8 solves
-ORTH_CHECK_TOL = 1e-4
 
 MARKER_CERTIFIED = "certified"
 MARKER_NOT_TIGHT = "not-tight"
@@ -70,16 +60,6 @@ def _make_instance(family: str, d: int, k: int, params: dict, seed: int):
     raise ValueError(f"unknown family: {family}")
 
 
-def _is_tight(report) -> bool:
-    if report.status != STATUS_OPTIMAL or report.rop_err > ROP_THRESHOLD:
-        return False
-    try:
-        return check_rop_orthogonality(report.primal.x_blocks,
-                                       orth_tol=ORTH_CHECK_TOL)
-    except RopPreconditionError:
-        return False
-
-
 def rop_trial(args) -> dict:
     """One table trial; module-level so process pools can ship it."""
     family, d, k, params, seed, cfg = args
@@ -90,7 +70,7 @@ def rop_trial(args) -> dict:
         inst = _make_instance(family, d, k, params, seed)
         rep = solve_sdp(inst, cfg)
         rec.update(status=rep.status, value=rep.value, gap=rep.gap,
-                   rop_err=rep.rop_err, tight=_is_tight(rep),
+                   rop_err=rep.rop_err, tight=is_tight(rep),
                    iterations=rep.iterations)
     except Exception as exc:  # isolate trial failures
         rec.update(status="TrialError", tight=False, error=repr(exc))
@@ -144,7 +124,7 @@ def sweep_trial(args) -> dict:
     """One sweep trial: SDP arm, StMM arm, certificate, marker class."""
     family, d, k, sweep_value, params, seed, cfg = args
     cfg = cfg or (SolverConfig.for_hppca() if family == "hppca"
-                  else SolverConfig.for_cjd())
+                  else SolverConfig())
     rec = {"family": family, "d": d, "k": k, "sweep_value": sweep_value,
            "seed": seed}
     try:
@@ -161,7 +141,7 @@ def sweep_trial(args) -> dict:
         t0 = time.perf_counter()
         rep = solve_sdp(inst, cfg)
         rec["sdp_wall"] = time.perf_counter() - t0
-        tight = _is_tight(rep)
+        tight = is_tight(rep)
         rec.update(sdp_status=rep.status, sdp_value=rep.value,
                    rop_err=rep.rop_err, tight=tight)
 
@@ -220,7 +200,7 @@ def bench_cell(d: int, k: int, trials: int, seed=0,
                cfg: SolverConfig | None = None) -> dict:
     """Median/std wall time of the full SDP vs StMM + certificate on the
     same instances. Always serial: timings under a pool are meaningless."""
-    cfg = cfg or SolverConfig.for_cjd()
+    cfg = cfg or SolverConfig()
     sdp_times, stmm_times, records = [], [], []
     for s in trial_seeds((seed, d, k), trials):
         inst = _make_instance("hppca", d, k, {}, s)

@@ -12,8 +12,7 @@ products, stepped with a Mehrotra predictor-corrector.
 Two constraint-operator flavors feed the shared iteration:
 
 * FantopeOps: k trace-one blocks coupled through sum_i X_i + S = I, the
-  structure of the relaxation (optionally with a lifted corner row used by
-  the linear-term extension). The Schur complement is assembled blockwise.
+  structure of the relaxation. The Schur complement is assembled blockwise.
 * DenseOps: a handful of explicit constraint matrices per block, used for
   the small feasibility programs (the optimality certificate).
 """
@@ -79,13 +78,11 @@ def sym_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class FantopeOps:
     """Constraints of the block relaxation.
 
-    Variable blocks X_1..X_k of size D, plus one slack block S of size d
-    when include_slack (D = d, or D = d + 1 when a lifted corner row is
-    present), with
+    Variable blocks X_1..X_k of size d, plus one slack block S of size d
+    when include_slack, with
 
-        tr(X_i[:d, :d]) = 1              (k rows)
-        X_i[-1, -1]     = 1              (k rows, lifted only)
-        sum_i X_i[:d, :d] [+ S] = I      (d(d+1)/2 rows in svec coordinates)
+        tr(X_i) = 1              (k rows)
+        sum_i X_i [+ S] = I      (d(d+1)/2 rows in svec coordinates)
 
     With the slack the coupling reads sum_i X_i <= I; without it (used when
     k = d, where the slack is forced to zero and would kill strict
@@ -95,18 +92,15 @@ class FantopeOps:
 
     def __init__(self, mats, d: int, include_slack: bool = True):
         mats = [np.asarray(m, dtype=float) for m in mats]
+        if any(m.shape != (d, d) for m in mats):
+            raise ValueError("variable blocks must have size d")
         self.k = len(mats)
-        self.D = mats[0].shape[0]
         self.d = d
-        if self.D not in (d, d + 1):
-            raise ValueError("variable blocks must have size d or d+1")
-        self.corner = self.D == d + 1
         self.has_slack = include_slack
-        self.kc = self.k if self.corner else 0
         self.sd = d * (d + 1) // 2
-        self.off = self.k + self.kc
+        self.off = self.k
         self.m = self.off + self.sd
-        self.block_sizes = [self.D] * self.k
+        self.block_sizes = [d] * self.k
         self.C = [-m for m in mats]
         if include_slack:
             self.block_sizes.append(d)
@@ -120,12 +114,8 @@ class FantopeOps:
         out = np.empty(self.m)
         coup = blocks[-1].copy() if self.has_slack else np.zeros((d, d))
         for i in range(k):
-            x = blocks[i]
-            xc = x[:d, :d]
-            out[i] = np.trace(xc)
-            if self.corner:
-                out[k + i] = x[-1, -1]
-            coup += xc
+            out[i] = np.trace(blocks[i])
+            coup += blocks[i]
         out[self.off:] = svec(coup)
         return out
 
@@ -133,41 +123,26 @@ class FantopeOps:
         d, k = self.d, self.k
         yc = smat(y[self.off:], d)
         eye = np.eye(d)
-        blocks = []
-        for i in range(k):
-            m = np.zeros((self.D, self.D))
-            m[:d, :d] = yc + y[i] * eye
-            if self.corner:
-                m[-1, -1] = y[k + i]
-            blocks.append(m)
+        blocks = [yc + y[i] * eye for i in range(k)]
         if self.has_slack:
             blocks.append(yc)
         return blocks
 
     def schur(self, zinv, x):
-        d, k, off = self.d, self.k, self.off
+        off = self.off
         h = np.zeros((self.m, self.m))
         if self.has_slack:
             hcc = sym_kron(zinv[-1], x[-1])
         else:
             hcc = np.zeros((self.sd, self.sd))
-        for i in range(k):
+        for i in range(self.k):
             p, q = zinv[i], x[i]
-            pc, qc = p[:d, :d], q[:d, :d]
-            pq = pc @ qc
+            pq = p @ q
             h[i, i] = np.trace(pq)
             row = svec(sym(pq))
             h[i, off:] = row
             h[off:, i] = row
-            if self.corner:
-                pl, ql = p[:d, -1], q[:d, -1]
-                ci = k + i
-                h[i, ci] = h[ci, i] = pl @ ql
-                h[ci, ci] = p[-1, -1] * q[-1, -1]
-                crow = svec(sym(np.outer(pl, ql)))
-                h[ci, off:] = crow
-                h[off:, ci] = crow
-            hcc += sym_kron(pc, qc)
+            hcc += sym_kron(p, q)
         h[off:, off:] = hcc
         return h
 
@@ -299,9 +274,10 @@ def solve_ipm(
         rd = [ops.C[j] - aty[j] - z[j] for j in range(nb)]
         mu = sum(float(np.sum(xj * zj)) for xj, zj in zip(x, z)) / ntot
         pinf = float(np.linalg.norm(rp)) / bnorm
-        dinf = max(float(np.linalg.norm(r)) for r in rd) / cnorm
+        # np.max, unlike max(), propagates a NaN in any position
+        dinf = float(np.max([np.linalg.norm(r) for r in rd])) / cnorm
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        metric = max(pinf, dinf, relgap)
+        metric = float(np.max([pinf, dinf, relgap]))
 
         if not np.isfinite(metric) or not np.isfinite(mu):
             break  # diverged (e.g. infeasible problem)

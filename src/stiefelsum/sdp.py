@@ -4,7 +4,7 @@ The relaxation replaces each u_i u_i' by a PSD block X_i with unit trace and
 couples the blocks through sum_i X_i <= I. Its dual carries (Y, Z_i, nu_i)
 with Y = M_i + Z_i - nu_i I blockwise. This module solves both, checks the
 five KKT residuals, extracts orthonormal candidates from the primal blocks,
-and supports the lifted variant with linear terms.
+and decides whether a solve is tight.
 
 Sign convention: the solver minimizes the negated objective; reports expose
 the minimization optimum p* and the maximized value -p*.
@@ -18,9 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ROP_TOL,
+    SOLVER_ORTH_TOL,
     ProblemInstance,
+    RopPreconditionError,
     StiefelPoint,
-    eigh_desc,
+    check_rop_orthogonality,
     procrustes_project,
     rop_error,
     spectral_norm,
@@ -79,8 +82,9 @@ class KktResiduals:
 
     @property
     def max_residual(self) -> float:
-        return max(self.primal, self.dual_eq, self.slack_comp,
-                   self.block_comp, self.dual_cone)
+        # np.max, unlike max(), propagates a NaN in any position
+        return float(np.max([self.primal, self.dual_eq, self.slack_comp,
+                             self.block_comp, self.dual_cone]))
 
     def as_dict(self) -> dict:
         return {
@@ -107,27 +111,6 @@ class SolveReport:
     @property
     def value(self) -> float:
         return self.primal.value
-
-
-@dataclass(frozen=True)
-class LiftedInstance:
-    """Base instance augmented with one linear term per block.
-
-    lifted_mats carry half the linear vector in the corner so that
-    <lifted_mats[i], [[X, u],[u', 1]]> = tr(M_i X) + c_i'u.
-    """
-
-    base: ProblemInstance
-    linear: tuple
-    lifted_mats: tuple
-
-    @property
-    def d(self) -> int:
-        return self.base.d
-
-    @property
-    def k(self) -> int:
-        return self.base.k
 
 
 def _blocks_of(primal):
@@ -170,12 +153,7 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
 
 def _fantope_start(ops: FantopeOps):
     d, k = ops.d, ops.k
-    x = []
-    for _ in range(k):
-        m = np.eye(ops.D) / d
-        if ops.corner:
-            m[-1, -1] = 1.0
-        x.append(m)
+    x = [np.eye(d) / d for _ in range(k)]
     if ops.has_slack:
         x.append((1.0 - k / d) * np.eye(d))
     z = [np.eye(n) for n in ops.block_sizes]
@@ -220,13 +198,14 @@ def _recover_coupling_dual(ops, res, scale):
     return y_mat, z_blocks, nu
 
 
-def _status_from(res, gap, kkt_max, p, dd, cfg):
+def _status_from(res, gap, kkt_max, p, dd):
+    # written as "not x <= tol" so that NaN fails every gate
     reasons = []
     if res.status != "optimal":
         reasons.append("solver did not converge")
-    if gap > cfg.gap_tol * (1.0 + abs(p) + abs(dd)):
+    if not gap <= GAP_TOL * (1.0 + abs(p) + abs(dd)):
         reasons.append("duality gap above tolerance")
-    if kkt_max > cfg.kkt_tol:
+    if not kkt_max <= KKT_TOL:
         reasons.append("KKT residual above tolerance")
     if reasons:
         return STATUS_NUMERICAL_FAILURE, "; ".join(reasons)
@@ -239,7 +218,7 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     Inputs need not be normalized or PSD: a uniform eigenvalue shift and a
     global scale are applied internally and mapped back, with both recorded
     in the report meta. A report is never labeled Optimal unless the duality
-    gap and all five KKT residuals pass the configured tolerances.
+    gap and all five KKT residuals pass GAP_TOL and KKT_TOL.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -260,7 +239,7 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     dual = SdpDualSolution(y=y_mat, z_blocks=tuple(z_blocks),
                            nu=np.asarray(nu, dtype=float), objective=dd)
     kkt = check_kkt(c, x_blocks, dual)
-    status, reason = _status_from(res, gap, kkt.max_residual, p, dd, cfg)
+    status, reason = _status_from(res, gap, kkt.max_residual, p, dd)
 
     return SolveReport(
         status=status,
@@ -279,6 +258,21 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
             "reason": reason,
         },
     )
+
+
+def is_tight(report: SolveReport) -> bool:
+    """The one definition of a tight relaxation solve.
+
+    The solve must be Optimal, its blocks rank-one within ROP_TOL, and their
+    top eigenvectors orthogonal with a projection for their sum (checked at
+    SOLVER_ORTH_TOL). A NaN rank-one error is never tight."""
+    if report.status != STATUS_OPTIMAL or not report.rop_err <= ROP_TOL:
+        return False
+    try:
+        return check_rop_orthogonality(report.primal.x_blocks,
+                                       orth_tol=SOLVER_ORTH_TOL)
+    except RopPreconditionError:
+        return False
 
 
 def _polar_any(m: np.ndarray) -> np.ndarray:
@@ -312,108 +306,3 @@ def dual_rank_profile(dual: SdpDualSolution, rank_tol: float = RANK_TOL) -> np.n
         w = np.linalg.eigvalsh(sym(z))
         ranks.append(int(np.sum(w > rank_tol * nrm)))
     return np.asarray(ranks, dtype=int)
-
-
-def build_lifted(c: ProblemInstance, linear) -> LiftedInstance:
-    """Augment each block with a linear term c_i'u_i via a (d+1) bordering."""
-    linear = [np.asarray(v, dtype=float).reshape(-1) for v in linear]
-    if len(linear) != c.k or any(v.shape[0] != c.d for v in linear):
-        raise ValueError("need one length-d linear vector per block")
-    lifted = []
-    for m, v in zip(c.mats, linear):
-        t = np.zeros((c.d + 1, c.d + 1))
-        t[:c.d, :c.d] = m
-        t[:c.d, -1] = 0.5 * v
-        t[-1, :c.d] = 0.5 * v
-        lifted.append(t)
-    return LiftedInstance(base=c, linear=tuple(linear), lifted_mats=tuple(lifted))
-
-
-def _lifted_kkt(l: LiftedInstance, xt, y_mat, zt, nu, xi) -> KktResiduals:
-    d, k = l.d, l.k
-    eye = np.eye(d)
-    ecorner = np.zeros((d + 1, d + 1))
-    ecorner[-1, -1] = 1.0
-    embed_eye = np.zeros((d + 1, d + 1))
-    embed_eye[:d, :d] = eye
-
-    crops = [x[:d, :d] for x in xt]
-    xsum = sum(crops)
-    res_primal = 0.0
-    for x in xt:
-        w = np.linalg.eigvalsh(sym(x))
-        res_primal = max(res_primal, max(0.0, -w[0]),
-                         abs(np.trace(x[:d, :d]) - 1.0), abs(x[-1, -1] - 1.0))
-    res_primal = max(res_primal,
-                     max(0.0, float(np.linalg.eigvalsh(sym(xsum))[-1]) - 1.0))
-
-    embed_y = np.zeros((d + 1, d + 1))
-    embed_y[:d, :d] = y_mat
-    res_dual_eq = max(0.0, -float(np.linalg.eigvalsh(sym(y_mat))[0]))
-    res_block = 0.0
-    res_cone = 0.0
-    for i in range(k):
-        r = embed_y - l.lifted_mats[i] - zt[i] + nu[i] * embed_eye + xi[i] * ecorner
-        res_dual_eq = max(res_dual_eq, float(np.linalg.norm(r)))
-        res_block = max(res_block, abs(float(np.sum(zt[i] * xt[i]))))
-        res_cone = max(res_cone,
-                       max(0.0, -float(np.linalg.eigvalsh(sym(zt[i]))[0])))
-    res_slack = abs(float(np.sum((eye - xsum) * y_mat)))
-    return KktResiduals(res_primal, res_dual_eq, res_slack, res_block, res_cone)
-
-
-def solve_lifted(l: LiftedInstance, cfg: SolverConfig | None = None) -> SolveReport:
-    """Solve the linear-term relaxation.
-
-    The report holds the (d+1) lifted blocks; meta carries the corner
-    multipliers, the cropped dual blocks (which satisfy the base dual
-    equation exactly), and the stacked candidate columns u_i read off the
-    last column of each block. rop_err is computed on the cropped blocks.
-    """
-    cfg = cfg or SolverConfig()
-    t0 = time.perf_counter()
-    d, k = l.d, l.k
-    scale = max(max(spectral_norm(m) for m in l.lifted_mats), 1e-300)
-    if scale <= 1e-300:
-        scale = 1.0
-    mats_s = [m / scale for m in l.lifted_mats]
-    ops = FantopeOps(mats_s, d, include_slack=k < d)
-    x0, y0, z0 = _fantope_start(ops)
-    res = solve_ipm(ops, x0, y0, z0, tol=cfg.sdp_tol,
-                    max_iters=cfg.sdp_max_iters, step_frac=cfg.step_frac)
-
-    xt = tuple(sym(x) for x in res.x_blocks[:k])
-    y_mat, zt, nu = _recover_coupling_dual(ops, res, scale)
-    xi = -res.y[k:2 * k] * scale
-
-    p = -sum(float(np.sum(m * x)) for m, x in zip(l.lifted_mats, xt))
-    dd = -(float(np.trace(y_mat)) + float(np.sum(nu)) + float(np.sum(xi)))
-    gap = abs(p - dd)
-
-    kkt = _lifted_kkt(l, xt, y_mat, zt, nu, xi)
-    status, reason = _status_from(res, gap, kkt.max_residual, p, dd, cfg)
-    crops = tuple(x[:d, :d] for x in xt)
-    u_stack = np.column_stack([x[:d, -1] for x in xt])
-
-    dual = SdpDualSolution(y=y_mat, z_blocks=tuple(zt),
-                           nu=np.asarray(nu, dtype=float), objective=dd)
-    return SolveReport(
-        status=status,
-        primal=SdpPrimalSolution(x_blocks=xt, objective=p),
-        dual=dual,
-        gap=gap,
-        kkt_residuals=kkt,
-        iterations=res.iterations,
-        wall_time=time.perf_counter() - t0,
-        rop_err=rop_error(crops),
-        meta={
-            "scale": scale,
-            "corner_duals": xi,
-            "cropped_z": tuple(z[:d, :d] for z in zt),
-            "cropped_x": crops,
-            "u_stack": u_stack,
-            "ipm": {"pinf": res.pinf, "dinf": res.dinf,
-                    "relgap": res.relgap, "status": res.status},
-            "reason": reason,
-        },
-    )

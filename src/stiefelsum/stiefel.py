@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance, StiefelPoint, procrustes_project, skew, sym
+from .core import ProblemInstance, StiefelPoint, procrustes_project, sym
 
 STATUS_STATIONARY = "Stationary"
 STATUS_MAX_ITERS = "MaxIters"
@@ -23,24 +23,16 @@ STATUS_MAX_ITERS = "MaxIters"
 class SolverConfig:
     """Shared knobs for the manifold solver and the relaxation backend.
 
-    max_iters/grad_tol/seed drive the ascent iteration; the sdp_* fields and
-    tolerance knobs configure the interior-point backend and the
-    self-verification gates of its reports.
+    max_iters/grad_tol drive the ascent iteration; the sdp_* fields and
+    step_frac configure the interior-point backend. The gates that label a
+    report Optimal are fixed constants in the sdp module, not knobs.
     """
 
     max_iters: int = 2000
     grad_tol: float = 1e-10
-    seed: int | None = None
     sdp_tol: float = 1e-8
     sdp_max_iters: int = 100
-    gap_tol: float = 1e-7
-    kkt_tol: float = 1e-6
     step_frac: float = 0.98
-
-    @classmethod
-    def for_cjd(cls, **kw) -> "SolverConfig":
-        # synthetic close-to-jointly-diagonalizable runs: 2000 iterations
-        return cls(max_iters=kw.pop("max_iters", 2000), **kw)
 
     @classmethod
     def for_hppca(cls, **kw) -> "SolverConfig":

@@ -112,3 +112,13 @@ def test_missing_instance_is_reported_not_raised(tmp_path, capsys):
     rc = main(["solve-sdp", "--instance", str(tmp_path / "nope.json")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_instance_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(
+        {"d": 2, "k": 1, "mats": [[1.0, 0.0, 0.0, float("nan")]]}))
+    rc = main(["solve-sdp", "--instance", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err

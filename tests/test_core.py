@@ -105,6 +105,10 @@ def test_problem_instance_validation():
         ProblemInstance(mats=(np.eye(2), np.eye(3)))
     c = ProblemInstance(mats=(np.eye(2) * 4.0, np.eye(2)))
     assert c.d == 2 and c.k == 2
+    with pytest.raises(ValueError):
+        ProblemInstance((np.diag([1.0, np.inf]),))
+    with pytest.raises(ValueError):
+        ProblemInstance((np.eye(2), np.array([[1.0, np.nan], [np.nan, 0.0]])))
     assert np.allclose(c.spectral_norms(), [4.0, 1.0])
 
 
@@ -125,6 +129,8 @@ def test_stiefel_point_validation():
     StiefelPoint(np.eye(3)[:, :2])
     with pytest.raises(ValueError):
         StiefelPoint(np.eye(3)[:, :2] * 1.5)
+    with pytest.raises(ValueError):
+        StiefelPoint(np.column_stack([np.eye(3)[:, 0], np.full(3, np.nan)]))
     q = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
     p = StiefelPoint(q)
     assert p.cols.shape == (2, 1)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiefelsum.core import sym
+from stiefelsum.sdp import _fantope_start
 from stiefelsum.ipm import (
     DenseOps,
     FantopeOps,
@@ -137,3 +138,13 @@ def test_ipm_interior_start_override():
     res = solve_ipm(ops, x0=x0, y0=np.zeros(ops.m), z0=z0)
     assert res.status == "optimal"
     assert abs(res.pobj + 5.0) < 1e-7
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_cost_never_converges():
+    # from the relaxation's own start the primal residual is zero, so the
+    # stop metric must carry the NaN dual residual rather than drop it
+    for m in (np.diag([1.0, np.inf]), np.diag([1.0, np.nan])):
+        ops = FantopeOps([m], 2)
+        res = solve_ipm(ops, *_fantope_start(ops))
+        assert res.status == "numerical_failure"

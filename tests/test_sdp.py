@@ -2,19 +2,25 @@
 enumeration for the square commuting case, and hand-built KKT points."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from stiefelsum.core import ProblemInstance, sym
+from stiefelsum.core import ROP_TOL, ProblemInstance, rop_error, sym
 from stiefelsum.sdp import (
     KKT_TOL,
+    STATUS_NUMERICAL_FAILURE,
+    STATUS_OPTIMAL,
+    KktResiduals,
     SdpDualSolution,
-    build_lifted,
+    SdpPrimalSolution,
+    SolveReport,
+    _status_from,
     check_kkt,
     dual_rank_profile,
     extract_candidate,
-    solve_lifted,
+    is_tight,
     solve_sdp,
 )
 from stiefelsum.generators import (
@@ -142,36 +148,49 @@ def test_tied_block_is_flagged():
     assert point.cols.shape == (2, 1)  # candidate still produced
 
 
-def test_build_lifted_validation_and_corner():
-    c = ProblemInstance((np.diag([1.0, 0.0]),))
-    with pytest.raises(ValueError):
-        build_lifted(c, [np.ones(3)])
-    with pytest.raises(ValueError):
-        build_lifted(c, [np.ones(2), np.ones(2)])
-    l = build_lifted(c, [np.array([1.0, 0.0])])
-    assert l.lifted_mats[0][0, -1] == pytest.approx(0.5)
-    assert l.lifted_mats[0][-1, 0] == pytest.approx(0.5)
-    assert l.lifted_mats[0][-1, -1] == 0.0
+def test_kkt_max_residual_propagates_nan():
+    for pos in range(5):
+        fields = [0.0] * 5
+        fields[pos] = float("nan")
+        assert np.isnan(KktResiduals(*fields).max_residual)
 
 
-def test_solve_lifted_pure_linear():
-    # M = 0, c = e1: optimum is u = e1 with value 1
-    d = 3
-    c = ProblemInstance((np.zeros((d, d)),))
-    l = build_lifted(c, [np.eye(d)[:, 0]])
-    rep = solve_lifted(l)
-    assert rep.status == "Optimal"
-    assert rep.value == pytest.approx(1.0, abs=1e-6)
-    u = rep.meta["u_stack"][:, 0]
-    assert u == pytest.approx(np.eye(d)[:, 0], abs=1e-4)
-    assert rep.meta["corner_duals"].shape == (1,)
-    assert rep.meta["cropped_x"][0].shape == (d, d)
+def test_status_gates_fail_closed_on_nan():
+    converged = SimpleNamespace(status="optimal")
+    assert _status_from(converged, 0.0, 0.0, 1.0, 1.0)[0] == STATUS_OPTIMAL
+    for gap, kkt_max in ((float("nan"), 0.0), (0.0, float("nan"))):
+        status, reason = _status_from(converged, gap, kkt_max, 1.0, 1.0)
+        assert status == STATUS_NUMERICAL_FAILURE
+        assert "tolerance" in reason
 
 
-def test_solve_lifted_reduces_to_base_when_linear_zero():
-    c = gen_random_psd(4, 2, seed=17)
-    base = solve_sdp(c)
-    l = build_lifted(c, [np.zeros(4), np.zeros(4)])
-    rep = solve_lifted(l)
-    assert rep.status == "Optimal"
-    assert rep.value == pytest.approx(base.value, abs=1e-5)
+def _hand_report(blocks, status=STATUS_OPTIMAL, rop_err=None):
+    d, k = blocks[0].shape[0], len(blocks)
+    zero = np.zeros((d, d))
+    return SolveReport(
+        status=status,
+        primal=SdpPrimalSolution(x_blocks=tuple(blocks), objective=0.0),
+        dual=SdpDualSolution(y=zero, z_blocks=(zero,) * k,
+                             nu=np.zeros(k), objective=0.0),
+        gap=0.0,
+        kkt_residuals=KktResiduals(0.0, 0.0, 0.0, 0.0, 0.0),
+        iterations=0,
+        wall_time=0.0,
+        rop_err=rop_error(blocks) if rop_err is None else rop_err,
+    )
+
+
+def _unit_block(d, i):
+    x = np.zeros((d, d))
+    x[i, i] = 1.0
+    return x
+
+
+def test_is_tight_hand_reports():
+    orth = [_unit_block(3, 0), _unit_block(3, 1)]
+    assert is_tight(_hand_report(orth))
+    # rank-one blocks sharing a top eigenvector: their sum is no projection
+    assert not is_tight(_hand_report([_unit_block(3, 0), _unit_block(3, 0)]))
+    assert not is_tight(_hand_report(orth, status=STATUS_NUMERICAL_FAILURE))
+    assert not is_tight(_hand_report(orth, rop_err=2.0 * ROP_TOL))
+    assert not is_tight(_hand_report(orth, rop_err=float("nan")))

@@ -125,7 +125,5 @@ def test_k1_ascent_finds_top_eigenvector():
 
 
 def test_config_factories():
-    assert SolverConfig.for_cjd().max_iters == 2000
     assert SolverConfig.for_hppca().max_iters == 10000
     assert SolverConfig.for_hppca(grad_tol=1e-8).grad_tol == 1e-8
-    assert SolverConfig.for_cjd(max_iters=77).max_iters == 77
