@@ -123,7 +123,8 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint,
 
     The verdict is computed from freshly evaluated eigenvalue slacks at the
     recovered witness, and a CertifiedGlobal result additionally passes the
-    induced primal/dual optimality check within KKT_TOL. Weak stationarity of
+    induced primal/dual optimality check within KKT_TOL. Both gates are
+    relative to s = max(1, max_i ||M_i||_2). Weak stationarity of
     u_bar does not abort the computation; it only flags the result.
     """
     if not isinstance(u_bar, StiefelPoint):
@@ -151,8 +152,9 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint,
             min_eig_slacks=slacks, t_star=lam_min, precondition_weak=weak,
             kkt_residuals=None, problem=problem, meta=meta)
 
-    scale = max(max(float(np.linalg.norm(m, 2)) for m in c.mats),
-                float(np.linalg.norm(lam_s, 2)), 1.0)
+    # the gates' unit: the largest block norm, at least 1
+    s = max(max(float(np.linalg.norm(m, 2)) for m in c.mats), 1.0)
+    scale = max(s, float(np.linalg.norm(lam_s, 2)))
     ops = _feasibility_ops(c, u, lam_s, scale)
     x0, y0, z0 = _feasibility_start(ops, c.k)
     res = solve_ipm(ops, x0, y0, z0, tol=1e-9, max_iters=100)
@@ -166,7 +168,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint,
     slacks = _lmi_slacks(c, u, lam_s, nu)
     meta["ipm_iterations"] = res.iterations
 
-    if not (slacks.min() >= -tol and t_star >= -tol):  # NaN fails too
+    if not (slacks.min() >= -tol * s and t_star >= -tol * s):  # NaN fails
         return CertificateResult(
             status=STATUS_INCONCLUSIVE, nu_witness=None, classification=None,
             min_eig_slacks=slacks, t_star=t_star, precondition_weak=weak,
@@ -180,7 +182,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint,
     dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks, nu=nu,
                            objective=-(float(np.trace(y_mat)) + float(np.sum(nu))))
     kkt = check_kkt(c, x_blocks, dual)
-    if not kkt.max_residual <= KKT_TOL:  # NaN fails too
+    if not kkt.scaled_max(s) <= KKT_TOL:  # NaN fails too
         meta["gate"] = "constructed pair failed verification"
         return CertificateResult(
             status=STATUS_INCONCLUSIVE, nu_witness=None, classification=None,

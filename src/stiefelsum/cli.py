@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: gen, solve-sdp, solve-stmm, certify, rop-table, cjd-sweep,
-diag-sweep, bench. Experiment commands write CSV aggregates plus JSONL
-per-trial records under --out-dir; any numerical failure turns into a
-nonzero exit unless --tolerate-failures is given.
+diag-sweep, bench, each with only the options it reads. gen and rop-table
+build instances with generators.make_instance from a --params JSON object.
+Experiment commands write CSV aggregates plus JSONL per-trial records under
+--out-dir. Exit codes: 0 ok; 1 bad input, usage errors included; 2 a
+numerical failure, unless --tolerate-failures is given.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from .certificate import (
 )
 from .core import load_instance, save_instance
 from .diagonal import tightness_sweep
-from .generators import (
-    FAMILIES,
-    gen_cjd,
-    gen_nested,
-    gen_random_psd,
-    rank_two_pair,
-)
+from .generators import FAMILIES, make_instance, rank_two_pair
 from .harness import (
     run_bench,
     run_cjd_sweep,
@@ -39,7 +35,6 @@ from .harness import (
     write_jsonl,
     write_tsv,
 )
-from .hppca import build_instance, make_model, sample, save_model
 from .sdp import (
     STATUS_NUMERICAL_FAILURE,
     STATUS_OPTIMAL,
@@ -75,47 +70,23 @@ def _write_json(path, doc):
         Path(path).write_text(text)
 
 
+def _json_object(text) -> dict:
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
+    return doc
+
+
 def _cmd_gen(args) -> int:
-    params = json.loads(args.params) if args.params else {}
-    fam = args.family
-    if fam == "hppca":
-        d, k = int(params["d"]), int(params["k"])
-        model = make_model(
-            d, k,
-            params.get("lambdas", np.linspace(1.0, 4.0, k)),
-            params.get("variances", [1.0, 4.0]),
-            params.get("group_sizes", [100, 400]),
-            seed=args.seed,
-        )
-        if params.get("model_out"):
-            save_model(model, params["model_out"])
-        from .core import normalize_instance
-        inst = normalize_instance(build_instance(model, sample(model)))
-    elif fam == "randpsd":
-        inst = gen_random_psd(int(params["d"]), int(params["k"]),
-                              rank=params.get("rank"), seed=args.seed)
-    elif fam == "cjd":
-        inst = gen_cjd(int(params["d"]), int(params["k"]),
-                       int(params.get("r", 3)),
-                       float(params.get("sigma", 1e-3)), seed=args.seed,
-                       reverse_nesting=bool(params.get("reverse_nesting")))
-    elif fam == "nested":
-        coeffs = np.asarray(params["coeffs"], dtype=float)
-        inst, opt = gen_nested(int(params["d"]), int(params["k"]),
-                               coeffs, seed=args.seed)
-        inst = type(inst)(mats=inst.mats, psd_shift=inst.psd_shift,
-                          meta=dict(inst.meta, known_optimum=opt))
-        print(f"known optimum: {opt}")
-    elif fam == "fixture":
-        x1, x2 = rank_two_pair()
-        Path(args.out).write_text(json.dumps({
-            "d": 4,
-            "blocks": [x1.reshape(-1).tolist(), x2.reshape(-1).tolist()],
-        }))
+    if args.family not in FAMILIES:  # the fixture: X blocks, no instance
+        blocks = [x.reshape(-1).tolist() for x in rank_two_pair()]
+        Path(args.out).write_text(json.dumps({"d": 4, "blocks": blocks}))
         print(f"wrote {args.out}")
         return 0
-    else:
-        raise ValueError(f"unknown family {fam}")
+    d, k = int(args.params.pop("d")), int(args.params.pop("k"))
+    inst = make_instance(args.family, d, k, args.params, seed=args.seed)
+    if "known_optimum" in inst.meta:
+        print(f"known optimum: {inst.meta['known_optimum']}")
     save_instance(inst, args.out)
     print(f"wrote {args.out} (d={inst.d}, k={inst.k})")
     return 0
@@ -216,15 +187,9 @@ def _apply_fast(args):
 
 def _cmd_rop_table(args) -> int:
     _apply_fast(args)
-    grid = {"d": args.d, "k": args.k}
-    if args.family == "hppca":
-        grid["n"] = _ints(args.n)
-        grid["v"] = _floats(args.v)
-    if args.family == "randpsd" and args.rank:
-        grid["rank"] = args.rank
-    if args.family == "cjd":
-        grid["r"] = args.r
-        grid["sigma"] = args.sigma
+    if "d" in args.params or "k" in args.params:
+        raise ValueError("set d and k with --d and --k, not in --params")
+    grid = dict(args.params, d=args.d, k=args.k)
     rows, records = run_rop_table(args.family, grid, args.trials,
                                   seed=args.seed, jobs=args.jobs)
     out = _out_dir(args)
@@ -276,7 +241,7 @@ def _cmd_diag_sweep(args) -> int:
         rows.append({"scale": scale, "fraction_tight": frac,
                      "trials": args.trials})
         print(f"scale {scale}: tight {frac:.2f}")
-    write_csv(args.out or (_out_dir(args) / "diag_sweep.csv"), rows)
+    write_csv(args.out, rows)
     return 0
 
 
@@ -296,82 +261,87 @@ def _cmd_bench(args) -> int:
     return _fail(args, seen_fail)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--out-dir", default=".")
-    common.add_argument("--tolerate-failures", action="store_true")
-    common.add_argument("--fast", action="store_true",
-                        help="preset: at most 10 trials and d <= 30")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # bad input exits 1; 2 is a numerical failure
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
-    p = argparse.ArgumentParser(
+
+# options shared by several subcommands; each subcommand names its own
+_SHARED = {
+    "--seed": dict(type=int, default=0),
+    "--tolerate-failures": dict(action="store_true"),
+    "--out-dir": dict(default="."),
+    "--fast": dict(action="store_true", help="at most 10 trials, d <= 30"),
+    "--jobs": dict(type=int, default=1),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = _Parser(
         prog="stiefelsum",
         description="Sums of quadratic forms over the Stiefel manifold: "
                     "relaxation, first-order solver, global certificate.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", parents=[common])
-    g.add_argument("--family", choices=FAMILIES, required=True)
-    g.add_argument("--params", default="", help="JSON parameter object")
-    g.add_argument("--out", required=True)
-    g.set_defaults(fn=_cmd_gen)
+    def command(name, fn, *shared):
+        s = sub.add_parser(name)
+        for flag in shared:
+            s.add_argument(flag, **_SHARED[flag])
+        s.set_defaults(fn=fn)
+        return s
 
-    s = sub.add_parser("solve-sdp", parents=[common])
+    s = command("gen", _cmd_gen, "--seed")
+    s.add_argument("--family", choices=(*FAMILIES, "fixture"), required=True)
+    s.add_argument("--params", type=_json_object, default="{}",
+                   help="JSON object: d, k and the family's parameters")
+    s.add_argument("--out", required=True)
+
+    s = command("solve-sdp", _cmd_solve_sdp, "--tolerate-failures")
     s.add_argument("--instance", required=True)
     s.add_argument("--out", default=None)
     s.add_argument("--save-primal", default=None)
-    s.set_defaults(fn=_cmd_solve_sdp)
 
-    s = sub.add_parser("solve-stmm", parents=[common])
+    s = command("solve-stmm", _cmd_solve_stmm, "--seed")
     s.add_argument("--instance", required=True)
-    s.add_argument("--max-iters", type=int, default=2000)
-    s.add_argument("--grad-tol", type=float, default=1e-10)
+    s.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    s.add_argument("--grad-tol", type=float, default=SolverConfig.grad_tol)
     s.add_argument("--trace", default=None, help="iterate CSV path")
     s.add_argument("--out", default=None)
-    s.set_defaults(fn=_cmd_solve_stmm)
 
-    s = sub.add_parser("certify", parents=[common])
+    s = command("certify", _cmd_certify, "--tolerate-failures")
     s.add_argument("--instance", required=True)
     s.add_argument("--point", default=None,
                    help="candidate JSON (as written by solve-stmm)")
     s.add_argument("--out", default=None)
-    s.set_defaults(fn=_cmd_certify)
 
-    s = sub.add_parser("rop-table", parents=[common])
-    s.add_argument("--family", choices=("hppca", "randpsd", "cjd",
-                                        "diagonal"), default="hppca")
+    experiment = ("--seed", "--tolerate-failures", "--out-dir", "--fast")
+    s = command("rop-table", _cmd_rop_table, *experiment, "--jobs")
+    s.add_argument("--family", choices=tuple(FAMILIES), default="hppca")
+    s.add_argument("--params", type=_json_object, default="{}",
+                   help="JSON object of the family's parameters")
     s.add_argument("--d", type=_ints, default=[10])
     s.add_argument("--k", type=_ints, default=[3])
     s.add_argument("--trials", type=int, default=50)
-    s.add_argument("--n", default="100,400")
-    s.add_argument("--v", default="1,4")
-    s.add_argument("--rank", type=int, default=None)
-    s.add_argument("--r", type=int, default=3)
-    s.add_argument("--sigma", type=float, default=1e-3)
-    s.set_defaults(fn=_cmd_rop_table)
 
-    s = sub.add_parser("cjd-sweep", parents=[common])
+    s = command("cjd-sweep", _cmd_cjd_sweep, *experiment, "--jobs")
     s.add_argument("--sigmas", default="1e-4,1e-3,1e-2,1e-1")
     s.add_argument("--n1", default=None,
                    help="sample-size sweep instead of sigma sweep")
     s.add_argument("--d", type=_ints, default=[10])
     s.add_argument("--k", type=_ints, default=[3])
     s.add_argument("--trials", type=int, default=25)
-    s.set_defaults(fn=_cmd_cjd_sweep)
 
-    s = sub.add_parser("diag-sweep", parents=[common])
+    s = command("diag-sweep", _cmd_diag_sweep, "--seed")
     s.add_argument("--center", required=True)
     s.add_argument("--scales", default="1e-4,1e-2,1e-1,1")
     s.add_argument("--trials", type=int, default=50)
-    s.add_argument("--out", default=None)
-    s.set_defaults(fn=_cmd_diag_sweep)
+    s.add_argument("--out", default="diag_sweep.csv")
 
-    s = sub.add_parser("bench", parents=[common])
+    s = command("bench", _cmd_bench, *experiment)
     s.add_argument("--d", type=_ints, default=[20, 40, 60])
     s.add_argument("--k", type=_ints, default=[3])
     s.add_argument("--trials", type=int, default=10)
-    s.set_defaults(fn=_cmd_bench)
     return p
 
 

@@ -1,22 +1,36 @@
 """Synthetic instance families used across the experiment suite.
 
-Families:
+FAMILIES maps each family name to its builder, and make_instance is the
+one way the CLI and the harness build an instance of a family:
+  hppca    - heteroscedastic PPCA blocks from one planted draw
   randpsd  - independent Gaussian factor PSD blocks
   cjd      - nested diagonally-dominant blocks whose commuting distance is
              dialed by a noise level sigma
+  diagonal - diagonal blocks with uniform entries
   nested   - sums of outer products over nested spans, with a known optimal
              value, reaching large commuting distance at will
-  fixture  - the hand-written rank-two pair showing the relaxation's
-             feasible set exceeds the convex hull of Stiefel outer products
+rank_two_pair (gen's fixture) returns relaxation blocks, not an instance.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .core import ProblemInstance, normalize_instance
+from .hppca import build_instance, make_model, sample, save_model
 
-FAMILIES = ("hppca", "randpsd", "cjd", "nested", "fixture")
+
+def gen_hppca(d: int, k: int, n=(100, 400), v=(1.0, 4.0), lambdas=None,
+              model_out=None, seed=0) -> ProblemInstance:
+    """Normalized HPPCA blocks from one sample of a planted model with group
+    sizes n and noise variances v; model_out is a path to save it to."""
+    lambdas = np.linspace(1.0, 4.0, k) if lambdas is None else lambdas
+    model = make_model(d, k, lambdas, v, n, seed=seed)
+    if model_out:
+        save_model(model, model_out)
+    return normalize_instance(build_instance(model, sample(model)))
 
 
 def gen_random_psd(d: int, k: int, rank=None, seed=0) -> ProblemInstance:
@@ -63,14 +77,15 @@ def gen_separated_diagonal(d: int, k: int, peak: float = 1.0,
     return normalize_instance(inst)
 
 
-def gen_cjd(d: int, k: int, r: int, sigma: float, seed=0,
+def gen_cjd(d: int, k: int, r=None, sigma: float = 1e-3, seed=0,
             reverse_nesting: bool = False) -> ProblemInstance:
     """Nested chain M_1 >= ... >= M_k >= 0 of diagonally dominant blocks.
 
-    Each level adds a fresh diagonal with r uniform entries plus a factor
-    noise term S S^T / (10 d), S Gaussian d x 10d with variance sigma, so
-    sigma sweeps the tuple's commuting distance. reverse_nesting builds the
-    chain in ascending index order instead (M_k >= ... >= M_1)."""
+    Each level adds a fresh diagonal with r (default min(3, d)) uniform
+    entries plus a noise term S S^T / (10 d), S Gaussian d x 10d with
+    variance sigma, so sigma sweeps the tuple's commuting distance.
+    reverse_nesting builds the chain in ascending order (M_k >= ... >= M_1)."""
+    r = min(3, d) if r is None else r
     if r > d:
         raise ValueError("need r <= d")
     rng = np.random.default_rng(seed)
@@ -106,7 +121,8 @@ def gen_nested(d: int, k: int, coeffs, seed=0):
     the commuting distance up to the same order as the norms. Output is
     deliberately left unnormalized so the known value is preserved.
 
-    Returns (instance, known_optimum)."""
+    Returns (instance, known_optimum); the instance's meta records
+    known_optimum too."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (k, k):
         raise ValueError("coefficient matrix must be k x k")
@@ -123,10 +139,37 @@ def gen_nested(d: int, k: int, coeffs, seed=0):
         running = running + np.outer(v[:, j], v[:, j])
         mats.append(running.copy())
     mats.reverse()
+    opt = float(np.sum(c * c))
     inst = ProblemInstance(mats=tuple(mats), meta={
-        "family": "nested", "seed": seed,
+        "family": "nested", "seed": seed, "known_optimum": opt,
     })
-    return inst, float(np.sum(c * c))
+    return inst, opt
+
+
+def _nested_instance(d: int, k: int, coeffs, seed=0) -> ProblemInstance:
+    return gen_nested(d, k, coeffs, seed=seed)[0]
+
+
+FAMILIES = {"hppca": gen_hppca, "randpsd": gen_random_psd, "cjd": gen_cjd,
+            "diagonal": gen_random_diagonal, "nested": _nested_instance}
+
+
+def family_builder(family: str, params: dict):
+    """The family's builder, after checking that params name only its own
+    parameters (not d, k or seed); ValueError otherwise."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family: {family}")
+    try:
+        inspect.signature(FAMILIES[family]).bind(0, 0, seed=0, **params)
+    except TypeError as exc:
+        raise ValueError(f"family {family}: {exc}") from None
+    return FAMILIES[family]
+
+
+def make_instance(family: str, d: int, k: int, params: dict,
+                  seed=0) -> ProblemInstance:
+    """An instance of the family; params are its builder's parameters."""
+    return family_builder(family, params)(d, k, seed=seed, **params)
 
 
 def rank_two_pair():

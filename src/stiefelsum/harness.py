@@ -17,9 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .certificate import STATUS_CERTIFIED, CertificateNumericalError, certify
-from .core import max_commuting_distance, normalize_instance
-from .generators import gen_cjd, gen_random_diagonal, gen_random_psd
-from .hppca import build_instance, make_model, sample
+from .core import max_commuting_distance
+from .generators import family_builder, make_instance
 from .sdp import STATUS_OPTIMAL, extract_candidate, is_tight, solve_sdp
 from .stiefel import SolverConfig, objective, random_stiefel, stmm_solve
 
@@ -44,20 +43,7 @@ def trial_seeds(master_seed, count: int):
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
 
 
-def _make_instance(family: str, d: int, k: int, params: dict, seed: int):
-    if family == "hppca":
-        lam = np.linspace(1.0, 4.0, k)
-        model = make_model(d, k, lam, params.get("v", [1.0, 4.0]),
-                           params.get("n", [100, 400]), seed=seed)
-        return normalize_instance(build_instance(model, sample(model)))
-    if family == "randpsd":
-        return gen_random_psd(d, k, rank=params.get("rank"), seed=seed)
-    if family == "cjd":
-        return gen_cjd(d, k, params.get("r", min(3, d)),
-                       params.get("sigma", 1e-3), seed=seed)
-    if family == "diagonal":
-        return gen_random_diagonal(d, k, seed=seed)
-    raise ValueError(f"unknown family: {family}")
+_make_instance = make_instance  # the name the benchmark's tracer times
 
 
 def rop_trial(args) -> dict:
@@ -72,7 +58,7 @@ def rop_trial(args) -> dict:
         rec.update(status=rep.status, value=rep.value, gap=rep.gap,
                    rop_err=rep.rop_err, tight=is_tight(rep),
                    iterations=rep.iterations)
-    except Exception as exc:  # isolate trial failures
+    except (ValueError, ArithmeticError) as exc:  # other errors are bugs
         rec.update(status="TrialError", tight=False, error=repr(exc))
     rec["wall"] = time.perf_counter() - t0
     return rec
@@ -89,10 +75,11 @@ def run_rop_table(family: str, grid: dict, trials: int, seed=0,
                   jobs: int = 1, cfg: SolverConfig | None = None):
     """Fraction of tight solves per (d, k) cell.
 
-    grid: {"d": [...], "k": [...]} plus family parameters (n, v, rank,
-    r, sigma). Returns (rows, records); failures are counted per cell
-    and never count as tight."""
+    grid: {"d": [...], "k": [...]} plus the family's parameters (see
+    generators.FAMILIES). Returns (rows, records); failures are counted
+    per cell and never count as tight."""
     params = {key: val for key, val in grid.items() if key not in ("d", "k")}
+    family_builder(family, params)
     rows, records = [], []
     for d in grid["d"]:
         for k in grid["k"]:
@@ -123,19 +110,15 @@ def subspace_distance(u1, u2) -> float:
 def sweep_trial(args) -> dict:
     """One sweep trial: SDP arm, StMM arm, certificate, marker class."""
     family, d, k, sweep_value, params, seed, cfg = args
-    cfg = cfg or (SolverConfig.for_hppca() if family == "hppca"
-                  else SolverConfig())
+    if family == "hppca":  # sample-size sweep
+        n1 = int(sweep_value)
+        swept, cfg = {"n": [n1, 4 * n1]}, cfg or SolverConfig.for_hppca()
+    else:  # noise sweep
+        swept, cfg = {"sigma": float(sweep_value)}, cfg or SolverConfig()
     rec = {"family": family, "d": d, "k": k, "sweep_value": sweep_value,
            "seed": seed}
     try:
-        if family == "hppca":
-            n1 = int(sweep_value)
-            inst = _make_instance(family, d, k,
-                                  dict(params, n=[n1, 4 * n1]), seed)
-        else:
-            inst = _make_instance(family, d, k,
-                                  dict(params, sigma=float(sweep_value)),
-                                  seed)
+        inst = _make_instance(family, d, k, dict(params, **swept), seed)
         rec["commuting_distance"] = max_commuting_distance(inst)
 
         t0 = time.perf_counter()
@@ -158,7 +141,7 @@ def sweep_trial(args) -> dict:
             cand, _, _ = extract_candidate(rep.primal)
             rec["subspace_distance"] = subspace_distance(
                 trace.final.cols, cand.cols)
-        except Exception:
+        except ValueError:
             rec["subspace_distance"] = float("nan")
 
         try:
@@ -176,7 +159,7 @@ def sweep_trial(args) -> dict:
             rec["marker"] = MARKER_CERTIFIED
         else:
             rec["marker"] = MARKER_TIGHT_SUBOPTIMAL
-    except Exception as exc:
+    except (ValueError, ArithmeticError) as exc:
         rec.update(marker="error", error=repr(exc))
     return rec
 
@@ -198,9 +181,10 @@ def run_cjd_sweep(sweep_values, trials: int, d: int = 10, k: int = 3,
 
 def bench_cell(d: int, k: int, trials: int, seed=0,
                cfg: SolverConfig | None = None) -> dict:
-    """Median/std wall time of the full SDP vs StMM + certificate on the
-    same instances. Always serial: timings under a pool are meaningless."""
-    cfg = cfg or SolverConfig()
+    """Median/std wall time of the full SDP vs StMM (HPPCA settings by
+    default) + certificate on the same instances. Always serial: timings
+    under a pool are meaningless."""
+    cfg = cfg or SolverConfig.for_hppca()
     sdp_times, stmm_times, records = [], [], []
     for s in trial_seeds((seed, d, k), trials):
         inst = _make_instance("hppca", d, k, {}, s)

@@ -86,6 +86,16 @@ class KktResiduals:
         return float(np.max([self.primal, self.dual_eq, self.slack_comp,
                              self.block_comp, self.dual_cone]))
 
+    def scaled_max(self, s: float) -> float:
+        """Largest residual with the dual-side ones divided by s.
+
+        The primal residual is unitless; the other four carry the units of
+        the M_i, so with s = max(1, max_i ||M_i||_2) one gate serves every
+        input scale and is unchanged for normalized inputs."""
+        return float(np.max([self.primal, self.dual_eq / s,
+                             self.slack_comp / s, self.block_comp / s,
+                             self.dual_cone / s]))
+
     def as_dict(self) -> dict:
         return {
             "primal": self.primal,
@@ -218,7 +228,8 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     Inputs need not be normalized or PSD: a uniform eigenvalue shift and a
     global scale are applied internally and mapped back, with both recorded
     in the report meta. A report is never labeled Optimal unless the duality
-    gap and all five KKT residuals pass GAP_TOL and KKT_TOL.
+    gap and all five KKT residuals pass GAP_TOL and KKT_TOL, the dual-side
+    residuals relative to max(1, max_i ||M_i||_2).
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -239,7 +250,8 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     dual = SdpDualSolution(y=y_mat, z_blocks=tuple(z_blocks),
                            nu=np.asarray(nu, dtype=float), objective=dd)
     kkt = check_kkt(c, x_blocks, dual)
-    status, reason = _status_from(res, gap, kkt.max_residual, p, dd)
+    s = max(1.0, float(c.spectral_norms().max()))
+    status, reason = _status_from(res, gap, kkt.scaled_max(s), p, dd)
 
     return SolveReport(
         status=status,

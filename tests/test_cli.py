@@ -3,7 +3,9 @@
 import csv
 import json
 
-from stiefelsum.cli import main
+import pytest
+
+from stiefelsum.cli import build_parser, main
 from stiefelsum.core import load_instance
 
 
@@ -73,6 +75,15 @@ def test_rop_table_fast_writes_outputs(tmp_path):
     assert len(lines) == 3
     assert json.loads(lines[0])["status"] == "Optimal"
 
+    nested = tmp_path / "nested"
+    rc = main(["rop-table", "--family", "nested",
+               "--params", '{"coeffs": [[1, 2], [0, 1]]}', "--d", "6",
+               "--k", "2", "--trials", "2", "--out-dir", str(nested)])
+    assert rc == 0
+    rec = json.loads((nested / "rop_records.jsonl").read_text().splitlines()[0])
+    assert rec["status"] == "Optimal"
+    assert rec["value"] == pytest.approx(6.0, abs=1e-6)
+
 
 def test_diag_sweep_on_commuting_center(tmp_path):
     inst_path = tmp_path / "center.json"
@@ -100,6 +111,28 @@ def test_gen_nested_records_known_optimum(tmp_path, capsys):
     assert inst.meta["known_optimum"] == 6.0
 
 
+def test_gen_builds_every_family_and_rejects_unknown_parameters(
+        tmp_path, capsys):
+    p = tmp_path / "diag.json"
+    rc = main(["gen", "--family", "diagonal", "--params", '{"d": 5, "k": 2}',
+               "--seed", "2", "--out", str(p)])
+    assert rc == 0
+    assert load_instance(p).meta["family"] == "diagonal"
+
+    for family, params in (("cjd", '{"d": 5, "k": 2, "sigm": 0.5}'),
+                           ("hppca", '{"d": 5, "k": 2, "variances": [1]}')):
+        rc = main(["gen", "--family", family, "--params", params,
+                   "--out", str(tmp_path / "bad.json")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
+
+    rc = main(["rop-table", "--family", "cjd", "--params", '{"d": 5}',
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_gen_fixture_blocks(tmp_path):
     p = tmp_path / "fixture.json"
     assert main(["gen", "--family", "fixture", "--out", str(p)]) == 0
@@ -122,3 +155,44 @@ def test_non_finite_instance_is_bad_input(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err and "finite" in err
+
+
+OPTIONS = {
+    "gen": {"--seed", "--family", "--params", "--out"},
+    "solve-sdp": {"--tolerate-failures", "--instance", "--out",
+                  "--save-primal"},
+    "solve-stmm": {"--seed", "--instance", "--max-iters", "--grad-tol",
+                   "--trace", "--out"},
+    "certify": {"--tolerate-failures", "--instance", "--point", "--out"},
+    "rop-table": {"--seed", "--tolerate-failures", "--out-dir", "--fast",
+                  "--jobs", "--family", "--params", "--d", "--k", "--trials"},
+    "cjd-sweep": {"--seed", "--tolerate-failures", "--out-dir", "--fast",
+                  "--jobs", "--sigmas", "--n1", "--d", "--k", "--trials"},
+    "diag-sweep": {"--seed", "--center", "--scales", "--trials", "--out"},
+    "bench": {"--seed", "--tolerate-failures", "--out-dir", "--fast", "--d",
+              "--k", "--trials"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
+    sub = next(a for a in build_parser()._actions
+               if a.dest == "command").choices
+    got = {name: {o for a in p._actions for o in a.option_strings
+                  if o.startswith("--")} - {"--help"}
+           for name, p in sub.items()}
+    assert got == OPTIONS
+    assert sum(map(len, got.values())) == 50
+
+    # usage errors are bad input (exit 1); 2 is kept for numerical failures
+    for argv in (["solve-sdp", "--instance", "x.json", "--jobs", "7"],
+                 ["diag-sweep", "--center", "x.json", "--out-dir", "o"],
+                 ["rop-table", "--params", "[1, 2]"],
+                 ["rop-table", "--d", "ten"],
+                 ["no-such-command"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--help"])
+    assert exc.value.code == 0

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from stiefelsum.core import max_commuting_distance, rop_error
+from stiefelsum.core import (
+    max_commuting_distance,
+    normalize_instance,
+    rop_error,
+)
 from stiefelsum.generators import (
     FAMILIES,
     gen_cjd,
@@ -11,8 +15,10 @@ from stiefelsum.generators import (
     gen_random_diagonal,
     gen_random_psd,
     gen_separated_diagonal,
+    make_instance,
     rank_two_pair,
 )
+from stiefelsum.hppca import build_instance, make_model, sample
 
 
 def _numrank(m, tol=1e-9):
@@ -21,7 +27,32 @@ def _numrank(m, tol=1e-9):
 
 
 def test_family_registry():
-    assert set(FAMILIES) == {"hppca", "randpsd", "cjd", "nested", "fixture"}
+    assert set(FAMILIES) == {"hppca", "randpsd", "cjd", "diagonal", "nested"}
+
+    model = make_model(8, 2, np.linspace(1.0, 4.0, 2), [1.0, 4.0],
+                       [100, 400], seed=3)
+    direct = {
+        "hppca": normalize_instance(build_instance(model, sample(model))),
+        "randpsd": gen_random_psd(8, 2, rank=1, seed=3),
+        "cjd": gen_cjd(8, 2, r=3, sigma=1e-2, seed=3),
+        "diagonal": gen_random_diagonal(8, 2, seed=3),
+        "nested": gen_nested(8, 2, [[1.0, 2.0], [0.0, 1.0]], seed=3)[0],
+    }
+    params = {"randpsd": {"rank": 1}, "cjd": {"sigma": 1e-2},
+              "nested": {"coeffs": [[1, 2], [0, 1]]}}
+    for family, want in direct.items():
+        got = make_instance(family, 8, 2, params.get(family, {}), seed=3)
+        assert all(np.array_equal(a, b) for a, b in zip(got.mats, want.mats))
+        assert got.meta == want.meta
+    assert direct["nested"].meta["known_optimum"] == 6.0
+    # r defaults to min(3, d)
+    assert make_instance("cjd", 2, 2, {}, seed=1).meta["r"] == 2
+
+    for family, bad in [("no-such-family", {}), ("cjd", {"sigm": 0.5}),
+                        ("randpsd", {"sigma": 0.5}), ("diagonal", {"d": 4}),
+                        ("hppca", {"seed": 1}), ("nested", {})]:
+        with pytest.raises(ValueError):
+            make_instance(family, 8, 2, bad, seed=3)
 
 
 def test_random_psd_rank_and_normalization():

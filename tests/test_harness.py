@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from stiefelsum import harness
 from stiefelsum.harness import (
     bench_cell,
     rop_trial,
@@ -56,11 +57,22 @@ def test_rop_table_worker_pool_matches_serial():
     assert rows1[0]["fraction_tight"] == rows2[0]["fraction_tight"]
 
 
-def test_trial_errors_are_isolated():
+def test_trial_errors_are_isolated(monkeypatch):
     rec = rop_trial(("no-such-family", 4, 2, {}, 0, None))
     assert rec["status"] == "TrialError"
     assert rec["tight"] is False
     assert "error" in rec
+    # an unknown family or parameter stops the table before any trial
+    with pytest.raises(ValueError):
+        run_rop_table("randpsd", {"d": [4], "k": [2], "sigma": 0.5}, 1)
+
+    # anything but a numerical or input error is a bug and surfaces
+    def broken(inst, cfg=None):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(harness, "solve_sdp", broken)
+    with pytest.raises(TypeError):
+        rop_trial(("diagonal", 4, 2, {}, 0, None))
 
 
 def test_subspace_distance_cases():

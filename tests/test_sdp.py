@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from stiefelsum.certificate import STATUS_CERTIFIED, certify
 from stiefelsum.core import ROP_TOL, ProblemInstance, rop_error, sym
 from stiefelsum.sdp import (
     KKT_TOL,
@@ -29,6 +30,7 @@ from stiefelsum.generators import (
     gen_random_psd,
     gen_separated_diagonal,
 )
+from stiefelsum.stiefel import stmm_solve
 
 
 def _rand_psd(d, rng, gap=None):
@@ -105,6 +107,25 @@ def test_shift_and_scale_mapping():
     assert rep_g.value == pytest.approx(3.0 * base.value, abs=3e-6)
 
 
+def test_verdicts_hold_at_every_input_scale():
+    # the KKT and certificate gates are relative to max(1, max ||M_i||)
+    for seed in (1, 2, 3):
+        unit = gen_random_psd(6, 2, seed=seed)
+        base = solve_sdp(unit)
+        assert base.status == STATUS_OPTIMAL
+        polished = stmm_solve(unit, extract_candidate(base)[0]).final
+        for s in (1.0, 1e2, 1e3, 1e4, 1e6):
+            inst = ProblemInstance(tuple(s * m for m in unit.mats))
+            rep = solve_sdp(inst)
+            assert rep.status == STATUS_OPTIMAL, (seed, s, rep.meta)
+            assert rep.value / s == pytest.approx(base.value, abs=1e-7)
+            assert certify(inst, polished).status == STATUS_CERTIFIED
+    # overflowing residuals still fail closed
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = solve_sdp(ProblemInstance((np.diag([1e300, 1.0]),)))
+    assert huge.status != STATUS_OPTIMAL
+
+
 def test_check_kkt_hand_point():
     # d=2, k=1, M=diag(3,1): X=e1 e1', nu=1, Y=diag(2,0), Z=0 is exact
     c = ProblemInstance((np.diag([3.0, 1.0]),))
@@ -153,6 +174,11 @@ def test_kkt_max_residual_propagates_nan():
         fields = [0.0] * 5
         fields[pos] = float("nan")
         assert np.isnan(KktResiduals(*fields).max_residual)
+        assert np.isnan(KktResiduals(*fields).scaled_max(10.0))
+    # only the dual-side residuals carry the input's units
+    assert KktResiduals(2e-7, 5e-6, 1e-6, 0.0, 0.0).scaled_max(10.0) == \
+        pytest.approx(5e-7)
+    assert KktResiduals(3e-6, 0.0, 0.0, 0.0, 0.0).scaled_max(1e3) == 3e-6
 
 
 def test_status_gates_fail_closed_on_nan():
