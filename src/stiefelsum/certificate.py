@@ -19,10 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ROP_TOL, ProblemInstance, StiefelPoint, sym
+from .core import ProblemInstance, StiefelPoint, sym
 from .ipm import DenseOps, solve_ipm
-from .sdp import KKT_TOL, KktResiduals, SdpDualSolution, check_kkt
-from .stiefel import LambdaMatrix, lambda_matrix, objective, riemannian_gradient
+from .sdp import (
+    KKT_TOL,
+    STATUS_OPTIMAL,
+    KktResiduals,
+    SdpDualSolution,
+    check_kkt,
+    gate_unit,
+    is_tight,
+)
+from .stiefel import lambda_matrix, objective, riemannian_gradient
 
 STATUS_CERTIFIED = "CertifiedGlobal"
 STATUS_INCONCLUSIVE = "Inconclusive"
@@ -42,23 +50,13 @@ class CertificateNumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CertificateProblem:
-    u_bar: StiefelPoint
-    lam: LambdaMatrix
-    instance: ProblemInstance
-    lmi_constants: tuple  # k blocks U L U' - M_i, then L itself
-
-
-@dataclass(frozen=True)
 class CertificateResult:
     status: str
     nu_witness: np.ndarray | None
-    classification: str | None
     min_eig_slacks: np.ndarray
     t_star: float
     precondition_weak: bool
     kkt_residuals: KktResiduals | None
-    problem: CertificateProblem
     meta: dict = field(default_factory=dict)
 
 
@@ -117,15 +115,15 @@ def _feasibility_start(ops: DenseOps, k: int):
     return x0, y0, z0
 
 
-def certify(c: ProblemInstance, u_bar: StiefelPoint,
-            tol: float = CERT_TOL) -> CertificateResult:
+def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     """Decide the certificate system at a (near-)stationary point.
 
     The verdict is computed from freshly evaluated eigenvalue slacks at the
-    recovered witness, and a CertifiedGlobal result additionally passes the
-    induced primal/dual optimality check within KKT_TOL. Both gates are
-    relative to s = max(1, max_i ||M_i||_2). Weak stationarity of
-    u_bar does not abort the computation; it only flags the result.
+    recovered witness, which must clear -CERT_TOL, and a CertifiedGlobal
+    result additionally passes the induced primal/dual optimality check
+    within KKT_TOL. Both gates are relative to sdp.gate_unit(c). Weak
+    stationarity of u_bar does not abort the computation; it only flags
+    the result.
     """
     if not isinstance(u_bar, StiefelPoint):
         u_bar = StiefelPoint(np.asarray(u_bar, dtype=float))
@@ -136,24 +134,23 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint,
     lam_s = sym(lam.matrix)
     rg = float(np.linalg.norm(riemannian_gradient(c, u)))
     weak = lam.symmetry_residual > _PRECONDITION_TOL or rg > _PRECONDITION_TOL
-    problem = CertificateProblem(
-        u_bar=u_bar, lam=lam, instance=c,
-        lmi_constants=tuple([u @ lam_s @ u.T - m for m in c.mats] + [lam_s]),
-    )
     meta = {"grad_norm": rg, "symmetry_residual": lam.symmetry_residual}
+
+    def verdict(slacks, t_star, nu=None, kkt=None, gate=None):
+        if gate is not None:
+            meta["gate"] = gate
+        return CertificateResult(
+            status=STATUS_INCONCLUSIVE if nu is None else STATUS_CERTIFIED,
+            nu_witness=nu, min_eig_slacks=slacks, t_star=t_star,
+            precondition_weak=weak, kkt_residuals=kkt, meta=meta)
 
     # necessary condition: L - D_nu >= 0 with nu >= 0 forces L >= 0
     lam_min = float(np.linalg.eigvalsh(lam_s)[0])
     if lam_min < -_PRECONDITION_TOL:
-        slacks = _lmi_slacks(c, u, lam_s, np.zeros(c.k))
-        meta["gate"] = "multiplier matrix indefinite"
-        return CertificateResult(
-            status=STATUS_INCONCLUSIVE, nu_witness=None, classification=None,
-            min_eig_slacks=slacks, t_star=lam_min, precondition_weak=weak,
-            kkt_residuals=None, problem=problem, meta=meta)
+        return verdict(_lmi_slacks(c, u, lam_s, np.zeros(c.k)), lam_min,
+                       gate="multiplier matrix indefinite")
 
-    # the gates' unit: the largest block norm, at least 1
-    s = max(max(float(np.linalg.norm(m, 2)) for m in c.mats), 1.0)
+    s = gate_unit(c)
     scale = max(s, float(np.linalg.norm(lam_s, 2)))
     ops = _feasibility_ops(c, u, lam_s, scale)
     x0, y0, z0 = _feasibility_start(ops, c.k)
@@ -168,11 +165,9 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint,
     slacks = _lmi_slacks(c, u, lam_s, nu)
     meta["ipm_iterations"] = res.iterations
 
-    if not (slacks.min() >= -tol * s and t_star >= -tol * s):  # NaN fails
-        return CertificateResult(
-            status=STATUS_INCONCLUSIVE, nu_witness=None, classification=None,
-            min_eig_slacks=slacks, t_star=t_star, precondition_weak=weak,
-            kkt_residuals=None, problem=problem, meta=meta)
+    # NaN fails too
+    if not (slacks.min() >= -CERT_TOL * s and t_star >= -CERT_TOL * s):
+        return verdict(slacks, t_star)
 
     # rebuild the induced optimal pair and verify before claiming anything
     y_mat = sym(u @ (lam_s - np.diag(nu)) @ u.T)
@@ -183,40 +178,25 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint,
                            objective=-(float(np.trace(y_mat)) + float(np.sum(nu))))
     kkt = check_kkt(c, x_blocks, dual)
     if not kkt.scaled_max(s) <= KKT_TOL:  # NaN fails too
-        meta["gate"] = "constructed pair failed verification"
-        return CertificateResult(
-            status=STATUS_INCONCLUSIVE, nu_witness=None, classification=None,
-            min_eig_slacks=slacks, t_star=t_star, precondition_weak=weak,
-            kkt_residuals=kkt, problem=problem, meta=meta)
-
-    return CertificateResult(
-        status=STATUS_CERTIFIED, nu_witness=nu, classification=None,
-        min_eig_slacks=slacks, t_star=t_star, precondition_weak=weak,
-        kkt_residuals=kkt, problem=problem, meta=meta)
+        return verdict(slacks, t_star, kkt=kkt,
+                       gate="constructed pair failed verification")
+    return verdict(slacks, t_star, nu=nu, kkt=kkt)
 
 
 def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,
                           sdp_report=None) -> str:
-    """Attribute an inconclusive certificate when a relaxation solve exists.
+    """Attribute an inconclusive certificate when an Optimal relaxation
+    solve exists.
 
-    A loose relaxation explains it directly; a tight relaxation whose value
-    strictly exceeds the candidate's objective means the candidate is a
-    suboptimal stationary point; anything else stays Unknown."""
-    if sdp_report is None:
+    A solve that fails sdp.is_tight explains it directly; a tight
+    relaxation whose value strictly exceeds the candidate's objective means
+    the candidate is a suboptimal stationary point; anything else,
+    including a missing or non-Optimal solve, stays Unknown."""
+    if sdp_report is None or sdp_report.status != STATUS_OPTIMAL:
         return CLASS_UNKNOWN
-    if sdp_report.rop_err > ROP_TOL:
+    if not is_tight(sdp_report):
         return CLASS_NOT_TIGHT
     if objective(c, u_bar) < sdp_report.value - 1e-5:
         return CLASS_SUBOPTIMAL
     return CLASS_UNKNOWN
 
-
-def certificate_flops_estimate(d: int, k: int):
-    """Cost-model flop counts: certificate solve vs full relaxation dual.
-
-    Both share the sqrt(kd) iteration factor; per-iteration costs are
-    k^2 d^3 versus k d^6, so the ratio is d^3 / k."""
-    iters = np.sqrt(k * d)
-    cert = iters * k ** 2 * d ** 3
-    full = iters * k * d ** 6
-    return cert, full, full / cert

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -96,11 +97,11 @@ def _report_doc(rep) -> dict:
     return {
         "status": rep.status,
         "value": rep.value,
-        "primal_objective": rep.primal.objective if rep.primal else None,
-        "dual_objective": rep.dual.objective if rep.dual else None,
+        "primal_objective": rep.primal.objective,
+        "dual_objective": rep.dual.objective,
         "gap": rep.gap,
         "rop_err": rep.rop_err,
-        "kkt": rep.kkt_residuals.as_dict() if rep.kkt_residuals else None,
+        "kkt": asdict(rep.kkt_residuals),
         "iterations": rep.iterations,
         "wall_time": rep.wall_time,
     }
@@ -110,7 +111,7 @@ def _cmd_solve_sdp(args) -> int:
     inst = load_instance(args.instance)
     rep = solve_sdp(inst)
     _write_json(args.out, _report_doc(rep))
-    if args.save_primal and rep.primal is not None:
+    if args.save_primal:
         np.savez(args.save_primal,
                  **{f"x{i}": x for i, x in enumerate(rep.primal.x_blocks)})
     return _fail(args, rep.status != STATUS_OPTIMAL)
@@ -207,28 +208,33 @@ def _cmd_cjd_sweep(args) -> int:
         family, values = "hppca", _ints(args.n1)
     else:
         family, values = "cjd", _floats(args.sigmas)
-    records = run_cjd_sweep(values, args.trials, d=args.d[0], k=args.k[0],
-                            family=family, seed=args.seed, jobs=args.jobs)
+    records, curve = [], []
+    for d in args.d:
+        for k in args.k:
+            cell = run_cjd_sweep(values, args.trials, d=d, k=k, family=family,
+                                 seed=args.seed, jobs=args.jobs)
+            records.extend(cell)
+            for val in values:
+                recs = [r for r in cell if r["sweep_value"] == val]
+                ok = [r for r in recs if "error" not in r]
+                row = {
+                    "d": d, "k": k, "sweep_value": val, "n_trials": len(recs),
+                    "fraction_tight": np.mean(
+                        [r["tight"] for r in ok]) if ok else 0,
+                    "fraction_certified": np.mean(
+                        [r["marker"] == "certified" for r in ok]) if ok else 0,
+                    "median_gap": np.median([r["gap"] for r in ok]) if ok else 0,
+                    "median_distance": np.median(
+                        [r["subspace_distance"] for r in ok]) if ok else 0,
+                    "median_commuting_distance": np.median(
+                        [r["commuting_distance"] for r in ok]) if ok else 0,
+                }
+                curve.append(row)
+                print(f"d={d} k={k} value {val}: tight "
+                      f"{row['fraction_tight']:.2f} "
+                      f"certified {row['fraction_certified']:.2f}")
     out = _out_dir(args)
     write_jsonl(out / "sweep_records.jsonl", records)
-    curve = []
-    for val in values:
-        recs = [r for r in records if r["sweep_value"] == val]
-        ok = [r for r in recs if "error" not in r]
-        curve.append({
-            "sweep_value": val,
-            "n_trials": len(recs),
-            "fraction_tight": np.mean([r["tight"] for r in ok]) if ok else 0,
-            "fraction_certified": np.mean(
-                [r["marker"] == "certified" for r in ok]) if ok else 0,
-            "median_gap": np.median([r["gap"] for r in ok]) if ok else 0,
-            "median_distance": np.median(
-                [r["subspace_distance"] for r in ok]) if ok else 0,
-            "median_commuting_distance": np.median(
-                [r["commuting_distance"] for r in ok]) if ok else 0,
-        })
-        print(f"value {val}: tight {curve[-1]['fraction_tight']:.2f} "
-              f"certified {curve[-1]['fraction_certified']:.2f}")
     write_tsv(out / "sweep_curve.tsv", curve)
     return _fail(args, any("error" in r for r in records))
 

@@ -13,14 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-# Default tolerances. The rank-one threshold and the eigenvector
-# orthogonality tolerance are the experiment-facing knobs; orth_tol guards
-# the StiefelPoint invariant.
+# Fixed tolerances. ORTH_TOL guards the StiefelPoint invariant, ROP_TOL is
+# the rank-one threshold, and TIE_GAP separates a block's top two
+# eigenvalues.
 ORTH_TOL = 1e-10
 ROP_TOL = 1e-5
-VEC_ORTH_TOL = 1e-6
-# solver blocks carry O(sqrt(rop)) eigenvector noise, so the exact-block
-# orthogonality default is too strict when adjudicating 1e-8 solves
+TIE_GAP = 1e-8
+# solver blocks carry O(sqrt(rop)) eigenvector noise, so the eigenvector
+# orthogonality check of a 1e-8 solve uses this looser tolerance
 SOLVER_ORTH_TOL = 1e-4
 
 
@@ -31,10 +31,6 @@ class RopPreconditionError(ValueError):
 
 def sym(a):
     return 0.5 * (a + a.T)
-
-
-def skew(a):
-    return 0.5 * (a - a.T)
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -70,7 +66,6 @@ class StiefelPoint:
     """A d x k matrix with orthonormal columns."""
 
     cols: np.ndarray
-    orth_tol: float = ORTH_TOL
 
     def __post_init__(self):
         cols = np.atleast_2d(np.asarray(self.cols, dtype=float))
@@ -78,7 +73,7 @@ class StiefelPoint:
         if k > d:
             raise ValueError(f"need k <= d, got d={d}, k={k}")
         err = np.linalg.norm(cols.T @ cols - np.eye(k))
-        if not err <= self.orth_tol:  # NaN fails too
+        if not err <= ORTH_TOL:  # NaN fails too
             raise ValueError(f"columns not orthonormal: ||U'U - I||_F = {err:.3e}")
         object.__setattr__(self, "cols", _readonly(cols))
 
@@ -125,9 +120,6 @@ class ProblemInstance:
 
     def spectral_norms(self):
         return np.array([spectral_norm(m) for m in self.mats])
-
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.spectral_norms().max() - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -184,7 +176,7 @@ def normalize_instance(c: ProblemInstance) -> ProblemInstance:
     )
 
 
-def procrustes_project(m: np.ndarray, orth_tol: float = ORTH_TOL) -> StiefelPoint:
+def procrustes_project(m: np.ndarray) -> StiefelPoint:
     """Closest point on St(k, d) in Frobenius norm: the polar factor of m.
 
     Requires full column rank; the polar factor is not unique otherwise.
@@ -193,7 +185,7 @@ def procrustes_project(m: np.ndarray, orth_tol: float = ORTH_TOL) -> StiefelPoin
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s[0] <= 0.0 or s[-1] <= 1e-13 * s[0]:
         raise ValueError("rank-deficient input: polar factor not unique")
-    return StiefelPoint(u @ vt, orth_tol=orth_tol)
+    return StiefelPoint(u @ vt)
 
 
 def rop_error(x_blocks) -> float:
@@ -212,10 +204,10 @@ def rop_error(x_blocks) -> float:
     return total / len(x_blocks)
 
 
-def top_eigenpairs(x_blocks, tie_gap: float = 1e-8):
+def top_eigenpairs(x_blocks):
     """Leading eigenvector of each block plus a per-block tie flag.
 
-    A block whose top two eigenvalues are closer than tie_gap has no
+    A block whose top two eigenvalues are closer than TIE_GAP has no
     well-defined leading eigenvector; the flag reports that instead of
     breaking the tie arbitrarily.
     """
@@ -223,26 +215,22 @@ def top_eigenpairs(x_blocks, tie_gap: float = 1e-8):
     for x in x_blocks:
         vals, v = eigh_desc(x)
         vecs.append(v[:, 0])
-        ties.append(bool(len(vals) > 1 and vals[0] - vals[1] < tie_gap))
+        ties.append(bool(len(vals) > 1 and vals[0] - vals[1] < TIE_GAP))
     return np.column_stack(vecs), ties
 
 
-def check_rop_orthogonality(
-    x_blocks,
-    rop_tol: float = ROP_TOL,
-    orth_tol: float = VEC_ORTH_TOL,
-) -> bool:
+def check_rop_orthogonality(x_blocks, orth_tol: float = SOLVER_ORTH_TOL) -> bool:
     """For near-rank-one blocks: are the top eigenvectors mutually orthogonal
     and is the block sum a projection (eigenvalues in {0, 1})?
 
     Raises RopPreconditionError when the blocks are not rank-one within
-    rop_tol, since the question only makes sense under that premise.
+    ROP_TOL, since the question only makes sense under that premise.
     """
     x_blocks = [sym(np.asarray(x, dtype=float)) for x in x_blocks]
     err = rop_error(x_blocks)
-    if not err <= rop_tol:
+    if not err <= ROP_TOL:
         raise RopPreconditionError(
-            f"blocks are not rank-one: rop_error={err:.3e} > {rop_tol:.1e}"
+            f"blocks are not rank-one: rop_error={err:.3e} > {ROP_TOL:.1e}"
         )
     u, _ = top_eigenpairs(x_blocks)
     gram = u.T @ u

@@ -27,6 +27,8 @@ from .sdp import SdpDualSolution, is_tight, solve_sdp
 
 TIE_TOL = 1e-9
 GT_EPS = 1e-6
+# commuting-distance threshold for a joint diagonalization
+JD_TOL = 1e-8
 
 
 class TieError(ValueError):
@@ -48,7 +50,7 @@ class AssignmentSolution:
     ties: bool
 
 
-def joint_diagonalize(c: ProblemInstance, tol: float = 1e-8):
+def joint_diagonalize(c: ProblemInstance):
     """Common eigenbasis of the tuple, or None when it does not commute.
 
     The basis is the eigenbasis of a random strictly-convex combination;
@@ -56,7 +58,7 @@ def joint_diagonalize(c: ProblemInstance, tol: float = 1e-8):
     off-diagonal mass, and the best basis found is returned.
     """
     k = c.k
-    if max_commuting_distance(c) > tol:
+    if max_commuting_distance(c) > JD_TOL:
         return None
 
     # a degenerate combination spectrum can mean an unlucky draw (redraw
@@ -79,7 +81,7 @@ def joint_diagonalize(c: ProblemInstance, tol: float = 1e-8):
         )
         if best is None or resid < best.off_diag_residual:
             best = cand
-        if resid <= 10.0 * tol:
+        if resid <= 10.0 * JD_TOL:
             break
     return best
 
@@ -174,8 +176,8 @@ def enumerate_assignments(diag_values: np.ndarray):
 
 
 def goldman_tucker_dual(diag_values: np.ndarray,
-                        primal: AssignmentSolution | None = None,
-                        eps: float = GT_EPS) -> SdpDualSolution:
+                        primal: AssignmentSolution | None = None
+                        ) -> SdpDualSolution:
     """Strictly complementary dual in the diagonal basis.
 
     Every off-assignment z entry carries at least the LP margin, so each
@@ -188,7 +190,6 @@ def goldman_tucker_dual(diag_values: np.ndarray,
     if primal.ties:
         raise TieError("optimal assignment is not unique within %g" % TIE_TOL)
     y, nu, z = primal.dual
-    d = m.shape[1]
     y_mat = np.diag(y)
     z_blocks = tuple(np.diag(z[i]) for i in range(m.shape[0]))
     return SdpDualSolution(
@@ -222,7 +223,7 @@ def perturb_instance(c: ProblemInstance, scale: float,
 
 
 def tightness_sweep(center: ProblemInstance, perturbation_scale: float,
-                    trials: int, seed: int, cfg=None) -> float:
+                    trials: int, seed: int) -> float:
     """Fraction of perturbed instances whose relaxation stays tight
     (sdp.is_tight). Solver failures count against tightness, never toward it."""
     jd = joint_diagonalize(center)
@@ -235,5 +236,5 @@ def tightness_sweep(center: ProblemInstance, perturbation_scale: float,
     tight = 0
     for _ in range(trials):
         inst = perturb_instance(center, perturbation_scale, rng)
-        tight += is_tight(solve_sdp(inst, cfg))
+        tight += is_tight(solve_sdp(inst))
     return tight / trials

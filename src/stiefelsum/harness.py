@@ -43,20 +43,22 @@ def trial_seeds(master_seed, count: int):
     return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
 
 
-_make_instance = make_instance  # the name the benchmark's tracer times
+# the names the benchmark's tracer times
+_make_instance = make_instance
+_is_tight = is_tight
 
 
 def rop_trial(args) -> dict:
     """One table trial; module-level so process pools can ship it."""
-    family, d, k, params, seed, cfg = args
+    family, d, k, params, seed = args
     rec = {"family": family, "d": d, "k": k, "seed": seed}
     rec.update({key: str(val) for key, val in params.items()})
     t0 = time.perf_counter()
     try:
         inst = _make_instance(family, d, k, params, seed)
-        rep = solve_sdp(inst, cfg)
+        rep = solve_sdp(inst)
         rec.update(status=rep.status, value=rep.value, gap=rep.gap,
-                   rop_err=rep.rop_err, tight=is_tight(rep),
+                   rop_err=rep.rop_err, tight=_is_tight(rep),
                    iterations=rep.iterations)
     except (ValueError, ArithmeticError) as exc:  # other errors are bugs
         rec.update(status="TrialError", tight=False, error=repr(exc))
@@ -72,7 +74,7 @@ def _run_trials(fn, arglist, jobs: int):
 
 
 def run_rop_table(family: str, grid: dict, trials: int, seed=0,
-                  jobs: int = 1, cfg: SolverConfig | None = None):
+                  jobs: int = 1):
     """Fraction of tight solves per (d, k) cell.
 
     grid: {"d": [...], "k": [...]} plus the family's parameters (see
@@ -84,7 +86,7 @@ def run_rop_table(family: str, grid: dict, trials: int, seed=0,
     for d in grid["d"]:
         for k in grid["k"]:
             seeds = trial_seeds((seed, d, k), trials)
-            args = [(family, d, k, params, s, cfg) for s in seeds]
+            args = [(family, d, k, params, s) for s in seeds]
             recs = _run_trials(rop_trial, args, jobs)
             row = {
                 "family": family, "d": d, "k": k, "trials": trials,
@@ -109,22 +111,22 @@ def subspace_distance(u1, u2) -> float:
 
 def sweep_trial(args) -> dict:
     """One sweep trial: SDP arm, StMM arm, certificate, marker class."""
-    family, d, k, sweep_value, params, seed, cfg = args
+    family, d, k, sweep_value, seed = args
     if family == "hppca":  # sample-size sweep
         n1 = int(sweep_value)
-        swept, cfg = {"n": [n1, 4 * n1]}, cfg or SolverConfig.for_hppca()
+        swept, cfg = {"n": [n1, 4 * n1]}, SolverConfig.for_hppca()
     else:  # noise sweep
-        swept, cfg = {"sigma": float(sweep_value)}, cfg or SolverConfig()
+        swept, cfg = {"sigma": float(sweep_value)}, SolverConfig()
     rec = {"family": family, "d": d, "k": k, "sweep_value": sweep_value,
            "seed": seed}
     try:
-        inst = _make_instance(family, d, k, dict(params, **swept), seed)
+        inst = _make_instance(family, d, k, swept, seed)
         rec["commuting_distance"] = max_commuting_distance(inst)
 
         t0 = time.perf_counter()
-        rep = solve_sdp(inst, cfg)
+        rep = solve_sdp(inst)
         rec["sdp_wall"] = time.perf_counter() - t0
-        tight = is_tight(rep)
+        tight = _is_tight(rep)
         rec.update(sdp_status=rep.status, sdp_value=rep.value,
                    rop_err=rep.rop_err, tight=tight)
 
@@ -165,31 +167,26 @@ def sweep_trial(args) -> dict:
 
 
 def run_cjd_sweep(sweep_values, trials: int, d: int = 10, k: int = 3,
-                  family: str = "cjd", params: dict | None = None, seed=0,
-                  jobs: int = 1, cfg: SolverConfig | None = None):
+                  family: str = "cjd", seed=0, jobs: int = 1):
     """Per-trial sweep records over noise level (cjd) or sample size (hppca).
 
     Markers: certified / not-tight / tight-suboptimal, mutually exclusive
     and exhaustive over non-errored trials."""
-    params = params or {}
-    args = []
-    for val in sweep_values:
-        for s in trial_seeds((seed, str(val)), trials):
-            args.append((family, d, k, val, params, s, cfg))
+    args = [(family, d, k, val, s) for val in sweep_values
+            for s in trial_seeds((seed, str(val)), trials)]
     return _run_trials(sweep_trial, args, jobs)
 
 
-def bench_cell(d: int, k: int, trials: int, seed=0,
-               cfg: SolverConfig | None = None) -> dict:
-    """Median/std wall time of the full SDP vs StMM (HPPCA settings by
-    default) + certificate on the same instances. Always serial: timings
-    under a pool are meaningless."""
-    cfg = cfg or SolverConfig.for_hppca()
+def bench_cell(d: int, k: int, trials: int, seed=0) -> dict:
+    """Median/std wall time of the full SDP vs StMM (HPPCA settings) +
+    certificate on the same instances. Always serial: timings under a pool
+    are meaningless."""
+    cfg = SolverConfig.for_hppca()
     sdp_times, stmm_times, records = [], [], []
     for s in trial_seeds((seed, d, k), trials):
         inst = _make_instance("hppca", d, k, {}, s)
         t0 = time.perf_counter()
-        rep = solve_sdp(inst, cfg)
+        rep = solve_sdp(inst)
         t_sdp = time.perf_counter() - t0
 
         rng = np.random.default_rng(s)
@@ -219,25 +216,20 @@ def bench_cell(d: int, k: int, trials: int, seed=0,
     }
 
 
-def run_bench(d_list, k_list, trials: int, seed=0,
-              cfg: SolverConfig | None = None):
-    rows = []
-    for k in k_list:
-        for d in d_list:
-            rows.append(bench_cell(d, k, trials, seed=seed, cfg=cfg))
-    return rows
+def run_bench(d_list, k_list, trials: int, seed=0):
+    return [bench_cell(d, k, trials, seed=seed)
+            for k in k_list for d in d_list]
 
 
-def write_csv(path, rows, fieldnames=None):
+def write_csv(path, rows):
     rows = list(rows)
     if not rows:
         return
-    if fieldnames is None:
-        fieldnames = []
-        for r in rows:
-            fieldnames.extend(f for f in r if f not in fieldnames)
+    fieldnames = []
+    for r in rows:
+        fieldnames.extend(f for f in r if f not in fieldnames)
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
+        w = csv.DictWriter(fh, fieldnames=fieldnames)
         w.writeheader()
         w.writerows(rows)
 
@@ -248,13 +240,12 @@ def write_jsonl(path, records):
             fh.write(json.dumps(rec, default=_json_default) + "\n")
 
 
-def write_tsv(path, rows, fieldnames=None):
+def write_tsv(path, rows):
     """Plain columns for plotting tools."""
     rows = list(rows)
     if not rows:
         return
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys())
+    fieldnames = list(rows[0].keys())
     with open(path, "w") as fh:
         fh.write("\t".join(fieldnames) + "\n")
         for r in rows:

@@ -79,7 +79,7 @@ class FantopeOps:
     """Constraints of the block relaxation.
 
     Variable blocks X_1..X_k of size d, plus one slack block S of size d
-    when include_slack, with
+    when k < d, with
 
         tr(X_i) = 1              (k rows)
         sum_i X_i [+ S] = I      (d(d+1)/2 rows in svec coordinates)
@@ -90,19 +90,19 @@ class FantopeOps:
     relaxation minimizes the negated objective) and zero on the slack.
     """
 
-    def __init__(self, mats, d: int, include_slack: bool = True):
+    def __init__(self, mats, d: int):
         mats = [np.asarray(m, dtype=float) for m in mats]
         if any(m.shape != (d, d) for m in mats):
             raise ValueError("variable blocks must have size d")
         self.k = len(mats)
         self.d = d
-        self.has_slack = include_slack
+        self.has_slack = self.k < d
         self.sd = d * (d + 1) // 2
         self.off = self.k
         self.m = self.off + self.sd
         self.block_sizes = [d] * self.k
         self.C = [-m for m in mats]
-        if include_slack:
+        if self.has_slack:
             self.block_sizes.append(d)
             self.C.append(np.zeros((d, d)))
         b = np.ones(self.m)
@@ -210,17 +210,13 @@ class IpmResult:
     mu: float
 
 
-def _chol(a):
-    return np.linalg.cholesky(a)
-
-
 def _max_step(x, dx):
     """Largest alpha with x + alpha dx PSD; inf when dx keeps the cone."""
     try:
-        l = _chol(x)
+        l = np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
         n = x.shape[0]
-        l = _chol(x + (1e-14 * np.trace(x) / n + 1e-300) * np.eye(n))
+        l = np.linalg.cholesky(x + (1e-14 * np.trace(x) / n + 1e-300) * np.eye(n))
     s = solve_triangular(l, dx, lower=True)
     s = solve_triangular(l, s.T, lower=True)
     lmin = float(np.linalg.eigvalsh(sym(s))[0])
@@ -294,7 +290,7 @@ def solve_ipm(
         try:
             zinv = []
             for zj in z:
-                l = _chol(zj)
+                l = np.linalg.cholesky(zj)
                 li = solve_triangular(l, np.eye(zj.shape[0]), lower=True)
                 zinv.append(li.T @ li)
             h = ops.schur(zinv, x)
@@ -306,16 +302,26 @@ def solve_ipm(
                 return dy
 
             t1 = [sym(zinv[j] @ rd[j] @ x[j]) for j in range(nb)]
+            a_zinv = ops.apply_A(zinv)
 
-            # predictor (affine scaling, tau = 0)
-            rhs = rp + ops.apply_A([x[j] + t1[j] for j in range(nb)])
-            dy_a = solve_h(rhs)
-            atdy = ops.apply_AT(dy_a)
-            dz_a = [rd[j] - atdy[j] for j in range(nb)]
-            dx_a = [
-                sym(-x[j] - t1[j] + sym(zinv[j] @ atdy[j] @ x[j]))
-                for j in range(nb)
-            ]
+            def direction(tau, corr):
+                """HKM direction for the centering target tau and the
+                Mehrotra second-order term corr."""
+                rhs = (rp
+                       + ops.apply_A([x[j] + t1[j] + corr[j] for j in range(nb)])
+                       - tau * a_zinv)
+                dy = solve_h(rhs)
+                atdy = ops.apply_AT(dy)
+                dz = [rd[j] - atdy[j] for j in range(nb)]
+                dx = [
+                    sym(tau * zinv[j] - x[j] - t1[j]
+                        + sym(zinv[j] @ atdy[j] @ x[j]) - corr[j])
+                    for j in range(nb)
+                ]
+                return dx, dy, dz
+
+            # predictor (affine scaling)
+            dx_a, _, dz_a = direction(0.0, [0.0] * nb)
             ap = min(1.0, min(_max_step(x[j], dx_a[j]) for j in range(nb)))
             ad = min(1.0, min(_max_step(z[j], dz_a[j]) for j in range(nb)))
             mu_aff = sum(
@@ -327,19 +333,7 @@ def solve_ipm(
 
             # corrector
             corr = [sym(zinv[j] @ dz_a[j] @ dx_a[j]) for j in range(nb)]
-            rhs = (
-                rp
-                + ops.apply_A([x[j] + t1[j] + corr[j] for j in range(nb)])
-                - tau * ops.apply_A(zinv)
-            )
-            dy = solve_h(rhs)
-            atdy = ops.apply_AT(dy)
-            dz = [rd[j] - atdy[j] for j in range(nb)]
-            dx = [
-                sym(tau * zinv[j] - x[j] - t1[j]
-                    + sym(zinv[j] @ atdy[j] @ x[j]) - corr[j])
-                for j in range(nb)
-            ]
+            dx, dy, dz = direction(tau, corr)
             ap = min(1.0, step_frac * min(_max_step(x[j], dx[j])
                                           for j in range(nb)))
             ad = min(1.0, step_frac * min(_max_step(z[j], dz[j])

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     ROP_TOL,
-    SOLVER_ORTH_TOL,
     ProblemInstance,
     RopPreconditionError,
     StiefelPoint,
@@ -34,12 +33,17 @@ from .ipm import FantopeOps, smat, solve_ipm, svec
 from .stiefel import SolverConfig
 
 STATUS_OPTIMAL = "Optimal"
-STATUS_INFEASIBLE = "Infeasible"
 STATUS_NUMERICAL_FAILURE = "NumericalFailure"
 
 GAP_TOL = 1e-7
 KKT_TOL = 1e-6
 RANK_TOL = 1e-7
+
+
+def gate_unit(c: ProblemInstance) -> float:
+    """s = max(1, max_i ||M_i||_2), the unit of every verdict gate that
+    carries the units of the M_i; it is 1 for normalized inputs."""
+    return max(1.0, *(float(np.linalg.norm(m, 2)) for m in c.mats))
 
 
 @dataclass(frozen=True)
@@ -90,20 +94,11 @@ class KktResiduals:
         """Largest residual with the dual-side ones divided by s.
 
         The primal residual is unitless; the other four carry the units of
-        the M_i, so with s = max(1, max_i ||M_i||_2) one gate serves every
-        input scale and is unchanged for normalized inputs."""
+        the M_i, so with s = gate_unit(c) one gate serves every input
+        scale."""
         return float(np.max([self.primal, self.dual_eq / s,
                              self.slack_comp / s, self.block_comp / s,
                              self.dual_cone / s]))
-
-    def as_dict(self) -> dict:
-        return {
-            "primal": self.primal,
-            "dual_eq": self.dual_eq,
-            "slack_comp": self.slack_comp,
-            "block_comp": self.block_comp,
-            "dual_cone": self.dual_cone,
-        }
 
 
 @dataclass(frozen=True)
@@ -229,12 +224,12 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     global scale are applied internally and mapped back, with both recorded
     in the report meta. A report is never labeled Optimal unless the duality
     gap and all five KKT residuals pass GAP_TOL and KKT_TOL, the dual-side
-    residuals relative to max(1, max_i ||M_i||_2).
+    residuals relative to gate_unit(c).
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     mats_s, shift, scale = _normalize_for_solve(list(c.mats))
-    ops = FantopeOps(mats_s, c.d, include_slack=c.k < c.d)
+    ops = FantopeOps(mats_s, c.d)
     x0, y0, z0 = _fantope_start(ops)
     res = solve_ipm(ops, x0, y0, z0, tol=cfg.sdp_tol,
                     max_iters=cfg.sdp_max_iters, step_frac=cfg.step_frac)
@@ -250,8 +245,8 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     dual = SdpDualSolution(y=y_mat, z_blocks=tuple(z_blocks),
                            nu=np.asarray(nu, dtype=float), objective=dd)
     kkt = check_kkt(c, x_blocks, dual)
-    s = max(1.0, float(c.spectral_norms().max()))
-    status, reason = _status_from(res, gap, kkt.scaled_max(s), p, dd)
+    status, reason = _status_from(res, gap, kkt.scaled_max(gate_unit(c)),
+                                  p, dd)
 
     return SolveReport(
         status=status,
@@ -277,12 +272,11 @@ def is_tight(report: SolveReport) -> bool:
 
     The solve must be Optimal, its blocks rank-one within ROP_TOL, and their
     top eigenvectors orthogonal with a projection for their sum (checked at
-    SOLVER_ORTH_TOL). A NaN rank-one error is never tight."""
+    core.SOLVER_ORTH_TOL). A NaN rank-one error is never tight."""
     if report.status != STATUS_OPTIMAL or not report.rop_err <= ROP_TOL:
         return False
     try:
-        return check_rop_orthogonality(report.primal.x_blocks,
-                                       orth_tol=SOLVER_ORTH_TOL)
+        return check_rop_orthogonality(report.primal.x_blocks)
     except RopPreconditionError:
         return False
 
@@ -292,14 +286,14 @@ def _polar_any(m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def extract_candidate(primal, tie_gap: float = 1e-8):
+def extract_candidate(primal):
     """Orthonormal candidate from the top eigenvector of each block.
 
     Returns (point, rop_err, tie_flags). Ties in a block's top eigenvalue
     are flagged, never fatal; the candidate is always produced (falling back
     to a bare polar factor if the stacked eigenvectors lose rank)."""
     blocks = _blocks_of(primal)
-    vecs, ties = top_eigenpairs(blocks, tie_gap=tie_gap)
+    vecs, ties = top_eigenpairs(blocks)
     try:
         point = procrustes_project(vecs)
     except ValueError:
@@ -307,8 +301,8 @@ def extract_candidate(primal, tie_gap: float = 1e-8):
     return point, rop_error(blocks), ties
 
 
-def dual_rank_profile(dual: SdpDualSolution, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Numerical rank of each Z_i: eigenvalues above rank_tol * ||Z_i||."""
+def dual_rank_profile(dual: SdpDualSolution) -> np.ndarray:
+    """Numerical rank of each Z_i: eigenvalues above RANK_TOL * ||Z_i||."""
     ranks = []
     for z in dual.z_blocks:
         nrm = spectral_norm(z)
@@ -316,5 +310,5 @@ def dual_rank_profile(dual: SdpDualSolution, rank_tol: float = RANK_TOL) -> np.n
             ranks.append(0)
             continue
         w = np.linalg.eigvalsh(sym(z))
-        ranks.append(int(np.sum(w > rank_tol * nrm)))
+        ranks.append(int(np.sum(w > RANK_TOL * nrm)))
     return np.asarray(ranks, dtype=int)

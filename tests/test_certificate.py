@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 
 from stiefelsum.certificate import (
-    certificate_flops_estimate,
     certify,
     classify_inconclusive,
 )
-from stiefelsum.core import ProblemInstance, StiefelPoint
+from stiefelsum.core import ProblemInstance, StiefelPoint, rop_error
 from stiefelsum.generators import gen_separated_diagonal
-from stiefelsum.sdp import solve_sdp
+from stiefelsum.sdp import (
+    STATUS_NUMERICAL_FAILURE,
+    KktResiduals,
+    SdpDualSolution,
+    SdpPrimalSolution,
+    SolveReport,
+    solve_sdp,
+)
 from stiefelsum.stiefel import random_stiefel, stmm_solve
 
 
@@ -38,6 +44,32 @@ def test_suboptimal_stationary_point_is_inconclusive():
     rep = solve_sdp(c)
     assert classify_inconclusive(c, sub, rep) == "SuboptimalStationary"
     assert classify_inconclusive(c, sub) == "Unknown"
+
+
+def _report(blocks, status="Optimal"):
+    d, k = blocks[0].shape[0], len(blocks)
+    zero = np.zeros((d, d))
+    return SolveReport(
+        status=status,
+        primal=SdpPrimalSolution(x_blocks=tuple(blocks), objective=0.0),
+        dual=SdpDualSolution(y=zero, z_blocks=(zero,) * k,
+                             nu=np.zeros(k), objective=0.0),
+        gap=0.0, kkt_residuals=KktResiduals(0.0, 0.0, 0.0, 0.0, 0.0),
+        iterations=0, wall_time=0.0, rop_err=rop_error(blocks))
+
+
+def test_classification_uses_the_one_tightness_rule():
+    c = ProblemInstance((np.diag([3.0, 1.0, 0.0]), np.diag([1.0, 3.0, 0.0])))
+    u = StiefelPoint(np.eye(3)[:, :2])
+    e1, e2 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+    # rank-one blocks sharing a top eigenvector: rank-one, yet not tight
+    assert classify_inconclusive(c, u, _report([e1, e1])) == "SdpNotTight"
+    # a tight report whose value does not beat the candidate's
+    assert classify_inconclusive(c, u, _report([e1, e2])) == "Unknown"
+    # a failed solve says nothing, however loose its blocks
+    half = np.diag([0.5, 0.5, 0.0])
+    failed = _report([half, half], status=STATUS_NUMERICAL_FAILURE)
+    assert classify_inconclusive(c, u, failed) == "Unknown"
 
 
 def test_indefinite_multiplier_gate():
@@ -77,10 +109,3 @@ def test_polished_ascent_point_certifies():
             best = tr
     res = certify(c, best.final)
     assert res.status == "CertifiedGlobal"
-    assert len(res.problem.lmi_constants) == c.k + 1
-
-
-def test_flops_estimate_ratio():
-    cert, full, ratio = certificate_flops_estimate(50, 5)
-    assert ratio == pytest.approx(50 ** 3 / 5)
-    assert full == pytest.approx(cert * ratio)

@@ -85,6 +85,20 @@ def test_rop_table_fast_writes_outputs(tmp_path):
     assert rec["value"] == pytest.approx(6.0, abs=1e-6)
 
 
+def test_cjd_sweep_covers_the_d_by_k_grid(tmp_path):
+    rc = main(["cjd-sweep", "--sigmas", "0", "--d", "6,8", "--k", "2,3",
+               "--trials", "1", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    recs = [json.loads(line) for line in
+            (tmp_path / "sweep_records.jsonl").read_text().splitlines()]
+    cells = {(6, 2), (6, 3), (8, 2), (8, 3)}
+    assert sorted((r["d"], r["k"]) for r in recs) == sorted(cells)
+    with open(tmp_path / "sweep_curve.tsv", newline="") as fh:
+        curve = list(csv.DictReader(fh, delimiter="\t"))
+    assert {(int(r["d"]), int(r["k"])) for r in curve} == cells
+    assert len(curve) == 4
+
+
 def test_diag_sweep_on_commuting_center(tmp_path):
     inst_path = tmp_path / "center.json"
     main(["gen", "--family", "cjd",

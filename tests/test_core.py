@@ -20,7 +20,6 @@ from stiefelsum.core import (
     procrustes_project,
     rop_error,
     save_instance,
-    skew,
     spectral_norm,
     sym,
     top_eigenpairs,
@@ -42,9 +41,7 @@ def square_matrices(draw, max_d=6):
 @given(square_matrices())
 @settings(max_examples=60, deadline=None)
 def test_sym_skew_decompose(a):
-    assert np.allclose(sym(a) + skew(a), a)
     assert np.allclose(sym(a), sym(a).T)
-    assert np.allclose(skew(a), -skew(a).T)
 
 
 def test_spectral_norm_matches_lapack():

@@ -58,7 +58,7 @@ def test_rop_table_worker_pool_matches_serial():
 
 
 def test_trial_errors_are_isolated(monkeypatch):
-    rec = rop_trial(("no-such-family", 4, 2, {}, 0, None))
+    rec = rop_trial(("no-such-family", 4, 2, {}, 0))
     assert rec["status"] == "TrialError"
     assert rec["tight"] is False
     assert "error" in rec
@@ -72,7 +72,7 @@ def test_trial_errors_are_isolated(monkeypatch):
 
     monkeypatch.setattr(harness, "solve_sdp", broken)
     with pytest.raises(TypeError):
-        rop_trial(("diagonal", 4, 2, {}, 0, None))
+        rop_trial(("diagonal", 4, 2, {}, 0))
 
 
 def test_subspace_distance_cases():

@@ -64,7 +64,8 @@ def _brute_schur(ops, p_blocks, q_blocks):
 def test_fantope_schur_vs_brute_force(d, k, slack):
     rng = np.random.default_rng(d * 10 + k)
     mats = [_rand_sym(rng, d) for _ in range(k)]
-    ops = FantopeOps(mats, d, include_slack=slack)
+    ops = FantopeOps(mats, d)
+    assert ops.has_slack == slack
     p_blocks = [_rand_spd(rng, s) for s in ops.block_sizes]
     q_blocks = [_rand_spd(rng, s) for s in ops.block_sizes]
     h = ops.schur(p_blocks, q_blocks)
@@ -104,7 +105,7 @@ def test_fantope_solve_k1_matches_top_eigenvalue():
 def test_fantope_solve_k_equals_d():
     # full square case: every coordinate must be picked exactly once
     mats = [np.diag([2.0, 1.0]), np.diag([1.0, 2.0])]
-    ops = FantopeOps(mats, 2, include_slack=False)
+    ops = FantopeOps(mats, 2)
     res = solve_ipm(ops)
     assert res.status == "optimal"
     assert abs(res.pobj - (-4.0)) < 1e-7
