@@ -9,8 +9,9 @@ positive semidefinite. Feasibility is decided by maximizing the least
 eigenvalue margin t over (nu, t) with a small interior-point solve; a
 certified result is re-verified by building the induced primal/dual pair
 and checking all optimality residuals, so a CertifiedGlobal verdict is
-never returned unverified. Infeasibility of the system is NOT a proof of
-suboptimality; that asymmetry is deliberate.
+never returned unverified, and a stalled feasibility solve is the status
+NumericalFailure, as in sdp.solve_sdp. Infeasibility of the system is NOT
+a proof of suboptimality; that asymmetry is deliberate.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import ProblemInstance, StiefelPoint, sym
 from .ipm import DenseOps, solve_ipm
 from .sdp import (
     KKT_TOL,
+    STATUS_NUMERICAL_FAILURE,
     STATUS_OPTIMAL,
     KktResiduals,
     SdpDualSolution,
@@ -43,10 +45,6 @@ CERT_TOL = 1e-7
 
 # stationarity gate: one order looser than the ascent solver's grad_tol
 _PRECONDITION_TOL = 1e-6
-
-
-class CertificateNumericalError(RuntimeError):
-    """The feasibility solve stalled; no verdict available."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,9 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     result additionally passes the induced primal/dual optimality check
     within KKT_TOL. Both gates are relative to sdp.gate_unit(c). Weak
     stationarity of u_bar does not abort the computation; it only flags
-    the result.
+    the result. A stalled feasibility solve is reported, not raised: status
+    NumericalFailure, no witness, NaN t_star and slacks, the stall in
+    meta["gate"].
     """
     if not isinstance(u_bar, StiefelPoint):
         u_bar = StiefelPoint(np.asarray(u_bar, dtype=float))
@@ -136,12 +136,12 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     weak = lam.symmetry_residual > _PRECONDITION_TOL or rg > _PRECONDITION_TOL
     meta = {"grad_norm": rg, "symmetry_residual": lam.symmetry_residual}
 
-    def verdict(slacks, t_star, nu=None, kkt=None, gate=None):
+    def verdict(slacks, t_star, status=STATUS_INCONCLUSIVE, nu=None, kkt=None,
+                gate=None):
         if gate is not None:
             meta["gate"] = gate
         return CertificateResult(
-            status=STATUS_INCONCLUSIVE if nu is None else STATUS_CERTIFIED,
-            nu_witness=nu, min_eig_slacks=slacks, t_star=t_star,
+            status=status, nu_witness=nu, min_eig_slacks=slacks, t_star=t_star,
             precondition_weak=weak, kkt_residuals=kkt, meta=meta)
 
     # necessary condition: L - D_nu >= 0 with nu >= 0 forces L >= 0
@@ -155,10 +155,11 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     ops = _feasibility_ops(c, u, lam_s, scale)
     x0, y0, z0 = _feasibility_start(ops, c.k)
     res = solve_ipm(ops, x0, y0, z0, tol=1e-9, max_iters=100)
-    if res.status != "optimal":
-        raise CertificateNumericalError(
-            "feasibility solve stalled (pinf=%.2e dinf=%.2e gap=%.2e)"
-            % (res.pinf, res.dinf, res.relgap))
+    if res.status != "optimal":  # no verdict: nothing here reads as certified
+        stall = "feasibility solve stalled (pinf=%.2e dinf=%.2e gap=%.2e)" % (
+            res.pinf, res.dinf, res.relgap)
+        return verdict(np.full(c.k + 1, np.nan), float("nan"),
+                       STATUS_NUMERICAL_FAILURE, gate=stall)
 
     nu = np.clip(res.y[:c.k] * scale, 0.0, None)
     t_star = float(res.y[c.k]) * scale
@@ -180,7 +181,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     if not kkt.scaled_max(s) <= KKT_TOL:  # NaN fails too
         return verdict(slacks, t_star, kkt=kkt,
                        gate="constructed pair failed verification")
-    return verdict(slacks, t_star, nu=nu, kkt=kkt)
+    return verdict(slacks, t_star, STATUS_CERTIFIED, nu=nu, kkt=kkt)
 
 
 def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,

@@ -21,7 +21,6 @@ import numpy as np
 
 from .certificate import (
     STATUS_CERTIFIED,
-    CertificateNumericalError,
     certify,
     classify_inconclusive,
 )
@@ -42,7 +41,7 @@ from .sdp import (
     extract_candidate,
     solve_sdp,
 )
-from .stiefel import SolverConfig, objective, random_stiefel, stmm_solve
+from .stiefel import SolverConfig, random_stiefel, stmm_solve
 
 
 def _ints(text):
@@ -131,7 +130,7 @@ def _cmd_solve_stmm(args) -> int:
                 w.writerow([i, repr(float(o)), repr(float(g))])
     _write_json(args.out, {
         "status": trace.status,
-        "objective": objective(inst, trace.final),
+        "objective": float(trace.objectives[-1]),
         "iterations": trace.iterations,
         "grad_norm": float(trace.grad_norms[-1]),
         "d": inst.d,
@@ -155,16 +154,15 @@ def _cmd_certify(args) -> int:
         # no candidate given: take the relaxation's, polished to stationarity
         sdp_report = solve_sdp(inst)
         if sdp_report.status != STATUS_OPTIMAL:
-            _write_json(args.out, {"status": "NumericalFailure",
+            _write_json(args.out, {"status": STATUS_NUMERICAL_FAILURE,
                                    "reason": "relaxation solve failed"})
             return _fail(args, True)
         cand, _, _ = extract_candidate(sdp_report.primal)
         u = stmm_solve(inst, cand).final
-    try:
-        res = certify(inst, u)
-    except CertificateNumericalError as exc:
-        _write_json(args.out, {"status": "NumericalFailure",
-                               "reason": str(exc)})
+    res = certify(inst, u)
+    if res.status == STATUS_NUMERICAL_FAILURE:
+        _write_json(args.out, {"status": res.status,
+                               "reason": res.meta["gate"]})
         return _fail(args, True)
     doc = {
         "status": res.status,
@@ -222,7 +220,8 @@ def _cmd_cjd_sweep(args) -> int:
                     "fraction_tight": np.mean(
                         [r["tight"] for r in ok]) if ok else 0,
                     "fraction_certified": np.mean(
-                        [r["marker"] == "certified" for r in ok]) if ok else 0,
+                        [r["certificate"] == STATUS_CERTIFIED for r in ok])
+                    if ok else 0,
                     "median_gap": np.median([r["gap"] for r in ok]) if ok else 0,
                     "median_distance": np.median(
                         [r["subspace_distance"] for r in ok]) if ok else 0,
@@ -262,9 +261,9 @@ def _cmd_bench(args) -> int:
               f"stmm+cert {r['stmm_median']:.3f}s ratio {r['ratio']:.1f}")
     write_csv(out / "bench.csv", rows)
     write_jsonl(out / "bench_records.jsonl", records)
-    seen_fail = any(r["sdp_status"] == STATUS_NUMERICAL_FAILURE
-                    for r in records)
-    return _fail(args, seen_fail)
+    return _fail(args, any("error" in r
+                           or r["sdp_status"] == STATUS_NUMERICAL_FAILURE
+                           for r in records))
 
 
 class _Parser(argparse.ArgumentParser):

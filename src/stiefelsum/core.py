@@ -122,13 +122,6 @@ class ProblemInstance:
         return np.array([spectral_norm(m) for m in self.mats])
 
 
-@dataclass(frozen=True)
-class InstanceMetrics:
-    max_commuting_distance: float
-    pairwise_commutators: np.ndarray  # k x k, entry (i, j) = ||[M_i, M_j]||_2
-    spectral_norms: np.ndarray
-
-
 def commuting_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Spectral norm of the commutator AB - BA; zero iff A and B commute."""
     a = np.asarray(a, dtype=float)
@@ -138,21 +131,10 @@ def commuting_distance(a: np.ndarray, b: np.ndarray) -> float:
     return spectral_norm(a @ b - b @ a)
 
 
-def instance_metrics(c: ProblemInstance) -> InstanceMetrics:
-    k = c.k
-    pair = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            pair[i, j] = pair[j, i] = commuting_distance(c.mats[i], c.mats[j])
-    return InstanceMetrics(
-        max_commuting_distance=float(pair.max()) if k > 1 else 0.0,
-        pairwise_commutators=_readonly(pair),
-        spectral_norms=_readonly(c.spectral_norms()),
-    )
-
-
 def max_commuting_distance(c: ProblemInstance) -> float:
-    return instance_metrics(c).max_commuting_distance
+    """Largest commuting distance over pairs of blocks; 0 when k = 1."""
+    return max((commuting_distance(c.mats[i], c.mats[j])
+                for i in range(c.k) for j in range(i + 1, c.k)), default=0.0)
 
 
 def instance_distance(c: ProblemInstance, cbar: ProblemInstance) -> float:

@@ -4,6 +4,10 @@ Every aggregate row is backed by the per-trial records it was computed
 from, so fractions are auditable after the fact. Trials derive their
 seeds from a master seed and run independently; a worker pool parallelizes
 them when jobs > 1 (timing runs stay serial so wall clocks mean something).
+
+rop_trial solves the relaxation only; sweep_trial runs the whole pipeline
+(relaxation, StMM, certificate) on one instance, and the sweeps and the
+timing benchmark are both made of sweep trials.
 """
 
 from __future__ import annotations
@@ -16,15 +20,17 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .certificate import STATUS_CERTIFIED, CertificateNumericalError, certify
+from .certificate import STATUS_INCONCLUSIVE, certify, classify_inconclusive
 from .core import max_commuting_distance
 from .generators import family_builder, make_instance
-from .sdp import STATUS_OPTIMAL, extract_candidate, is_tight, solve_sdp
-from .stiefel import SolverConfig, objective, random_stiefel, stmm_solve
-
-MARKER_CERTIFIED = "certified"
-MARKER_NOT_TIGHT = "not-tight"
-MARKER_TIGHT_SUBOPTIMAL = "tight-suboptimal"
+from .sdp import (
+    STATUS_NUMERICAL_FAILURE,
+    STATUS_OPTIMAL,
+    extract_candidate,
+    is_tight,
+    solve_sdp,
+)
+from .stiefel import SolverConfig, random_stiefel, stmm_solve
 
 
 def _entropy(x) -> int:
@@ -110,32 +116,28 @@ def subspace_distance(u1, u2) -> float:
 
 
 def sweep_trial(args) -> dict:
-    """One sweep trial: SDP arm, StMM arm, certificate, marker class."""
-    family, d, k, sweep_value, seed = args
-    if family == "hppca":  # sample-size sweep
-        n1 = int(sweep_value)
-        swept, cfg = {"n": [n1, 4 * n1]}, SolverConfig.for_hppca()
-    else:  # noise sweep
-        swept, cfg = {"sigma": float(sweep_value)}, SolverConfig()
-    rec = {"family": family, "d": d, "k": k, "sweep_value": sweep_value,
-           "seed": seed}
+    """One sweep trial: the relaxation, StMM from a random start (HPPCA
+    settings for hppca), then the certificate, whose status is recorded; an
+    Inconclusive one also gets classify_inconclusive's classification."""
+    family, d, k, params, seed = args
+    cfg = SolverConfig.for_hppca() if family == "hppca" else SolverConfig()
+    rec = {"family": family, "d": d, "k": k, "seed": seed}
     try:
-        inst = _make_instance(family, d, k, swept, seed)
+        inst = _make_instance(family, d, k, params, seed)
         rec["commuting_distance"] = max_commuting_distance(inst)
 
         t0 = time.perf_counter()
         rep = solve_sdp(inst)
         rec["sdp_wall"] = time.perf_counter() - t0
-        tight = _is_tight(rep)
         rec.update(sdp_status=rep.status, sdp_value=rep.value,
-                   rop_err=rep.rop_err, tight=tight)
+                   rop_err=rep.rop_err, tight=_is_tight(rep))
 
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
         trace = stmm_solve(inst, random_stiefel(d, k, rng), cfg)
         rec["stmm_wall"] = time.perf_counter() - t0
         rec.update(stmm_status=trace.status,
-                   stmm_value=objective(inst, trace.final),
+                   stmm_value=float(trace.objectives[-1]),
                    stmm_iterations=trace.iterations)
         rec["gap"] = rec["sdp_value"] - rec["stmm_value"]
 
@@ -146,65 +148,45 @@ def sweep_trial(args) -> dict:
         except ValueError:
             rec["subspace_distance"] = float("nan")
 
-        try:
-            cert = certify(inst, trace.final)
-            rec["certificate"] = cert.status
-            certified = cert.status == STATUS_CERTIFIED
-        except CertificateNumericalError as exc:
-            rec["certificate"] = "NumericalFailure"
-            rec["certificate_error"] = repr(exc)
-            certified = False
-
-        if not tight:
-            rec["marker"] = MARKER_NOT_TIGHT
-        elif certified:
-            rec["marker"] = MARKER_CERTIFIED
-        else:
-            rec["marker"] = MARKER_TIGHT_SUBOPTIMAL
+        t0 = time.perf_counter()
+        cert = certify(inst, trace.final)
+        rec["certify_wall"] = time.perf_counter() - t0
+        rec["certificate"] = cert.status
+        if cert.status == STATUS_NUMERICAL_FAILURE:
+            rec["certificate_error"] = cert.meta["gate"]
+        elif cert.status == STATUS_INCONCLUSIVE:
+            rec["classification"] = classify_inconclusive(
+                inst, trace.final, rep)
     except (ValueError, ArithmeticError) as exc:
-        rec.update(marker="error", error=repr(exc))
+        rec["error"] = repr(exc)
     return rec
 
 
 def run_cjd_sweep(sweep_values, trials: int, d: int = 10, k: int = 3,
                   family: str = "cjd", seed=0, jobs: int = 1):
-    """Per-trial sweep records over noise level (cjd) or sample size (hppca).
-
-    Markers: certified / not-tight / tight-suboptimal, mutually exclusive
-    and exhaustive over non-errored trials."""
-    args = [(family, d, k, val, s) for val in sweep_values
-            for s in trial_seeds((seed, str(val)), trials)]
-    return _run_trials(sweep_trial, args, jobs)
+    """Per-trial sweep records over noise level (cjd: sigma = value) or
+    sample size (hppca: group sizes [value, 4 value])."""
+    cells = [(val, s) for val in sweep_values
+             for s in trial_seeds((seed, str(val)), trials)]
+    args = [(family, d, k, {"n": [int(val), 4 * int(val)]}
+             if family == "hppca" else {"sigma": float(val)}, s)
+            for val, s in cells]
+    records = _run_trials(sweep_trial, args, jobs)
+    for rec, (val, _) in zip(records, cells):
+        rec["sweep_value"] = val
+    return records
 
 
 def bench_cell(d: int, k: int, trials: int, seed=0) -> dict:
-    """Median/std wall time of the full SDP vs StMM (HPPCA settings) +
-    certificate on the same instances. Always serial: timings under a pool
-    are meaningless."""
-    cfg = SolverConfig.for_hppca()
-    sdp_times, stmm_times, records = [], [], []
-    for s in trial_seeds((seed, d, k), trials):
-        inst = _make_instance("hppca", d, k, {}, s)
-        t0 = time.perf_counter()
-        rep = solve_sdp(inst)
-        t_sdp = time.perf_counter() - t0
-
-        rng = np.random.default_rng(s)
-        t0 = time.perf_counter()
-        trace = stmm_solve(inst, random_stiefel(d, k, rng), cfg)
-        try:
-            cert_status = certify(inst, trace.final).status
-        except CertificateNumericalError:
-            cert_status = "NumericalFailure"
-        t_stmm = time.perf_counter() - t0
-
-        sdp_times.append(t_sdp)
-        stmm_times.append(t_stmm)
-        records.append({
-            "d": d, "k": k, "seed": s, "sdp_wall": t_sdp,
-            "stmm_certify_wall": t_stmm, "sdp_status": rep.status,
-            "stmm_status": trace.status, "certificate": cert_status,
-        })
+    """Median/std wall time of the relaxation solve against StMM (HPPCA
+    settings) plus the certificate, over hppca sweep trials. Always serial:
+    timings under a pool are meaningless. Errored trials stay in the records
+    and out of the medians."""
+    records = [sweep_trial(("hppca", d, k, {}, s))
+               for s in trial_seeds((seed, d, k), trials)]
+    ok = [r for r in records if "error" not in r]
+    sdp_times = [r["sdp_wall"] for r in ok]
+    stmm_times = [r["stmm_wall"] + r["certify_wall"] for r in ok]
     return {
         "d": d, "k": k, "trials": trials,
         "sdp_median": float(np.median(sdp_times)),

@@ -23,7 +23,6 @@ from .core import (
     RopPreconditionError,
     StiefelPoint,
     check_rop_orthogonality,
-    procrustes_project,
     rop_error,
     spectral_norm,
     sym,
@@ -281,24 +280,17 @@ def is_tight(report: SolveReport) -> bool:
         return False
 
 
-def _polar_any(m: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(m, full_matrices=False)
-    return u @ vt
-
-
 def extract_candidate(primal):
     """Orthonormal candidate from the top eigenvector of each block.
 
     Returns (point, rop_err, tie_flags). Ties in a block's top eigenvalue
-    are flagged, never fatal; the candidate is always produced (falling back
-    to a bare polar factor if the stacked eigenvectors lose rank)."""
+    are flagged, never fatal; the candidate is always produced: it is the
+    polar factor of the stacked eigenvectors, taken even when they lose
+    rank."""
     blocks = _blocks_of(primal)
     vecs, ties = top_eigenpairs(blocks)
-    try:
-        point = procrustes_project(vecs)
-    except ValueError:
-        point = StiefelPoint(_polar_any(vecs))
-    return point, rop_error(blocks), ties
+    u, _, vt = np.linalg.svd(vecs, full_matrices=False)
+    return StiefelPoint(u @ vt), rop_error(blocks), ties
 
 
 def dual_rank_profile(dual: SdpDualSolution) -> np.ndarray:

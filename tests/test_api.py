@@ -39,6 +39,10 @@ DELETED = [
     (core.ProblemInstance, "is_normalized"), (ipm, "_chol"),
     (sdp, "STATUS_INFEASIBLE"), (certificate, "CertificateProblem"),
     (certificate, "certificate_flops_estimate"),
+    (certificate, "CertificateNumericalError"), (harness, "MARKER_CERTIFIED"),
+    (harness, "MARKER_NOT_TIGHT"), (harness, "MARKER_TIGHT_SUBOPTIMAL"),
+    (core, "InstanceMetrics"), (core, "instance_metrics"),
+    (sdp, "_polar_any"),
 ]
 
 

@@ -10,6 +10,7 @@ from stiefelsum.certificate import (
 )
 from stiefelsum.core import ProblemInstance, StiefelPoint, rop_error
 from stiefelsum.generators import gen_separated_diagonal
+from stiefelsum.harness import sweep_trial
 from stiefelsum.sdp import (
     STATUS_NUMERICAL_FAILURE,
     KktResiduals,
@@ -109,3 +110,18 @@ def test_polished_ascent_point_certifies():
             best = tr
     res = certify(c, best.final)
     assert res.status == "CertifiedGlobal"
+
+
+def test_stalled_feasibility_solve_is_a_status(stalled_certificate):
+    c = ProblemInstance((np.diag([3.0, 1.0]),))
+    res = certify(c, StiefelPoint(np.array([[1.0], [0.0]])))
+    assert res.status == STATUS_NUMERICAL_FAILURE
+    assert res.nu_witness is None and np.isnan(res.t_star)
+    assert res.meta["gate"].startswith("feasibility solve stalled")
+
+    # the sweep records the status; a stall is not attributed to the SDP
+    rec = sweep_trial(("cjd", 6, 2, {"sigma": 0.0}, 3))
+    assert rec["tight"] and "error" not in rec
+    assert rec["certificate"] == STATUS_NUMERICAL_FAILURE
+    assert rec["certificate_error"].startswith("feasibility solve stalled")
+    assert "classification" not in rec and "marker" not in rec

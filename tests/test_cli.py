@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from stiefelsum import harness
 from stiefelsum.cli import build_parser, main
 from stiefelsum.core import load_instance
 
@@ -62,6 +63,42 @@ def test_certify_without_point_uses_polished_relaxation(tmp_path):
                "--out", str(cert_path)])
     assert rc == 0
     assert json.loads(cert_path.read_text())["status"] == "CertifiedGlobal"
+
+
+def test_certify_reports_a_stalled_solve(tmp_path, stalled_certificate):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--family", "cjd",
+          "--params", '{"d": 6, "k": 2, "sigma": 0.0}',
+          "--out", str(inst_path)])
+    cert_path = tmp_path / "cert.json"
+    argv = ["certify", "--instance", str(inst_path), "--out", str(cert_path)]
+    assert main(argv) == 2
+    doc = json.loads(cert_path.read_text())
+    assert doc["status"] == "NumericalFailure"
+    assert doc["reason"].startswith("feasibility solve stalled")
+    assert main(argv + ["--tolerate-failures"]) == 0
+
+
+def test_bench_leaves_errored_trials_out_and_exits_2(tmp_path, monkeypatch):
+    real = harness._make_instance
+
+    def first_draw_fails(family, d, k, params, seed):
+        if seed == first:
+            raise ValueError("bad draw")
+        return real(family, d, k, params, seed)
+
+    first = harness.trial_seeds((0, 6, 2), 2)[0]
+    monkeypatch.setattr(harness, "_make_instance", first_draw_fails)
+    argv = ["bench", "--d", "6", "--k", "2", "--trials", "2",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    recs = [json.loads(line) for line in
+            (tmp_path / "bench_records.jsonl").read_text().splitlines()]
+    assert ["error" in r for r in recs] == [True, False]
+    with open(tmp_path / "bench.csv", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert float(row["sdp_median"]) == pytest.approx(recs[1]["sdp_wall"])
+    assert main(argv + ["--tolerate-failures"]) == 0
 
 
 def test_rop_table_fast_writes_outputs(tmp_path):

@@ -89,7 +89,7 @@ def test_sweep_markers_on_commuting_family():
     recs = run_cjd_sweep([0.0], trials=2, d=6, k=2, seed=3)
     assert len(recs) == 2
     for r in recs:
-        assert r["marker"] == "certified"
+        assert "classification" not in r
         assert r["certificate"] == "CertifiedGlobal"
         assert r["tight"]
         assert r["commuting_distance"] <= 1e-12
