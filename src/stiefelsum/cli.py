@@ -3,15 +3,17 @@
 Subcommands: gen, solve-sdp, solve-stmm, certify, rop-table, cjd-sweep,
 diag-sweep, bench, each with only the options it reads. gen and rop-table
 build instances with generators.make_instance from a --params JSON object.
-Experiment commands write CSV aggregates plus JSONL per-trial records under
---out-dir. Exit codes: 0 ok; 1 bad input, usage errors included; 2 a
-numerical failure, unless --tolerate-failures is given.
+The experiment commands rop-table, cjd-sweep and bench take their rows and
+records from harness, print the rows, and write the table (CSV, or TSV for
+the sweep curve) plus JSONL per-trial records under --out-dir. Exit codes:
+0 ok; 1 bad input, usage errors included; 2 a numerical failure (for the
+experiments, any trial that harness.failed), unless --tolerate-failures is
+given. diag-sweep counts a failed solve as not tight and never exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -19,15 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import (
-    STATUS_CERTIFIED,
-    certify,
-    classify_inconclusive,
-)
+from .certificate import STATUS_CERTIFIED, certify, classify_inconclusive
 from .core import load_instance, save_instance
 from .diagonal import tightness_sweep
 from .generators import FAMILIES, make_instance, rank_two_pair
 from .harness import (
+    _json_default,
+    failed,
     run_bench,
     run_cjd_sweep,
     run_rop_table,
@@ -52,18 +52,22 @@ def _floats(text):
     return [float(x) for x in text.split(",") if x]
 
 
-def _out_dir(args) -> Path:
-    p = Path(args.out_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
 def _fail(args, seen_failure: bool) -> int:
     return 2 if (seen_failure and not args.tolerate_failures) else 0
 
 
+def _write_experiment(args, table, rows, jsonl, records) -> int:
+    """Write an experiment's table and JSONL records under --out-dir and
+    return its exit code."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (write_tsv if table.endswith(".tsv") else write_csv)(out / table, rows)
+    write_jsonl(out / jsonl, records)
+    return _fail(args, any(map(failed, records)))
+
+
 def _write_json(path, doc):
-    text = json.dumps(doc, indent=1, default=str)
+    text = json.dumps(doc, indent=1, default=_json_default)
     if path is None:
         print(text)
     else:
@@ -122,12 +126,11 @@ def _cmd_solve_stmm(args) -> int:
     u0 = random_stiefel(inst.d, inst.k, np.random.default_rng(args.seed))
     trace = stmm_solve(inst, u0, cfg)
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "objective", "grad_norm"])
+        write_csv(args.trace, (
+            {"iter": i, "objective": repr(float(o)),
+             "grad_norm": repr(float(g))}
             for i, (o, g) in enumerate(zip(trace.objectives,
-                                           trace.grad_norms)):
-                w.writerow([i, repr(float(o)), repr(float(g))])
+                                           trace.grad_norms))))
     _write_json(args.out, {
         "status": trace.status,
         "objective": float(trace.objectives[-1]),
@@ -135,7 +138,7 @@ def _cmd_solve_stmm(args) -> int:
         "grad_norm": float(trace.grad_norms[-1]),
         "d": inst.d,
         "k": inst.k,
-        "u": trace.final.cols.ravel().tolist(),
+        "u": trace.final.cols.ravel(),
     })
     return 0
 
@@ -167,9 +170,8 @@ def _cmd_certify(args) -> int:
     doc = {
         "status": res.status,
         "t_star": res.t_star,
-        "min_eig_slacks": [float(x) for x in res.min_eig_slacks],
-        "nu_witness": None if res.nu_witness is None
-        else [float(x) for x in res.nu_witness],
+        "min_eig_slacks": res.min_eig_slacks,
+        "nu_witness": res.nu_witness,
         "precondition_weak": res.precondition_weak,
     }
     if res.status != STATUS_CERTIFIED:
@@ -178,64 +180,33 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _apply_fast(args):
-    if args.fast:
-        args.trials = min(args.trials, 10)
-        args.d = [d for d in args.d if d <= 30] or [min(30, min(args.d))]
-
-
 def _cmd_rop_table(args) -> int:
-    _apply_fast(args)
     if "d" in args.params or "k" in args.params:
         raise ValueError("set d and k with --d and --k, not in --params")
     grid = dict(args.params, d=args.d, k=args.k)
     rows, records = run_rop_table(args.family, grid, args.trials,
                                   seed=args.seed, jobs=args.jobs)
-    out = _out_dir(args)
-    write_csv(out / "rop_table.csv", rows)
-    write_jsonl(out / "rop_records.jsonl", records)
     for r in rows:
         print(f"d={r['d']} k={r['k']}: tight {r['fraction_tight']:.2f} "
               f"({r['failures']} failures)")
-    return _fail(args, any(r["failures"] > 0 for r in rows))
+    return _write_experiment(args, "rop_table.csv", rows,
+                             "rop_records.jsonl", records)
 
 
 def _cmd_cjd_sweep(args) -> int:
-    _apply_fast(args)
     if args.n1:
         family, values = "hppca", _ints(args.n1)
     else:
         family, values = "cjd", _floats(args.sigmas)
-    records, curve = [], []
-    for d in args.d:
-        for k in args.k:
-            cell = run_cjd_sweep(values, args.trials, d=d, k=k, family=family,
-                                 seed=args.seed, jobs=args.jobs)
-            records.extend(cell)
-            for val in values:
-                recs = [r for r in cell if r["sweep_value"] == val]
-                ok = [r for r in recs if "error" not in r]
-                row = {
-                    "d": d, "k": k, "sweep_value": val, "n_trials": len(recs),
-                    "fraction_tight": np.mean(
-                        [r["tight"] for r in ok]) if ok else 0,
-                    "fraction_certified": np.mean(
-                        [r["certificate"] == STATUS_CERTIFIED for r in ok])
-                    if ok else 0,
-                    "median_gap": np.median([r["gap"] for r in ok]) if ok else 0,
-                    "median_distance": np.median(
-                        [r["subspace_distance"] for r in ok]) if ok else 0,
-                    "median_commuting_distance": np.median(
-                        [r["commuting_distance"] for r in ok]) if ok else 0,
-                }
-                curve.append(row)
-                print(f"d={d} k={k} value {val}: tight "
-                      f"{row['fraction_tight']:.2f} "
-                      f"certified {row['fraction_certified']:.2f}")
-    out = _out_dir(args)
-    write_jsonl(out / "sweep_records.jsonl", records)
-    write_tsv(out / "sweep_curve.tsv", curve)
-    return _fail(args, any("error" in r for r in records))
+    rows, records = run_cjd_sweep(values, args.trials, args.d, args.k,
+                                  family=family, seed=args.seed,
+                                  jobs=args.jobs)
+    for r in rows:
+        print(f"d={r['d']} k={r['k']} value {r['sweep_value']}: tight "
+              f"{r['fraction_tight']:.2f} "
+              f"certified {r['fraction_certified']:.2f}")
+    return _write_experiment(args, "sweep_curve.tsv", rows,
+                             "sweep_records.jsonl", records)
 
 
 def _cmd_diag_sweep(args) -> int:
@@ -251,19 +222,14 @@ def _cmd_diag_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _apply_fast(args)
     rows = run_bench(args.d, args.k, args.trials, seed=args.seed)
-    out = _out_dir(args)
     records = []
     for r in rows:
         records.extend(r.pop("records"))
         print(f"d={r['d']} k={r['k']}: sdp {r['sdp_median']:.3f}s "
               f"stmm+cert {r['stmm_median']:.3f}s ratio {r['ratio']:.1f}")
-    write_csv(out / "bench.csv", rows)
-    write_jsonl(out / "bench_records.jsonl", records)
-    return _fail(args, any("error" in r
-                           or r["sdp_status"] == STATUS_NUMERICAL_FAILURE
-                           for r in records))
+    return _write_experiment(args, "bench.csv", rows,
+                             "bench_records.jsonl", records)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -277,7 +243,6 @@ _SHARED = {
     "--seed": dict(type=int, default=0),
     "--tolerate-failures": dict(action="store_true"),
     "--out-dir": dict(default="."),
-    "--fast": dict(action="store_true", help="at most 10 trials, d <= 30"),
     "--jobs": dict(type=int, default=1),
 }
 
@@ -320,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate JSON (as written by solve-stmm)")
     s.add_argument("--out", default=None)
 
-    experiment = ("--seed", "--tolerate-failures", "--out-dir", "--fast")
+    experiment = ("--seed", "--tolerate-failures", "--out-dir")
     s = command("rop-table", _cmd_rop_table, *experiment, "--jobs")
     s.add_argument("--family", choices=tuple(FAMILIES), default="hppca")
     s.add_argument("--params", type=_json_object, default="{}",

@@ -1,13 +1,15 @@
 """Experiment orchestration: tightness tables, sweep records, benchmarks.
 
-Every aggregate row is backed by the per-trial records it was computed
-from, so fractions are auditable after the fact. Trials derive their
-seeds from a master seed and run independently; a worker pool parallelizes
-them when jobs > 1 (timing runs stay serial so wall clocks mean something).
+Each experiment runs its whole grid here, and every aggregate row is backed
+by the per-trial records it was computed from, so fractions are auditable
+after the fact. Trials derive their seeds from a master seed and run
+independently; a worker pool parallelizes them when jobs > 1 (timing runs
+stay serial so wall clocks mean something).
 
 rop_trial solves the relaxation only; sweep_trial runs the whole pipeline
 (relaxation, StMM, certificate) on one instance, and the sweeps and the
-timing benchmark are both made of sweep trials.
+timing benchmark are both made of sweep trials. failed(rec) is the one rule
+for a failed trial, behind failure counts and the CLI's exit codes.
 """
 
 from __future__ import annotations
@@ -20,12 +22,16 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .certificate import STATUS_INCONCLUSIVE, certify, classify_inconclusive
+from .certificate import (
+    STATUS_CERTIFIED,
+    STATUS_INCONCLUSIVE,
+    certify,
+    classify_inconclusive,
+)
 from .core import max_commuting_distance
 from .generators import family_builder, make_instance
 from .sdp import (
     STATUS_NUMERICAL_FAILURE,
-    STATUS_OPTIMAL,
     extract_candidate,
     is_tight,
     solve_sdp,
@@ -72,6 +78,13 @@ def rop_trial(args) -> dict:
     return rec
 
 
+def failed(rec) -> bool:
+    """The trial raised, or one of its solves (the relaxation or the
+    certificate) ended NumericalFailure."""
+    return "error" in rec or STATUS_NUMERICAL_FAILURE in (
+        rec.get("status"), rec.get("sdp_status"), rec.get("certificate"))
+
+
 def _run_trials(fn, arglist, jobs: int):
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -84,8 +97,8 @@ def run_rop_table(family: str, grid: dict, trials: int, seed=0,
     """Fraction of tight solves per (d, k) cell.
 
     grid: {"d": [...], "k": [...]} plus the family's parameters (see
-    generators.FAMILIES). Returns (rows, records); failures are counted
-    per cell and never count as tight."""
+    generators.FAMILIES). Returns (rows, records); failed trials are
+    counted per cell and never count as tight."""
     params = {key: val for key, val in grid.items() if key not in ("d", "k")}
     family_builder(family, params)
     rows, records = [], []
@@ -97,8 +110,7 @@ def run_rop_table(family: str, grid: dict, trials: int, seed=0,
             row = {
                 "family": family, "d": d, "k": k, "trials": trials,
                 "fraction_tight": sum(r["tight"] for r in recs) / trials,
-                "failures": sum(1 for r in recs
-                                if r["status"] != STATUS_OPTIMAL),
+                "failures": sum(map(failed, recs)),
                 "trial_errors": sum(1 for r in recs if "error" in r),
                 "wall": sum(r["wall"] for r in recs),
             }
@@ -162,19 +174,41 @@ def sweep_trial(args) -> dict:
     return rec
 
 
-def run_cjd_sweep(sweep_values, trials: int, d: int = 10, k: int = 3,
-                  family: str = "cjd", seed=0, jobs: int = 1):
-    """Per-trial sweep records over noise level (cjd: sigma = value) or
-    sample size (hppca: group sizes [value, 4 value])."""
-    cells = [(val, s) for val in sweep_values
-             for s in trial_seeds((seed, str(val)), trials)]
-    args = [(family, d, k, {"n": [int(val), 4 * int(val)]}
+# sweep curve column: (statistic over a cell's trials, per-trial value)
+_CURVE = {
+    "fraction_tight": (np.mean, lambda r: r["tight"]),
+    "fraction_certified": (np.mean,
+                           lambda r: r["certificate"] == STATUS_CERTIFIED),
+    "median_gap": (np.median, lambda r: r["gap"]),
+    "median_distance": (np.median, lambda r: r["subspace_distance"]),
+    "median_commuting_distance": (np.median,
+                                  lambda r: r["commuting_distance"]),
+}
+
+
+def run_cjd_sweep(sweep_values, trials: int, d, k, family: str = "cjd",
+                  seed=0, jobs: int = 1):
+    """Sweep trials over noise level (cjd: sigma = value) or sample size
+    (hppca: group sizes [value, 4 value]) on every (d, k, value) cell; each
+    (d, k) reuses the per-value seeds. Returns (rows, records): one curve
+    row per cell, its statistics over the trials that did not raise."""
+    cells = [(dd, kk, val) for dd in d for kk in k for val in sweep_values]
+    args = [(family, dd, kk, {"n": [int(val), 4 * int(val)]}
              if family == "hppca" else {"sigma": float(val)}, s)
-            for val, s in cells]
+            for dd, kk, val in cells
+            for s in trial_seeds((seed, str(val)), trials)]
     records = _run_trials(sweep_trial, args, jobs)
-    for rec, (val, _) in zip(records, cells):
-        rec["sweep_value"] = val
-    return records
+    rows = []
+    for i, (dd, kk, val) in enumerate(cells):
+        recs = records[i * trials:(i + 1) * trials]
+        for rec in recs:
+            rec["sweep_value"] = val
+        ok = [r for r in recs if "error" not in r]
+        row = {"d": dd, "k": kk, "sweep_value": val, "n_trials": len(recs)}
+        for col, (stat, key) in _CURVE.items():
+            row[col] = stat([key(r) for r in ok]) if ok else 0
+        rows.append(row)
+    return rows, records
 
 
 def bench_cell(d: int, k: int, trials: int, seed=0) -> dict:

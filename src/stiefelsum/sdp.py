@@ -89,16 +89,6 @@ class KktResiduals:
         return float(np.max([self.primal, self.dual_eq, self.slack_comp,
                              self.block_comp, self.dual_cone]))
 
-    def scaled_max(self, s: float) -> float:
-        """Largest residual with the dual-side ones divided by s.
-
-        The primal residual is unitless; the other four carry the units of
-        the M_i, so with s = gate_unit(c) one gate serves every input
-        scale."""
-        return float(np.max([self.primal, self.dual_eq / s,
-                             self.slack_comp / s, self.block_comp / s,
-                             self.dual_cone / s]))
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -126,11 +116,15 @@ def _blocks_of(primal):
 
 
 def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals:
-    """Residuals of the five optimality conditions for a primal/dual pair."""
+    """Residuals of the five optimality conditions for a primal/dual pair.
+
+    The M_i and the dual are divided by s = gate_unit(c) first, so the four
+    dual-side residuals are in units of s and cannot overflow."""
     x_blocks = _blocks_of(primal)
-    mats = c.mats
+    s = gate_unit(c)
+    mats = [m / s for m in c.mats]
+    y, z_blocks, nu = dual.y / s, [z / s for z in dual.z_blocks], dual.nu / s
     d = c.d
-    y = dual.y
     eye = np.eye(d)
 
     xsum = np.zeros((d, d))
@@ -145,9 +139,9 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
     res_dual_eq = max(0.0, -float(np.linalg.eigvalsh(sym(y))[0]))
     res_block = 0.0
     res_cone = 0.0
-    for i, (m, z, x) in enumerate(zip(mats, dual.z_blocks, x_blocks)):
+    for i, (m, z, x) in enumerate(zip(mats, z_blocks, x_blocks)):
         res_dual_eq = max(res_dual_eq,
-                          float(np.linalg.norm(y - m - z + dual.nu[i] * eye)))
+                          float(np.linalg.norm(y - m - z + nu[i] * eye)))
         res_block = max(res_block, abs(float(np.sum(z * x))))
         res_cone = max(res_cone, max(0.0, -float(np.linalg.eigvalsh(sym(z))[0])))
 
@@ -222,8 +216,8 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     Inputs need not be normalized or PSD: a uniform eigenvalue shift and a
     global scale are applied internally and mapped back, with both recorded
     in the report meta. A report is never labeled Optimal unless the duality
-    gap and all five KKT residuals pass GAP_TOL and KKT_TOL, the dual-side
-    residuals relative to gate_unit(c).
+    gap and all five KKT residuals (check_kkt's, relative to gate_unit(c))
+    pass GAP_TOL and KKT_TOL.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -244,8 +238,7 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     dual = SdpDualSolution(y=y_mat, z_blocks=tuple(z_blocks),
                            nu=np.asarray(nu, dtype=float), objective=dd)
     kkt = check_kkt(c, x_blocks, dual)
-    status, reason = _status_from(res, gap, kkt.scaled_max(gate_unit(c)),
-                                  p, dd)
+    status, reason = _status_from(res, gap, kkt.max_residual, p, dd)
 
     return SolveReport(
         status=status,

@@ -35,9 +35,9 @@ class SolverConfig:
     step_frac: float = 0.98
 
     @classmethod
-    def for_hppca(cls, **kw) -> "SolverConfig":
+    def for_hppca(cls) -> "SolverConfig":
         # heteroscedastic-PCA runs converge slower: 10000 iterations
-        return cls(max_iters=kw.pop("max_iters", 10000), **kw)
+        return cls(max_iters=10000)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,16 @@
 import dataclasses
 import inspect
 
-from stiefelsum import certificate, core, diagonal, harness, ipm, sdp
+from stiefelsum import (
+    certificate,
+    cli,
+    core,
+    diagonal,
+    harness,
+    ipm,
+    sdp,
+    stiefel,
+)
 
 SIGNATURES = {
     core.procrustes_project: ["m"],
@@ -25,6 +34,7 @@ SIGNATURES = {
     harness.run_bench: ["d_list", "k_list", "trials", "seed"],
     harness.write_csv: ["path", "rows"],
     harness.write_tsv: ["path", "rows"],
+    stiefel.SolverConfig.for_hppca: [],
 }
 
 FIELDS = {
@@ -42,7 +52,8 @@ DELETED = [
     (certificate, "CertificateNumericalError"), (harness, "MARKER_CERTIFIED"),
     (harness, "MARKER_NOT_TIGHT"), (harness, "MARKER_TIGHT_SUBOPTIMAL"),
     (core, "InstanceMetrics"), (core, "instance_metrics"),
-    (sdp, "_polar_any"),
+    (sdp, "_polar_any"), (sdp.KktResiduals, "scaled_max"),
+    (cli, "_apply_fast"),
 ]
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line flows in a temp directory."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from stiefelsum import harness
 from stiefelsum.cli import build_parser, main
 from stiefelsum.core import load_instance
+
+SWEEP = ["cjd-sweep", "--sigmas", "0", "--d", "6", "--k", "2", "--trials", "1"]
+BENCH = ["bench", "--d", "6", "--k", "2", "--trials", "1"]
 
 
 def test_gen_solve_certify_roundtrip(tmp_path):
@@ -101,9 +105,29 @@ def test_bench_leaves_errored_trials_out_and_exits_2(tmp_path, monkeypatch):
     assert main(argv + ["--tolerate-failures"]) == 0
 
 
+def test_stalled_certificate_fails_sweep_and_bench(tmp_path,
+                                                  stalled_certificate):
+    for argv in (SWEEP, BENCH):
+        argv = argv + ["--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert main(argv + ["--tolerate-failures"]) == 0
+
+
+def test_failed_relaxation_fails_sweep(tmp_path, monkeypatch):
+    real = harness.solve_sdp
+
+    def failing(inst, cfg=None):
+        return dataclasses.replace(real(inst, cfg), status="NumericalFailure")
+
+    monkeypatch.setattr(harness, "solve_sdp", failing)
+    argv = SWEEP + ["--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert main(argv + ["--tolerate-failures"]) == 0
+
+
 def test_rop_table_fast_writes_outputs(tmp_path):
     rc = main(["rop-table", "--family", "diagonal", "--d", "5", "--k", "2",
-               "--trials", "3", "--fast", "--out-dir", str(tmp_path)])
+               "--trials", "3", "--out-dir", str(tmp_path)])
     assert rc == 0
     with open(tmp_path / "rop_table.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -215,13 +239,13 @@ OPTIONS = {
     "solve-stmm": {"--seed", "--instance", "--max-iters", "--grad-tol",
                    "--trace", "--out"},
     "certify": {"--tolerate-failures", "--instance", "--point", "--out"},
-    "rop-table": {"--seed", "--tolerate-failures", "--out-dir", "--fast",
-                  "--jobs", "--family", "--params", "--d", "--k", "--trials"},
-    "cjd-sweep": {"--seed", "--tolerate-failures", "--out-dir", "--fast",
-                  "--jobs", "--sigmas", "--n1", "--d", "--k", "--trials"},
+    "rop-table": {"--seed", "--tolerate-failures", "--out-dir", "--jobs",
+                  "--family", "--params", "--d", "--k", "--trials"},
+    "cjd-sweep": {"--seed", "--tolerate-failures", "--out-dir", "--jobs",
+                  "--sigmas", "--n1", "--d", "--k", "--trials"},
     "diag-sweep": {"--seed", "--center", "--scales", "--trials", "--out"},
-    "bench": {"--seed", "--tolerate-failures", "--out-dir", "--fast", "--d",
-              "--k", "--trials"},
+    "bench": {"--seed", "--tolerate-failures", "--out-dir", "--d", "--k",
+              "--trials"},
 }
 
 
@@ -232,7 +256,7 @@ def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
                   if o.startswith("--")} - {"--help"}
            for name, p in sub.items()}
     assert got == OPTIONS
-    assert sum(map(len, got.values())) == 50
+    assert sum(map(len, got.values())) == 47
 
     # usage errors are bad input (exit 1); 2 is kept for numerical failures
     for argv in (["solve-sdp", "--instance", "x.json", "--jobs", "7"],

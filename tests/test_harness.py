@@ -86,7 +86,7 @@ def test_subspace_distance_cases():
 
 
 def test_sweep_markers_on_commuting_family():
-    recs = run_cjd_sweep([0.0], trials=2, d=6, k=2, seed=3)
+    _, recs = run_cjd_sweep([0.0], trials=2, d=[6], k=[2], seed=3)
     assert len(recs) == 2
     for r in recs:
         assert "classification" not in r
@@ -96,6 +96,21 @@ def test_sweep_markers_on_commuting_family():
         assert abs(r["gap"]) <= 1e-6
         assert r["subspace_distance"] <= 1e-4
         assert {"sdp_wall", "stmm_wall", "stmm_iterations"} <= set(r)
+
+
+def test_failed_is_the_one_failure_rule():
+    for rec in ({"status": "Optimal", "tight": False},
+                {"sdp_status": "Optimal", "certificate": "CertifiedGlobal"},
+                {"sdp_status": "Optimal", "certificate": "Inconclusive",
+                 "classification": "SdpNotTight"}):
+        assert not harness.failed(rec)
+    for rec in ({"status": "TrialError", "tight": False, "error": "x"},
+                {"error": "x"},
+                {"status": "NumericalFailure", "tight": False},
+                {"sdp_status": "NumericalFailure",
+                 "certificate": "CertifiedGlobal"},
+                {"sdp_status": "Optimal", "certificate": "NumericalFailure"}):
+        assert harness.failed(rec)
 
 
 def test_bench_cell_fields():

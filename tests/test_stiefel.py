@@ -126,4 +126,3 @@ def test_k1_ascent_finds_top_eigenvector():
 
 def test_config_factories():
     assert SolverConfig.for_hppca().max_iters == 10000
-    assert SolverConfig.for_hppca(grad_tol=1e-8).grad_tol == 1e-8
