@@ -190,14 +190,17 @@ def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,
     solve exists.
 
     A solve that fails sdp.is_tight explains it directly; a tight
-    relaxation whose value strictly exceeds the candidate's objective means
-    the candidate is a suboptimal stationary point; anything else,
-    including a missing or non-Optimal solve, stays Unknown."""
+    relaxation whose value strictly exceeds the objective of a stationary
+    candidate (Riemannian gradient within _PRECONDITION_TOL) means a
+    suboptimal stationary point; anything else, including a missing or
+    non-Optimal solve or an unconverged candidate, stays Unknown."""
     if sdp_report is None or sdp_report.status != STATUS_OPTIMAL:
         return CLASS_UNKNOWN
     if not is_tight(sdp_report):
         return CLASS_NOT_TIGHT
+    rg = float(np.linalg.norm(riemannian_gradient(c, u_bar)))
+    if not rg <= _PRECONDITION_TOL:  # NaN is not stationary either
+        return CLASS_UNKNOWN
     if objective(c, u_bar) < sdp_report.value - 1e-5:
         return CLASS_SUBOPTIMAL
     return CLASS_UNKNOWN
-

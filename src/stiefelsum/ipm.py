@@ -6,8 +6,8 @@ Standard form over a product of PSD cones:
     min <C, X>  s.t.  A(X) = b,  X_j PSD for every block j,
 
 solved together with its dual  max b'y  s.t.  A*(y) + Z = C,  Z_j PSD.
-The search direction is the HKM direction assembled with symmetric Kronecker
-products, stepped with a Mehrotra predictor-corrector.
+The search direction is the HKM direction, stepped with a Mehrotra
+predictor-corrector.
 
 Two constraint-operator flavors feed the shared iteration:
 
@@ -56,20 +56,39 @@ def smat(v: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def sym_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of V -> 0.5 (A V B + B V A) in svec coordinates.
+# svec rows of the coupling block per stacked matmul: bounds the (rows, d, d)
+# scratch to about 1 MB at d = 60, so no d^4 array is ever formed
+_COUPLING_CHUNK = 32
 
-    Both arguments must be symmetric (the callers pass PSD iterates)."""
-    n = a.shape[0]
-    i, j, _ = svec_indices(n)
-    ii = np.ix_(i, i)
-    jj = np.ix_(j, j)
-    ij = np.ix_(i, j)
-    aij = a[ij]
-    bij = b[ij]
-    m = 0.5 * (a[ii] * b[jj] + aij * bij.T + b[ii] * a[jj] + bij * aij.T)
-    d = np.where(i == j, 1.0 / np.sqrt(2.0), 1.0)
-    return m * np.outer(d, d)
+
+@lru_cache(maxsize=None)
+def _coupling_indices(d: int):
+    """The svec coordinates (i, j), the flat positions of (i, j) and (j, i)
+    in a d x d matrix, and the svec weights halved."""
+    i, j, w = svec_indices(d)
+    ij, ji, v = i * d + j, j * d + i, 0.5 * w
+    for a in (ij, ji, v):
+        a.setflags(write=False)
+    return i, j, ij, ji, v
+
+
+def coupling_block(p, q, out):
+    """Write into out the matrix of V -> sum_a 0.5 (P_a V Q_a + Q_a V P_a)
+    in svec coordinates; every P_a, Q_a is symmetric d x d.
+
+    Row (i, j) holds v_ij v_kl (R[k, l] + R[l, k]) over the columns (k, l),
+    where R = sum_a P_a[i]' Q_a[j] + Q_a[i]' P_a[j] is one stacked product
+    and v the halved svec weights."""
+    d = p[0].shape[0]
+    i, j, ij, ji, v = _coupling_indices(d)
+    left = np.stack([*p, *q], axis=2)  # left[i] = [P_a[i]; Q_a[i]]'
+    right = np.stack([*q, *p], axis=1)  # right[j] = [Q_a[j]; P_a[j]]
+    for r0 in range(0, len(i), _COUPLING_CHUNK):
+        rows = slice(r0, r0 + _COUPLING_CHUNK)
+        r = np.matmul(left[i[rows]], right[j[rows]]).reshape(-1, d * d)
+        s = np.take(r, ij, axis=1)
+        s += np.take(r, ji, axis=1)
+        np.multiply(s, v[rows, None] * v, out=out[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +149,15 @@ class FantopeOps:
 
     def schur(self, zinv, x):
         off = self.off
-        h = np.zeros((self.m, self.m))
-        if self.has_slack:
-            hcc = sym_kron(zinv[-1], x[-1])
-        else:
-            hcc = np.zeros((self.sd, self.sd))
+        h = np.empty((self.m, self.m))
+        h[:off, :off] = 0.0
         for i in range(self.k):
-            p, q = zinv[i], x[i]
-            pq = p @ q
+            pq = zinv[i] @ x[i]
             h[i, i] = np.trace(pq)
             row = svec(sym(pq))
             h[i, off:] = row
             h[off:, i] = row
-            hcc += sym_kron(p, q)
-        h[off:, off:] = hcc
+        coupling_block(zinv, x, h[off:, off:])
         return h
 
 
@@ -226,11 +240,18 @@ def _max_step(x, dx):
 
 
 def _factor_schur(h):
+    """Cholesky factor of h and the diagonal shift it needed (0.0 when none).
+
+    A non-finite h raises LinAlgError here, once, which is why the factor
+    and its solves skip scipy's own finiteness checks."""
+    if not np.isfinite(h).all():
+        raise np.linalg.LinAlgError("Schur complement not finite")
     reg = 0.0
     base = max(np.max(np.diag(h)), 1.0)
     for _ in range(4):
         try:
-            return cho_factor(h + reg * np.eye(h.shape[0]), lower=True), reg
+            hr = h if reg == 0.0 else h + reg * np.eye(h.shape[0])
+            return cho_factor(hr, lower=True, check_finite=False), reg
         except np.linalg.LinAlgError:
             reg = base * 1e-12 if reg == 0.0 else reg * 1e4
     raise np.linalg.LinAlgError("Schur complement not positive definite")
@@ -297,8 +318,10 @@ def solve_ipm(
             hf, _ = _factor_schur(h)
 
             def solve_h(rhs):
-                dy = cho_solve(hf, rhs)
-                dy += cho_solve(hf, rhs - h @ dy)
+                dy = cho_solve(hf, rhs, check_finite=False)
+                # ValueError once dy overflows (or rhs was not finite)
+                resid = np.asarray_chkfinite(rhs - h @ dy)
+                dy += cho_solve(hf, resid, check_finite=False)
                 return dy
 
             t1 = [sym(zinv[j] @ rd[j] @ x[j]) for j in range(nb)]

@@ -53,7 +53,7 @@ DELETED = [
     (harness, "MARKER_NOT_TIGHT"), (harness, "MARKER_TIGHT_SUBOPTIMAL"),
     (core, "InstanceMetrics"), (core, "instance_metrics"),
     (sdp, "_polar_any"), (sdp.KktResiduals, "scaled_max"),
-    (cli, "_apply_fast"),
+    (cli, "_apply_fast"), (ipm, "sym_kron"),
 ]
 
 

@@ -19,7 +19,13 @@ from stiefelsum.sdp import (
     SolveReport,
     solve_sdp,
 )
-from stiefelsum.stiefel import random_stiefel, stmm_solve
+from stiefelsum.stiefel import (
+    SolverConfig,
+    objective,
+    random_stiefel,
+    riemannian_gradient,
+    stmm_solve,
+)
 
 
 def test_certifies_known_global_optimum():
@@ -45,6 +51,19 @@ def test_suboptimal_stationary_point_is_inconclusive():
     rep = solve_sdp(c)
     assert classify_inconclusive(c, sub, rep) == "SuboptimalStationary"
     assert classify_inconclusive(c, sub) == "Unknown"
+
+
+def test_only_a_stationary_point_is_suboptimal_stationary():
+    c = ProblemInstance((np.diag([3.0, 1.0, 0.0]), np.diag([0.0, 2.0, 1.0])))
+    rep = solve_sdp(c)
+    start = random_stiefel(3, 2, np.random.default_rng(0))
+    early = stmm_solve(c, start, SolverConfig(max_iters=5)).final
+    assert np.linalg.norm(riemannian_gradient(c, early)) > 1e-6
+    assert objective(c, early) < rep.value - 1e-5
+    assert classify_inconclusive(c, early, rep) == "Unknown"
+    eye = np.eye(3)
+    swapped = StiefelPoint(np.column_stack([eye[:, 1], eye[:, 2]]))
+    assert classify_inconclusive(c, swapped, rep) == "SuboptimalStationary"
 
 
 def _report(blocks, status="Optimal"):

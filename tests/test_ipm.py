@@ -8,10 +8,11 @@ from stiefelsum.sdp import _fantope_start
 from stiefelsum.ipm import (
     DenseOps,
     FantopeOps,
+    _factor_schur,
+    coupling_block,
     solve_ipm,
     smat,
     svec,
-    sym_kron,
 )
 
 
@@ -36,14 +37,18 @@ def test_svec_isometry_roundtrip(n, seed):
     assert np.isclose(vx @ svec(y), np.sum(x * y))
 
 
-def test_sym_kron_matches_operator():
+def test_coupling_block_matches_operator():
+    # n = 9 has 45 svec rows, more than one chunk
     rng = np.random.default_rng(2)
-    for n in (2, 3, 5):
-        a, b = _rand_sym(rng, n), _rand_sym(rng, n)
-        m = sym_kron(a, b)
+    for n, nb in ((2, 1), (3, 2), (5, 1), (9, 4)):
+        ps = [_rand_sym(rng, n) for _ in range(nb)]
+        qs = [_rand_sym(rng, n) for _ in range(nb)]
+        sd = n * (n + 1) // 2
+        m = np.empty((sd, sd))
+        coupling_block(ps, qs, m)
         for _ in range(4):
             v = _rand_sym(rng, n)
-            want = 0.5 * (a @ v @ b + b @ v @ a)
+            want = sum(0.5 * (p @ v @ q + q @ v @ p) for p, q in zip(ps, qs))
             assert np.allclose(m @ svec(v), svec(want), atol=1e-10)
 
 
@@ -59,8 +64,11 @@ def _brute_schur(ops, p_blocks, q_blocks):
     return h
 
 
+# d = 12 has 78 coupling rows, several chunks; k = 10 gives 11 blocks
 @pytest.mark.parametrize("d,k,slack", [(3, 1, True), (4, 2, True),
-                                       (5, 3, True), (3, 3, False)])
+                                       (5, 3, True), (3, 3, False),
+                                       (12, 3, True), (12, 10, True),
+                                       (12, 12, False)])
 def test_fantope_schur_vs_brute_force(d, k, slack):
     rng = np.random.default_rng(d * 10 + k)
     mats = [_rand_sym(rng, d) for _ in range(k)]
@@ -149,3 +157,20 @@ def test_non_finite_cost_never_converges():
         ops = FantopeOps([m], 2)
         res = solve_ipm(ops, *_fantope_start(ops))
         assert res.status == "numerical_failure"
+
+
+def test_nan_in_schur_complement_is_numerical_failure(monkeypatch):
+    h = np.eye(4)
+    h[0, 3] = np.nan  # above the diagonal, where the lower factor never looks
+    with pytest.raises(np.linalg.LinAlgError):
+        _factor_schur(h)
+    schur = FantopeOps.schur
+
+    def poisoned(self, zinv, x):
+        h = schur(self, zinv, x)
+        h[0, -1] = np.nan
+        return h
+
+    monkeypatch.setattr(FantopeOps, "schur", poisoned)
+    res = solve_ipm(FantopeOps([np.diag([3.0, 1.0, 0.0])], 3))
+    assert res.status == "numerical_failure"
