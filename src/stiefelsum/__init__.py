@@ -1,5 +1,5 @@
 """Maximizing sums of heterogeneous quadratic forms over the Stiefel
-manifold: first-order solver, semidefinite relaxation with tightness
+manifold: ascent solver, semidefinite relaxation with tightness
 detection, and a dual certificate of global optimality."""
 
 from .certificate import CertificateResult, certify, classify_inconclusive

@@ -29,7 +29,6 @@ from .sdp import (
     KktResiduals,
     SdpDualSolution,
     check_kkt,
-    gate_unit,
     is_tight,
 )
 from .stiefel import lambda_matrix, objective, riemannian_gradient
@@ -119,11 +118,11 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     The verdict is computed from freshly evaluated eigenvalue slacks at the
     recovered witness, which must clear -CERT_TOL, and a CertifiedGlobal
     result additionally passes the induced primal/dual optimality check
-    within KKT_TOL. Both gates are relative to sdp.gate_unit(c). Weak
-    stationarity of u_bar does not abort the computation; it only flags
-    the result. A stalled feasibility solve is reported, not raised: status
-    NumericalFailure, no witness, NaN t_star and slacks, the stall in
-    meta["gate"].
+    within KKT_TOL. Both gates are relative to c.gate_unit, which the
+    instance computes once. Weak stationarity of u_bar does not abort the
+    computation; it only flags the result. A stalled feasibility solve is
+    reported, not raised: status NumericalFailure, no witness, NaN t_star
+    and slacks, the stall in meta["gate"].
     """
     if not isinstance(u_bar, StiefelPoint):
         u_bar = StiefelPoint(np.asarray(u_bar, dtype=float))
@@ -150,7 +149,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
         return verdict(_lmi_slacks(c, u, lam_s, np.zeros(c.k)), lam_min,
                        gate="multiplier matrix indefinite")
 
-    s = gate_unit(c)
+    s = c.gate_unit
     scale = max(s, float(np.linalg.norm(lam_s, 2)))
     ops = _feasibility_ops(c, u, lam_s, scale)
     x0, y0, z0 = _feasibility_start(ops, c.k)

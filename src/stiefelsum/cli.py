@@ -135,6 +135,7 @@ def _cmd_solve_stmm(args) -> int:
         "status": trace.status,
         "objective": float(trace.objectives[-1]),
         "iterations": trace.iterations,
+        "newton_steps": len(trace.newton_steps),
         "grad_norm": float(trace.grad_norms[-1]),
         "d": inst.d,
         "k": inst.k,
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="stiefelsum",
         description="Sums of quadratic forms over the Stiefel manifold: "
-                    "relaxation, first-order solver, global certificate.")
+                    "relaxation, manifold ascent solver, global certificate.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, fn, *shared):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,13 @@ class ProblemInstance:
     @property
     def k(self) -> int:
         return len(self.mats)
+
+    @cached_property
+    def gate_unit(self) -> float:
+        """s = max(1, max_i ||M_i||_2), the unit of every verdict gate that
+        carries the units of the M_i; it is 1 for normalized inputs. The
+        M_i are read-only, so it is computed once per instance."""
+        return max(1.0, *(float(np.linalg.norm(m, 2)) for m in self.mats))
 
     def spectral_norms(self):
         return np.array([spectral_norm(m) for m in self.mats])

@@ -150,7 +150,8 @@ def sweep_trial(args) -> dict:
         rec["stmm_wall"] = time.perf_counter() - t0
         rec.update(stmm_status=trace.status,
                    stmm_value=float(trace.objectives[-1]),
-                   stmm_iterations=trace.iterations)
+                   stmm_iterations=trace.iterations,
+                   stmm_newton_steps=len(trace.newton_steps))
         rec["gap"] = rec["sdp_value"] - rec["stmm_value"]
 
         try:

@@ -39,12 +39,6 @@ KKT_TOL = 1e-6
 RANK_TOL = 1e-7
 
 
-def gate_unit(c: ProblemInstance) -> float:
-    """s = max(1, max_i ||M_i||_2), the unit of every verdict gate that
-    carries the units of the M_i; it is 1 for normalized inputs."""
-    return max(1.0, *(float(np.linalg.norm(m, 2)) for m in c.mats))
-
-
 @dataclass(frozen=True)
 class SdpPrimalSolution:
     """Primal blocks X_i and the minimization optimum p*."""
@@ -118,10 +112,10 @@ def _blocks_of(primal):
 def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals:
     """Residuals of the five optimality conditions for a primal/dual pair.
 
-    The M_i and the dual are divided by s = gate_unit(c) first, so the four
+    The M_i and the dual are divided by s = c.gate_unit first, so the four
     dual-side residuals are in units of s and cannot overflow."""
     x_blocks = _blocks_of(primal)
-    s = gate_unit(c)
+    s = c.gate_unit
     mats = [m / s for m in c.mats]
     y, z_blocks, nu = dual.y / s, [z / s for z in dual.z_blocks], dual.nu / s
     d = c.d
@@ -216,7 +210,7 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     Inputs need not be normalized or PSD: a uniform eigenvalue shift and a
     global scale are applied internally and mapped back, with both recorded
     in the report meta. A report is never labeled Optimal unless the duality
-    gap and all five KKT residuals (check_kkt's, relative to gate_unit(c))
+    gap and all five KKT residuals (check_kkt's, relative to c.gate_unit)
     pass GAP_TOL and KKT_TOL.
     """
     cfg = cfg or SolverConfig()

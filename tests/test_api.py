@@ -39,6 +39,8 @@ SIGNATURES = {
 
 FIELDS = {
     core.StiefelPoint: ["cols"],
+    stiefel.SolverConfig: ["max_iters", "grad_tol", "sdp_tol", "sdp_max_iters",
+                           "step_frac"],
     certificate.CertificateResult: ["status", "nu_witness", "min_eig_slacks",
                                     "t_star", "precondition_weak",
                                     "kkt_residuals", "meta"],
@@ -53,7 +55,7 @@ DELETED = [
     (harness, "MARKER_NOT_TIGHT"), (harness, "MARKER_TIGHT_SUBOPTIMAL"),
     (core, "InstanceMetrics"), (core, "instance_metrics"),
     (sdp, "_polar_any"), (sdp.KktResiduals, "scaled_max"),
-    (cli, "_apply_fast"), (ipm, "sym_kron"),
+    (cli, "_apply_fast"), (ipm, "sym_kron"), (sdp, "gate_unit"),
 ]
 
 
@@ -66,3 +68,4 @@ def test_fixed_values_are_constants_not_parameters():
     assert (core.ORTH_TOL, core.ROP_TOL, core.TIE_GAP) == (1e-10, 1e-5, 1e-8)
     assert (sdp.RANK_TOL, certificate.CERT_TOL, diagonal.JD_TOL) == (
         1e-7, 1e-7, 1e-8)
+    assert stiefel.NEWTON_SWITCH == 1e-4

@@ -28,6 +28,26 @@ from stiefelsum.stiefel import (
 )
 
 
+def test_certify_computes_the_gate_unit_once(monkeypatch):
+    # the gate unit costs k spectral norms; certify's slack gate and its
+    # KKT check share one, and certify adds one norm of its own. A fresh
+    # instance, since stmm_solve has already cached the unit on c.
+    c = gen_separated_diagonal(6, 3, seed=2)
+    u = stmm_solve(c, random_stiefel(6, 3, np.random.default_rng(2))).final
+    fresh = ProblemInstance(c.mats)
+    norm = np.linalg.norm
+    calls = []
+
+    def counting(a, ord=None, *args, **kwargs):
+        calls.append(ord)
+        return norm(a, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    assert certify(fresh, u).status == "CertifiedGlobal"
+    assert calls.count(2) == c.k + 1
+    assert fresh.gate_unit == max(1.0, *(norm(m, 2) for m in c.mats))
+
+
 def test_certifies_known_global_optimum():
     c = ProblemInstance((np.diag([3.0, 1.0]),))
     res = certify(c, StiefelPoint(np.array([[1.0], [0.0]])))

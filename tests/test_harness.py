@@ -96,6 +96,7 @@ def test_sweep_markers_on_commuting_family():
         assert abs(r["gap"]) <= 1e-6
         assert r["subspace_distance"] <= 1e-4
         assert {"sdp_wall", "stmm_wall", "stmm_iterations"} <= set(r)
+        assert 0 <= r["stmm_newton_steps"] <= r["stmm_iterations"]
 
 
 def test_failed_is_the_one_failure_rule():
