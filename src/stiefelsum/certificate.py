@@ -122,7 +122,8 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     instance computes once. Weak stationarity of u_bar does not abort the
     computation; it only flags the result. A stalled feasibility solve is
     reported, not raised: status NumericalFailure, no witness, NaN t_star
-    and slacks, the stall in meta["gate"].
+    and slacks, the stall in meta["gate"]. meta["schur_shift"] is the largest
+    diagonal shift the feasibility IPM's Schur factorization needed.
     """
     if not isinstance(u_bar, StiefelPoint):
         u_bar = StiefelPoint(np.asarray(u_bar, dtype=float))
@@ -154,6 +155,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     ops = _feasibility_ops(c, u, lam_s, scale)
     x0, y0, z0 = _feasibility_start(ops, c.k)
     res = solve_ipm(ops, x0, y0, z0, tol=1e-9, max_iters=100)
+    meta["schur_shift"] = res.schur_shift
     if res.status != "optimal":  # no verdict: nothing here reads as certified
         stall = "feasibility solve stalled (pinf=%.2e dinf=%.2e gap=%.2e)" % (
             res.pinf, res.dinf, res.relgap)

@@ -101,22 +101,22 @@ def run_rop_table(family: str, grid: dict, trials: int, seed=0,
     counted per cell and never count as tight."""
     params = {key: val for key, val in grid.items() if key not in ("d", "k")}
     family_builder(family, params)
-    rows, records = [], []
-    for d in grid["d"]:
-        for k in grid["k"]:
-            seeds = trial_seeds((seed, d, k), trials)
-            args = [(family, d, k, params, s) for s in seeds]
-            recs = _run_trials(rop_trial, args, jobs)
-            row = {
-                "family": family, "d": d, "k": k, "trials": trials,
-                "fraction_tight": sum(r["tight"] for r in recs) / trials,
-                "failures": sum(map(failed, recs)),
-                "trial_errors": sum(1 for r in recs if "error" in r),
-                "wall": sum(r["wall"] for r in recs),
-            }
-            row.update({key: str(val) for key, val in params.items()})
-            rows.append(row)
-            records.extend(recs)
+    cells = [(d, k) for d in grid["d"] for k in grid["k"]]
+    args = [(family, d, k, params, s) for d, k in cells
+            for s in trial_seeds((seed, d, k), trials)]
+    records = _run_trials(rop_trial, args, jobs)
+    rows = []
+    for i, (d, k) in enumerate(cells):
+        recs = records[i * trials:(i + 1) * trials]
+        row = {
+            "family": family, "d": d, "k": k, "trials": trials,
+            "fraction_tight": sum(r["tight"] for r in recs) / trials,
+            "failures": sum(map(failed, recs)),
+            "trial_errors": sum(1 for r in recs if "error" in r),
+            "wall": sum(r["wall"] for r in recs),
+        }
+        row.update({key: str(val) for key, val in params.items()})
+        rows.append(row)
     return rows, records
 
 

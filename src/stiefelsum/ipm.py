@@ -222,18 +222,18 @@ class IpmResult:
     dinf: float
     relgap: float
     mu: float
+    schur_shift: float  # largest diagonal shift _factor_schur applied
 
 
-def _max_step(x, dx):
-    """Largest alpha with x + alpha dx PSD; inf when dx keeps the cone."""
-    try:
-        l = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
-        n = x.shape[0]
-        l = np.linalg.cholesky(x + (1e-14 * np.trace(x) / n + 1e-300) * np.eye(n))
-    s = solve_triangular(l, dx, lower=True)
-    s = solve_triangular(l, s.T, lower=True)
-    lmin = float(np.linalg.eigvalsh(sym(s))[0])
+def _inverse_factor(a):
+    """L^-1 for a's Cholesky factor L, so a^-1 = L^-T L^-1; a must be PD."""
+    return solve_triangular(np.linalg.cholesky(a), np.eye(len(a)), lower=True)
+
+
+def _max_step(li, da):
+    """Largest alpha with a + alpha da PSD, where li = _inverse_factor(a);
+    inf when da keeps the cone."""
+    lmin = float(np.linalg.eigvalsh(sym(li @ da @ li.T))[0])
     if lmin >= -1e-14:
         return np.inf
     return -1.0 / lmin
@@ -282,6 +282,7 @@ def solve_ipm(
     it = 0
     pinf = dinf = relgap = mu = np.nan
     pobj = dobj = np.nan
+    schur_shift = 0.0
 
     for it in range(max_iters + 1):
         pobj = sum(float(np.sum(c * xj)) for c, xj in zip(ops.C, x))
@@ -309,13 +310,12 @@ def solve_ipm(
             break
 
         try:
-            zinv = []
-            for zj in z:
-                l = np.linalg.cholesky(zj)
-                li = solve_triangular(l, np.eye(zj.shape[0]), lower=True)
-                zinv.append(li.T @ li)
+            lx = [_inverse_factor(xj) for xj in x]
+            lz = [_inverse_factor(zj) for zj in z]
+            zinv = [li.T @ li for li in lz]
             h = ops.schur(zinv, x)
-            hf, _ = _factor_schur(h)
+            hf, reg = _factor_schur(h)
+            schur_shift = max(schur_shift, reg)
 
             def solve_h(rhs):
                 dy = cho_solve(hf, rhs, check_finite=False)
@@ -345,8 +345,8 @@ def solve_ipm(
 
             # predictor (affine scaling)
             dx_a, _, dz_a = direction(0.0, [0.0] * nb)
-            ap = min(1.0, min(_max_step(x[j], dx_a[j]) for j in range(nb)))
-            ad = min(1.0, min(_max_step(z[j], dz_a[j]) for j in range(nb)))
+            ap = min(1.0, min(_max_step(lx[j], dx_a[j]) for j in range(nb)))
+            ad = min(1.0, min(_max_step(lz[j], dz_a[j]) for j in range(nb)))
             mu_aff = sum(
                 float(np.sum((x[j] + ap * dx_a[j]) * (z[j] + ad * dz_a[j])))
                 for j in range(nb)
@@ -357,9 +357,9 @@ def solve_ipm(
             # corrector
             corr = [sym(zinv[j] @ dz_a[j] @ dx_a[j]) for j in range(nb)]
             dx, dy, dz = direction(tau, corr)
-            ap = min(1.0, step_frac * min(_max_step(x[j], dx[j])
+            ap = min(1.0, step_frac * min(_max_step(lx[j], dx[j])
                                           for j in range(nb)))
-            ad = min(1.0, step_frac * min(_max_step(z[j], dz[j])
+            ad = min(1.0, step_frac * min(_max_step(lz[j], dz[j])
                                           for j in range(nb)))
         except (np.linalg.LinAlgError, ValueError):
             break  # factorization lost or iterates overflowed
@@ -382,4 +382,5 @@ def solve_ipm(
         dinf=dinf,
         relgap=relgap,
         mu=mu,
+        schur_shift=schur_shift,
     )

@@ -209,9 +209,11 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
 
     Inputs need not be normalized or PSD: a uniform eigenvalue shift and a
     global scale are applied internally and mapped back, with both recorded
-    in the report meta. A report is never labeled Optimal unless the duality
-    gap and all five KKT residuals (check_kkt's, relative to c.gate_unit)
-    pass GAP_TOL and KKT_TOL.
+    in the report meta, as is the largest diagonal shift the IPM's Schur
+    factorization needed (meta["ipm"]["schur_shift"], 0.0 for none). A
+    report is never labeled Optimal unless the duality gap and all five KKT
+    residuals (check_kkt's, relative to c.gate_unit) pass GAP_TOL and
+    KKT_TOL.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -247,7 +249,8 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
             "psd_shift": shift,
             "scale": scale,
             "ipm": {"pinf": res.pinf, "dinf": res.dinf,
-                    "relgap": res.relgap, "status": res.status},
+                    "relgap": res.relgap, "status": res.status,
+                    "schur_shift": res.schur_shift},
             "reason": reason,
         },
     )

@@ -45,16 +45,21 @@ def test_rop_table_diagonal_all_tight():
 
 
 def test_rop_table_worker_pool_matches_serial():
+    # one pool runs the whole grid; rows and records keep the cell order
     kw = dict(trials=3, seed=1)
-    rows1, recs1 = run_rop_table("diagonal", {"d": [5], "k": [2]}, **kw)
-    rows2, recs2 = run_rop_table("diagonal", {"d": [5], "k": [2]}, jobs=2,
-                                 **kw)
+    grid = {"d": [4, 5], "k": [2, 3]}
+    rows1, recs1 = run_rop_table("diagonal", grid, **kw)
+    rows2, recs2 = run_rop_table("diagonal", grid, jobs=2, **kw)
 
     def strip(rs):
         return [{k: v for k, v in r.items() if k != "wall"} for r in rs]
 
+    assert [(r["d"], r["k"]) for r in recs1] == [
+        (d, k) for d in (4, 5) for k in (2, 3) for _ in range(3)]
     assert strip(recs1) == strip(recs2)
-    assert rows1[0]["fraction_tight"] == rows2[0]["fraction_tight"]
+    assert strip(rows1) == strip(rows2)
+    assert [(r["d"], r["k"]) for r in rows1] == [(4, 2), (4, 3), (5, 2),
+                                                  (5, 3)]
 
 
 def test_trial_errors_are_isolated(monkeypatch):

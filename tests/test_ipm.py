@@ -9,6 +9,8 @@ from stiefelsum.ipm import (
     DenseOps,
     FantopeOps,
     _factor_schur,
+    _inverse_factor,
+    _max_step,
     coupling_block,
     solve_ipm,
     smat,
@@ -174,3 +176,61 @@ def test_nan_in_schur_complement_is_numerical_failure(monkeypatch):
     monkeypatch.setattr(FantopeOps, "schur", poisoned)
     res = solve_ipm(FantopeOps([np.diag([3.0, 1.0, 0.0])], 3))
     assert res.status == "numerical_failure"
+
+
+# n = 1 covers the scalar blocks of the certificate's feasibility program
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_max_step_reaches_the_cone_boundary(n, seed):
+    rng = np.random.default_rng(seed)
+    a = _rand_spd(rng, n)
+    li = _inverse_factor(a)
+    assert np.allclose(li.T @ li, np.linalg.inv(a))
+    b = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+    assert _max_step(li, b @ b.T) == np.inf  # a PSD direction keeps the cone
+    da = _rand_sym(rng, n)
+    if _max_step(li, da) == np.inf:
+        da = -da
+    alpha = _max_step(li, da)
+    assert 0.0 < alpha < np.inf
+    np.linalg.cholesky(a + 0.999 * alpha * da)  # still PD
+    assert np.linalg.eigvalsh(a + 1.001 * alpha * da)[0] < 0.0
+
+
+@pytest.mark.parametrize("case", ["fantope", "fantope-square", "dense"])
+def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
+    rng = np.random.default_rng(5)
+    if case == "dense":
+        # min <C, X> over the sizes of a certificate program: d, k, then 1x1
+        sizes = [4, 2, 1, 1]
+        ops = DenseOps(sizes, [[np.eye(s) for s in sizes]], np.ones(1),
+                       [_rand_sym(rng, s) for s in sizes])
+        start = ()
+    else:
+        d = 2 if case == "fantope-square" else 3
+        ops = FantopeOps([_rand_sym(rng, d) for _ in range(2)], d)
+        start = _fantope_start(ops)
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    res = solve_ipm(ops, *start)
+    assert res.status == "optimal" and res.iterations > 0
+    # every iteration before the last computes a direction
+    assert len(calls) == 2 * len(ops.block_sizes) * res.iterations
+
+
+def test_singular_start_fails_closed():
+    # X_1 is PSD but singular: no step length exists without a shift, and
+    # none is applied
+    ops = FantopeOps([np.diag([3.0, 1.0, 0.0])], 3)
+    _, y0, z0 = _fantope_start(ops)
+    x0 = [np.diag([0.0, 0.5, 0.5]), np.diag([1.0, 0.5, 0.5])]
+    res = solve_ipm(ops, x0, y0, z0)
+    assert res.status == "numerical_failure"
+    assert res.iterations == 0
+    assert np.array_equal(res.x_blocks[0], x0[0])

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from stiefelsum.certificate import STATUS_CERTIFIED, certify
-from stiefelsum.core import ROP_TOL, ProblemInstance, rop_error, sym
+from stiefelsum.core import (
+    ROP_TOL,
+    ProblemInstance,
+    StiefelPoint,
+    rop_error,
+    sym,
+)
 from stiefelsum.sdp import (
     KKT_TOL,
     STATUS_NUMERICAL_FAILURE,
@@ -124,6 +130,21 @@ def test_verdicts_hold_at_every_input_scale():
     huge = solve_sdp(ProblemInstance((np.diag([1e300, 1.0]),)))
     assert huge.status == STATUS_OPTIMAL
     assert huge.value / 1e300 == pytest.approx(1.0, abs=1e-8)
+
+
+def test_schur_regularization_is_reported():
+    # k = d: the coupling is an equality and the last Schur complements
+    # need a diagonal shift
+    rep = solve_sdp(gen_random_diagonal(4, 4, seed=21))
+    assert rep.status == STATUS_OPTIMAL
+    assert rep.meta["ipm"]["schur_shift"] > 0.0
+    rep = solve_sdp(gen_random_diagonal(5, 2, seed=21))
+    assert rep.status == STATUS_OPTIMAL
+    assert rep.meta["ipm"]["schur_shift"] == 0.0
+    c = ProblemInstance((np.diag([3.0, 1.0]),))
+    res = certify(c, StiefelPoint(np.array([[1.0], [0.0]])))
+    assert res.status == STATUS_CERTIFIED
+    assert res.meta["schur_shift"] >= 0.0
 
 
 def test_check_kkt_hand_point():
