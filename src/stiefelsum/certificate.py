@@ -5,13 +5,15 @@ point is a global maximizer whenever some nu >= 0 makes every matrix
 
     U (L - D_nu) U' + nu_i I - M_i   (one per block)   and   L - D_nu
 
-positive semidefinite. Feasibility is decided by maximizing the least
-eigenvalue margin t over (nu, t) with a small interior-point solve; a
-certified result is re-verified by building the induced primal/dual pair
-and checking all optimality residuals, so a CertifiedGlobal verdict is
-never returned unverified, and a stalled feasibility solve is the status
-NumericalFailure, as in sdp.solve_sdp. Infeasibility of the system is NOT
-a proof of suboptimality; that asymmetry is deliberate.
+positive semidefinite. Feasibility is decided by a small interior-point
+solve of the margin program (maximize t with every matrix >= t I) that
+stops at the first iterate whose nu clears the verdict's slack gate; a
+point that never clears it runs to the margin's optimum. A certified result
+is re-verified by building the induced primal/dual pair and checking all
+optimality residuals, so a CertifiedGlobal verdict is never returned
+unverified, and a stalled feasibility solve is the status NumericalFailure,
+as in sdp.solve_sdp. Infeasibility of the system is NOT a proof of
+suboptimality; that asymmetry is deliberate.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ _PRECONDITION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CertificateResult:
+    """t_star is min(min_eig_slacks), the least slack at the returned nu
+    (the multiplier matrix's least eigenvalue when that gate fails first)."""
+
     status: str
     nu_witness: np.ndarray | None
     min_eig_slacks: np.ndarray
@@ -68,48 +73,46 @@ def _lmi_slacks(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
     return np.asarray(out)
 
 
+def _complete_basis(u: np.ndarray) -> np.ndarray:
+    """Q = [U, W] with W an orthonormal basis of U's orthogonal complement."""
+    q = np.linalg.qr(u, mode="complete")[0]
+    q[:, :u.shape[1]] = u
+    return q
+
+
 def _feasibility_ops(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
                      scale: float) -> DenseOps:
     """Margin program: maximize t s.t. each LMI >= t I, nu >= 0.
 
-    Encoded so the internal dual vector is (nu_1..nu_k, t): k blocks of
-    size d, one of size k, and k scalar blocks carrying nu_i >= 0."""
+    The dual vector is (nu_1..nu_k, t) over k blocks of size d, one of size
+    k, and k scalar blocks carrying nu_i >= 0. The d-blocks are written in
+    the basis Q = _complete_basis(u), where Q'U = [I; 0] and so block j's
+    coefficient of nu_p is diag(e_p - [p = j] 1): every constraint matrix
+    is diagonal."""
     d, k = c.d, c.k
-    eye = np.eye(d)
-    sizes = [d] * k + [k] + [1] * k
-    core_mat = u @ lam_s @ u.T
-    cmats = [(core_mat - c.mats[j]) / scale for j in range(k)]
+    q = _complete_basis(u)
+    core = np.zeros((d, d))
+    core[:k, :k] = lam_s
+    cmats = [sym(core - q.T @ m @ q) / scale for m in c.mats]
     cmats.append(lam_s / scale)
     cmats.extend(np.zeros((1, 1)) for _ in range(k))
-
-    outer = [np.outer(u[:, p], u[:, p]) for p in range(k)]
-    amats = []
-    for p in range(k):
-        row = [outer[p] - (eye if j == p else 0.0) for j in range(k)]
-        ek = np.zeros((k, k))
-        ek[p, p] = 1.0
-        row.append(ek)
-        row.extend(np.array([[-1.0]]) if i == p else None for i in range(k))
-        amats.append(row)
-    trow = [eye] * k + [np.eye(k)] + [None] * k
-    amats.append(trow)
-
-    b = np.zeros(k + 1)
-    b[k] = 1.0
-    return DenseOps(sizes, amats, b, cmats)
+    base = np.eye(d, k + 1)  # columns e_1..e_k, then t's all-ones column
+    base[:, k] = 1.0
+    diags = [base - np.eye(1, k + 1, j) for j in range(k)]
+    diags.append(base[:k])
+    diags.extend(-np.eye(1, k + 1, i) for i in range(k))
+    return DenseOps(diags, np.append(np.zeros(k), 1.0), cmats)
 
 
 def _feasibility_start(ops: DenseOps, k: int):
     """Dual-feasible warm start: nu = 1, t below every block's least eig."""
-    y0 = np.ones(k + 1)
-    slack = [ops.C[j] - a for j, a in enumerate(ops.apply_AT(np.append(np.ones(k), 0.0)))]
-    t0 = min(float(np.linalg.eigvalsh(sym(s))[0]) for s in slack[:k + 1]) - 1.0
-    y0[k] = t0
-    aty = ops.apply_AT(y0)
-    z0 = [sym(ops.C[j] - aty[j]) for j in range(len(ops.block_sizes))]
+    y0 = np.append(np.ones(k), 0.0)
+    slack = [cj - a for cj, a in zip(ops.C, ops.apply_AT(y0))]
+    y0[k] = min(float(np.linalg.eigvalsh(sym(s))[0])
+                for s in slack[:k + 1]) - 1.0
+    z0 = [sym(cj - a) for cj, a in zip(ops.C, ops.apply_AT(y0))]
     rho = 1.0 / sum(ops.block_sizes)
-    x0 = [rho * np.eye(n) for n in ops.block_sizes]
-    return x0, y0, z0
+    return [rho * np.eye(n) for n in ops.block_sizes], y0, z0
 
 
 def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
@@ -123,7 +126,8 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     computation; it only flags the result. A stalled feasibility solve is
     reported, not raised: status NumericalFailure, no witness, NaN t_star
     and slacks, the stall in meta["gate"]. meta["schur_shift"] is the largest
-    diagonal shift the feasibility IPM's Schur factorization needed.
+    diagonal shift the feasibility IPM's Schur factorization needed, and
+    meta["ipm_stop"] its status: "feasible" when it stopped on the gate.
     """
     if not isinstance(u_bar, StiefelPoint):
         u_bar = StiefelPoint(np.asarray(u_bar, dtype=float))
@@ -154,21 +158,27 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     scale = max(s, float(np.linalg.norm(lam_s, 2)))
     ops = _feasibility_ops(c, u, lam_s, scale)
     x0, y0, z0 = _feasibility_start(ops, c.k)
-    res = solve_ipm(ops, x0, y0, z0, tol=1e-9, max_iters=100)
-    meta["schur_shift"] = res.schur_shift
-    if res.status != "optimal":  # no verdict: nothing here reads as certified
+
+    def witness(y):
+        return np.clip(y[:c.k] * scale, 0.0, None)
+
+    def clears(y):  # the verdict's slack gate, tried at every iterate
+        return _lmi_slacks(c, u, lam_s, witness(y)).min() >= -CERT_TOL * s
+
+    res = solve_ipm(ops, x0, y0, z0, tol=1e-9, max_iters=100, stop=clears)
+    meta.update(schur_shift=res.schur_shift, ipm_iterations=res.iterations,
+                ipm_stop=res.status)
+    # a stall has no verdict: nothing here reads as certified
+    if res.status not in ("optimal", "feasible"):
         stall = "feasibility solve stalled (pinf=%.2e dinf=%.2e gap=%.2e)" % (
             res.pinf, res.dinf, res.relgap)
         return verdict(np.full(c.k + 1, np.nan), float("nan"),
                        STATUS_NUMERICAL_FAILURE, gate=stall)
 
-    nu = np.clip(res.y[:c.k] * scale, 0.0, None)
-    t_star = float(res.y[c.k]) * scale
+    nu = witness(res.y)
     slacks = _lmi_slacks(c, u, lam_s, nu)
-    meta["ipm_iterations"] = res.iterations
-
-    # NaN fails too
-    if not (slacks.min() >= -CERT_TOL * s and t_star >= -CERT_TOL * s):
+    t_star = float(slacks.min())
+    if not t_star >= -CERT_TOL * s:  # NaN fails too
         return verdict(slacks, t_star)
 
     # rebuild the induced optimal pair and verify before claiming anything

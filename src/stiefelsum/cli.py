@@ -107,6 +107,7 @@ def _report_doc(rep) -> dict:
         "kkt": asdict(rep.kkt_residuals),
         "iterations": rep.iterations,
         "wall_time": rep.wall_time,
+        "meta": rep.meta,
     }
 
 
@@ -166,7 +167,7 @@ def _cmd_certify(args) -> int:
     res = certify(inst, u)
     if res.status == STATUS_NUMERICAL_FAILURE:
         _write_json(args.out, {"status": res.status,
-                               "reason": res.meta["gate"]})
+                               "reason": res.meta["gate"], "meta": res.meta})
         return _fail(args, True)
     doc = {
         "status": res.status,
@@ -174,6 +175,7 @@ def _cmd_certify(args) -> int:
         "min_eig_slacks": res.min_eig_slacks,
         "nu_witness": res.nu_witness,
         "precondition_weak": res.precondition_weak,
+        "meta": res.meta,
     }
     if res.status != STATUS_CERTIFIED:
         doc["classification"] = classify_inconclusive(inst, u, sdp_report)

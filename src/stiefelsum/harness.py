@@ -164,7 +164,9 @@ def sweep_trial(args) -> dict:
         t0 = time.perf_counter()
         cert = certify(inst, trace.final)
         rec["certify_wall"] = time.perf_counter() - t0
-        rec["certificate"] = cert.status
+        rec.update(certificate=cert.status,
+                   certificate_iterations=cert.meta.get("ipm_iterations"),
+                   certificate_stop=cert.meta.get("ipm_stop"))
         if cert.status == STATUS_NUMERICAL_FAILURE:
             rec["certificate_error"] = cert.meta["gate"]
         elif cert.status == STATUS_INCONCLUSIVE:

@@ -13,8 +13,9 @@ Two constraint-operator flavors feed the shared iteration:
 
 * FantopeOps: k trace-one blocks coupled through sum_i X_i + S = I, the
   structure of the relaxation. The Schur complement is assembled blockwise.
-* DenseOps: a handful of explicit constraint matrices per block, used for
-  the small feasibility programs (the optimality certificate).
+* DenseOps: a handful of constraints whose matrices are all diagonal, the
+  structure of the optimality certificate in the [U, U_perp] basis. The
+  Schur complement is one elementwise product per block.
 """
 
 from __future__ import annotations
@@ -162,48 +163,27 @@ class FantopeOps:
 
 
 class DenseOps:
-    """Explicit constraint matrices: amats[p][j] is constraint p's symmetric
-    coefficient on block j (None for no coupling). Meant for problems with a
-    handful of constraints; the Schur complement is m x m dense."""
+    """Diagonal constraint data: column p of diags[j] is the diagonal of
+    constraint p's coefficient on block j (a zero column for no coupling).
+    Meant for problems with a handful of constraints; the Schur complement
+    sum_j A_j' (Z_j^-1 o X_j) A_j is m x m dense."""
 
-    def __init__(self, block_sizes, amats, b, cmats):
-        self.block_sizes = list(block_sizes)
-        self.m = len(b)
+    def __init__(self, diags, b, cmats):
+        self.diags = [np.asarray(a, dtype=float) for a in diags]
+        self.block_sizes = [a.shape[0] for a in self.diags]
         self.b = np.asarray(b, dtype=float)
+        self.m = len(self.b)
         self.C = [np.asarray(c, dtype=float) for c in cmats]
-        self.amats = [
-            [None if a is None else np.asarray(a, dtype=float) for a in row]
-            for row in amats
-        ]
 
     def apply_A(self, blocks):
-        out = np.zeros(self.m)
-        for p in range(self.m):
-            for j, a in enumerate(self.amats[p]):
-                if a is not None:
-                    out[p] += float(np.sum(a * blocks[j]))
-        return out
+        return sum(a.T @ np.diagonal(x) for a, x in zip(self.diags, blocks))
 
     def apply_AT(self, y):
-        blocks = [np.zeros((n, n)) for n in self.block_sizes]
-        for p in range(self.m):
-            if y[p] == 0.0:
-                continue
-            for j, a in enumerate(self.amats[p]):
-                if a is not None:
-                    blocks[j] += y[p] * a
-        return blocks
+        return [np.diag(a @ y) for a in self.diags]
 
     def schur(self, zinv, x):
-        h = np.zeros((self.m, self.m))
-        for j in range(len(self.block_sizes)):
-            cols = [p for p in range(self.m) if self.amats[p][j] is not None]
-            for q in cols:
-                t = sym(zinv[j] @ self.amats[q][j] @ x[j])
-                for p in cols:
-                    h[p, q] += float(np.sum(self.amats[p][j] * t))
-        # symmetrize away accumulation roundoff
-        return 0.5 * (h + h.T)
+        h = sum(a.T @ (zi * xj) @ a for a, zi, xj in zip(self.diags, zinv, x))
+        return 0.5 * (h + h.T)  # symmetrize away accumulation roundoff
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +191,7 @@ class DenseOps:
 
 @dataclass
 class IpmResult:
-    status: str  # "optimal" or "numerical_failure"
+    status: str  # "optimal", "feasible" (stop held) or "numerical_failure"
     x_blocks: list
     y: np.ndarray
     z_blocks: list
@@ -265,6 +245,7 @@ def solve_ipm(
     tol: float = 1e-8,
     max_iters: int = 100,
     step_frac: float = 0.98,
+    stop=None,  # predicate on y: ends the solve at "feasible" once it holds
 ) -> IpmResult:
     nb = len(ops.block_sizes)
     x = [np.eye(n) if x0 is None else np.array(x0[j], dtype=float)
@@ -299,6 +280,9 @@ def solve_ipm(
 
         if not np.isfinite(metric) or not np.isfinite(mu):
             break  # diverged (e.g. infeasible problem)
+        if stop is not None and stop(y):
+            status = "feasible"
+            break
         if metric <= tol:
             status = "optimal"
             break

@@ -5,12 +5,22 @@ import numpy as np
 import pytest
 
 from stiefelsum.certificate import (
+    CERT_TOL,
+    _complete_basis,
+    _feasibility_ops,
+    _feasibility_start,
+    _lmi_slacks,
     certify,
     classify_inconclusive,
 )
-from stiefelsum.core import ProblemInstance, StiefelPoint, rop_error
-from stiefelsum.generators import gen_separated_diagonal
+from stiefelsum.core import ProblemInstance, StiefelPoint, rop_error, sym
+from stiefelsum.generators import (
+    gen_hppca,
+    gen_random_psd,
+    gen_separated_diagonal,
+)
 from stiefelsum.harness import sweep_trial
+from stiefelsum.ipm import solve_ipm
 from stiefelsum.sdp import (
     STATUS_NUMERICAL_FAILURE,
     KktResiduals,
@@ -21,6 +31,7 @@ from stiefelsum.sdp import (
 )
 from stiefelsum.stiefel import (
     SolverConfig,
+    lambda_matrix,
     objective,
     random_stiefel,
     riemannian_gradient,
@@ -60,6 +71,7 @@ def test_certifies_known_global_optimum():
     assert not res.precondition_weak
     # at the true optimizer the margin program is degenerate: t* ~ 0
     assert abs(res.t_star) <= 1e-6
+    assert res.t_star == res.min_eig_slacks.min()
 
 
 def test_suboptimal_stationary_point_is_inconclusive():
@@ -68,6 +80,11 @@ def test_suboptimal_stationary_point_is_inconclusive():
     res = certify(c, sub)
     assert res.status == "Inconclusive"
     assert res.nu_witness is None
+    # the gate never clears, so the margin program runs to its optimum,
+    # max over nu >= 0 of min(nu - 3, 0, 1 - nu) = -1
+    assert res.meta["ipm_stop"] == "optimal"
+    assert res.t_star == res.min_eig_slacks.min()
+    assert res.t_star == pytest.approx(-1.0, abs=1e-6)
     rep = solve_sdp(c)
     assert classify_inconclusive(c, sub, rep) == "SuboptimalStationary"
     assert classify_inconclusive(c, sub) == "Unknown"
@@ -157,6 +174,7 @@ def test_stalled_feasibility_solve_is_a_status(stalled_certificate):
     assert res.status == STATUS_NUMERICAL_FAILURE
     assert res.nu_witness is None and np.isnan(res.t_star)
     assert res.meta["gate"].startswith("feasibility solve stalled")
+    assert res.meta["ipm_stop"] == "numerical_failure"
 
     # the sweep records the status; a stall is not attributed to the SDP
     rec = sweep_trial(("cjd", 6, 2, {"sigma": 0.0}, 3))
@@ -164,3 +182,48 @@ def test_stalled_feasibility_solve_is_a_status(stalled_certificate):
     assert rec["certificate"] == STATUS_NUMERICAL_FAILURE
     assert rec["certificate_error"].startswith("feasibility solve stalled")
     assert "classification" not in rec and "marker" not in rec
+
+
+def test_feasibility_program_is_the_lmi_system_in_the_complete_basis():
+    # C_j - A*(nu, t)_j, rotated back by Q and rescaled, is block j's LMI
+    # minus t I; the multiplier block is L - D_nu - t I, the scalars nu_i
+    rng = np.random.default_rng(17)
+    c = gen_random_psd(7, 3, seed=17)
+    u = random_stiefel(7, 3, rng).cols
+    lam_s = sym(lambda_matrix(c, u).matrix)
+    scale = 2.5
+    ops = _feasibility_ops(c, u, lam_s, scale)
+    q = _complete_basis(u)
+    assert np.array_equal(q[:, :3], u)
+    assert np.allclose(q.T @ q, np.eye(7), atol=1e-14)
+    nu, t = rng.uniform(0.0, 2.0, 3), float(rng.standard_normal())
+    z = [(cj - a) * scale for cj, a in
+         zip(ops.C, ops.apply_AT(np.append(nu, t) / scale))]
+    slacks = _lmi_slacks(c, u, lam_s, nu)
+    core = u @ (lam_s - np.diag(nu)) @ u.T
+    for j, m in enumerate(c.mats):
+        lmi = core + nu[j] * np.eye(7) - m
+        assert np.allclose(q @ z[j] @ q.T, lmi - t * np.eye(7), atol=1e-12)
+        least = np.linalg.eigvalsh(sym(z[j]))[0] + t
+        assert least == pytest.approx(slacks[j], rel=1e-12, abs=1e-12)
+    assert np.allclose(z[3], lam_s - np.diag(nu) - t * np.eye(3), atol=1e-12)
+    assert np.linalg.eigvalsh(sym(z[3]))[0] + t == pytest.approx(
+        slacks[3], rel=1e-12, abs=1e-12)
+    assert np.allclose([zi[0, 0] for zi in z[4:]], nu, atol=1e-12)
+
+
+def test_feasibility_solve_stops_once_the_gate_clears():
+    c = gen_hppca(20, 3, seed=3)
+    u = stmm_solve(c, random_stiefel(20, 3, np.random.default_rng(3)),
+                   SolverConfig.for_hppca()).final
+    res = certify(c, u)
+    assert res.status == "CertifiedGlobal"
+    assert res.meta["ipm_stop"] == "feasible"
+    assert res.t_star >= -CERT_TOL * c.gate_unit
+    # the same program without the stop runs on to the margin's optimum
+    lam_s = sym(lambda_matrix(c, u).matrix)
+    ops = _feasibility_ops(c, u.cols, lam_s,
+                           max(c.gate_unit, np.linalg.norm(lam_s, 2)))
+    full = solve_ipm(ops, *_feasibility_start(ops, c.k), tol=1e-9)
+    assert full.status == "optimal"
+    assert res.meta["ipm_iterations"] < full.iterations

@@ -32,6 +32,7 @@ def test_gen_solve_certify_roundtrip(tmp_path):
     assert isinstance(rep["kkt"], dict)
     assert all(isinstance(v, float) for v in rep["kkt"].values())
     assert rep["gap"] <= 1e-6
+    assert rep["meta"]["ipm"]["schur_shift"] == 0.0
 
     pt_path = tmp_path / "pt.json"
     tr_path = tmp_path / "trace.csv"
@@ -56,6 +57,8 @@ def test_gen_solve_certify_roundtrip(tmp_path):
     assert cert["status"] == "CertifiedGlobal"
     assert isinstance(cert["min_eig_slacks"], list)
     assert all(isinstance(x, float) for x in cert["min_eig_slacks"])
+    assert cert["meta"]["ipm_stop"] == "feasible"
+    assert cert["meta"]["schur_shift"] == 0.0
 
 
 def test_certify_without_point_uses_polished_relaxation(tmp_path):

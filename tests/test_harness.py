@@ -101,6 +101,8 @@ def test_sweep_markers_on_commuting_family():
         assert abs(r["gap"]) <= 1e-6
         assert r["subspace_distance"] <= 1e-4
         assert {"sdp_wall", "stmm_wall", "stmm_iterations"} <= set(r)
+        assert r["certificate_stop"] == "feasible"
+        assert r["certificate_iterations"] >= 0
         assert 0 <= r["stmm_newton_steps"] <= r["stmm_iterations"]
 
 

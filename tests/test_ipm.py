@@ -84,18 +84,25 @@ def test_fantope_schur_vs_brute_force(d, k, slack):
 
 
 def test_dense_schur_vs_brute_force():
+    # diagonal data with some uncoupled (zero) columns
     rng = np.random.default_rng(9)
     sizes = [3, 3, 2, 1]
     m = 3
-    amats = [[_rand_sym(rng, s) if rng.uniform() > 0.3 else None
-              for s in sizes] for _ in range(m)]
+    diags = [rng.standard_normal((s, m)) * (rng.uniform(size=m) > 0.3)
+             for s in sizes]
     cmats = [_rand_sym(rng, s) for s in sizes]
-    ops = DenseOps(sizes, amats, np.ones(m), cmats)
+    ops = DenseOps(diags, np.ones(m), cmats)
+    assert ops.block_sizes == sizes
     p_blocks = [_rand_spd(rng, s) for s in sizes]
     q_blocks = [_rand_spd(rng, s) for s in sizes]
     h = ops.schur(p_blocks, q_blocks)
     hb = _brute_schur(ops, p_blocks, q_blocks)
     assert np.allclose(h, hb, atol=1e-9 * max(1.0, np.abs(hb).max()))
+    # the operator and its adjoint agree: <A(X), y> = <X, A*(y)>
+    y = rng.standard_normal(m)
+    lhs = ops.apply_A(p_blocks) @ y
+    rhs = sum(np.sum(p * a) for p, a in zip(p_blocks, ops.apply_AT(y)))
+    assert np.isclose(lhs, rhs)
 
 
 def test_fantope_solve_k1_matches_top_eigenvalue():
@@ -127,7 +134,7 @@ def test_dense_solve_min_eigenvalue():
     # min <C, X> s.t. tr X = 1, X PSD: optimum is the smallest eigenvalue
     rng = np.random.default_rng(11)
     c = _rand_sym(rng, 4)
-    ops = DenseOps([4], [[np.eye(4)]], np.ones(1), [c])
+    ops = DenseOps([np.ones((4, 1))], np.ones(1), [c])
     res = solve_ipm(ops)
     assert res.status == "optimal"
     want = float(np.linalg.eigvalsh(c)[0])
@@ -136,7 +143,7 @@ def test_dense_solve_min_eigenvalue():
 
 def test_dense_infeasible_is_flagged():
     # tr X = -1 with X PSD has no solution; must not report optimal
-    ops = DenseOps([3], [[np.eye(3)]], -np.ones(1), [np.eye(3)])
+    ops = DenseOps([np.ones((3, 1))], -np.ones(1), [np.eye(3)])
     res = solve_ipm(ops, max_iters=60)
     assert res.status == "numerical_failure"
 
@@ -203,7 +210,7 @@ def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
     if case == "dense":
         # min <C, X> over the sizes of a certificate program: d, k, then 1x1
         sizes = [4, 2, 1, 1]
-        ops = DenseOps(sizes, [[np.eye(s) for s in sizes]], np.ones(1),
+        ops = DenseOps([np.ones((s, 1)) for s in sizes], np.ones(1),
                        [_rand_sym(rng, s) for s in sizes])
         start = ()
     else:
