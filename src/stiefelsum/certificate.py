@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ProblemInstance, StiefelPoint, sym
-from .ipm import DenseOps, solve_ipm
+from .ipm import DenseOps, solve_ipm, unstack
 from .sdp import (
     KKT_TOL,
     STATUS_NUMERICAL_FAILURE,
@@ -107,10 +107,11 @@ def _feasibility_ops(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
 def _feasibility_start(ops: DenseOps, k: int):
     """Dual-feasible warm start: nu = 1, t below every block's least eig."""
     y0 = np.append(np.ones(k), 0.0)
-    slack = [cj - a for cj, a in zip(ops.C, ops.apply_AT(y0))]
+    cmats = unstack(ops.C)
+    slack = [cj - a for cj, a in zip(cmats, unstack(ops.apply_AT(y0)))]
     y0[k] = min(float(np.linalg.eigvalsh(sym(s))[0])
                 for s in slack[:k + 1]) - 1.0
-    z0 = [sym(cj - a) for cj, a in zip(ops.C, ops.apply_AT(y0))]
+    z0 = [sym(cj - a) for cj, a in zip(cmats, unstack(ops.apply_AT(y0)))]
     rho = 1.0 / sum(ops.block_sizes)
     return [rho * np.eye(n) for n in ops.block_sizes], y0, z0
 
@@ -162,8 +163,11 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     def witness(y):
         return np.clip(y[:c.k] * scale, 0.0, None)
 
+    tried = {}  # the slacks at the last iterate the gate was tried on
+
     def clears(y):  # the verdict's slack gate, tried at every iterate
-        return _lmi_slacks(c, u, lam_s, witness(y)).min() >= -CERT_TOL * s
+        tried["slacks"] = _lmi_slacks(c, u, lam_s, witness(y))
+        return tried["slacks"].min() >= -CERT_TOL * s
 
     res = solve_ipm(ops, x0, y0, z0, tol=1e-9, max_iters=100, stop=clears)
     meta.update(schur_shift=res.schur_shift, ipm_iterations=res.iterations,
@@ -176,7 +180,9 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
                        STATUS_NUMERICAL_FAILURE, gate=stall)
 
     nu = witness(res.y)
-    slacks = _lmi_slacks(c, u, lam_s, nu)
+    # a "feasible" stop returns the y its last gate call was made at
+    slacks = (tried["slacks"] if res.status == "feasible"
+              else _lmi_slacks(c, u, lam_s, nu))
     t_star = float(slacks.min())
     if not t_star >= -CERT_TOL * s:  # NaN fails too
         return verdict(slacks, t_star)

@@ -31,7 +31,8 @@ class RopPreconditionError(ValueError):
 
 
 def sym(a):
-    return 0.5 * (a + a.T)
+    """Symmetric part of a matrix, or of every matrix in a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def spectral_norm(a: np.ndarray) -> float:

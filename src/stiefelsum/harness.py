@@ -71,7 +71,9 @@ def rop_trial(args) -> dict:
         rep = solve_sdp(inst)
         rec.update(status=rep.status, value=rep.value, gap=rep.gap,
                    rop_err=rep.rop_err, tight=_is_tight(rep),
-                   iterations=rep.iterations)
+                   iterations=rep.iterations,
+                   schur_shift=rep.meta["ipm"]["schur_shift"],
+                   ipm_stop=rep.meta["ipm"]["status"])
     except (ValueError, ArithmeticError) as exc:  # other errors are bugs
         rec.update(status="TrialError", tight=False, error=repr(exc))
     rec["wall"] = time.perf_counter() - t0
@@ -142,7 +144,9 @@ def sweep_trial(args) -> dict:
         rep = solve_sdp(inst)
         rec["sdp_wall"] = time.perf_counter() - t0
         rec.update(sdp_status=rep.status, sdp_value=rep.value,
-                   rop_err=rep.rop_err, tight=_is_tight(rep))
+                   rop_err=rep.rop_err, tight=_is_tight(rep),
+                   sdp_schur_shift=rep.meta["ipm"]["schur_shift"],
+                   sdp_ipm_stop=rep.meta["ipm"]["status"])
 
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()

@@ -16,15 +16,23 @@ Two constraint-operator flavors feed the shared iteration:
 * DenseOps: a handful of constraints whose matrices are all diagonal, the
   structure of the optimality certificate in the [U, U_perp] basis. The
   Schur complement is one elementwise product per block.
+
+Blocks are held as stacks: each run of consecutive blocks of equal size is
+one (count, n, n) array, so the iteration's per-block work (factors,
+products, step lengths, residuals) is one batched call per run. The
+relaxation is one stack; the certificate at most three. Operators take and
+return lists of stacks; solve_ipm takes and returns lists of blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrtri
 
 from .core import sym
 
@@ -43,9 +51,9 @@ def svec_indices(n: int):
 
 
 def svec(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    i, j, w = svec_indices(n)
-    return w * x[i, j]
+    """svec of a matrix, or one row per matrix of a stack."""
+    i, j, w = svec_indices(x.shape[-1])
+    return w * x[..., i, j]
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
@@ -92,6 +100,16 @@ def coupling_block(p, q, out):
         np.multiply(s, v[rows, None] * v, out=out[rows])
 
 
+def stack_blocks(blocks):
+    """Each run of consecutive same-shape blocks as one stacked array."""
+    return [np.array(list(run), dtype=float)
+            for _, run in groupby(blocks, key=np.shape)]
+
+
+def unstack(stacks):
+    return [b for s in stacks for b in s]
+
+
 # ---------------------------------------------------------------------------
 # Constraint operators
 
@@ -120,45 +138,36 @@ class FantopeOps:
         self.sd = d * (d + 1) // 2
         self.off = self.k
         self.m = self.off + self.sd
-        self.block_sizes = [d] * self.k
-        self.C = [-m for m in mats]
-        if self.has_slack:
-            self.block_sizes.append(d)
-            self.C.append(np.zeros((d, d)))
+        self.block_sizes = [d] * (self.k + self.has_slack)
+        cost = np.zeros((len(self.block_sizes), d, d))
+        cost[:self.k] = np.negative(mats)
+        self.C = [cost]
         b = np.ones(self.m)
         b[self.off:] = svec(np.eye(d))
         self.b = b
 
-    def apply_A(self, blocks):
-        d, k = self.d, self.k
-        out = np.empty(self.m)
-        coup = blocks[-1].copy() if self.has_slack else np.zeros((d, d))
-        for i in range(k):
-            out[i] = np.trace(blocks[i])
-            coup += blocks[i]
-        out[self.off:] = svec(coup)
-        return out
+    def apply_A(self, stacks):
+        x, = stacks
+        return np.concatenate([np.trace(x[:self.k], axis1=1, axis2=2),
+                               svec(x.sum(axis=0))])
 
     def apply_AT(self, y):
-        d, k = self.d, self.k
-        yc = smat(y[self.off:], d)
-        eye = np.eye(d)
-        blocks = [yc + y[i] * eye for i in range(k)]
-        if self.has_slack:
-            blocks.append(yc)
-        return blocks
+        k, i = self.k, np.arange(self.d)
+        out = np.repeat(smat(y[self.off:], self.d)[None],
+                        len(self.block_sizes), axis=0)
+        out[:k, i, i] += y[:k, None]
+        return [out]
 
     def schur(self, zinv, x):
-        off = self.off
+        (zinv,), (x,) = zinv, x
+        k, i = self.k, np.arange(self.k)
         h = np.empty((self.m, self.m))
-        h[:off, :off] = 0.0
-        for i in range(self.k):
-            pq = zinv[i] @ x[i]
-            h[i, i] = np.trace(pq)
-            row = svec(sym(pq))
-            h[i, off:] = row
-            h[off:, i] = row
-        coupling_block(zinv, x, h[off:, off:])
+        h[:k, :k] = 0.0
+        pq = zinv[:k] @ x[:k]
+        h[i, i] = np.trace(pq, axis1=1, axis2=2)
+        h[:k, k:] = svec(sym(pq))
+        h[k:, :k] = h[:k, k:].T
+        coupling_block(zinv, x, h[k:, k:])
         return h
 
 
@@ -166,23 +175,28 @@ class DenseOps:
     """Diagonal constraint data: column p of diags[j] is the diagonal of
     constraint p's coefficient on block j (a zero column for no coupling).
     Meant for problems with a handful of constraints; the Schur complement
-    sum_j A_j' (Z_j^-1 o X_j) A_j is m x m dense."""
+    sum_j A_j' (Z_j^-1 o X_j) A_j is m x m dense. The diagonals are held as
+    one (count, n, m) stack per run of blocks."""
 
     def __init__(self, diags, b, cmats):
-        self.diags = [np.asarray(a, dtype=float) for a in diags]
-        self.block_sizes = [a.shape[0] for a in self.diags]
+        self.block_sizes = [len(a) for a in diags]
+        self.diags = stack_blocks(diags)
         self.b = np.asarray(b, dtype=float)
         self.m = len(self.b)
-        self.C = [np.asarray(c, dtype=float) for c in cmats]
+        self.C = stack_blocks(cmats)
 
-    def apply_A(self, blocks):
-        return sum(a.T @ np.diagonal(x) for a, x in zip(self.diags, blocks))
+    def apply_A(self, stacks):
+        return sum(a.reshape(-1, self.m).T
+                   @ np.diagonal(x, axis1=1, axis2=2).ravel()
+                   for a, x in zip(self.diags, stacks))
 
     def apply_AT(self, y):
-        return [np.diag(a @ y) for a in self.diags]
+        return [(a @ y)[:, :, None] * np.eye(a.shape[1]) for a in self.diags]
 
     def schur(self, zinv, x):
-        h = sum(a.T @ (zi * xj) @ a for a, zi, xj in zip(self.diags, zinv, x))
+        m = self.m
+        h = sum(a.reshape(-1, m).T @ ((zi * xj) @ a).reshape(-1, m)
+                for a, zi, xj in zip(self.diags, zinv, x))
         return 0.5 * (h + h.T)  # symmetrize away accumulation roundoff
 
 
@@ -206,14 +220,17 @@ class IpmResult:
 
 
 def _inverse_factor(a):
-    """L^-1 for a's Cholesky factor L, so a^-1 = L^-T L^-1; a must be PD."""
-    return solve_triangular(np.linalg.cholesky(a), np.eye(len(a)), lower=True)
+    """L^-1 for the Cholesky factor L of each matrix of the stack a, so
+    a^-1 = L^-T L^-1; every matrix must be PD. LAPACK's triangular inverse
+    runs once per matrix: it has no batched form in numpy or scipy 1.10."""
+    return np.array([dtrtri(f, lower=1)[0] for f in np.linalg.cholesky(a)])
 
 
 def _max_step(li, da):
-    """Largest alpha with a + alpha da PSD, where li = _inverse_factor(a);
-    inf when da keeps the cone."""
-    lmin = float(np.linalg.eigvalsh(sym(li @ da @ li.T))[0])
+    """Largest alpha with a + alpha da PSD for every matrix of the stack a,
+    where li = _inverse_factor(a); inf when da keeps the cone."""
+    lmin = float(np.min(
+        np.linalg.eigvalsh(sym(li @ da @ li.swapaxes(1, 2)))[:, 0]))
     if lmin >= -1e-14:
         return np.inf
     return -1.0 / lmin
@@ -247,15 +264,13 @@ def solve_ipm(
     step_frac: float = 0.98,
     stop=None,  # predicate on y: ends the solve at "feasible" once it holds
 ) -> IpmResult:
-    nb = len(ops.block_sizes)
-    x = [np.eye(n) if x0 is None else np.array(x0[j], dtype=float)
-         for j, n in enumerate(ops.block_sizes)]
-    z = [np.eye(n) if z0 is None else np.array(z0[j], dtype=float)
-         for j, n in enumerate(ops.block_sizes)]
+    eyes = [np.eye(n) for n in ops.block_sizes]
+    x = stack_blocks(eyes if x0 is None else x0)
+    z = stack_blocks(eyes if z0 is None else z0)
     y = np.zeros(ops.m) if y0 is None else np.array(y0, dtype=float)
     ntot = sum(ops.block_sizes)
     bnorm = 1.0 + np.linalg.norm(ops.b)
-    cnorm = 1.0 + max(np.linalg.norm(c) for c in ops.C)
+    cnorm = 1.0 + max(np.linalg.norm(c, axis=(1, 2)).max() for c in ops.C)
 
     best = np.inf
     best_iter = 0
@@ -266,15 +281,15 @@ def solve_ipm(
     schur_shift = 0.0
 
     for it in range(max_iters + 1):
-        pobj = sum(float(np.sum(c * xj)) for c, xj in zip(ops.C, x))
+        pobj = sum(float(np.sum(c * xs)) for c, xs in zip(ops.C, x))
         dobj = float(ops.b @ y)
         rp = ops.b - ops.apply_A(x)
-        aty = ops.apply_AT(y)
-        rd = [ops.C[j] - aty[j] - z[j] for j in range(nb)]
-        mu = sum(float(np.sum(xj * zj)) for xj, zj in zip(x, z)) / ntot
+        rd = [c - a - zs for c, a, zs in zip(ops.C, ops.apply_AT(y), z)]
+        mu = sum(float(np.sum(xs * zs)) for xs, zs in zip(x, z)) / ntot
         pinf = float(np.linalg.norm(rp)) / bnorm
         # np.max, unlike max(), propagates a NaN in any position
-        dinf = float(np.max([np.linalg.norm(r) for r in rd])) / cnorm
+        dinf = float(np.max(np.concatenate(
+            [np.linalg.norm(r, axis=(1, 2)) for r in rd]))) / cnorm
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         metric = float(np.max([pinf, dinf, relgap]))
 
@@ -294,9 +309,9 @@ def solve_ipm(
             break
 
         try:
-            lx = [_inverse_factor(xj) for xj in x]
-            lz = [_inverse_factor(zj) for zj in z]
-            zinv = [li.T @ li for li in lz]
+            lx = [_inverse_factor(xs) for xs in x]
+            lz = [_inverse_factor(zs) for zs in z]
+            zinv = [li.swapaxes(1, 2) @ li for li in lz]
             h = ops.schur(zinv, x)
             hf, reg = _factor_schur(h)
             schur_shift = max(schur_shift, reg)
@@ -308,57 +323,53 @@ def solve_ipm(
                 dy += cho_solve(hf, resid, check_finite=False)
                 return dy
 
-            t1 = [sym(zinv[j] @ rd[j] @ x[j]) for j in range(nb)]
+            t1 = [sym(zi @ r @ xs) for zi, r, xs in zip(zinv, rd, x)]
             a_zinv = ops.apply_A(zinv)
 
             def direction(tau, corr):
                 """HKM direction for the centering target tau and the
                 Mehrotra second-order term corr."""
                 rhs = (rp
-                       + ops.apply_A([x[j] + t1[j] + corr[j] for j in range(nb)])
+                       + ops.apply_A([xs + t + c
+                                      for xs, t, c in zip(x, t1, corr)])
                        - tau * a_zinv)
                 dy = solve_h(rhs)
                 atdy = ops.apply_AT(dy)
-                dz = [rd[j] - atdy[j] for j in range(nb)]
-                dx = [
-                    sym(tau * zinv[j] - x[j] - t1[j]
-                        + sym(zinv[j] @ atdy[j] @ x[j]) - corr[j])
-                    for j in range(nb)
-                ]
+                dz = [r - a for r, a in zip(rd, atdy)]
+                dx = [sym(tau * zi - xs - t + sym(zi @ a @ xs) - c)
+                      for zi, xs, t, a, c in zip(zinv, x, t1, atdy, corr)]
                 return dx, dy, dz
 
             # predictor (affine scaling)
-            dx_a, _, dz_a = direction(0.0, [0.0] * nb)
-            ap = min(1.0, min(_max_step(lx[j], dx_a[j]) for j in range(nb)))
-            ad = min(1.0, min(_max_step(lz[j], dz_a[j]) for j in range(nb)))
+            dx_a, _, dz_a = direction(0.0, [0.0] * len(x))
+            ap = min(1.0, min(map(_max_step, lx, dx_a)))
+            ad = min(1.0, min(map(_max_step, lz, dz_a)))
             mu_aff = sum(
-                float(np.sum((x[j] + ap * dx_a[j]) * (z[j] + ad * dz_a[j])))
-                for j in range(nb)
+                float(np.sum((xs + ap * dxs) * (zs + ad * dzs)))
+                for xs, dxs, zs, dzs in zip(x, dx_a, z, dz_a)
             ) / ntot
             sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3
             tau = sigma * mu
 
             # corrector
-            corr = [sym(zinv[j] @ dz_a[j] @ dx_a[j]) for j in range(nb)]
+            corr = [sym(zi @ dzs @ dxs)
+                    for zi, dzs, dxs in zip(zinv, dz_a, dx_a)]
             dx, dy, dz = direction(tau, corr)
-            ap = min(1.0, step_frac * min(_max_step(lx[j], dx[j])
-                                          for j in range(nb)))
-            ad = min(1.0, step_frac * min(_max_step(lz[j], dz[j])
-                                          for j in range(nb)))
+            ap = min(1.0, step_frac * min(map(_max_step, lx, dx)))
+            ad = min(1.0, step_frac * min(map(_max_step, lz, dz)))
         except (np.linalg.LinAlgError, ValueError):
             break  # factorization lost or iterates overflowed
         if ap < 1e-8 and ad < 1e-8:
             break
-        for j in range(nb):
-            x[j] = sym(x[j] + ap * dx[j])
-            z[j] = sym(z[j] + ad * dz[j])
+        x = [sym(xs + ap * dxs) for xs, dxs in zip(x, dx)]
+        z = [sym(zs + ad * dzs) for zs, dzs in zip(z, dz)]
         y = y + ad * dy
 
     return IpmResult(
         status=status,
-        x_blocks=x,
+        x_blocks=unstack(x),
         y=y,
-        z_blocks=z,
+        z_blocks=unstack(z),
         pobj=pobj,
         dobj=dobj,
         iterations=it,

@@ -4,6 +4,7 @@ construction (diagonal instances where the optimum is an assignment)."""
 import numpy as np
 import pytest
 
+from stiefelsum import certificate
 from stiefelsum.certificate import (
     CERT_TOL,
     _complete_basis,
@@ -20,7 +21,7 @@ from stiefelsum.generators import (
     gen_separated_diagonal,
 )
 from stiefelsum.harness import sweep_trial
-from stiefelsum.ipm import solve_ipm
+from stiefelsum.ipm import solve_ipm, unstack
 from stiefelsum.sdp import (
     STATUS_NUMERICAL_FAILURE,
     KktResiduals,
@@ -197,8 +198,8 @@ def test_feasibility_program_is_the_lmi_system_in_the_complete_basis():
     assert np.array_equal(q[:, :3], u)
     assert np.allclose(q.T @ q, np.eye(7), atol=1e-14)
     nu, t = rng.uniform(0.0, 2.0, 3), float(rng.standard_normal())
-    z = [(cj - a) * scale for cj, a in
-         zip(ops.C, ops.apply_AT(np.append(nu, t) / scale))]
+    aty = unstack(ops.apply_AT(np.append(nu, t) / scale))
+    z = [(cj - a) * scale for cj, a in zip(unstack(ops.C), aty)]
     slacks = _lmi_slacks(c, u, lam_s, nu)
     core = u @ (lam_s - np.diag(nu)) @ u.T
     for j, m in enumerate(c.mats):
@@ -212,16 +213,54 @@ def test_feasibility_program_is_the_lmi_system_in_the_complete_basis():
     assert np.allclose([zi[0, 0] for zi in z[4:]], nu, atol=1e-12)
 
 
-def test_feasibility_solve_stops_once_the_gate_clears():
+# the multiplier block (size k) joins the d-blocks' run when k = d and the
+# scalar blocks' run when k = 1, and every block is 1 x 1 when d = k = 1.
+# The iteration counts are pinned from a block-by-block run of the same
+# iteration.
+@pytest.mark.parametrize("d,k,runs,iterations", [
+    (3, 3, [(4, 3, 3), (3, 1, 1)], 7),
+    (4, 4, [(5, 4, 4), (4, 1, 1)], 7),
+    (5, 1, [(1, 5, 5), (2, 1, 1)], 8),
+    (1, 1, [(3, 1, 1)], 7),
+])
+def test_feasibility_program_runs_merge_and_split(d, k, runs, iterations):
+    c = gen_separated_diagonal(d, k, seed=d)
+    u = np.eye(d)[:, :k]  # the unique optimum, by construction
+    assert certify(c, StiefelPoint(u)).status == "CertifiedGlobal"
+    lam_s = sym(lambda_matrix(c, u).matrix)
+    scale = max(c.gate_unit, np.linalg.norm(lam_s, 2))
+    ops = _feasibility_ops(c, u, lam_s, scale)
+    assert [s.shape for s in ops.C] == runs
+    full = solve_ipm(ops, *_feasibility_start(ops, k), tol=1e-9)
+    assert full.status == "optimal" and full.iterations == iterations
+    # at a global optimum the margin t* is 0: the least slack at its nu
+    nu = np.clip(full.y[:k] * scale, 0.0, None)
+    assert full.y[k] * scale == pytest.approx(
+        _lmi_slacks(c, u, lam_s, nu).min(), abs=1e-8)
+
+
+def test_feasibility_solve_stops_once_the_gate_clears(monkeypatch):
     c = gen_hppca(20, 3, seed=3)
     u = stmm_solve(c, random_stiefel(20, 3, np.random.default_rng(3)),
                    SolverConfig.for_hppca()).final
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _lmi_slacks(*args)
+
+    monkeypatch.setattr(certificate, "_lmi_slacks", counting)
     res = certify(c, u)
     assert res.status == "CertifiedGlobal"
     assert res.meta["ipm_stop"] == "feasible"
     assert res.t_star >= -CERT_TOL * c.gate_unit
-    # the same program without the stop runs on to the margin's optimum
+    # one gate evaluation per iterate: the verdict reuses the last one's
+    # slacks, which are those of the returned nu
+    assert len(calls) == res.meta["ipm_iterations"] + 1
     lam_s = sym(lambda_matrix(c, u).matrix)
+    assert np.array_equal(res.min_eig_slacks,
+                          _lmi_slacks(c, u.cols, lam_s, res.nu_witness))
+    # the same program without the stop runs on to the margin's optimum
     ops = _feasibility_ops(c, u.cols, lam_s,
                            max(c.gate_unit, np.linalg.norm(lam_s, 2)))
     full = solve_ipm(ops, *_feasibility_start(ops, c.k), tol=1e-9)

@@ -42,6 +42,9 @@ def test_rop_table_diagonal_all_tight():
     assert row["family"] == "diagonal"
     assert all(r["status"] == "Optimal" for r in recs)
     assert all(r["rop_err"] <= 1e-5 for r in recs)
+    # the relaxation's IPM stop and Schur shift, from meta["ipm"]
+    assert all(r["ipm_stop"] == "optimal" for r in recs)
+    assert all(r["schur_shift"] == 0.0 for r in recs)
 
 
 def test_rop_table_worker_pool_matches_serial():
@@ -102,6 +105,8 @@ def test_sweep_markers_on_commuting_family():
         assert r["subspace_distance"] <= 1e-4
         assert {"sdp_wall", "stmm_wall", "stmm_iterations"} <= set(r)
         assert r["certificate_stop"] == "feasible"
+        assert r["sdp_ipm_stop"] == "optimal"
+        assert r["sdp_schur_shift"] == 0.0
         assert r["certificate_iterations"] >= 0
         assert 0 <= r["stmm_newton_steps"] <= r["stmm_iterations"]
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from stiefelsum.ipm import (
     coupling_block,
     solve_ipm,
     smat,
+    stack_blocks,
     svec,
+    unstack,
 )
 
 
@@ -55,15 +59,21 @@ def test_coupling_block_matches_operator():
 
 
 def _brute_schur(ops, p_blocks, q_blocks):
+    """Column j of H is A(sym(P A*(e_j) Q)), formed one block at a time."""
     m = ops.m
     h = np.zeros((m, m))
     for col in range(m):
-        e = np.zeros(m)
-        e[col] = 1.0
-        at = ops.apply_AT(e)
+        at = unstack(ops.apply_AT(np.eye(m)[col]))
         mids = [sym(p @ t @ q) for p, t, q in zip(p_blocks, at, q_blocks)]
-        h[:, col] = ops.apply_A(mids)
+        h[:, col] = ops.apply_A(stack_blocks(mids))
     return h
+
+
+def _assert_adjoint(ops, blocks, y):
+    # the operator and its adjoint agree: <A(X), y> = <X, A*(y)>
+    lhs = ops.apply_A(stack_blocks(blocks)) @ y
+    rhs = sum(np.sum(x * a) for x, a in zip(blocks, unstack(ops.apply_AT(y))))
+    assert np.isclose(lhs, rhs)
 
 
 # d = 12 has 78 coupling rows, several chunks; k = 10 gives 11 blocks
@@ -76,11 +86,17 @@ def test_fantope_schur_vs_brute_force(d, k, slack):
     mats = [_rand_sym(rng, d) for _ in range(k)]
     ops = FantopeOps(mats, d)
     assert ops.has_slack == slack
+    assert len(ops.C) == 1 and ops.C[0].shape == (k + slack, d, d)
     p_blocks = [_rand_spd(rng, s) for s in ops.block_sizes]
     q_blocks = [_rand_spd(rng, s) for s in ops.block_sizes]
-    h = ops.schur(p_blocks, q_blocks)
+    h = ops.schur(stack_blocks(p_blocks), stack_blocks(q_blocks))
     hb = _brute_schur(ops, p_blocks, q_blocks)
     assert np.allclose(h, hb, atol=1e-8 * max(1.0, np.abs(hb).max()))
+    # A itself, block by block: the traces, then svec of the coupling sum
+    want = [np.trace(p) for p in p_blocks[:k]]
+    want.extend(svec(sum(p_blocks)))
+    assert np.allclose(ops.apply_A(stack_blocks(p_blocks)), want)
+    _assert_adjoint(ops, p_blocks, rng.standard_normal(ops.m))
 
 
 def test_dense_schur_vs_brute_force():
@@ -93,16 +109,16 @@ def test_dense_schur_vs_brute_force():
     cmats = [_rand_sym(rng, s) for s in sizes]
     ops = DenseOps(diags, np.ones(m), cmats)
     assert ops.block_sizes == sizes
+    assert [a.shape for a in ops.diags] == [(2, 3, m), (1, 2, m), (1, 1, m)]
     p_blocks = [_rand_spd(rng, s) for s in sizes]
     q_blocks = [_rand_spd(rng, s) for s in sizes]
-    h = ops.schur(p_blocks, q_blocks)
+    h = ops.schur(stack_blocks(p_blocks), stack_blocks(q_blocks))
     hb = _brute_schur(ops, p_blocks, q_blocks)
     assert np.allclose(h, hb, atol=1e-9 * max(1.0, np.abs(hb).max()))
-    # the operator and its adjoint agree: <A(X), y> = <X, A*(y)>
-    y = rng.standard_normal(m)
-    lhs = ops.apply_A(p_blocks) @ y
-    rhs = sum(np.sum(p * a) for p, a in zip(p_blocks, ops.apply_AT(y)))
-    assert np.isclose(lhs, rhs)
+    # A itself, block by block: A(X)_p = sum_j <diag(diags[j][:, p]), X_j>
+    want = sum(a.T @ np.diagonal(p) for a, p in zip(diags, p_blocks))
+    assert np.allclose(ops.apply_A(stack_blocks(p_blocks)), want)
+    _assert_adjoint(ops, p_blocks, rng.standard_normal(m))
 
 
 def test_fantope_solve_k1_matches_top_eigenvalue():
@@ -128,6 +144,23 @@ def test_fantope_solve_k_equals_d():
     assert abs(res.pobj - (-4.0)) < 1e-7
     assert abs(res.x_blocks[0][0, 0] - 1.0) < 1e-6
     assert abs(res.x_blocks[1][1, 1] - 1.0) < 1e-6
+
+
+# k = d: no slack block, so the k cost blocks are the relaxation's one stack;
+# with diagonal data the relaxation is the assignment problem. The iteration
+# counts are pinned from a block-by-block run of the same iteration.
+@pytest.mark.parametrize("d,seed,iterations", [(3, 0, 6), (4, 1, 6),
+                                               (5, 2, 7)])
+def test_square_relaxation_is_one_stack(d, seed, iterations):
+    vals = np.random.default_rng(seed).uniform(size=(d, d))
+    ops = FantopeOps([np.diag(v) for v in vals], d)
+    assert not ops.has_slack
+    assert [c.shape for c in ops.C] == [(d, d, d)]
+    res = solve_ipm(ops, *_fantope_start(ops))
+    assert res.status == "optimal" and res.iterations == iterations
+    best = max(sum(vals[i, p[i]] for i in range(d))
+               for p in itertools.permutations(range(d)))
+    assert -res.pobj == pytest.approx(best, abs=1e-7)
 
 
 def test_dense_solve_min_eigenvalue():
@@ -191,17 +224,36 @@ def test_nan_in_schur_complement_is_numerical_failure(monkeypatch):
 def test_max_step_reaches_the_cone_boundary(n, seed):
     rng = np.random.default_rng(seed)
     a = _rand_spd(rng, n)
-    li = _inverse_factor(a)
+    li = _inverse_factor(a[None])[0]
     assert np.allclose(li.T @ li, np.linalg.inv(a))
     b = rng.standard_normal((n, int(rng.integers(0, n + 1))))
-    assert _max_step(li, b @ b.T) == np.inf  # a PSD direction keeps the cone
+    # a PSD direction keeps the cone
+    assert _max_step(li[None], (b @ b.T)[None]) == np.inf
     da = _rand_sym(rng, n)
-    if _max_step(li, da) == np.inf:
+    if _max_step(li[None], da[None]) == np.inf:
         da = -da
-    alpha = _max_step(li, da)
+    alpha = _max_step(li[None], da[None])
     assert 0.0 < alpha < np.inf
     np.linalg.cholesky(a + 0.999 * alpha * da)  # still PD
     assert np.linalg.eigvalsh(a + 1.001 * alpha * da)[0] < 0.0
+
+
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_stacked_factor_and_step_match_each_matrix(n, count, seed):
+    rng = np.random.default_rng(seed)
+    a = np.array([_rand_spd(rng, n) for _ in range(count)])
+    da = np.array([_rand_sym(rng, n) for _ in range(count)])
+    li = _inverse_factor(a)
+    assert li.shape == (count, n, n)
+    steps = []
+    for j in range(count):
+        lj = _inverse_factor(a[j:j + 1])
+        assert np.allclose(li[j], lj[0], rtol=1e-12, atol=1e-14)
+        assert np.allclose(li[j] @ a[j] @ li[j].T, np.eye(n))
+        steps.append(_max_step(lj, da[j:j + 1]))
+    # the stack's step is the least of its matrices' steps
+    assert _max_step(li, da) == pytest.approx(min(steps), rel=1e-10)
 
 
 @pytest.mark.parametrize("case", ["fantope", "fantope-square", "dense"])
@@ -227,8 +279,14 @@ def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     res = solve_ipm(ops, *start)
     assert res.status == "optimal" and res.iterations > 0
-    # every iteration before the last computes a direction
-    assert len(calls) == 2 * len(ops.block_sizes) * res.iterations
+    # every iteration before the last computes a direction, with one
+    # batched factor per stack of X and of Z: the batch sizes sum to 2 nb
+    eyes = [np.eye(n) for n in ops.block_sizes]
+    stacks = [s.shape for s in stack_blocks(eyes)]
+    assert len(stacks) == (3 if case == "dense" else 1)
+    per_iteration = 2 * stacks
+    assert calls == per_iteration * res.iterations
+    assert sum(c[0] for c in per_iteration) == 2 * len(ops.block_sizes)
 
 
 def test_singular_start_fails_closed():
