@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ProblemInstance, StiefelPoint, sym
-from .ipm import DenseOps, solve_ipm, unstack
+from .ipm import DenseOps, eye_stacks, solve_ipm
 from .sdp import (
     KKT_TOL,
     STATUS_NUMERICAL_FAILURE,
@@ -66,11 +66,9 @@ def _lmi_slacks(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
                 nu: np.ndarray) -> np.ndarray:
     """Least eigenvalue of each certificate matrix at the given nu."""
     core_mat = u @ (lam_s - np.diag(nu)) @ u.T
-    eye = np.eye(c.d)
-    out = [float(np.linalg.eigvalsh(sym(core_mat + nu[i] * eye - c.mats[i]))[0])
-           for i in range(c.k)]
-    out.append(float(np.linalg.eigvalsh(sym(lam_s - np.diag(nu)))[0]))
-    return np.asarray(out)
+    blocks = core_mat + nu[:, None, None] * np.eye(c.d) - c.mats
+    return np.append(np.linalg.eigvalsh(sym(blocks))[:, 0],
+                     np.linalg.eigvalsh(sym(lam_s - np.diag(nu)))[0])
 
 
 def _complete_basis(u: np.ndarray) -> np.ndarray:
@@ -84,36 +82,34 @@ def _feasibility_ops(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
                      scale: float) -> DenseOps:
     """Margin program: maximize t s.t. each LMI >= t I, nu >= 0.
 
-    The dual vector is (nu_1..nu_k, t) over k blocks of size d, one of size
-    k, and k scalar blocks carrying nu_i >= 0. The d-blocks are written in
-    the basis Q = _complete_basis(u), where Q'U = [I; 0] and so block j's
-    coefficient of nu_p is diag(e_p - [p = j] 1): every constraint matrix
-    is diagonal."""
+    The dual vector is (nu_1..nu_k, t) over three stacks: k blocks of size
+    d, one of size k, and k scalar blocks carrying nu_i >= 0. The d-blocks
+    are written in the basis Q = _complete_basis(u), where Q'U = [I; 0] and
+    so block j's coefficient of nu_p is diag(e_p - [p = j] 1): every
+    constraint matrix is diagonal."""
     d, k = c.d, c.k
     q = _complete_basis(u)
     core = np.zeros((d, d))
     core[:k, :k] = lam_s
-    cmats = [sym(core - q.T @ m @ q) / scale for m in c.mats]
-    cmats.append(lam_s / scale)
-    cmats.extend(np.zeros((1, 1)) for _ in range(k))
+    cmats = [sym(core - q.T @ c.mats @ q) / scale, lam_s[None] / scale,
+             np.zeros((k, 1, 1))]
     base = np.eye(d, k + 1)  # columns e_1..e_k, then t's all-ones column
     base[:, k] = 1.0
-    diags = [base - np.eye(1, k + 1, j) for j in range(k)]
-    diags.append(base[:k])
-    diags.extend(-np.eye(1, k + 1, i) for i in range(k))
+    unit = np.eye(k, k + 1)[:, None]  # unit[j] = e_j' as a 1 x (k + 1) row
+    diags = [base - unit, base[None, :k], -unit]
     return DenseOps(diags, np.append(np.zeros(k), 1.0), cmats)
 
 
 def _feasibility_start(ops: DenseOps, k: int):
     """Dual-feasible warm start: nu = 1, t below every block's least eig."""
     y0 = np.append(np.ones(k), 0.0)
-    cmats = unstack(ops.C)
-    slack = [cj - a for cj, a in zip(cmats, unstack(ops.apply_AT(y0)))]
-    y0[k] = min(float(np.linalg.eigvalsh(sym(s))[0])
-                for s in slack[:k + 1]) - 1.0
-    z0 = [sym(cj - a) for cj, a in zip(cmats, unstack(ops.apply_AT(y0)))]
-    rho = 1.0 / sum(ops.block_sizes)
-    return [rho * np.eye(n) for n in ops.block_sizes], y0, z0
+    slack = [cj - a for cj, a in zip(ops.C, ops.apply_AT(y0))]
+    # the least eigenvalue over the LMI blocks: the d-stack and the k-block
+    y0[k] = min(float(np.linalg.eigvalsh(sym(s))[:, 0].min())
+                for s in slack[:2]) - 1.0
+    z0 = [sym(cj - a) for cj, a in zip(ops.C, ops.apply_AT(y0))]
+    rho = 1.0 / sum(cj.shape[0] * cj.shape[1] for cj in ops.C)
+    return [rho * e for e in eye_stacks(ops)], y0, z0
 
 
 def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
@@ -189,8 +185,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
 
     # rebuild the induced optimal pair and verify before claiming anything
     y_mat = sym(u @ (lam_s - np.diag(nu)) @ u.T)
-    z_blocks = tuple(sym(y_mat + nu[i] * np.eye(c.d) - c.mats[i])
-                     for i in range(c.k))
+    z_blocks = tuple(sym(y_mat + nu[:, None, None] * np.eye(c.d) - c.mats))
     x_blocks = [np.outer(u[:, i], u[:, i]) for i in range(c.k)]
     dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks, nu=nu,
                            objective=-(float(np.trace(y_mat)) + float(np.sum(nu))))

@@ -50,13 +50,6 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def eigh_desc(a):
-    """Eigendecomposition with eigenvalues sorted descending."""
-    vals, vecs = np.linalg.eigh(sym(np.asarray(a, dtype=float)))
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
 def _readonly(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -90,45 +83,47 @@ class StiefelPoint:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """The tuple (M_1, ..., M_k) of d x d symmetric matrices of the objective
-    sum_i u_i' M_i u_i, plus any uniform shift applied to make inputs PSD.
+    """The M_1, ..., M_k of the objective sum_i u_i' M_i u_i, held as one
+    read-only, symmetrized (k, d, d) array, plus any uniform shift applied
+    to make inputs PSD.
     """
 
-    mats: tuple
+    mats: np.ndarray
     psd_shift: float = 0.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        mats = tuple(_readonly(sym(np.asarray(m, dtype=float))) for m in self.mats)
+        mats = [np.asarray(m, dtype=float) for m in self.mats]
         if not mats:
             raise ValueError("instance needs at least one matrix")
         d = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (d, d):
-                raise ValueError("all matrices must share one square dimension")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("matrices must have finite entries")
+        if any(m.shape != (d, d) for m in mats):
+            raise ValueError("all matrices must share one square dimension")
+        mats = sym(np.array(mats))
+        if not np.all(np.isfinite(mats)):
+            raise ValueError("matrices must have finite entries")
         if len(mats) > d:
             raise ValueError(f"need k <= d, got d={d}, k={len(mats)}")
+        mats.setflags(write=False)
         object.__setattr__(self, "mats", mats)
 
     @property
     def d(self) -> int:
-        return self.mats[0].shape[0]
+        return self.mats.shape[1]
 
     @property
     def k(self) -> int:
-        return len(self.mats)
+        return self.mats.shape[0]
 
     @cached_property
     def gate_unit(self) -> float:
         """s = max(1, max_i ||M_i||_2), the unit of every verdict gate that
         carries the units of the M_i; it is 1 for normalized inputs. The
         M_i are read-only, so it is computed once per instance."""
-        return max(1.0, *(float(np.linalg.norm(m, 2)) for m in self.mats))
+        return max(1.0, float(np.linalg.norm(self.mats, 2, axis=(1, 2)).max()))
 
     def spectral_norms(self):
-        return np.array([spectral_norm(m) for m in self.mats])
+        return np.abs(np.linalg.eigvalsh(self.mats)).max(axis=1)
 
 
 def commuting_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -161,7 +156,7 @@ def normalize_instance(c: ProblemInstance) -> ProblemInstance:
     meta = dict(c.meta)
     meta["normalization_scale"] = scale * meta.get("normalization_scale", 1.0)
     return ProblemInstance(
-        mats=tuple(m / scale for m in c.mats),
+        mats=c.mats / scale,
         psd_shift=c.psd_shift / scale,
         meta=meta,
     )
@@ -185,14 +180,10 @@ def rop_error(x_blocks) -> float:
     Zero iff every block is exactly a rank-one trace-one projector. Used
     with the ROP_TOL threshold to declare the rank-one property.
     """
-    x_blocks = list(x_blocks)
-    total = 0.0
-    for x in x_blocks:
-        vals = np.linalg.eigvalsh(sym(np.asarray(x, dtype=float)))[::-1]
-        e1 = np.zeros_like(vals)
-        e1[0] = 1.0
-        total += float(np.sum((vals - e1) ** 2))
-    return total / len(x_blocks)
+    vals = np.linalg.eigvalsh(sym(np.asarray(x_blocks, dtype=float)))[:, ::-1]
+    vals[:, 0] -= 1.0
+    # the per-block sums are added in block order, as a loop would add them
+    return sum(np.sum(vals ** 2, axis=1).tolist()) / len(vals)
 
 
 def top_eigenpairs(x_blocks):
@@ -202,35 +193,37 @@ def top_eigenpairs(x_blocks):
     well-defined leading eigenvector; the flag reports that instead of
     breaking the tie arbitrarily.
     """
-    vecs, ties = [], []
-    for x in x_blocks:
-        vals, v = eigh_desc(x)
-        vecs.append(v[:, 0])
-        ties.append(bool(len(vals) > 1 and vals[0] - vals[1] < TIE_GAP))
-    return np.column_stack(vecs), ties
+    vals, vecs = np.linalg.eigh(sym(np.asarray(x_blocks, dtype=float)))
+    ties = [bool(len(v) > 1 and v[-1] - v[-2] < TIE_GAP) for v in vals]
+    return np.ascontiguousarray(vecs[:, :, -1].T), ties
 
 
-def check_rop_orthogonality(x_blocks, orth_tol: float = SOLVER_ORTH_TOL) -> bool:
-    """For near-rank-one blocks: are the top eigenvectors mutually orthogonal
-    and is the block sum a projection (eigenvalues in {0, 1})?
-
-    Raises RopPreconditionError when the blocks are not rank-one within
-    ROP_TOL, since the question only makes sense under that premise.
-    """
-    x_blocks = [sym(np.asarray(x, dtype=float)) for x in x_blocks]
-    err = rop_error(x_blocks)
-    if not err <= ROP_TOL:
-        raise RopPreconditionError(
-            f"blocks are not rank-one: rop_error={err:.3e} > {ROP_TOL:.1e}"
-        )
-    u, _ = top_eigenpairs(x_blocks)
+def orthogonal_rank_one(x, orth_tol: float) -> bool:
+    """For a stack x of near-rank-one blocks: are the top eigenvectors
+    mutually orthogonal and is the block sum a projection (eigenvalues in
+    {0, 1})? The caller establishes the rank-one premise."""
+    u, _ = top_eigenpairs(x)
     gram = u.T @ u
     off = gram - np.diag(np.diag(gram))
     if np.max(np.abs(off)) > orth_tol:
         return False
-    total = np.sum(x_blocks, axis=0)
-    vals = np.linalg.eigvalsh(total)
+    vals = np.linalg.eigvalsh(x.sum(axis=0))
     return bool(np.all(np.minimum(np.abs(vals), np.abs(vals - 1.0)) <= orth_tol))
+
+
+def check_rop_orthogonality(x_blocks, orth_tol: float = SOLVER_ORTH_TOL) -> bool:
+    """orthogonal_rank_one for blocks that must first be rank-one.
+
+    Raises RopPreconditionError when the blocks are not rank-one within
+    ROP_TOL, since the question only makes sense under that premise.
+    """
+    x = sym(np.asarray(x_blocks, dtype=float))
+    err = rop_error(x)
+    if not err <= ROP_TOL:
+        raise RopPreconditionError(
+            f"blocks are not rank-one: rop_error={err:.3e} > {ROP_TOL:.1e}"
+        )
+    return orthogonal_rank_one(x, orth_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +234,7 @@ def save_instance(c: ProblemInstance, path) -> None:
     doc = {
         "d": c.d,
         "k": c.k,
-        "mats": [m.reshape(-1).tolist() for m in c.mats],
+        "mats": c.mats.reshape(c.k, -1).tolist(),
         "meta": dict(c.meta, psd_shift=c.psd_shift),
     }
     Path(path).write_text(json.dumps(doc))
@@ -252,13 +245,10 @@ def load_instance(path) -> ProblemInstance:
     d, k = int(doc["d"]), int(doc["k"])
     if len(doc["mats"]) != k:
         raise ValueError(f"expected {k} matrices, found {len(doc['mats'])}")
-    mats = []
-    for flat in doc["mats"]:
-        m = np.asarray(flat, dtype=float).reshape(d, d)
-        asym = np.max(np.abs(m - m.T)) if d else 0.0
-        if asym > 1e-12:
-            raise ValueError(f"matrix not symmetric: max |A - A'| = {asym:.3e}")
-        mats.append(m)
+    mats = np.asarray(doc["mats"], dtype=float).reshape(k, d, d)
+    asym = np.max(np.abs(mats - mats.swapaxes(1, 2)), initial=0.0)
+    if asym > 1e-12:
+        raise ValueError(f"matrix not symmetric: max |A - A'| = {asym:.3e}")
     meta = dict(doc.get("meta") or {})
     psd_shift = float(meta.pop("psd_shift", 0.0))
-    return ProblemInstance(mats=tuple(mats), psd_shift=psd_shift, meta=meta)
+    return ProblemInstance(mats=mats, psd_shift=psd_shift, meta=meta)

@@ -70,13 +70,13 @@ def joint_diagonalize(c: ProblemInstance):
         alpha = rng.uniform(0.5, 1.5, size=k)
         combo = sym(sum(a * m for a, m in zip(alpha, c.mats)))
         _, q = np.linalg.eigh(combo)
-        rotated = [q.T @ m @ q for m in c.mats]
+        rotated = q.T @ c.mats @ q
         resid = max(
             float(np.linalg.norm(r - np.diag(np.diag(r)))) for r in rotated
         )
         cand = JointDiagonalization(
             basis=StiefelPoint(q),
-            diag_values=np.vstack([np.diag(r) for r in rotated]),
+            diag_values=rotated.diagonal(axis1=1, axis2=2).copy(),
             off_diag_residual=resid,
         )
         if best is None or resid < best.off_diag_residual:
@@ -204,20 +204,17 @@ def perturb_instance(c: ProblemInstance, scale: float,
                      rng: np.random.Generator) -> ProblemInstance:
     """Add independent symmetric noise of exact spectral norm `scale` to
     each block, then restore PSD-ness by a uniform shift and renormalize."""
-    mats = []
-    for m in c.mats:
-        e = sym(rng.standard_normal(m.shape))
-        nrm = float(np.linalg.norm(e, 2))
-        if scale > 0.0 and nrm > 0.0:
-            mats.append(m + e * (scale / nrm))
-        else:
-            mats.append(m.copy())
-    minlam = min(float(np.linalg.eigvalsh(m)[0]) for m in mats)
+    e = sym(rng.standard_normal(c.mats.shape))
+    nrm = np.linalg.norm(e, 2, axis=(1, 2))
+    # a zero scale or a zero draw leaves its block as it is
+    weight = np.divide(scale if scale > 0.0 else 0.0, nrm,
+                       out=np.zeros_like(nrm), where=nrm > 0.0)
+    mats = c.mats + e * weight[:, None, None]
+    minlam = float(np.linalg.eigvalsh(mats)[:, 0].min())
     shift = -minlam if minlam < 0.0 else 0.0
     if shift > 0.0:
-        eye = np.eye(c.d)
-        mats = [m + shift * eye for m in mats]
-    out = ProblemInstance(mats=tuple(mats), psd_shift=shift,
+        mats = mats + shift * np.eye(c.d)
+    out = ProblemInstance(mats=mats, psd_shift=shift,
                           meta={"perturbation_scale": scale})
     return normalize_instance(out)
 
@@ -226,6 +223,8 @@ def tightness_sweep(center: ProblemInstance, perturbation_scale: float,
                     trials: int, seed: int) -> float:
     """Fraction of perturbed instances whose relaxation stays tight
     (sdp.is_tight). Solver failures count against tightness, never toward it."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     jd = joint_diagonalize(center)
     if jd is None:
         raise ValueError("center is not jointly diagonalizable")

@@ -87,6 +87,11 @@ def failed(rec) -> bool:
         rec.get("status"), rec.get("sdp_status"), rec.get("certificate"))
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+
+
 def _run_trials(fn, arglist, jobs: int):
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -101,6 +106,7 @@ def run_rop_table(family: str, grid: dict, trials: int, seed=0,
     grid: {"d": [...], "k": [...]} plus the family's parameters (see
     generators.FAMILIES). Returns (rows, records); failed trials are
     counted per cell and never count as tight."""
+    _check_trials(trials)
     params = {key: val for key, val in grid.items() if key not in ("d", "k")}
     family_builder(family, params)
     cells = [(d, k) for d in grid["d"] for k in grid["k"]]
@@ -199,6 +205,7 @@ def run_cjd_sweep(sweep_values, trials: int, d, k, family: str = "cjd",
     (hppca: group sizes [value, 4 value]) on every (d, k, value) cell; each
     (d, k) reuses the per-value seeds. Returns (rows, records): one curve
     row per cell, its statistics over the trials that did not raise."""
+    _check_trials(trials)
     cells = [(dd, kk, val) for dd in d for kk in k for val in sweep_values]
     args = [(family, dd, kk, {"n": [int(val), 4 * int(val)]}
              if family == "hppca" else {"sigma": float(val)}, s)
@@ -223,6 +230,7 @@ def bench_cell(d: int, k: int, trials: int, seed=0) -> dict:
     settings) plus the certificate, over hppca sweep trials. Always serial:
     timings under a pool are meaningless. Errored trials stay in the records
     and out of the medians."""
+    _check_trials(trials)
     records = [sweep_trial(("hppca", d, k, {}, s))
                for s in trial_seeds((seed, d, k), trials)]
     ok = [r for r in records if "error" not in r]

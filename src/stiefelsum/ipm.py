@@ -17,18 +17,18 @@ Two constraint-operator flavors feed the shared iteration:
   structure of the optimality certificate in the [U, U_perp] basis. The
   Schur complement is one elementwise product per block.
 
-Blocks are held as stacks: each run of consecutive blocks of equal size is
-one (count, n, n) array, so the iteration's per-block work (factors,
-products, step lengths, residuals) is one batched call per run. The
-relaxation is one stack; the certificate at most three. Operators take and
-return lists of stacks; solve_ipm takes and returns lists of blocks.
+Blocks are held as stacks: a group of blocks of equal size is one
+(count, n, n) array, so the iteration's per-block work (factors, products,
+step lengths, residuals) is one batched call per stack. An operator's cost
+ops.C, a list of stacks, fixes the layout: its operators, and solve_ipm's
+starts and results, are lists of stacks of the same shapes. The relaxation
+is one stack; the certificate three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -83,15 +83,17 @@ def _coupling_indices(d: int):
 
 def coupling_block(p, q, out):
     """Write into out the matrix of V -> sum_a 0.5 (P_a V Q_a + Q_a V P_a)
-    in svec coordinates; every P_a, Q_a is symmetric d x d.
+    in svec coordinates; p and q are (nb, d, d) stacks of symmetric P_a, Q_a.
 
     Row (i, j) holds v_ij v_kl (R[k, l] + R[l, k]) over the columns (k, l),
     where R = sum_a P_a[i]' Q_a[j] + Q_a[i]' P_a[j] is one stacked product
     and v the halved svec weights."""
-    d = p[0].shape[0]
+    d = p.shape[1]
     i, j, ij, ji, v = _coupling_indices(d)
-    left = np.stack([*p, *q], axis=2)  # left[i] = [P_a[i]; Q_a[i]]'
-    right = np.stack([*q, *p], axis=1)  # right[j] = [Q_a[j]; P_a[j]]
+    # left[i] = [P_a[i]; Q_a[i]]', right[j] = [Q_a[j]; P_a[j]]; contiguous,
+    # so that each chunk gathers whole rows
+    left = np.concatenate([p, q]).transpose(1, 2, 0).copy()
+    right = np.concatenate([q, p]).transpose(1, 0, 2).copy()
     for r0 in range(0, len(i), _COUPLING_CHUNK):
         rows = slice(r0, r0 + _COUPLING_CHUNK)
         r = np.matmul(left[i[rows]], right[j[rows]]).reshape(-1, d * d)
@@ -100,14 +102,9 @@ def coupling_block(p, q, out):
         np.multiply(s, v[rows, None] * v, out=out[rows])
 
 
-def stack_blocks(blocks):
-    """Each run of consecutive same-shape blocks as one stacked array."""
-    return [np.array(list(run), dtype=float)
-            for _, run in groupby(blocks, key=np.shape)]
-
-
-def unstack(stacks):
-    return [b for s in stacks for b in s]
+def eye_stacks(ops):
+    """Identity blocks in the layout of ops.C."""
+    return [np.zeros_like(c) + np.eye(c.shape[-1]) for c in ops.C]
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +122,13 @@ class FantopeOps:
     With the slack the coupling reads sum_i X_i <= I; without it (used when
     k = d, where the slack is forced to zero and would kill strict
     feasibility) the coupling is an equality. Cost blocks are -mats[i] (the
-    relaxation minimizes the negated objective) and zero on the slack.
+    relaxation minimizes the negated objective) and zero on the slack. mats
+    is the (k, d, d) stack of the M_i; every block is in the one stack C[0].
     """
 
     def __init__(self, mats, d: int):
-        mats = [np.asarray(m, dtype=float) for m in mats]
-        if any(m.shape != (d, d) for m in mats):
+        mats = np.asarray(mats, dtype=float)
+        if mats.shape[1:] != (d, d):
             raise ValueError("variable blocks must have size d")
         self.k = len(mats)
         self.d = d
@@ -138,8 +136,7 @@ class FantopeOps:
         self.sd = d * (d + 1) // 2
         self.off = self.k
         self.m = self.off + self.sd
-        self.block_sizes = [d] * (self.k + self.has_slack)
-        cost = np.zeros((len(self.block_sizes), d, d))
+        cost = np.zeros((self.k + self.has_slack, d, d))
         cost[:self.k] = np.negative(mats)
         self.C = [cost]
         b = np.ones(self.m)
@@ -153,8 +150,8 @@ class FantopeOps:
 
     def apply_AT(self, y):
         k, i = self.k, np.arange(self.d)
-        out = np.repeat(smat(y[self.off:], self.d)[None],
-                        len(self.block_sizes), axis=0)
+        out = np.repeat(smat(y[self.off:], self.d)[None], len(self.C[0]),
+                        axis=0)
         out[:k, i, i] += y[:k, None]
         return [out]
 
@@ -172,18 +169,17 @@ class FantopeOps:
 
 
 class DenseOps:
-    """Diagonal constraint data: column p of diags[j] is the diagonal of
-    constraint p's coefficient on block j (a zero column for no coupling).
-    Meant for problems with a handful of constraints; the Schur complement
-    sum_j A_j' (Z_j^-1 o X_j) A_j is m x m dense. The diagonals are held as
-    one (count, n, m) stack per run of blocks."""
+    """Diagonal constraint data: column p of diags[s][j] is the diagonal of
+    constraint p's coefficient on block j of stack s (a zero column for no
+    coupling), so diags[s] is (count, n, m) for the (count, n, n) cost
+    stack cmats[s]. Meant for problems with a handful of constraints; the
+    Schur complement sum_j A_j' (Z_j^-1 o X_j) A_j is m x m dense."""
 
     def __init__(self, diags, b, cmats):
-        self.block_sizes = [len(a) for a in diags]
-        self.diags = stack_blocks(diags)
+        self.diags = [np.asarray(a, dtype=float) for a in diags]
         self.b = np.asarray(b, dtype=float)
         self.m = len(self.b)
-        self.C = stack_blocks(cmats)
+        self.C = [np.asarray(c, dtype=float) for c in cmats]
 
     def apply_A(self, stacks):
         return sum(a.reshape(-1, self.m).T
@@ -206,9 +202,9 @@ class DenseOps:
 @dataclass
 class IpmResult:
     status: str  # "optimal", "feasible" (stop held) or "numerical_failure"
-    x_blocks: list
+    x: list  # stacks, shaped as ops.C
     y: np.ndarray
-    z_blocks: list
+    z: list
     pobj: float
     dobj: float
     iterations: int
@@ -264,11 +260,13 @@ def solve_ipm(
     step_frac: float = 0.98,
     stop=None,  # predicate on y: ends the solve at "feasible" once it holds
 ) -> IpmResult:
-    eyes = [np.eye(n) for n in ops.block_sizes]
-    x = stack_blocks(eyes if x0 is None else x0)
-    z = stack_blocks(eyes if z0 is None else z0)
+    """x0 and z0 are lists of stacks shaped as ops.C (identities when
+    omitted); the result's x and z are too."""
+    eyes = eye_stacks(ops)
+    x = eyes if x0 is None else [np.asarray(s, dtype=float) for s in x0]
+    z = eyes if z0 is None else [np.asarray(s, dtype=float) for s in z0]
     y = np.zeros(ops.m) if y0 is None else np.array(y0, dtype=float)
-    ntot = sum(ops.block_sizes)
+    ntot = sum(c.shape[0] * c.shape[1] for c in ops.C)
     bnorm = 1.0 + np.linalg.norm(ops.b)
     cnorm = 1.0 + max(np.linalg.norm(c, axis=(1, 2)).max() for c in ops.C)
 
@@ -367,9 +365,9 @@ def solve_ipm(
 
     return IpmResult(
         status=status,
-        x_blocks=unstack(x),
+        x=x,
         y=y,
-        z_blocks=unstack(z),
+        z=z,
         pobj=pobj,
         dobj=dobj,
         iterations=it,

@@ -19,16 +19,16 @@ import numpy as np
 
 from .core import (
     ROP_TOL,
+    SOLVER_ORTH_TOL,
     ProblemInstance,
-    RopPreconditionError,
     StiefelPoint,
-    check_rop_orthogonality,
+    orthogonal_rank_one,
     rop_error,
     spectral_norm,
     sym,
     top_eigenpairs,
 )
-from .ipm import FantopeOps, smat, solve_ipm, svec
+from .ipm import FantopeOps, eye_stacks, smat, solve_ipm, svec
 from .stiefel import SolverConfig
 
 STATUS_OPTIMAL = "Optimal"
@@ -116,7 +116,7 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
     dual-side residuals are in units of s and cannot overflow."""
     x_blocks = _blocks_of(primal)
     s = c.gate_unit
-    mats = [m / s for m in c.mats]
+    mats = c.mats / s
     y, z_blocks, nu = dual.y / s, [z / s for z in dual.z_blocks], dual.nu / s
     d = c.d
     eye = np.eye(d)
@@ -145,40 +145,43 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
 
 def _fantope_start(ops: FantopeOps):
     d, k = ops.d, ops.k
-    x = [np.eye(d) / d for _ in range(k)]
+    eye = np.eye(d)
+    x = np.repeat(eye[None] / d, len(ops.C[0]), axis=0)
     if ops.has_slack:
-        x.append((1.0 - k / d) * np.eye(d))
-    z = [np.eye(n) for n in ops.block_sizes]
+        x[k] = (1.0 - k / d) * eye
     y = np.zeros(ops.m)
     y[:k] = -1.0
-    y[ops.off:] = svec(-np.eye(d))
-    return x, y, z
+    y[ops.off:] = svec(-eye)
+    return [x], y, eye_stacks(ops)
 
 
 def _normalize_for_solve(mats):
-    """Uniform PSD shift plus a global spectral-norm scale.
+    """Uniform PSD shift plus a global spectral-norm scale of the (k, d, d)
+    stack mats.
 
     Returns (scaled mats, shift, scale); the shift preserves commutators and
     only translates the objective, the scale conditions the solver.
     """
-    minlam = min(float(np.linalg.eigvalsh(m)[0]) for m in mats)
+    vals = np.linalg.eigvalsh(mats)
+    minlam = float(vals[:, 0].min())
     shift = -minlam if minlam < -1e-12 else 0.0
     if shift > 0.0:
-        eye = np.eye(mats[0].shape[0])
-        mats = [m + shift * eye for m in mats]
-    scale = max(spectral_norm(m) for m in mats)
+        mats = mats + shift * np.eye(mats.shape[1])
+        vals = np.linalg.eigvalsh(mats)
+    scale = float(np.abs(vals).max())
     if scale <= 1e-300:
         scale = 1.0
     if abs(scale - 1.0) > 1e-12:
-        mats = [m / scale for m in mats]
+        mats = mats / scale
     return mats, shift, scale
 
 
 def _recover_coupling_dual(ops, res, scale):
     """Input-unit (Y, Z_i, nu) from the solver's internal variables."""
     k = ops.k
+    z, = res.z
     if ops.has_slack:
-        y_mat = sym(res.z_blocks[-1]) * scale
+        y_mat = sym(z[-1]) * scale
         nu = -res.y[:k] * scale
     else:
         # sum X_i = I exactly: shift the equality multiplier into the cone
@@ -186,8 +189,7 @@ def _recover_coupling_dual(ops, res, scale):
         c = max(0.0, -float(np.linalg.eigvalsh(sym(y_raw))[0]))
         y_mat = sym(y_raw + c * np.eye(ops.d)) * scale
         nu = (-res.y[:k] - c) * scale
-    z_blocks = [sym(z) * scale for z in res.z_blocks[:k]]
-    return y_mat, z_blocks, nu
+    return y_mat, tuple(sym(z[:k]) * scale), nu
 
 
 def _status_from(res, gap, kkt_max, p, dd):
@@ -217,13 +219,13 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    mats_s, shift, scale = _normalize_for_solve(list(c.mats))
+    mats_s, shift, scale = _normalize_for_solve(c.mats)
     ops = FantopeOps(mats_s, c.d)
     x0, y0, z0 = _fantope_start(ops)
     res = solve_ipm(ops, x0, y0, z0, tol=cfg.sdp_tol,
                     max_iters=cfg.sdp_max_iters, step_frac=cfg.step_frac)
 
-    x_blocks = tuple(sym(x) for x in res.x_blocks[:c.k])
+    x_blocks = tuple(sym(res.x[0][:c.k]))
     y_mat, z_blocks, nu = _recover_coupling_dual(ops, res, scale)
     nu = nu - shift
 
@@ -231,7 +233,7 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     dd = -(float(np.trace(y_mat)) + float(np.sum(nu)))
     gap = abs(p - dd)
 
-    dual = SdpDualSolution(y=y_mat, z_blocks=tuple(z_blocks),
+    dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks,
                            nu=np.asarray(nu, dtype=float), objective=dd)
     kkt = check_kkt(c, x_blocks, dual)
     status, reason = _status_from(res, gap, kkt.max_residual, p, dd)
@@ -261,13 +263,13 @@ def is_tight(report: SolveReport) -> bool:
 
     The solve must be Optimal, its blocks rank-one within ROP_TOL, and their
     top eigenvectors orthogonal with a projection for their sum (checked at
-    core.SOLVER_ORTH_TOL). A NaN rank-one error is never tight."""
+    core.SOLVER_ORTH_TOL). A NaN rank-one error is never tight; the
+    report's rop_err is the rank-one check, so only the orthogonality is
+    computed here, from one batched eigendecomposition of the blocks."""
     if report.status != STATUS_OPTIMAL or not report.rop_err <= ROP_TOL:
         return False
-    try:
-        return check_rop_orthogonality(report.primal.x_blocks)
-    except RopPreconditionError:
-        return False
+    return orthogonal_rank_one(np.array(report.primal.x_blocks),
+                               SOLVER_ORTH_TOL)
 
 
 def extract_candidate(primal):

@@ -87,11 +87,11 @@ def _block_products(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def objective(c: ProblemInstance, u) -> float:
     cols = _cols(u)
-    return float(np.sum(cols * _block_products(np.stack(c.mats), cols)))
+    return float(np.sum(cols * _block_products(c.mats, cols)))
 
 
 def euclidean_gradient(c: ProblemInstance, u) -> np.ndarray:
-    return 2.0 * _block_products(np.stack(c.mats), _cols(u))
+    return 2.0 * _block_products(c.mats, _cols(u))
 
 
 def riemannian_gradient(c: ProblemInstance, u) -> np.ndarray:
@@ -104,7 +104,7 @@ def riemannian_gradient(c: ProblemInstance, u) -> np.ndarray:
 
 def lambda_matrix(c: ProblemInstance, u) -> LambdaMatrix:
     cols = _cols(u)
-    lam = cols.T @ _block_products(np.stack(c.mats), cols)
+    lam = cols.T @ _block_products(c.mats, cols)
     return LambdaMatrix(matrix=lam,
                         symmetry_residual=float(np.linalg.norm(lam - lam.T)))
 
@@ -180,10 +180,9 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
     recorded in degenerate_steps.
     """
     cfg = cfg or SolverConfig()
-    mats = np.stack(c.mats)
     switch = NEWTON_SWITCH * c.gate_unit
     u = _cols(u0)
-    g, f, rg = _evaluate(mats, u)
+    g, f, rg = _evaluate(c.mats, u)
     objs = []
     gnorms = []
     degenerate = []
@@ -202,9 +201,9 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
         if wait:
             wait -= 1
         elif gnorms[-1] <= switch:
-            cand = _newton_point(mats, u, g, rg)
+            cand = _newton_point(c.mats, u, g, rg)
             if cand is not None:
-                g_new, f_new, rg_new = _evaluate(mats, cand)
+                g_new, f_new, rg_new = _evaluate(c.mats, cand)
                 if f_new >= f and np.linalg.norm(rg_new) < gnorms[-1]:
                     newton.append(t)
                     u, g, f, rg = cand, g_new, f_new, rg_new
@@ -215,7 +214,7 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
         except ValueError:
             degenerate.append(t)
             u = procrustes_project(g + 1e-12 * u).cols
-        g, f, rg = _evaluate(mats, u)
+        g, f, rg = _evaluate(c.mats, u)
 
     return IterateTrace(
         objectives=np.asarray(objs),

@@ -56,6 +56,7 @@ DELETED = [
     (core, "InstanceMetrics"), (core, "instance_metrics"),
     (sdp, "_polar_any"), (sdp.KktResiduals, "scaled_max"),
     (cli, "_apply_fast"), (ipm, "sym_kron"), (sdp, "gate_unit"),
+    (ipm, "stack_blocks"), (ipm, "unstack"), (core, "eigh_desc"),
 ]
 
 

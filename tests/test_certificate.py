@@ -21,7 +21,7 @@ from stiefelsum.generators import (
     gen_separated_diagonal,
 )
 from stiefelsum.harness import sweep_trial
-from stiefelsum.ipm import solve_ipm, unstack
+from stiefelsum.ipm import solve_ipm
 from stiefelsum.sdp import (
     STATUS_NUMERICAL_FAILURE,
     KktResiduals,
@@ -41,9 +41,10 @@ from stiefelsum.stiefel import (
 
 
 def test_certify_computes_the_gate_unit_once(monkeypatch):
-    # the gate unit costs k spectral norms; certify's slack gate and its
-    # KKT check share one, and certify adds one norm of its own. A fresh
-    # instance, since stmm_solve has already cached the unit on c.
+    # the gate unit is one batched spectral norm of the k blocks; certify's
+    # slack gate and its KKT check share it, and certify adds one norm of
+    # its own. A fresh instance, since stmm_solve has already cached the
+    # unit on c.
     c = gen_separated_diagonal(6, 3, seed=2)
     u = stmm_solve(c, random_stiefel(6, 3, np.random.default_rng(2))).final
     fresh = ProblemInstance(c.mats)
@@ -51,12 +52,12 @@ def test_certify_computes_the_gate_unit_once(monkeypatch):
     calls = []
 
     def counting(a, ord=None, *args, **kwargs):
-        calls.append(ord)
+        calls.append((ord, np.shape(a)))
         return norm(a, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counting)
     assert certify(fresh, u).status == "CertifiedGlobal"
-    assert calls.count(2) == c.k + 1
+    assert [s for o, s in calls if o == 2] == [(3, 6, 6), (3, 3)]
     assert fresh.gate_unit == max(1.0, *(norm(m, 2) for m in c.mats))
 
 
@@ -198,30 +199,33 @@ def test_feasibility_program_is_the_lmi_system_in_the_complete_basis():
     assert np.array_equal(q[:, :3], u)
     assert np.allclose(q.T @ q, np.eye(7), atol=1e-14)
     nu, t = rng.uniform(0.0, 2.0, 3), float(rng.standard_normal())
-    aty = unstack(ops.apply_AT(np.append(nu, t) / scale))
-    z = [(cj - a) * scale for cj, a in zip(unstack(ops.C), aty)]
+    aty = ops.apply_AT(np.append(nu, t) / scale)
+    z_lmi, (z_mult,), z_nu = [(cj - a) * scale for cj, a in zip(ops.C, aty)]
     slacks = _lmi_slacks(c, u, lam_s, nu)
     core = u @ (lam_s - np.diag(nu)) @ u.T
     for j, m in enumerate(c.mats):
         lmi = core + nu[j] * np.eye(7) - m
-        assert np.allclose(q @ z[j] @ q.T, lmi - t * np.eye(7), atol=1e-12)
-        least = np.linalg.eigvalsh(sym(z[j]))[0] + t
+        assert np.allclose(q @ z_lmi[j] @ q.T, lmi - t * np.eye(7),
+                           atol=1e-12)
+        least = np.linalg.eigvalsh(sym(z_lmi[j]))[0] + t
         assert least == pytest.approx(slacks[j], rel=1e-12, abs=1e-12)
-    assert np.allclose(z[3], lam_s - np.diag(nu) - t * np.eye(3), atol=1e-12)
-    assert np.linalg.eigvalsh(sym(z[3]))[0] + t == pytest.approx(
+    assert np.allclose(z_mult, lam_s - np.diag(nu) - t * np.eye(3),
+                       atol=1e-12)
+    assert np.linalg.eigvalsh(sym(z_mult))[0] + t == pytest.approx(
         slacks[3], rel=1e-12, abs=1e-12)
-    assert np.allclose([zi[0, 0] for zi in z[4:]], nu, atol=1e-12)
+    assert z_nu.shape == (3, 1, 1)
+    assert np.allclose(z_nu[:, 0, 0], nu, atol=1e-12)
 
 
-# the multiplier block (size k) joins the d-blocks' run when k = d and the
-# scalar blocks' run when k = 1, and every block is 1 x 1 when d = k = 1.
-# The iteration counts are pinned from a block-by-block run of the same
-# iteration.
+# the program is three stacks whatever the sizes: k blocks of size d, the
+# multiplier block of size k, and k scalar blocks, also when k = d, k = 1 or
+# d = k = 1, where blocks of different stacks share a size. The iteration
+# counts are pinned from a block-by-block run of the same iteration.
 @pytest.mark.parametrize("d,k,runs,iterations", [
-    (3, 3, [(4, 3, 3), (3, 1, 1)], 7),
-    (4, 4, [(5, 4, 4), (4, 1, 1)], 7),
-    (5, 1, [(1, 5, 5), (2, 1, 1)], 8),
-    (1, 1, [(3, 1, 1)], 7),
+    (3, 3, [(3, 3, 3), (1, 3, 3), (3, 1, 1)], 7),
+    (4, 4, [(4, 4, 4), (1, 4, 4), (4, 1, 1)], 7),
+    (5, 1, [(1, 5, 5), (1, 1, 1), (1, 1, 1)], 8),
+    (1, 1, [(1, 1, 1), (1, 1, 1), (1, 1, 1)], 7),
 ])
 def test_feasibility_program_runs_merge_and_split(d, k, runs, iterations):
     c = gen_separated_diagonal(d, k, seed=d)

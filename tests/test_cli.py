@@ -179,6 +179,31 @@ def test_diag_sweep_on_commuting_center(tmp_path):
     assert float(rows[0]["fraction_tight"]) >= 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["rop-table", "--d", "5", "--k", "2"],
+    ["cjd-sweep", "--sigmas", "0", "--d", "6", "--k", "2"],
+    ["bench", "--d", "6", "--k", "2"],
+    ["diag-sweep", "--scales", "1e-4"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_fewer_than_one_trial_is_bad_input(tmp_path, capsys, argv, trials):
+    if argv[0] == "diag-sweep":
+        center = tmp_path / "center.json"
+        main(["gen", "--family", "cjd",
+              "--params", '{"d": 5, "k": 2, "sigma": 0.0}',
+              "--out", str(center)])
+        argv = argv + ["--center", str(center),
+                       "--out", str(tmp_path / "sweep.csv")]
+    else:
+        argv = argv + ["--out-dir", str(tmp_path)]
+    capsys.readouterr()
+    assert main(argv + ["--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert "error: need at least one trial" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.glob("*.csv")) == list(tmp_path.glob("*.tsv")) == []
+
+
 def test_gen_nested_records_known_optimum(tmp_path, capsys):
     inst_path = tmp_path / "nested.json"
     rc = main(["gen", "--family", "nested",

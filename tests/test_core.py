@@ -11,7 +11,6 @@ from stiefelsum.core import (
     StiefelPoint,
     check_rop_orthogonality,
     commuting_distance,
-    eigh_desc,
     instance_distance,
     load_instance,
     max_commuting_distance,
@@ -51,12 +50,15 @@ def test_spectral_norm_matches_lapack():
         assert abs(spectral_norm(a) - np.linalg.norm(a, 2)) < 1e-12
 
 
-def test_eigh_desc_order_and_reconstruction():
+def test_top_eigenpairs_match_each_block():
     rng = np.random.default_rng(1)
-    a = _rand_sym(rng, 6)
-    vals, vecs = eigh_desc(a)
-    assert np.all(np.diff(vals) <= 1e-14)
-    assert np.allclose(vecs @ np.diag(vals) @ vecs.T, a)
+    blocks = [_rand_sym(rng, 6) for _ in range(3)]
+    vecs, ties = top_eigenpairs(blocks)
+    assert vecs.shape == (6, 3) and ties == [False] * 3
+    for x, v in zip(blocks, vecs.T):
+        vals, basis = np.linalg.eigh(x)
+        assert np.allclose(x @ v, vals[-1] * v)
+        assert np.allclose(v, basis[:, -1])
 
 
 def test_rop_error_hand_values():
@@ -105,6 +107,33 @@ def test_problem_instance_validation():
     with pytest.raises(ValueError):
         ProblemInstance((np.eye(2), np.array([[1.0, np.nan], [np.nan, 0.0]])))
     assert np.allclose(c.spectral_norms(), [4.0, 1.0])
+
+
+def _assert_one_readonly_stack(c, k, d):
+    assert isinstance(c.mats, np.ndarray)
+    assert c.mats.shape == (k, d, d) and c.mats.dtype == np.float64
+    assert not c.mats.flags.writeable
+    with pytest.raises(ValueError):
+        c.mats[0, 0, 0] = 1.0
+
+
+def test_instance_matrices_are_one_readonly_stack(tmp_path):
+    rng = np.random.default_rng(4)
+    src = np.array([_rand_sym(rng, 4) for _ in range(3)])
+    src[0, 0, 1] += 1.0  # asymmetric: symmetrized into a copy
+    c = ProblemInstance(src)
+    _assert_one_readonly_stack(c, 3, 4)
+    assert np.array_equal(c.mats, sym(src))
+    src[1] = 0.0  # the instance holds its own copy
+    assert np.abs(c.mats[1]).max() > 0.0
+    _assert_one_readonly_stack(ProblemInstance([[[1, 2], [2, 1]]]), 1, 2)
+    n = normalize_instance(c)
+    _assert_one_readonly_stack(n, 3, 4)
+    path = tmp_path / "inst.json"
+    save_instance(n, path)
+    back = load_instance(path)
+    _assert_one_readonly_stack(back, 3, 4)
+    assert np.array_equal(back.mats, n.mats)
 
 
 def test_normalize_instance():
@@ -156,6 +185,22 @@ def test_procrustes_idempotent_on_stiefel(seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
     assert np.allclose(procrustes_project(q).cols, q, atol=1e-12)
+
+
+def test_batched_block_reductions_match_the_loop():
+    # one batched LAPACK call per stack, the same arithmetic per block as
+    # a loop over the blocks, so the results are equal, not just close
+    rng = np.random.default_rng(6)
+    blocks = np.array([_rand_sym(rng, 7) for _ in range(4)])
+    total = 0.0
+    for x in blocks:
+        vals = np.linalg.eigvalsh(x)[::-1]
+        vals[0] -= 1.0
+        total += float(np.sum(vals ** 2))
+    assert rop_error(blocks) == total / 4
+    c = ProblemInstance(blocks)
+    assert list(c.spectral_norms()) == [spectral_norm(m) for m in blocks]
+    assert c.gate_unit == max(1.0, *(np.linalg.norm(m, 2) for m in blocks))
 
 
 def test_top_eigenpairs_tie_flag():

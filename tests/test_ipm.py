@@ -14,11 +14,10 @@ from stiefelsum.ipm import (
     _inverse_factor,
     _max_step,
     coupling_block,
+    eye_stacks,
     solve_ipm,
     smat,
-    stack_blocks,
     svec,
-    unstack,
 )
 
 
@@ -47,8 +46,8 @@ def test_coupling_block_matches_operator():
     # n = 9 has 45 svec rows, more than one chunk
     rng = np.random.default_rng(2)
     for n, nb in ((2, 1), (3, 2), (5, 1), (9, 4)):
-        ps = [_rand_sym(rng, n) for _ in range(nb)]
-        qs = [_rand_sym(rng, n) for _ in range(nb)]
+        ps = np.array([_rand_sym(rng, n) for _ in range(nb)])
+        qs = np.array([_rand_sym(rng, n) for _ in range(nb)])
         sd = n * (n + 1) // 2
         m = np.empty((sd, sd))
         coupling_block(ps, qs, m)
@@ -58,21 +57,28 @@ def test_coupling_block_matches_operator():
             assert np.allclose(m @ svec(v), svec(want), atol=1e-10)
 
 
-def _brute_schur(ops, p_blocks, q_blocks):
+def _rand_spd_stacks(rng, ops):
+    return [np.array([_rand_spd(rng, c.shape[1]) for _ in c]) for c in ops.C]
+
+
+def _brute_schur(ops, p, q):
     """Column j of H is A(sym(P A*(e_j) Q)), formed one block at a time."""
     m = ops.m
     h = np.zeros((m, m))
     for col in range(m):
-        at = unstack(ops.apply_AT(np.eye(m)[col]))
-        mids = [sym(p @ t @ q) for p, t, q in zip(p_blocks, at, q_blocks)]
-        h[:, col] = ops.apply_A(stack_blocks(mids))
+        at = ops.apply_AT(np.eye(m)[col])
+        mids = [np.array([sym(pb @ tb @ qb) for pb, tb, qb in zip(*s)])
+                for s in zip(p, at, q)]
+        h[:, col] = ops.apply_A(mids)
     return h
 
 
-def _assert_adjoint(ops, blocks, y):
-    # the operator and its adjoint agree: <A(X), y> = <X, A*(y)>
-    lhs = ops.apply_A(stack_blocks(blocks)) @ y
-    rhs = sum(np.sum(x * a) for x, a in zip(blocks, unstack(ops.apply_AT(y))))
+def _assert_adjoint(ops, x, y):
+    # the operator and its adjoint agree: <A(X), y> = <X, A*(y)>, with the
+    # inner product summed block by block
+    lhs = ops.apply_A(x) @ y
+    rhs = sum(np.sum(xb * ab) for xs, at in zip(x, ops.apply_AT(y))
+              for xb, ab in zip(xs, at))
     assert np.isclose(lhs, rhs)
 
 
@@ -87,38 +93,42 @@ def test_fantope_schur_vs_brute_force(d, k, slack):
     ops = FantopeOps(mats, d)
     assert ops.has_slack == slack
     assert len(ops.C) == 1 and ops.C[0].shape == (k + slack, d, d)
-    p_blocks = [_rand_spd(rng, s) for s in ops.block_sizes]
-    q_blocks = [_rand_spd(rng, s) for s in ops.block_sizes]
-    h = ops.schur(stack_blocks(p_blocks), stack_blocks(q_blocks))
-    hb = _brute_schur(ops, p_blocks, q_blocks)
+    p = _rand_spd_stacks(rng, ops)
+    q = _rand_spd_stacks(rng, ops)
+    h = ops.schur(p, q)
+    hb = _brute_schur(ops, p, q)
     assert np.allclose(h, hb, atol=1e-8 * max(1.0, np.abs(hb).max()))
     # A itself, block by block: the traces, then svec of the coupling sum
-    want = [np.trace(p) for p in p_blocks[:k]]
-    want.extend(svec(sum(p_blocks)))
-    assert np.allclose(ops.apply_A(stack_blocks(p_blocks)), want)
-    _assert_adjoint(ops, p_blocks, rng.standard_normal(ops.m))
+    want = [np.trace(pb) for pb in p[0][:k]]
+    want.extend(svec(sum(p[0])))
+    assert np.allclose(ops.apply_A(p), want)
+    _assert_adjoint(ops, p, rng.standard_normal(ops.m))
 
 
 def test_dense_schur_vs_brute_force():
-    # diagonal data with some uncoupled (zero) columns
+    # diagonal data with some uncoupled (zero) columns, in stacks of two
+    # blocks of size 3, one of size 2 and one of size 1
     rng = np.random.default_rng(9)
-    sizes = [3, 3, 2, 1]
+    layout = [(2, 3), (1, 2), (1, 1)]
     m = 3
-    diags = [rng.standard_normal((s, m)) * (rng.uniform(size=m) > 0.3)
-             for s in sizes]
-    cmats = [_rand_sym(rng, s) for s in sizes]
+    diags = [np.array([rng.standard_normal((n, m))
+                       * (rng.uniform(size=m) > 0.3) for _ in range(count)])
+             for count, n in layout]
+    cmats = [np.array([_rand_sym(rng, n) for _ in range(count)])
+             for count, n in layout]
     ops = DenseOps(diags, np.ones(m), cmats)
-    assert ops.block_sizes == sizes
+    assert [c.shape for c in ops.C] == [(2, 3, 3), (1, 2, 2), (1, 1, 1)]
     assert [a.shape for a in ops.diags] == [(2, 3, m), (1, 2, m), (1, 1, m)]
-    p_blocks = [_rand_spd(rng, s) for s in sizes]
-    q_blocks = [_rand_spd(rng, s) for s in sizes]
-    h = ops.schur(stack_blocks(p_blocks), stack_blocks(q_blocks))
-    hb = _brute_schur(ops, p_blocks, q_blocks)
+    p = _rand_spd_stacks(rng, ops)
+    q = _rand_spd_stacks(rng, ops)
+    h = ops.schur(p, q)
+    hb = _brute_schur(ops, p, q)
     assert np.allclose(h, hb, atol=1e-9 * max(1.0, np.abs(hb).max()))
     # A itself, block by block: A(X)_p = sum_j <diag(diags[j][:, p]), X_j>
-    want = sum(a.T @ np.diagonal(p) for a, p in zip(diags, p_blocks))
-    assert np.allclose(ops.apply_A(stack_blocks(p_blocks)), want)
-    _assert_adjoint(ops, p_blocks, rng.standard_normal(m))
+    want = sum(ab.T @ np.diagonal(pb) for a, ps in zip(diags, p)
+               for ab, pb in zip(a, ps))
+    assert np.allclose(ops.apply_A(p), want)
+    _assert_adjoint(ops, p, rng.standard_normal(m))
 
 
 def test_fantope_solve_k1_matches_top_eigenvalue():
@@ -130,7 +140,7 @@ def test_fantope_solve_k1_matches_top_eigenvalue():
     assert res.status == "optimal"
     assert abs(res.pobj - (-3.0)) < 1e-7
     assert abs(res.dobj - (-3.0)) < 1e-7
-    x = res.x_blocks[0]
+    x = res.x[0][0]
     assert abs(x[0, 0] - 1.0) < 1e-6
     assert res.relgap < 1e-8
 
@@ -142,8 +152,9 @@ def test_fantope_solve_k_equals_d():
     res = solve_ipm(ops)
     assert res.status == "optimal"
     assert abs(res.pobj - (-4.0)) < 1e-7
-    assert abs(res.x_blocks[0][0, 0] - 1.0) < 1e-6
-    assert abs(res.x_blocks[1][1, 1] - 1.0) < 1e-6
+    x, = res.x
+    assert abs(x[0][0, 0] - 1.0) < 1e-6
+    assert abs(x[1][1, 1] - 1.0) < 1e-6
 
 
 # k = d: no slack block, so the k cost blocks are the relaxation's one stack;
@@ -167,7 +178,7 @@ def test_dense_solve_min_eigenvalue():
     # min <C, X> s.t. tr X = 1, X PSD: optimum is the smallest eigenvalue
     rng = np.random.default_rng(11)
     c = _rand_sym(rng, 4)
-    ops = DenseOps([np.ones((4, 1))], np.ones(1), [c])
+    ops = DenseOps([np.ones((1, 4, 1))], np.ones(1), [c[None]])
     res = solve_ipm(ops)
     assert res.status == "optimal"
     want = float(np.linalg.eigvalsh(c)[0])
@@ -176,7 +187,7 @@ def test_dense_solve_min_eigenvalue():
 
 def test_dense_infeasible_is_flagged():
     # tr X = -1 with X PSD has no solution; must not report optimal
-    ops = DenseOps([np.ones((3, 1))], -np.ones(1), [np.eye(3)])
+    ops = DenseOps([np.ones((1, 3, 1))], -np.ones(1), [np.eye(3)[None]])
     res = solve_ipm(ops, max_iters=60)
     assert res.status == "numerical_failure"
 
@@ -184,8 +195,8 @@ def test_dense_infeasible_is_flagged():
 def test_ipm_interior_start_override():
     mats = [np.diag([5.0, 1.0])]
     ops = FantopeOps(mats, 2)
-    x0 = [np.eye(s) / 3.0 for s in ops.block_sizes]
-    z0 = [np.eye(s) for s in ops.block_sizes]
+    x0 = [e / 3.0 for e in eye_stacks(ops)]
+    z0 = eye_stacks(ops)
     res = solve_ipm(ops, x0=x0, y0=np.zeros(ops.m), z0=z0)
     assert res.status == "optimal"
     assert abs(res.pobj + 5.0) < 1e-7
@@ -260,10 +271,12 @@ def test_stacked_factor_and_step_match_each_matrix(n, count, seed):
 def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
     rng = np.random.default_rng(5)
     if case == "dense":
-        # min <C, X> over the sizes of a certificate program: d, k, then 1x1
-        sizes = [4, 2, 1, 1]
-        ops = DenseOps([np.ones((s, 1)) for s in sizes], np.ones(1),
-                       [_rand_sym(rng, s) for s in sizes])
+        # min <C, X> over the stacks of a certificate program: d, k, 1 x 1
+        layout = [(1, 4), (1, 2), (2, 1)]
+        ops = DenseOps([np.ones((count, n, 1)) for count, n in layout],
+                       np.ones(1),
+                       [np.array([_rand_sym(rng, n) for _ in range(count)])
+                        for count, n in layout])
         start = ()
     else:
         d = 2 if case == "fantope-square" else 3
@@ -281,12 +294,12 @@ def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
     assert res.status == "optimal" and res.iterations > 0
     # every iteration before the last computes a direction, with one
     # batched factor per stack of X and of Z: the batch sizes sum to 2 nb
-    eyes = [np.eye(n) for n in ops.block_sizes]
-    stacks = [s.shape for s in stack_blocks(eyes)]
+    stacks = [c.shape for c in ops.C]
     assert len(stacks) == (3 if case == "dense" else 1)
     per_iteration = 2 * stacks
     assert calls == per_iteration * res.iterations
-    assert sum(c[0] for c in per_iteration) == 2 * len(ops.block_sizes)
+    blocks = {"dense": 4, "fantope": 3, "fantope-square": 2}[case]
+    assert sum(c[0] for c in per_iteration) == 2 * blocks
 
 
 def test_singular_start_fails_closed():
@@ -294,8 +307,8 @@ def test_singular_start_fails_closed():
     # none is applied
     ops = FantopeOps([np.diag([3.0, 1.0, 0.0])], 3)
     _, y0, z0 = _fantope_start(ops)
-    x0 = [np.diag([0.0, 0.5, 0.5]), np.diag([1.0, 0.5, 0.5])]
+    x0 = [np.array([np.diag([0.0, 0.5, 0.5]), np.diag([1.0, 0.5, 0.5])])]
     res = solve_ipm(ops, x0, y0, z0)
     assert res.status == "numerical_failure"
     assert res.iterations == 0
-    assert np.array_equal(res.x_blocks[0], x0[0])
+    assert np.array_equal(res.x[0], x0[0])

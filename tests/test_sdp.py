@@ -237,3 +237,23 @@ def test_is_tight_hand_reports():
     assert not is_tight(_hand_report(orth, status=STATUS_NUMERICAL_FAILURE))
     assert not is_tight(_hand_report(orth, rop_err=2.0 * ROP_TOL))
     assert not is_tight(_hand_report(orth, rop_err=float("nan")))
+
+
+def test_is_tight_takes_one_batched_eigh(monkeypatch):
+    # the report's rop_err is the rank-one check; is_tight adds one batched
+    # eigh of the blocks (top eigenvectors) and one eigvalsh of their sum
+    rep = solve_sdp(gen_separated_diagonal(6, 3, seed=1))
+    calls = []
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    assert is_tight(rep)
+    assert calls == [("eigh", (3, 6, 6)), ("eigvalsh", (6, 6))]
