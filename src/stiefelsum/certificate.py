@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ProblemInstance, StiefelPoint, sym
-from .ipm import DenseOps, eye_stacks, solve_ipm
+from .ipm import DenseOps, eye_stacks, least_eigenvalues, solve_ipm
 from .sdp import (
     KKT_TOL,
     STATUS_NUMERICAL_FAILURE,
@@ -67,8 +67,8 @@ def _lmi_slacks(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
     """Least eigenvalue of each certificate matrix at the given nu."""
     core_mat = u @ (lam_s - np.diag(nu)) @ u.T
     blocks = core_mat + nu[:, None, None] * np.eye(c.d) - c.mats
-    return np.append(np.linalg.eigvalsh(sym(blocks))[:, 0],
-                     np.linalg.eigvalsh(sym(lam_s - np.diag(nu)))[0])
+    return np.append(least_eigenvalues(sym(blocks)),
+                     least_eigenvalues(sym(lam_s - np.diag(nu))[None]))
 
 
 def _complete_basis(u: np.ndarray) -> np.ndarray:
@@ -105,7 +105,7 @@ def _feasibility_start(ops: DenseOps, k: int):
     y0 = np.append(np.ones(k), 0.0)
     slack = [cj - a for cj, a in zip(ops.C, ops.apply_AT(y0))]
     # the least eigenvalue over the LMI blocks: the d-stack and the k-block
-    y0[k] = min(float(np.linalg.eigvalsh(sym(s))[:, 0].min())
+    y0[k] = min(float(least_eigenvalues(sym(s)).min())
                 for s in slack[:2]) - 1.0
     z0 = [sym(cj - a) for cj, a in zip(ops.C, ops.apply_AT(y0))]
     rho = 1.0 / sum(cj.shape[0] * cj.shape[1] for cj in ops.C)

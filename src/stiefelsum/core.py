@@ -13,6 +13,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 
 # Fixed tolerances. ORTH_TOL guards the StiefelPoint invariant, ROP_TOL is
 # the rank-one threshold, and TIE_GAP separates a block's top two
@@ -56,9 +57,10 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StiefelPoint:
-    """A d x k matrix with orthonormal columns."""
+    """A d x k matrix with orthonormal columns. Points compare by identity,
+    as do instances: an array field has no single truth value."""
 
     cols: np.ndarray
 
@@ -81,7 +83,7 @@ class StiefelPoint:
         return self.cols.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """The M_1, ..., M_k of the objective sum_i u_i' M_i u_i, held as one
     read-only, symmetrized (k, d, d) array, plus any uniform shift applied
@@ -162,16 +164,25 @@ def normalize_instance(c: ProblemInstance) -> ProblemInstance:
     )
 
 
-def procrustes_project(m: np.ndarray) -> StiefelPoint:
-    """Closest point on St(k, d) in Frobenius norm: the polar factor of m.
+def polar_factor(m) -> np.ndarray:
+    """U V' for the thin SVD m = U S V', as a bare array.
 
-    Requires full column rank; the polar factor is not unique otherwise.
+    One call of LAPACK's dgesdd, the routine np.linalg.svd runs, so the
+    factor is the one np.linalg.svd gives. A failed call (as on a NaN)
+    raises LinAlgError; m must have full column rank, as the polar factor
+    is not unique otherwise.
     """
-    m = np.asarray(m, dtype=float)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, s, vt, info = dgesdd(m, full_matrices=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgesdd failed: info = {info}")
     if s[0] <= 0.0 or s[-1] <= 1e-13 * s[0]:
         raise ValueError("rank-deficient input: polar factor not unique")
-    return StiefelPoint(u @ vt)
+    return u @ vt
+
+
+def procrustes_project(m: np.ndarray) -> StiefelPoint:
+    """Closest point on St(k, d) in Frobenius norm: the polar factor of m."""
+    return StiefelPoint(polar_factor(m))
 
 
 def rop_error(x_blocks) -> float:

@@ -23,6 +23,10 @@ step lengths, residuals) is one batched call per stack. An operator's cost
 ops.C, a list of stacks, fixes the layout: its operators, and solve_ipm's
 starts and results, are lists of stacks of the same shapes. The relaxation
 is one stack; the certificate three.
+
+A step length needs only the least eigenvalue of the scaled direction
+(Toh 2002), so least_eigenvalues computes that one eigenvalue per matrix
+rather than the spectrum; the certificate's slack gate uses it too.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dlamch, dsyevx, dtrtri
 
 from .core import sym
 
@@ -100,6 +104,32 @@ def coupling_block(p, q, out):
         s = np.take(r, ij, axis=1)
         s += np.take(r, ji, axis=1)
         np.multiply(s, v[rows, None] * v, out=out[rows])
+
+
+# dsyevx's absolute eigenvalue tolerance: 2 * underflow threshold, the
+# value LAPACK recommends for full accuracy
+_EIG_ABSTOL = 2.0 * dlamch("S")
+
+
+def least_eigenvalues(a):
+    """Least eigenvalue of each matrix of the (count, n, n) stack a, whose
+    lower triangles are read, as eigvalsh reads them. One LAPACK dsyevx call
+    per matrix computes only that eigenvalue; a 1 x 1 matrix is its own. A
+    call that fails (as on a NaN) raises LinAlgError, as does a non-finite
+    1 x 1 matrix."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] == 1:
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError("matrix not finite")
+        return a[:, 0, 0].copy()
+    out = np.empty(len(a))
+    for i, m in enumerate(a):
+        w, _, _, _, info = dsyevx(m, compute_v=0, range="I", iu=1,
+                                  abstol=_EIG_ABSTOL, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsyevx failed: info = {info}")
+        out[i] = w[0]
+    return out
 
 
 def eye_stacks(ops):
@@ -225,8 +255,7 @@ def _inverse_factor(a):
 def _max_step(li, da):
     """Largest alpha with a + alpha da PSD for every matrix of the stack a,
     where li = _inverse_factor(a); inf when da keeps the cone."""
-    lmin = float(np.min(
-        np.linalg.eigvalsh(sym(li @ da @ li.swapaxes(1, 2)))[:, 0]))
+    lmin = float(np.min(least_eigenvalues(sym(li @ da @ li.swapaxes(1, 2)))))
     if lmin >= -1e-14:
         return np.inf
     return -1.0 / lmin

@@ -28,7 +28,14 @@ from .core import (
     sym,
     top_eigenpairs,
 )
-from .ipm import FantopeOps, eye_stacks, smat, solve_ipm, svec
+from .ipm import (
+    FantopeOps,
+    eye_stacks,
+    least_eigenvalues,
+    smat,
+    solve_ipm,
+    svec,
+)
 from .stiefel import SolverConfig
 
 STATUS_OPTIMAL = "Optimal"
@@ -114,32 +121,27 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
 
     The M_i and the dual are divided by s = c.gate_unit first, so the four
     dual-side residuals are in units of s and cannot overflow."""
-    x_blocks = _blocks_of(primal)
+    x = np.array(_blocks_of(primal))
     s = c.gate_unit
     mats = c.mats / s
-    y, z_blocks, nu = dual.y / s, [z / s for z in dual.z_blocks], dual.nu / s
-    d = c.d
-    eye = np.eye(d)
+    y, z, nu = dual.y / s, np.array(dual.z_blocks) / s, dual.nu / s
+    eye = np.eye(c.d)
+    xsum = x.sum(axis=0)
 
-    xsum = np.zeros((d, d))
-    res_primal = 0.0
-    for x in x_blocks:
-        w = np.linalg.eigvalsh(sym(x))
-        res_primal = max(res_primal, max(0.0, -w[0]), abs(np.trace(x) - 1.0))
-        xsum += x
-    res_primal = max(res_primal,
-                     max(0.0, float(np.linalg.eigvalsh(sym(xsum))[-1]) - 1.0))
-
-    res_dual_eq = max(0.0, -float(np.linalg.eigvalsh(sym(y))[0]))
-    res_block = 0.0
-    res_cone = 0.0
-    for i, (m, z, x) in enumerate(zip(mats, z_blocks, x_blocks)):
-        res_dual_eq = max(res_dual_eq,
-                          float(np.linalg.norm(y - m - z + nu[i] * eye)))
-        res_block = max(res_block, abs(float(np.sum(z * x))))
-        res_cone = max(res_cone, max(0.0, -float(np.linalg.eigvalsh(sym(z))[0])))
-
+    # each check reads one end of a spectrum; lambda_max(A) = -lambda_min(-A)
+    res_primal = max(
+        0.0,
+        -float(least_eigenvalues(sym(x)).min()),
+        float(np.abs(np.trace(x, axis1=1, axis2=2) - 1.0).max()),
+        -float(least_eigenvalues(-sym(xsum)[None])[0]) - 1.0)
+    res_dual_eq = max(
+        0.0,
+        -float(least_eigenvalues(sym(y)[None])[0]),
+        float(np.linalg.norm(y - mats - z + nu[:, None, None] * eye,
+                             axis=(1, 2)).max()))
     res_slack = abs(float(np.sum((eye - xsum) * y)))
+    res_block = float(np.abs(np.sum(z * x, axis=(1, 2))).max())
+    res_cone = max(0.0, -float(least_eigenvalues(sym(z)).min()))
     return KktResiduals(res_primal, res_dual_eq, res_slack, res_block, res_cone)
 
 

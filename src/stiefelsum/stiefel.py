@@ -7,7 +7,10 @@ solution is the polar factor of the Euclidean gradient. Iterating this step
 gives a monotone ascent method with O(dk^2 + k^3) per-iteration cost, but
 only linear convergence; near a stationary point stmm_solve therefore
 polishes with guarded Riemannian Newton steps (Absil, Mahony and
-Sepulchre 2008), each a dense solve of size dk + k(k+1)/2.
+Sepulchre 2008), each a dense solve of size dk + k(k+1)/2. The MM step
+works on bare arrays (core.polar_factor); the only points built and
+validated as StiefelPoints are the returned final one and each Newton
+retraction.
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, LinAlgWarning, solve
 
-from .core import ProblemInstance, StiefelPoint, procrustes_project, sym
+from .core import (
+    ProblemInstance,
+    StiefelPoint,
+    polar_factor,
+    procrustes_project,
+    sym,
+)
 
 STATUS_STATIONARY = "Stationary"
 STATUS_MAX_ITERS = "MaxIters"
@@ -210,10 +219,10 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
                     continue
             wait = _NEWTON_WAIT
         try:
-            u = procrustes_project(g).cols
+            u = polar_factor(g)
         except ValueError:
             degenerate.append(t)
-            u = procrustes_project(g + 1e-12 * u).cols
+            u = polar_factor(g + 1e-12 * u)
         g, f, rg = _evaluate(c.mats, u)
 
     return IterateTrace(

@@ -15,6 +15,7 @@ from stiefelsum import (
 )
 
 SIGNATURES = {
+    core.polar_factor: ["m"],
     core.procrustes_project: ["m"],
     core.top_eigenpairs: ["x_blocks"],
     core.check_rop_orthogonality: ["x_blocks", "orth_tol"],

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiefelsum import core
 from stiefelsum.core import (
     ORTH_TOL,
     ProblemInstance,
@@ -160,6 +161,14 @@ def test_stiefel_point_validation():
     assert p.cols.shape == (2, 1)
 
 
+def test_instances_and_points_compare_by_identity():
+    inst, twin = (ProblemInstance((np.eye(2),)) for _ in range(2))
+    assert inst == inst and inst != twin
+    assert inst in [inst] and twin not in [inst]
+    p, q = (StiefelPoint(np.eye(2)) for _ in range(2))
+    assert p == p and p != q and q not in [p]
+
+
 def test_procrustes_against_scipy_polar():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -170,6 +179,20 @@ def test_procrustes_against_scipy_polar():
         ours = procrustes_project(m).cols
         ref, _ = scipy.linalg.polar(m)
         assert np.allclose(ours, ref, atol=1e-10)
+
+
+def test_polar_factor_is_the_svd_polar_factor():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        d = int(rng.integers(1, 13))
+        k = int(rng.integers(1, d + 1))
+        m = rng.standard_normal((d, k)) * 10.0 ** rng.uniform(-8, 8)
+        u, _, vt = np.linalg.svd(m, full_matrices=False)
+        ours = core.polar_factor(m)
+        assert np.array_equal(ours, u @ vt)  # bitwise
+        assert np.allclose(ours, scipy.linalg.polar(m)[0], rtol=0, atol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        core.polar_factor(np.full((3, 2), np.nan))
 
 
 def test_procrustes_rank_deficient_raises():

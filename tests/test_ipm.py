@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiefelsum import ipm
 from stiefelsum.core import sym
 from stiefelsum.sdp import _fantope_start
 from stiefelsum.ipm import (
@@ -247,6 +248,21 @@ def test_max_step_reaches_the_cone_boundary(n, seed):
     assert 0.0 < alpha < np.inf
     np.linalg.cholesky(a + 0.999 * alpha * da)  # still PD
     assert np.linalg.eigvalsh(a + 1.001 * alpha * da)[0] < 0.0
+
+
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_least_eigenvalues_match_the_full_spectrum(n, count, seed):
+    rng = np.random.default_rng(seed)
+    a = np.array([_rand_sym(rng, n) * 10.0 ** rng.uniform(-6, 6)
+                  for _ in range(count)])
+    got = ipm.least_eigenvalues(a)
+    assert got.shape == (count,)
+    norms = np.linalg.norm(a, 2, axis=(1, 2))
+    assert np.all(np.abs(got - np.linalg.eigvalsh(a)[:, 0]) <= 1e-12 * norms)
+    a[-1, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        ipm.least_eigenvalues(a)
 
 
 @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))

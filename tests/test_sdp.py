@@ -1,6 +1,7 @@
 """Relaxation solver tests: oracles are numpy eigensolves, permutation
 enumeration for the square commuting case, and hand-built KKT points."""
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -165,6 +166,38 @@ def test_check_kkt_hand_point():
     # the dual-side residuals are in units of s = ||M||_2 = 3
     assert res_bad.dual_cone == pytest.approx(0.1 / 3, abs=1e-12)
     assert res_bad.dual_eq > 0.05 / 3
+
+
+def _kkt_by_full_spectra(c, x_blocks, dual):
+    """check_kkt's five residuals from one full eigvalsh per matrix."""
+    s = c.gate_unit
+    y, nu, eye = dual.y / s, dual.nu / s, np.eye(c.d)
+    xsum = sum(x_blocks)
+    primal = max([0.0, np.linalg.eigvalsh(xsum)[-1] - 1.0]
+                 + [max(-np.linalg.eigvalsh(x)[0], abs(np.trace(x) - 1.0))
+                    for x in x_blocks])
+    dual_eq, block, cone = max(0.0, -np.linalg.eigvalsh(y)[0]), 0.0, 0.0
+    for i, (m, z, x) in enumerate(zip(c.mats / s, dual.z_blocks, x_blocks)):
+        z = z / s
+        dual_eq = max(dual_eq, np.linalg.norm(y - m - z + nu[i] * eye))
+        block = max(block, abs(np.sum(z * x)))
+        cone = max(cone, -np.linalg.eigvalsh(z)[0])
+    return primal, dual_eq, abs(np.sum((eye - xsum) * y)), block, cone
+
+
+def test_check_kkt_matches_full_spectra():
+    rng = np.random.default_rng(13)
+    for d, k in ((1, 1), (3, 2), (6, 3), (9, 4)):
+        c = gen_random_psd(d, k, seed=d)
+        x_blocks = tuple(sym(rng.standard_normal((d, d))) for _ in range(k))
+        dual = SdpDualSolution(
+            y=sym(rng.standard_normal((d, d))),
+            z_blocks=tuple(sym(rng.standard_normal((d, d)))
+                           for _ in range(k)),
+            nu=rng.standard_normal(k), objective=0.0)
+        got = dataclasses.astuple(check_kkt(c, x_blocks, dual))
+        assert got == pytest.approx(_kkt_by_full_spectra(c, x_blocks, dual),
+                                    rel=0, abs=1e-12)
 
 
 def test_dual_rank_profile_hand_and_solved():

@@ -124,6 +124,35 @@ def test_degenerate_gradient_is_perturbed_not_fatal():
     assert trace.objectives[-1] >= trace.objectives[0] - 1e-12
 
 
+def test_mm_steps_build_no_points(monkeypatch):
+    c = gen_hppca(20, 5, seed=4)
+    u0 = random_stiefel(20, 5, np.random.default_rng(4))
+    built = []
+    init = StiefelPoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(StiefelPoint, "__post_init__", counting)
+    trace = stmm_solve(c, u0, SolverConfig(max_iters=100))
+    # 100 MM steps and no Newton attempt: the only point is the final one
+    assert trace.iterations == 100
+    assert trace.grad_norms.min() > stiefel.NEWTON_SWITCH * c.gate_unit
+    assert len(built) == 1 and built[0] is trace.final
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_gradient_raises_on_the_first_step():
+    # the first gradient's singular values, 5.7e307 and 1.6, fail the rank
+    # check on the MM step and on its perturbed retry: the run ends there,
+    # before any iterate overflows to NaN
+    c = ProblemInstance((6e307 * np.ones((3, 3)), np.eye(3)))
+    u0 = random_stiefel(3, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="rank-deficient"):
+        stmm_solve(c, u0)
+
+
 def test_k1_ascent_finds_top_eigenvector():
     rng = np.random.default_rng(23)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
