@@ -43,6 +43,11 @@ CLASS_SUBOPTIMAL = "SuboptimalStationary"
 CLASS_UNKNOWN = "Unknown"
 
 CERT_TOL = 1e-7
+# the margin program's stop tolerance, for a point that never clears the gate
+MARGIN_TOL = 1e-9
+# how far a stationary candidate's objective must fall below a tight
+# relaxation's value to be called suboptimal
+VALUE_MARGIN = 1e-5
 
 # stationarity gate; StMM's stationary points (grad_tol 1e-10) pass it
 _PRECONDITION_TOL = 1e-6
@@ -122,9 +127,11 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     instance computes once. Weak stationarity of u_bar does not abort the
     computation; it only flags the result. A stalled feasibility solve is
     reported, not raised: status NumericalFailure, no witness, NaN t_star
-    and slacks, the stall in meta["gate"]. meta["schur_shift"] is the largest
-    diagonal shift the feasibility IPM's Schur factorization needed, and
-    meta["ipm_stop"] its status: "feasible" when it stopped on the gate.
+    and slacks. meta["reason"] names the gate that decided against
+    certification ("" for a certified point), and meta["ipm"] is the
+    feasibility IPM's IpmResult.summary(), as in sdp.solve_sdp; its status
+    is "feasible" when the solve stopped on the slack gate, and it is
+    absent when the multiplier gate decided before any solve.
     """
     if not isinstance(u_bar, StiefelPoint):
         u_bar = StiefelPoint(np.asarray(u_bar, dtype=float))
@@ -137,10 +144,9 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     weak = lam.symmetry_residual > _PRECONDITION_TOL or rg > _PRECONDITION_TOL
     meta = {"grad_norm": rg, "symmetry_residual": lam.symmetry_residual}
 
-    def verdict(slacks, t_star, status=STATUS_INCONCLUSIVE, nu=None, kkt=None,
-                gate=None):
-        if gate is not None:
-            meta["gate"] = gate
+    def verdict(reason, slacks, t_star, status=STATUS_INCONCLUSIVE, nu=None,
+                kkt=None):
+        meta["reason"] = reason
         return CertificateResult(
             status=status, nu_witness=nu, min_eig_slacks=slacks, t_star=t_star,
             precondition_weak=weak, kkt_residuals=kkt, meta=meta)
@@ -148,8 +154,8 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     # necessary condition: L - D_nu >= 0 with nu >= 0 forces L >= 0
     lam_min = float(np.linalg.eigvalsh(lam_s)[0])
     if lam_min < -_PRECONDITION_TOL:
-        return verdict(_lmi_slacks(c, u, lam_s, np.zeros(c.k)), lam_min,
-                       gate="multiplier matrix indefinite")
+        return verdict("multiplier matrix indefinite",
+                       _lmi_slacks(c, u, lam_s, np.zeros(c.k)), lam_min)
 
     s = c.gate_unit
     scale = max(s, float(np.linalg.norm(lam_s, 2)))
@@ -165,15 +171,12 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
         tried["slacks"] = _lmi_slacks(c, u, lam_s, witness(y))
         return tried["slacks"].min() >= -CERT_TOL * s
 
-    res = solve_ipm(ops, x0, y0, z0, tol=1e-9, max_iters=100, stop=clears)
-    meta.update(schur_shift=res.schur_shift, ipm_iterations=res.iterations,
-                ipm_stop=res.status)
+    res = solve_ipm(ops, x0, y0, z0, tol=MARGIN_TOL, stop=clears)
+    meta["ipm"] = res.summary()
     # a stall has no verdict: nothing here reads as certified
     if res.status not in ("optimal", "feasible"):
-        stall = "feasibility solve stalled (pinf=%.2e dinf=%.2e gap=%.2e)" % (
-            res.pinf, res.dinf, res.relgap)
-        return verdict(np.full(c.k + 1, np.nan), float("nan"),
-                       STATUS_NUMERICAL_FAILURE, gate=stall)
+        return verdict("feasibility solve stalled", np.full(c.k + 1, np.nan),
+                       float("nan"), STATUS_NUMERICAL_FAILURE)
 
     nu = witness(res.y)
     # a "feasible" stop returns the y its last gate call was made at
@@ -181,7 +184,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
               else _lmi_slacks(c, u, lam_s, nu))
     t_star = float(slacks.min())
     if not t_star >= -CERT_TOL * s:  # NaN fails too
-        return verdict(slacks, t_star)
+        return verdict("least slack below -CERT_TOL * s", slacks, t_star)
 
     # rebuild the induced optimal pair and verify before claiming anything
     y_mat = sym(u @ (lam_s - np.diag(nu)) @ u.T)
@@ -191,9 +194,9 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
                            objective=-(float(np.trace(y_mat)) + float(np.sum(nu))))
     kkt = check_kkt(c, x_blocks, dual)
     if not kkt.max_residual <= KKT_TOL:  # NaN fails too
-        return verdict(slacks, t_star, kkt=kkt,
-                       gate="constructed pair failed verification")
-    return verdict(slacks, t_star, STATUS_CERTIFIED, nu=nu, kkt=kkt)
+        return verdict("constructed pair failed verification", slacks,
+                       t_star, kkt=kkt)
+    return verdict("", slacks, t_star, STATUS_CERTIFIED, nu=nu, kkt=kkt)
 
 
 def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,
@@ -202,10 +205,11 @@ def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,
     solve exists.
 
     A solve that fails sdp.is_tight explains it directly; a tight
-    relaxation whose value strictly exceeds the objective of a stationary
-    candidate (Riemannian gradient within _PRECONDITION_TOL) means a
-    suboptimal stationary point; anything else, including a missing or
-    non-Optimal solve or an unconverged candidate, stays Unknown."""
+    relaxation whose value exceeds the objective of a stationary candidate
+    (Riemannian gradient within _PRECONDITION_TOL) by more than
+    VALUE_MARGIN means a suboptimal stationary point; anything else,
+    including a missing or non-Optimal solve or an unconverged candidate,
+    stays Unknown."""
     if sdp_report is None or sdp_report.status != STATUS_OPTIMAL:
         return CLASS_UNKNOWN
     if not is_tight(sdp_report):
@@ -213,6 +217,6 @@ def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,
     rg = float(np.linalg.norm(riemannian_gradient(c, u_bar)))
     if not rg <= _PRECONDITION_TOL:  # NaN is not stationary either
         return CLASS_UNKNOWN
-    if objective(c, u_bar) < sdp_report.value - 1e-5:
+    if objective(c, u_bar) < sdp_report.value - VALUE_MARGIN:
         return CLASS_SUBOPTIMAL
     return CLASS_UNKNOWN

@@ -160,14 +160,15 @@ def _cmd_certify(args) -> int:
         sdp_report = solve_sdp(inst)
         if sdp_report.status != STATUS_OPTIMAL:
             _write_json(args.out, {"status": STATUS_NUMERICAL_FAILURE,
-                                   "reason": "relaxation solve failed"})
+                                   "reason": "relaxation solve failed",
+                                   "meta": sdp_report.meta})
             return _fail(args, True)
         cand, _, _ = extract_candidate(sdp_report.primal)
         u = stmm_solve(inst, cand).final
     res = certify(inst, u)
     if res.status == STATUS_NUMERICAL_FAILURE:
         _write_json(args.out, {"status": res.status,
-                               "reason": res.meta["gate"], "meta": res.meta})
+                               "reason": res.meta["reason"], "meta": res.meta})
         return _fail(args, True)
     doc = {
         "status": res.status,

@@ -36,19 +36,31 @@ def sym(a):
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """Largest singular value, computed by a full dense decomposition.
+def spectral_norms(stack) -> np.ndarray:
+    """||M||_2 of each symmetric matrix of the (count, n, n) stack: its
+    largest |eigenvalue|, from the lower triangle, as eigvalsh reads it."""
+    return np.abs(np.linalg.eigvalsh(stack)).max(axis=-1)
 
-    Symmetric inputs go through eigh (deterministic and exact at this
-    scale); anything else falls back to singular values. Commutators are
-    skew-symmetric, so the general branch matters.
+
+def shift_and_scale(mats):
+    """Uniform PSD shift plus a global spectral-norm scale of the (k, d, d)
+    stack mats.
+
+    Returns (scaled mats, shift, scale); the shift preserves commutators and
+    only translates the objective, the scale conditions the solver.
     """
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0.0
-    if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    vals = np.linalg.eigvalsh(mats)
+    minlam = float(vals[:, 0].min())
+    shift = -minlam if minlam < -1e-12 else 0.0
+    if shift > 0.0:
+        mats = mats + shift * np.eye(mats.shape[1])
+        vals = np.linalg.eigvalsh(mats)
+    scale = float(np.abs(vals).max())
+    if scale <= 1e-300:
+        scale = 1.0
+    if abs(scale - 1.0) > 1e-12:
+        mats = mats / scale
+    return mats, shift, scale
 
 
 def _readonly(a):
@@ -86,12 +98,11 @@ class StiefelPoint:
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """The M_1, ..., M_k of the objective sum_i u_i' M_i u_i, held as one
-    read-only, symmetrized (k, d, d) array, plus any uniform shift applied
-    to make inputs PSD.
+    read-only, symmetrized (k, d, d) array. meta["psd_shift"], when present,
+    is the uniform shift that was added to make the M_i PSD.
     """
 
     mats: np.ndarray
-    psd_shift: float = 0.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -122,10 +133,7 @@ class ProblemInstance:
         """s = max(1, max_i ||M_i||_2), the unit of every verdict gate that
         carries the units of the M_i; it is 1 for normalized inputs. The
         M_i are read-only, so it is computed once per instance."""
-        return max(1.0, float(np.linalg.norm(self.mats, 2, axis=(1, 2)).max()))
-
-    def spectral_norms(self):
-        return np.abs(np.linalg.eigvalsh(self.mats)).max(axis=1)
+        return max(1.0, float(spectral_norms(self.mats).max()))
 
 
 def commuting_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -134,7 +142,8 @@ def commuting_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return spectral_norm(a @ b - b @ a)
+    # skew-symmetric, so the 2-norm by SVD rather than spectral_norms
+    return float(np.linalg.norm(a @ b - b @ a, 2))
 
 
 def max_commuting_distance(c: ProblemInstance) -> float:
@@ -147,21 +156,20 @@ def instance_distance(c: ProblemInstance, cbar: ProblemInstance) -> float:
     """max_i ||M_i - Mbar_i||_2 between two tuples of matching shape."""
     if (c.d, c.k) != (cbar.d, cbar.k):
         raise ValueError(f"shape mismatch: ({c.d},{c.k}) vs ({cbar.d},{cbar.k})")
-    return max(spectral_norm(m - mb) for m, mb in zip(c.mats, cbar.mats))
+    return float(spectral_norms(c.mats - cbar.mats).max())
 
 
 def normalize_instance(c: ProblemInstance) -> ProblemInstance:
-    """Scale so that max_i ||M_i||_2 = 1. The maximizer set is unchanged."""
-    scale = float(c.spectral_norms().max())
+    """Scale so that max_i ||M_i||_2 = 1. The maximizer set is unchanged.
+    meta records the scale and the PSD shift in the new units (0.0 when
+    none was applied)."""
+    scale = float(spectral_norms(c.mats).max())
     if scale <= 0.0:
         raise ValueError("cannot normalize an all-zero instance")
     meta = dict(c.meta)
     meta["normalization_scale"] = scale * meta.get("normalization_scale", 1.0)
-    return ProblemInstance(
-        mats=c.mats / scale,
-        psd_shift=c.psd_shift / scale,
-        meta=meta,
-    )
+    meta["psd_shift"] = meta.get("psd_shift", 0.0) / scale
+    return ProblemInstance(mats=c.mats / scale, meta=meta)
 
 
 def polar_factor(m) -> np.ndarray:
@@ -246,7 +254,7 @@ def save_instance(c: ProblemInstance, path) -> None:
         "d": c.d,
         "k": c.k,
         "mats": c.mats.reshape(c.k, -1).tolist(),
-        "meta": dict(c.meta, psd_shift=c.psd_shift),
+        "meta": c.meta,
     }
     Path(path).write_text(json.dumps(doc))
 
@@ -260,6 +268,4 @@ def load_instance(path) -> ProblemInstance:
     asym = np.max(np.abs(mats - mats.swapaxes(1, 2)), initial=0.0)
     if asym > 1e-12:
         raise ValueError(f"matrix not symmetric: max |A - A'| = {asym:.3e}")
-    meta = dict(doc.get("meta") or {})
-    psd_shift = float(meta.pop("psd_shift", 0.0))
-    return ProblemInstance(mats=mats, psd_shift=psd_shift, meta=meta)
+    return ProblemInstance(mats=mats, meta=dict(doc.get("meta") or {}))

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .core import (
     ProblemInstance,
     StiefelPoint,
     max_commuting_distance,
-    normalize_instance,
+    shift_and_scale,
     sym,
 )
 from .sdp import SdpDualSolution, is_tight, solve_sdp
@@ -92,6 +91,8 @@ def _margin_duals(m: np.ndarray, cols: np.ndarray, eps: float):
     Strict complementarity asks every non-assigned z entry and every
     used-column y entry to be positive; the optimal s is positive exactly
     when the assignment is unique, and zero under ties."""
+    from scipy.optimize import linprog  # slow to import; only LPs need it
+
     k, d = m.shape
     used = set(int(j) for j in cols)
     nv = k + d + 1  # nu, y, s
@@ -145,6 +146,8 @@ def _margin_duals(m: np.ndarray, cols: np.ndarray, eps: float):
 
 def solve_assignment(diag_values: np.ndarray) -> AssignmentSolution:
     """Maximize the sum of one picked entry per row, columns injective."""
+    from scipy.optimize import linear_sum_assignment  # as in _margin_duals
+
     m = np.asarray(diag_values, dtype=float)
     if m.ndim != 2 or m.shape[0] > m.shape[1]:
         raise ValueError("need a k x d array with k <= d")
@@ -203,20 +206,17 @@ def goldman_tucker_dual(diag_values: np.ndarray,
 def perturb_instance(c: ProblemInstance, scale: float,
                      rng: np.random.Generator) -> ProblemInstance:
     """Add independent symmetric noise of exact spectral norm `scale` to
-    each block, then restore PSD-ness by a uniform shift and renormalize."""
+    each block, then restore PSD-ness and renormalize by
+    core.shift_and_scale, recorded in meta as in core.normalize_instance."""
     e = sym(rng.standard_normal(c.mats.shape))
     nrm = np.linalg.norm(e, 2, axis=(1, 2))
     # a zero scale or a zero draw leaves its block as it is
     weight = np.divide(scale if scale > 0.0 else 0.0, nrm,
                        out=np.zeros_like(nrm), where=nrm > 0.0)
-    mats = c.mats + e * weight[:, None, None]
-    minlam = float(np.linalg.eigvalsh(mats)[:, 0].min())
-    shift = -minlam if minlam < 0.0 else 0.0
-    if shift > 0.0:
-        mats = mats + shift * np.eye(c.d)
-    out = ProblemInstance(mats=mats, psd_shift=shift,
-                          meta={"perturbation_scale": scale})
-    return normalize_instance(out)
+    mats, shift, norm = shift_and_scale(c.mats + e * weight[:, None, None])
+    return ProblemInstance(mats=mats, meta={
+        "perturbation_scale": scale, "normalization_scale": norm,
+        "psd_shift": shift / norm})
 
 
 def tightness_sweep(center: ProblemInstance, perturbation_scale: float,

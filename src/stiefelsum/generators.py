@@ -122,7 +122,7 @@ def gen_nested(d: int, k: int, coeffs, seed=0):
     deliberately left unnormalized so the known value is preserved.
 
     Returns (instance, known_optimum); the instance's meta records
-    known_optimum too."""
+    known_optimum too, and a psd_shift of 0.0, as normalized families do."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (k, k):
         raise ValueError("coefficient matrix must be k x k")
@@ -142,6 +142,7 @@ def gen_nested(d: int, k: int, coeffs, seed=0):
     opt = float(np.sum(c * c))
     inst = ProblemInstance(mats=tuple(mats), meta={
         "family": "nested", "seed": seed, "known_optimum": opt,
+        "psd_shift": 0.0,
     })
     return inst, opt
 

@@ -61,7 +61,8 @@ _is_tight = is_tight
 
 
 def rop_trial(args) -> dict:
-    """One table trial; module-level so process pools can ship it."""
+    """One table trial; module-level so process pools can ship it. The
+    record carries the relaxation's meta["ipm"] and meta["reason"]."""
     family, d, k, params, seed = args
     rec = {"family": family, "d": d, "k": k, "seed": seed}
     rec.update({key: str(val) for key, val in params.items()})
@@ -71,9 +72,7 @@ def rop_trial(args) -> dict:
         rep = solve_sdp(inst)
         rec.update(status=rep.status, value=rep.value, gap=rep.gap,
                    rop_err=rep.rop_err, tight=_is_tight(rep),
-                   iterations=rep.iterations,
-                   schur_shift=rep.meta["ipm"]["schur_shift"],
-                   ipm_stop=rep.meta["ipm"]["status"])
+                   ipm=rep.meta["ipm"], reason=rep.meta["reason"])
     except (ValueError, ArithmeticError) as exc:  # other errors are bugs
         rec.update(status="TrialError", tight=False, error=repr(exc))
     rec["wall"] = time.perf_counter() - t0
@@ -138,7 +137,9 @@ def subspace_distance(u1, u2) -> float:
 def sweep_trial(args) -> dict:
     """One sweep trial: the relaxation, StMM from a random start (HPPCA
     settings for hppca), then the certificate, whose status is recorded; an
-    Inconclusive one also gets classify_inconclusive's classification."""
+    Inconclusive one also gets classify_inconclusive's classification. The
+    record carries both solves' meta["ipm"] (sdp_ipm, certificate_ipm) and
+    the certificate's meta["reason"]."""
     family, d, k, params, seed = args
     cfg = SolverConfig.for_hppca() if family == "hppca" else SolverConfig()
     rec = {"family": family, "d": d, "k": k, "seed": seed}
@@ -151,8 +152,7 @@ def sweep_trial(args) -> dict:
         rec["sdp_wall"] = time.perf_counter() - t0
         rec.update(sdp_status=rep.status, sdp_value=rep.value,
                    rop_err=rep.rop_err, tight=_is_tight(rep),
-                   sdp_schur_shift=rep.meta["ipm"]["schur_shift"],
-                   sdp_ipm_stop=rep.meta["ipm"]["status"])
+                   sdp_ipm=rep.meta["ipm"])
 
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
@@ -175,11 +175,9 @@ def sweep_trial(args) -> dict:
         cert = certify(inst, trace.final)
         rec["certify_wall"] = time.perf_counter() - t0
         rec.update(certificate=cert.status,
-                   certificate_iterations=cert.meta.get("ipm_iterations"),
-                   certificate_stop=cert.meta.get("ipm_stop"))
-        if cert.status == STATUS_NUMERICAL_FAILURE:
-            rec["certificate_error"] = cert.meta["gate"]
-        elif cert.status == STATUS_INCONCLUSIVE:
+                   certificate_ipm=cert.meta.get("ipm"),
+                   certificate_reason=cert.meta["reason"])
+        if cert.status == STATUS_INCONCLUSIVE:
             rec["classification"] = classify_inconclusive(
                 inst, trace.final, rep)
     except (ValueError, ArithmeticError) as exc:

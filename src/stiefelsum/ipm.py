@@ -244,6 +244,14 @@ class IpmResult:
     mu: float
     schur_shift: float  # largest diagonal shift _factor_schur applied
 
+    def summary(self) -> dict:
+        """The run as reports and records describe it: how it stopped,
+        after how many iterations, with which final residuals and Schur
+        shift."""
+        return {"status": self.status, "iterations": self.iterations,
+                "pinf": self.pinf, "dinf": self.dinf, "relgap": self.relgap,
+                "schur_shift": self.schur_shift}
+
 
 def _inverse_factor(a):
     """L^-1 for the Cholesky factor L of each matrix of the stack a, so

@@ -24,7 +24,8 @@ from .core import (
     StiefelPoint,
     orthogonal_rank_one,
     rop_error,
-    spectral_norm,
+    shift_and_scale,
+    spectral_norms,
     sym,
     top_eigenpairs,
 )
@@ -157,27 +158,6 @@ def _fantope_start(ops: FantopeOps):
     return [x], y, eye_stacks(ops)
 
 
-def _normalize_for_solve(mats):
-    """Uniform PSD shift plus a global spectral-norm scale of the (k, d, d)
-    stack mats.
-
-    Returns (scaled mats, shift, scale); the shift preserves commutators and
-    only translates the objective, the scale conditions the solver.
-    """
-    vals = np.linalg.eigvalsh(mats)
-    minlam = float(vals[:, 0].min())
-    shift = -minlam if minlam < -1e-12 else 0.0
-    if shift > 0.0:
-        mats = mats + shift * np.eye(mats.shape[1])
-        vals = np.linalg.eigvalsh(mats)
-    scale = float(np.abs(vals).max())
-    if scale <= 1e-300:
-        scale = 1.0
-    if abs(scale - 1.0) > 1e-12:
-        mats = mats / scale
-    return mats, shift, scale
-
-
 def _recover_coupling_dual(ops, res, scale):
     """Input-unit (Y, Z_i, nu) from the solver's internal variables."""
     k = ops.k
@@ -211,17 +191,19 @@ def _status_from(res, gap, kkt_max, p, dd):
 def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveReport:
     """Solve the relaxation and self-verify the reported optimality.
 
-    Inputs need not be normalized or PSD: a uniform eigenvalue shift and a
-    global scale are applied internally and mapped back, with both recorded
-    in the report meta, as is the largest diagonal shift the IPM's Schur
-    factorization needed (meta["ipm"]["schur_shift"], 0.0 for none). A
-    report is never labeled Optimal unless the duality gap and all five KKT
-    residuals (check_kkt's, relative to c.gate_unit) pass GAP_TOL and
-    KKT_TOL.
+    Inputs need not be normalized or PSD: core.shift_and_scale's uniform
+    eigenvalue shift and global scale are applied internally and mapped
+    back, and recorded as meta["psd_shift"] and meta["scale"].
+    meta["ipm"] is the IPM run's IpmResult.summary(): its stop status,
+    iterations, final residuals and the largest diagonal shift its Schur
+    factorization needed (schur_shift, 0.0 for none). A report is never
+    labeled Optimal unless the duality gap and all five KKT residuals
+    (check_kkt's, relative to c.gate_unit) pass GAP_TOL and KKT_TOL;
+    meta["reason"] names the gates that failed ("" for none).
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    mats_s, shift, scale = _normalize_for_solve(c.mats)
+    mats_s, shift, scale = shift_and_scale(c.mats)
     ops = FantopeOps(mats_s, c.d)
     x0, y0, z0 = _fantope_start(ops)
     res = solve_ipm(ops, x0, y0, z0, tol=cfg.sdp_tol,
@@ -252,9 +234,7 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
         meta={
             "psd_shift": shift,
             "scale": scale,
-            "ipm": {"pinf": res.pinf, "dinf": res.dinf,
-                    "relgap": res.relgap, "status": res.status,
-                    "schur_shift": res.schur_shift},
+            "ipm": res.summary(),
             "reason": reason,
         },
     )
@@ -289,12 +269,7 @@ def extract_candidate(primal):
 
 def dual_rank_profile(dual: SdpDualSolution) -> np.ndarray:
     """Numerical rank of each Z_i: eigenvalues above RANK_TOL * ||Z_i||."""
-    ranks = []
-    for z in dual.z_blocks:
-        nrm = spectral_norm(z)
-        if nrm <= 0.0:
-            ranks.append(0)
-            continue
-        w = np.linalg.eigvalsh(sym(z))
-        ranks.append(int(np.sum(w > RANK_TOL * nrm)))
-    return np.asarray(ranks, dtype=int)
+    z = sym(np.array(dual.z_blocks))
+    nrm = spectral_norms(z)
+    # an all-zero Z_i has no eigenvalue above 0 = RANK_TOL * 0: rank 0
+    return np.sum(np.linalg.eigvalsh(z) > RANK_TOL * nrm[:, None], axis=1)

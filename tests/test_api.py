@@ -2,7 +2,12 @@
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import stiefelsum
 from stiefelsum import (
     certificate,
     cli,
@@ -15,6 +20,8 @@ from stiefelsum import (
 )
 
 SIGNATURES = {
+    core.spectral_norms: ["stack"],
+    core.shift_and_scale: ["mats"],
     core.polar_factor: ["m"],
     core.procrustes_project: ["m"],
     core.top_eigenpairs: ["x_blocks"],
@@ -40,6 +47,7 @@ SIGNATURES = {
 
 FIELDS = {
     core.StiefelPoint: ["cols"],
+    core.ProblemInstance: ["mats", "meta"],
     stiefel.SolverConfig: ["max_iters", "grad_tol", "sdp_tol", "sdp_max_iters",
                            "step_frac"],
     certificate.CertificateResult: ["status", "nu_witness", "min_eig_slacks",
@@ -58,6 +66,8 @@ DELETED = [
     (sdp, "_polar_any"), (sdp.KktResiduals, "scaled_max"),
     (cli, "_apply_fast"), (ipm, "sym_kron"), (sdp, "gate_unit"),
     (ipm, "stack_blocks"), (ipm, "unstack"), (core, "eigh_desc"),
+    (core, "spectral_norm"), (core.ProblemInstance, "spectral_norms"),
+    (sdp, "_normalize_for_solve"),
 ]
 
 
@@ -71,3 +81,14 @@ def test_fixed_values_are_constants_not_parameters():
     assert (sdp.RANK_TOL, certificate.CERT_TOL, diagonal.JD_TOL) == (
         1e-7, 1e-7, 1e-8)
     assert stiefel.NEWTON_SWITCH == 1e-4
+    assert (certificate.MARGIN_TOL, certificate.VALUE_MARGIN) == (1e-9, 1e-5)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the assignment fast path needs it, and it is slow to import
+    src = str(Path(stiefelsum.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, stiefelsum; "
+            "assert 'scipy.optimize' not in sys.modules, 'imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

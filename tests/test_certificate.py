@@ -4,9 +4,11 @@ construction (diagonal instances where the optimum is an assignment)."""
 import numpy as np
 import pytest
 
-from stiefelsum import certificate
+from stiefelsum import certificate, core
 from stiefelsum.certificate import (
     CERT_TOL,
+    MARGIN_TOL,
+    VALUE_MARGIN,
     _complete_basis,
     _feasibility_ops,
     _feasibility_start,
@@ -41,24 +43,31 @@ from stiefelsum.stiefel import (
 
 
 def test_certify_computes_the_gate_unit_once(monkeypatch):
-    # the gate unit is one batched spectral norm of the k blocks; certify's
-    # slack gate and its KKT check share it, and certify adds one norm of
-    # its own. A fresh instance, since stmm_solve has already cached the
-    # unit on c.
+    # the gate unit is one batched core.spectral_norms of the k blocks;
+    # certify's slack gate and its KKT check share it, and certify adds one
+    # 2-norm of its own. A fresh instance, since stmm_solve has already
+    # cached the unit on c.
     c = gen_separated_diagonal(6, 3, seed=2)
     u = stmm_solve(c, random_stiefel(6, 3, np.random.default_rng(2))).final
     fresh = ProblemInstance(c.mats)
-    norm = np.linalg.norm
+    norm, spectral_norms = np.linalg.norm, core.spectral_norms
     calls = []
 
     def counting(a, ord=None, *args, **kwargs):
         calls.append((ord, np.shape(a)))
         return norm(a, ord, *args, **kwargs)
 
+    def counting_stack(stack):
+        calls.append(("stack", np.shape(stack)))
+        return spectral_norms(stack)
+
     monkeypatch.setattr(np.linalg, "norm", counting)
+    monkeypatch.setattr(core, "spectral_norms", counting_stack)
     assert certify(fresh, u).status == "CertifiedGlobal"
-    assert [s for o, s in calls if o == 2] == [(3, 6, 6), (3, 3)]
-    assert fresh.gate_unit == max(1.0, *(norm(m, 2) for m in c.mats))
+    assert [(o, s) for o, s in calls if o in (2, "stack")] == [
+        ("stack", (3, 6, 6)), (2, (3, 3))]
+    assert fresh.gate_unit == pytest.approx(
+        max(1.0, *(norm(m, 2) for m in c.mats)), rel=1e-14)
 
 
 def test_certifies_known_global_optimum():
@@ -84,7 +93,8 @@ def test_suboptimal_stationary_point_is_inconclusive():
     assert res.nu_witness is None
     # the gate never clears, so the margin program runs to its optimum,
     # max over nu >= 0 of min(nu - 3, 0, 1 - nu) = -1
-    assert res.meta["ipm_stop"] == "optimal"
+    assert res.meta["ipm"]["status"] == "optimal"
+    assert res.meta["reason"] == "least slack below -CERT_TOL * s"
     assert res.t_star == res.min_eig_slacks.min()
     assert res.t_star == pytest.approx(-1.0, abs=1e-6)
     rep = solve_sdp(c)
@@ -98,7 +108,7 @@ def test_only_a_stationary_point_is_suboptimal_stationary():
     start = random_stiefel(3, 2, np.random.default_rng(0))
     early = stmm_solve(c, start, SolverConfig(max_iters=5)).final
     assert np.linalg.norm(riemannian_gradient(c, early)) > 1e-6
-    assert objective(c, early) < rep.value - 1e-5
+    assert objective(c, early) < rep.value - VALUE_MARGIN
     assert classify_inconclusive(c, early, rep) == "Unknown"
     eye = np.eye(3)
     swapped = StiefelPoint(np.column_stack([eye[:, 1], eye[:, 2]]))
@@ -135,7 +145,8 @@ def test_indefinite_multiplier_gate():
     c = ProblemInstance((np.diag([3.0, -1.0]),))
     res = certify(c, StiefelPoint(np.array([[0.0], [1.0]])))
     assert res.status == "Inconclusive"
-    assert res.meta["gate"] == "multiplier matrix indefinite"
+    assert res.meta["reason"] == "multiplier matrix indefinite"
+    assert "ipm" not in res.meta  # decided before any solve
     assert res.t_star == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -175,14 +186,15 @@ def test_stalled_feasibility_solve_is_a_status(stalled_certificate):
     res = certify(c, StiefelPoint(np.array([[1.0], [0.0]])))
     assert res.status == STATUS_NUMERICAL_FAILURE
     assert res.nu_witness is None and np.isnan(res.t_star)
-    assert res.meta["gate"].startswith("feasibility solve stalled")
-    assert res.meta["ipm_stop"] == "numerical_failure"
+    assert res.meta["reason"] == "feasibility solve stalled"
+    assert res.meta["ipm"]["status"] == "numerical_failure"
 
     # the sweep records the status; a stall is not attributed to the SDP
     rec = sweep_trial(("cjd", 6, 2, {"sigma": 0.0}, 3))
     assert rec["tight"] and "error" not in rec
     assert rec["certificate"] == STATUS_NUMERICAL_FAILURE
-    assert rec["certificate_error"].startswith("feasibility solve stalled")
+    assert rec["certificate_reason"] == "feasibility solve stalled"
+    assert rec["certificate_ipm"]["status"] == "numerical_failure"
     assert "classification" not in rec and "marker" not in rec
 
 
@@ -256,17 +268,18 @@ def test_feasibility_solve_stops_once_the_gate_clears(monkeypatch):
     monkeypatch.setattr(certificate, "_lmi_slacks", counting)
     res = certify(c, u)
     assert res.status == "CertifiedGlobal"
-    assert res.meta["ipm_stop"] == "feasible"
+    assert res.meta["ipm"]["status"] == "feasible"
+    assert res.meta["reason"] == ""
     assert res.t_star >= -CERT_TOL * c.gate_unit
     # one gate evaluation per iterate: the verdict reuses the last one's
     # slacks, which are those of the returned nu
-    assert len(calls) == res.meta["ipm_iterations"] + 1
+    assert len(calls) == res.meta["ipm"]["iterations"] + 1
     lam_s = sym(lambda_matrix(c, u).matrix)
     assert np.array_equal(res.min_eig_slacks,
                           _lmi_slacks(c, u.cols, lam_s, res.nu_witness))
     # the same program without the stop runs on to the margin's optimum
     ops = _feasibility_ops(c, u.cols, lam_s,
                            max(c.gate_unit, np.linalg.norm(lam_s, 2)))
-    full = solve_ipm(ops, *_feasibility_start(ops, c.k), tol=1e-9)
+    full = solve_ipm(ops, *_feasibility_start(ops, c.k), tol=MARGIN_TOL)
     assert full.status == "optimal"
-    assert res.meta["ipm_iterations"] < full.iterations
+    assert res.meta["ipm"]["iterations"] < full.iterations

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from stiefelsum import harness
+from stiefelsum import cli, harness
 from stiefelsum.cli import build_parser, main
 from stiefelsum.core import load_instance
 
@@ -33,6 +33,7 @@ def test_gen_solve_certify_roundtrip(tmp_path):
     assert all(isinstance(v, float) for v in rep["kkt"].values())
     assert rep["gap"] <= 1e-6
     assert rep["meta"]["ipm"]["schur_shift"] == 0.0
+    assert rep["meta"]["ipm"]["iterations"] == rep["iterations"]
 
     pt_path = tmp_path / "pt.json"
     tr_path = tmp_path / "trace.csv"
@@ -57,8 +58,9 @@ def test_gen_solve_certify_roundtrip(tmp_path):
     assert cert["status"] == "CertifiedGlobal"
     assert isinstance(cert["min_eig_slacks"], list)
     assert all(isinstance(x, float) for x in cert["min_eig_slacks"])
-    assert cert["meta"]["ipm_stop"] == "feasible"
-    assert cert["meta"]["schur_shift"] == 0.0
+    assert cert["meta"]["ipm"]["status"] == "feasible"
+    assert cert["meta"]["ipm"]["schur_shift"] == 0.0
+    assert cert["meta"]["reason"] == ""
 
 
 def test_certify_without_point_uses_polished_relaxation(tmp_path):
@@ -83,8 +85,57 @@ def test_certify_reports_a_stalled_solve(tmp_path, stalled_certificate):
     assert main(argv) == 2
     doc = json.loads(cert_path.read_text())
     assert doc["status"] == "NumericalFailure"
-    assert doc["reason"].startswith("feasibility solve stalled")
+    assert doc["reason"] == doc["meta"]["reason"] == "feasibility solve stalled"
+    assert doc["meta"]["ipm"]["status"] == "numerical_failure"
     assert main(argv + ["--tolerate-failures"]) == 0
+
+
+def test_certify_reports_a_failed_relaxation(tmp_path, monkeypatch):
+    real = cli.solve_sdp
+
+    def failing(inst, cfg=None):
+        rep = real(inst, cfg)
+        meta = dict(rep.meta, reason="duality gap above tolerance")
+        return dataclasses.replace(rep, status="NumericalFailure", meta=meta)
+
+    monkeypatch.setattr(cli, "solve_sdp", failing)
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--family", "cjd",
+          "--params", '{"d": 6, "k": 2, "sigma": 0.0}',
+          "--out", str(inst_path)])
+    cert_path = tmp_path / "cert.json"
+    argv = ["certify", "--instance", str(inst_path), "--out", str(cert_path)]
+    assert main(argv) == 2
+    doc = json.loads(cert_path.read_text())
+    assert doc["reason"] == "relaxation solve failed"
+    # the relaxation's own report says which gate it failed
+    assert doc["meta"]["reason"] == "duality gap above tolerance"
+    assert doc["meta"]["ipm"]["iterations"] > 0
+
+
+def test_reports_and_records_carry_one_ipm_summary(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--family", "cjd",
+          "--params", '{"d": 6, "k": 2, "sigma": 0.0}',
+          "--out", str(inst_path)])
+    for cmd in ("solve-sdp", "certify"):
+        argv = [cmd, "--instance", str(inst_path),
+                "--out", str(tmp_path / f"{cmd}.json")]
+        assert main(argv) == 0
+    assert main(["rop-table", "--family", "diagonal", "--d", "5", "--k", "2",
+                 "--trials", "1", "--out-dir", str(tmp_path)]) == 0
+    assert main(SWEEP + ["--out-dir", str(tmp_path)]) == 0
+
+    def read(name):
+        return (tmp_path / name).read_text()
+
+    rop = json.loads(read("rop_records.jsonl").splitlines()[0])
+    sweep = json.loads(read("sweep_records.jsonl").splitlines()[0])
+    summaries = [json.loads(read("solve-sdp.json"))["meta"]["ipm"],
+                 json.loads(read("certify.json"))["meta"]["ipm"], rop["ipm"],
+                 sweep["sdp_ipm"], sweep["certificate_ipm"]]
+    keys = {"status", "iterations", "pinf", "dinf", "relgap", "schur_shift"}
+    assert [set(s) for s in summaries] == [keys] * 5
 
 
 def test_bench_leaves_errored_trials_out_and_exits_2(tmp_path, monkeypatch):

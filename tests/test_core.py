@@ -19,7 +19,7 @@ from stiefelsum.core import (
     procrustes_project,
     rop_error,
     save_instance,
-    spectral_norm,
+    spectral_norms,
     sym,
     top_eigenpairs,
 )
@@ -45,10 +45,10 @@ def test_sym_skew_decompose(a):
 
 def test_spectral_norm_matches_lapack():
     rng = np.random.default_rng(0)
-    assert spectral_norm(np.diag([3.0, -5.0])) == 5.0
-    for _ in range(10):
-        a = rng.standard_normal((5, 5))
-        assert abs(spectral_norm(a) - np.linalg.norm(a, 2)) < 1e-12
+    assert spectral_norms(np.diag([3.0, -5.0])[None]).tolist() == [5.0]
+    a = sym(rng.standard_normal((10, 5, 5)))
+    assert np.allclose(spectral_norms(a), np.linalg.norm(a, 2, axis=(1, 2)),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_top_eigenpairs_match_each_block():
@@ -107,7 +107,7 @@ def test_problem_instance_validation():
         ProblemInstance((np.diag([1.0, np.inf]),))
     with pytest.raises(ValueError):
         ProblemInstance((np.eye(2), np.array([[1.0, np.nan], [np.nan, 0.0]])))
-    assert np.allclose(c.spectral_norms(), [4.0, 1.0])
+    assert np.allclose(spectral_norms(c.mats), [4.0, 1.0])
 
 
 def _assert_one_readonly_stack(c, k, d):
@@ -140,7 +140,7 @@ def test_instance_matrices_are_one_readonly_stack(tmp_path):
 def test_normalize_instance():
     c = ProblemInstance(mats=(np.eye(3) * 4.0, np.eye(3)))
     n = normalize_instance(c)
-    assert abs(n.spectral_norms().max() - 1.0) < 1e-14
+    assert abs(spectral_norms(n.mats).max() - 1.0) < 1e-14
     assert n.meta["normalization_scale"] == 4.0
     # scale accumulates across repeated normalization
     n2 = normalize_instance(ProblemInstance(
@@ -222,8 +222,11 @@ def test_batched_block_reductions_match_the_loop():
         total += float(np.sum(vals ** 2))
     assert rop_error(blocks) == total / 4
     c = ProblemInstance(blocks)
-    assert list(c.spectral_norms()) == [spectral_norm(m) for m in blocks]
-    assert c.gate_unit == max(1.0, *(np.linalg.norm(m, 2) for m in blocks))
+    norms = [np.abs(np.linalg.eigvalsh(m)).max() for m in blocks]
+    assert list(spectral_norms(c.mats)) == norms
+    assert c.gate_unit == max(1.0, *norms)
+    assert c.gate_unit == pytest.approx(
+        max(1.0, *(np.linalg.norm(m, 2) for m in blocks)), rel=1e-14)
 
 
 def test_top_eigenpairs_tie_flag():
@@ -248,15 +251,13 @@ def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     c = ProblemInstance(
         mats=tuple(_rand_sym(rng, 4) for _ in range(2)),
-        psd_shift=0.25,
-        meta={"family": "test"},
+        meta={"family": "test", "psd_shift": 0.25},
     )
     path = tmp_path / "inst.json"
     save_instance(c, path)
     back = load_instance(path)
     assert instance_distance(c, back) < 1e-12
-    assert back.psd_shift == 0.25
-    assert back.meta["family"] == "test"
+    assert back.meta == {"family": "test", "psd_shift": 0.25}
 
 
 def test_load_rejects_asymmetric(tmp_path):

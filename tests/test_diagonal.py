@@ -4,7 +4,7 @@ dual feasibility, and the strictly complementary dual construction."""
 import numpy as np
 import pytest
 
-from stiefelsum.core import ProblemInstance, sym
+from stiefelsum.core import ProblemInstance, spectral_norms, sym
 from stiefelsum.diagonal import (
     TieError,
     enumerate_assignments,
@@ -108,10 +108,11 @@ def test_perturb_instance_properties():
     center = gen_separated_diagonal(6, 2, seed=3)
     rng = np.random.default_rng(3)
     p = perturb_instance(center, 0.1, rng)
-    assert max(p.spectral_norms()) == pytest.approx(1.0, abs=1e-12)
+    assert max(spectral_norms(p.mats)) == pytest.approx(1.0, abs=1e-12)
     for m in p.mats:
         assert float(np.linalg.eigvalsh(m)[0]) >= -1e-12
     assert p.meta["perturbation_scale"] == 0.1
+    assert p.meta["psd_shift"] >= 0.0
 
     z = perturb_instance(center, 0.0, np.random.default_rng(0))
     for a, b in zip(z.mats, center.mats):

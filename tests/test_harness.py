@@ -1,12 +1,13 @@
 """Experiment harness: seed derivation, table/sweep bookkeeping, writers."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from stiefelsum import harness
+from stiefelsum import harness, sdp
 from stiefelsum.harness import (
     bench_cell,
     rop_trial,
@@ -42,9 +43,11 @@ def test_rop_table_diagonal_all_tight():
     assert row["family"] == "diagonal"
     assert all(r["status"] == "Optimal" for r in recs)
     assert all(r["rop_err"] <= 1e-5 for r in recs)
-    # the relaxation's IPM stop and Schur shift, from meta["ipm"]
-    assert all(r["ipm_stop"] == "optimal" for r in recs)
-    assert all(r["schur_shift"] == 0.0 for r in recs)
+    # the relaxation's meta["ipm"] and meta["reason"]
+    assert all(r["ipm"]["status"] == "optimal" for r in recs)
+    assert all(r["ipm"]["schur_shift"] == 0.0 for r in recs)
+    assert all(r["ipm"]["iterations"] > 0 for r in recs)
+    assert all(r["reason"] == "" for r in recs)
 
 
 def test_rop_table_worker_pool_matches_serial():
@@ -83,6 +86,22 @@ def test_trial_errors_are_isolated(monkeypatch):
         rop_trial(("diagonal", 4, 2, {}, 0))
 
 
+def test_failed_relaxation_record_names_its_gate(monkeypatch):
+    real = sdp.solve_ipm
+
+    def stalled(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs),
+                                   status="numerical_failure")
+
+    monkeypatch.setattr(sdp, "solve_ipm", stalled)
+    rec = rop_trial(("diagonal", 5, 2, {}, 1))
+    assert rec["status"] == "NumericalFailure" and harness.failed(rec)
+    assert rec["reason"] == "solver did not converge"
+    # the residuals at the stop are in the record too
+    assert rec["ipm"]["status"] == "numerical_failure"
+    assert max(rec["ipm"][key] for key in ("pinf", "dinf", "relgap")) <= 1e-8
+
+
 def test_subspace_distance_cases():
     u = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 2)))[0]
     assert subspace_distance(u, u) == pytest.approx(0.0, abs=1e-12)
@@ -104,10 +123,12 @@ def test_sweep_markers_on_commuting_family():
         assert abs(r["gap"]) <= 1e-6
         assert r["subspace_distance"] <= 1e-4
         assert {"sdp_wall", "stmm_wall", "stmm_iterations"} <= set(r)
-        assert r["certificate_stop"] == "feasible"
-        assert r["sdp_ipm_stop"] == "optimal"
-        assert r["sdp_schur_shift"] == 0.0
-        assert r["certificate_iterations"] >= 0
+        assert r["certificate_ipm"]["status"] == "feasible"
+        assert r["sdp_ipm"]["status"] == "optimal"
+        assert r["sdp_ipm"]["schur_shift"] == 0.0
+        assert r["sdp_ipm"]["iterations"] > 0
+        assert r["certificate_ipm"]["iterations"] >= 0
+        assert r["certificate_reason"] == ""
         assert 0 <= r["stmm_newton_steps"] <= r["stmm_iterations"]
 
 
