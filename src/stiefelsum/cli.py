@@ -137,6 +137,7 @@ def _cmd_solve_stmm(args) -> int:
         "objective": float(trace.objectives[-1]),
         "iterations": trace.iterations,
         "newton_steps": len(trace.newton_steps),
+        "accelerated_steps": len(trace.accelerated_steps),
         "grad_norm": float(trace.grad_norms[-1]),
         "d": inst.d,
         "k": inst.k,

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -91,11 +93,33 @@ def _check_trials(trials: int):
         raise ValueError(f"need at least one trial, got {trials}")
 
 
+# BLAS thread counts of a pool's workers: one each, so that jobs workers
+# share the cores instead of each starting a thread per core
+_WORKER_ENV = dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
+
 def _run_trials(fn, arglist, jobs: int):
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """fn over arglist, in order: serially, or in jobs spawned worker
+    processes when jobs > 1. A spawned worker reads the BLAS thread counts
+    from its environment as it starts, so the pool runs with _WORKER_ENV
+    set; a caller's script must then guard its entry point with
+    if __name__ == "__main__"."""
+    if jobs <= 1:
+        return [fn(a) for a in arglist]
+    saved = {key: os.environ.get(key) for key in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        with ProcessPoolExecutor(
+                max_workers=jobs,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
             return list(pool.map(fn, arglist))
-    return [fn(a) for a in arglist]
+    finally:
+        for key, val in saved.items():
+            if val is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = val
 
 
 def run_rop_table(family: str, grid: dict, trials: int, seed=0,
@@ -161,7 +185,8 @@ def sweep_trial(args) -> dict:
         rec.update(stmm_status=trace.status,
                    stmm_value=float(trace.objectives[-1]),
                    stmm_iterations=trace.iterations,
-                   stmm_newton_steps=len(trace.newton_steps))
+                   stmm_newton_steps=len(trace.newton_steps),
+                   stmm_accelerated_steps=len(trace.accelerated_steps))
         rec["gap"] = rec["sdp_value"] - rec["stmm_value"]
 
         try:
@@ -202,7 +227,8 @@ def run_cjd_sweep(sweep_values, trials: int, d, k, family: str = "cjd",
     """Sweep trials over noise level (cjd: sigma = value) or sample size
     (hppca: group sizes [value, 4 value]) on every (d, k, value) cell; each
     (d, k) reuses the per-value seeds. Returns (rows, records): one curve
-    row per cell, its statistics over the trials that did not raise."""
+    row per cell, its statistics over the trials that did not raise (NaN
+    when all of them raised) and trial_errors, the count that did."""
     _check_trials(trials)
     cells = [(dd, kk, val) for dd in d for kk in k for val in sweep_values]
     args = [(family, dd, kk, {"n": [int(val), 4 * int(val)]}
@@ -216,9 +242,10 @@ def run_cjd_sweep(sweep_values, trials: int, d, k, family: str = "cjd",
         for rec in recs:
             rec["sweep_value"] = val
         ok = [r for r in recs if "error" not in r]
-        row = {"d": dd, "k": kk, "sweep_value": val, "n_trials": len(recs)}
+        row = {"d": dd, "k": kk, "sweep_value": val, "n_trials": len(recs),
+               "trial_errors": len(recs) - len(ok)}
         for col, (stat, key) in _CURVE.items():
-            row[col] = stat([key(r) for r in ok]) if ok else 0
+            row[col] = stat([key(r) for r in ok]) if ok else float("nan")
         rows.append(row)
     return rows, records
 

@@ -4,18 +4,22 @@ The objective F(U) = sum_i u_i' M_i u_i is convex in U, so its linear
 minorizer at the current iterate is exact to first order; maximizing that
 minorizer over the manifold is an orthogonal Procrustes problem whose
 solution is the polar factor of the Euclidean gradient. Iterating this step
-gives a monotone ascent method with O(dk^2 + k^3) per-iteration cost, but
-only linear convergence; near a stationary point stmm_solve therefore
-polishes with guarded Riemannian Newton steps (Absil, Mahony and
-Sepulchre 2008), each a dense solve of size dk + k(k+1)/2. The MM step
-works on bare arrays (core.polar_factor); the only points built and
-validated as StiefelPoints are the returned final one and each Newton
-retraction.
+gives a monotone ascent method with O(dk^2 + k^3) per-iteration cost. The
+MM map U -> polar(G(U)) converges only linearly, so stmm_solve speeds it up
+twice: every step also tries an Anderson extrapolation of the map (Walker
+and Ni 2011), kept only when it climbs at least as far as the MM step
+(the monotone safeguard of Henderson and Varadhan 2019); and near a
+stationary point it polishes with guarded Riemannian Newton steps (Absil,
+Mahony and Sepulchre 2008), each a dense solve of size dk + k(k+1)/2. The
+MM and Anderson steps work on bare arrays (core.polar_factor); the only
+points built and validated as StiefelPoints are the returned final one and
+each Newton retraction.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,10 @@ STATUS_MAX_ITERS = "MaxIters"
 # limit. A rejected step holds Newton off for _NEWTON_WAIT MM steps.
 NEWTON_SWITCH = 1e-4
 _NEWTON_WAIT = 50
+
+# Anderson extrapolation of the MM map mixes the last _ANDERSON_DEPTH + 1
+# pairs (U_j, polar(G_j) - U_j), so _ANDERSON_DEPTH differences.
+_ANDERSON_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,7 @@ class IterateTrace:
     status: str
     degenerate_steps: tuple = ()
     newton_steps: tuple = ()
+    accelerated_steps: tuple = ()
 
     @property
     def iterations(self) -> int:
@@ -172,21 +181,49 @@ def _newton_point(mats: np.ndarray, u: np.ndarray, g: np.ndarray,
         return None
 
 
+def _anderson_point(mats: np.ndarray, history, shape):
+    """Retracted Anderson extrapolation of the MM map, with its gradient,
+    objective and Riemannian gradient, or None if it fails.
+
+    history holds (X_j, R_j) pairs, oldest first: raveled iterates and
+    their MM residuals polar(G_j) - X_j. With dX and dR the column
+    differences of the two histories, gamma = lstsq(dR, r) and the
+    extrapolation is X + r - (dX + dR) gamma for the last pair (X, r);
+    only Frobenius inner products enter. A failed least-squares solve or
+    polar factor gives None.
+    """
+    xs, rs = (np.stack(h, axis=1) for h in zip(*history))
+    dx, dr = np.diff(xs, axis=1), np.diff(rs, axis=1)
+    try:
+        gamma = np.linalg.lstsq(dr, rs[:, -1], rcond=None)[0]
+        u = polar_factor(
+            (xs[:, -1] + rs[:, -1] - (dx + dr) @ gamma).reshape(shape))
+    except (LinAlgError, ValueError):
+        return None
+    return (u, *_evaluate(mats, u))
+
+
 def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
                cfg: SolverConfig | None = None) -> IterateTrace:
-    """Monotone ascent by repeated polar projection of the gradient, with a
-    guarded Riemannian Newton polish.
+    """Monotone ascent by repeated polar projection of the gradient,
+    Anderson-accelerated, with a guarded Riemannian Newton polish.
 
-    Once the Riemannian gradient norm is at most NEWTON_SWITCH *
-    c.gate_unit, a Newton step (see _newton_point) is tried in place of the
-    MM step and kept only if the objective does not fall and the gradient
-    norm does; otherwise the MM step is taken, and Newton waits
-    _NEWTON_WAIT MM steps. Every step, Newton or MM, counts against
-    cfg.max_iters and appends one objective and gradient norm; Newton step
-    indices are recorded in newton_steps. Stops when the Riemannian
-    gradient norm drops below cfg.grad_tol or at cfg.max_iters. A
-    rank-deficient gradient is perturbed by 1e-12 U and the step index
-    recorded in degenerate_steps.
+    Each MM step also tries an Anderson extrapolation (see _anderson_point)
+    from the last _ANDERSON_DEPTH + 1 iterates. It is kept only if its
+    objective is at least the MM step's; otherwise the MM step is taken
+    and the history drops to its last pair. Once the Riemannian gradient
+    norm is at most NEWTON_SWITCH * c.gate_unit, a Newton step (see
+    _newton_point) is tried in place of the MM step and kept only if the
+    objective does not fall and the gradient norm does; otherwise the MM
+    step is taken, and Newton waits _NEWTON_WAIT MM steps. A Newton step
+    clears the Anderson history.
+
+    Every step, MM, Anderson or Newton, counts against cfg.max_iters and
+    appends one objective and gradient norm; the indices of the Anderson
+    and Newton steps are recorded in accelerated_steps and newton_steps.
+    Stops when the Riemannian gradient norm drops below cfg.grad_tol or at
+    cfg.max_iters. A rank-deficient gradient is perturbed by 1e-12 U and
+    the step index recorded in degenerate_steps.
     """
     cfg = cfg or SolverConfig()
     switch = NEWTON_SWITCH * c.gate_unit
@@ -196,6 +233,8 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
     gnorms = []
     degenerate = []
     newton = []
+    accelerated = []
+    history = deque(maxlen=_ANDERSON_DEPTH + 1)
     wait = 0
     status = STATUS_MAX_ITERS
 
@@ -215,15 +254,26 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
                 g_new, f_new, rg_new = _evaluate(c.mats, cand)
                 if f_new >= f and np.linalg.norm(rg_new) < gnorms[-1]:
                     newton.append(t)
+                    history.clear()
                     u, g, f, rg = cand, g_new, f_new, rg_new
                     continue
             wait = _NEWTON_WAIT
         try:
-            u = polar_factor(g)
+            u_mm = polar_factor(g)
         except ValueError:
             degenerate.append(t)
-            u = polar_factor(g + 1e-12 * u)
-        g, f, rg = _evaluate(c.mats, u)
+            u_mm = polar_factor(g + 1e-12 * u)
+        history.append((u.ravel(), (u_mm - u).ravel()))
+        mm = (u_mm, *_evaluate(c.mats, u_mm))
+        aa = (_anderson_point(c.mats, history, u.shape)
+              if len(history) > 1 else None)
+        if aa is not None and aa[2] >= mm[2]:
+            accelerated.append(t)
+            u, g, f, rg = aa
+        else:
+            while len(history) > 1:
+                history.popleft()
+            u, g, f, rg = mm
 
     return IterateTrace(
         objectives=np.asarray(objs),
@@ -232,4 +282,5 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
         status=status,
         degenerate_steps=tuple(degenerate),
         newton_steps=tuple(newton),
+        accelerated_steps=tuple(accelerated),
     )

@@ -105,8 +105,10 @@ def test_suboptimal_stationary_point_is_inconclusive():
 def test_only_a_stationary_point_is_suboptimal_stationary():
     c = ProblemInstance((np.diag([3.0, 1.0, 0.0]), np.diag([0.0, 2.0, 1.0])))
     rep = solve_sdp(c)
-    start = random_stiefel(3, 2, np.random.default_rng(0))
-    early = stmm_solve(c, start, SolverConfig(max_iters=5)).final
+    # the optimum [e1, e2] with its columns turned by 0.3 rad in their
+    # plane: a point on the manifold that is neither optimal nor stationary
+    turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    early = StiefelPoint(np.eye(3)[:, :2] @ turn)
     assert np.linalg.norm(riemannian_gradient(c, early)) > 1e-6
     assert objective(c, early) < rep.value - VALUE_MARGIN
     assert classify_inconclusive(c, early, rep) == "Unknown"

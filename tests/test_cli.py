@@ -44,6 +44,7 @@ def test_gen_solve_certify_roundtrip(tmp_path):
     pt = json.loads(pt_path.read_text())
     assert pt["status"] == "Stationary"
     assert 0 <= pt["newton_steps"] <= pt["iterations"]
+    assert 0 <= pt["accelerated_steps"] <= pt["iterations"]
     assert len(pt["u"]) == 6
     assert abs(pt["objective"] - rep["value"]) <= 1e-6
     with open(tr_path, newline="") as fh:

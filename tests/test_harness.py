@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ def test_rop_table_worker_pool_matches_serial():
                                                   (5, 3)]
 
 
+def test_pool_workers_start_with_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    names = list(harness._WORKER_ENV)
+    assert harness._run_trials(os.getenv, names, 2) == ["1"] * len(names)
+    # the caller's environment is left as it was
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    assert "MKL_NUM_THREADS" not in os.environ
+
+
 def test_trial_errors_are_isolated(monkeypatch):
     rec = rop_trial(("no-such-family", 4, 2, {}, 0))
     assert rec["status"] == "TrialError"
@@ -130,6 +141,23 @@ def test_sweep_markers_on_commuting_family():
         assert r["certificate_ipm"]["iterations"] >= 0
         assert r["certificate_reason"] == ""
         assert 0 <= r["stmm_newton_steps"] <= r["stmm_iterations"]
+        assert 0 <= r["stmm_accelerated_steps"] <= r["stmm_iterations"]
+        assert (r["stmm_newton_steps"] + r["stmm_accelerated_steps"]
+                <= r["stmm_iterations"])
+
+
+def test_sweep_cell_of_failed_trials_has_no_statistics():
+    # group sizes [0, 0] cannot be sampled: both trials raise ValueError
+    rows, recs = run_cjd_sweep([0], 2, [6], [2], family="hppca")
+    assert len(recs) == 2 and all("ValueError" in r["error"] for r in recs)
+    (row,) = rows
+    assert row["n_trials"] == 2 and row["trial_errors"] == 2
+    for col in harness._CURVE:
+        assert np.isnan(row[col])
+    # a cell with no errors counts none
+    rows, _ = run_cjd_sweep([0.0], 1, [6], [2], seed=3)
+    assert rows[0]["trial_errors"] == 0
+    assert rows[0]["fraction_tight"] == 1.0
 
 
 def test_failed_is_the_one_failure_rule():

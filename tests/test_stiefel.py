@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from stiefelsum import stiefel
-from stiefelsum.core import ProblemInstance, StiefelPoint, sym
+from stiefelsum.core import ProblemInstance, StiefelPoint, polar_factor, sym
 from stiefelsum.generators import (
+    gen_cjd,
     gen_hppca,
     gen_random_psd,
     gen_separated_diagonal,
@@ -136,7 +137,8 @@ def test_mm_steps_build_no_points(monkeypatch):
 
     monkeypatch.setattr(StiefelPoint, "__post_init__", counting)
     trace = stmm_solve(c, u0, SolverConfig(max_iters=100))
-    # 100 MM steps and no Newton attempt: the only point is the final one
+    # 100 MM or Anderson steps and no Newton attempt: the only point is
+    # the final one
     assert trace.iterations == 100
     assert trace.grad_norms.min() > stiefel.NEWTON_SWITCH * c.gate_unit
     assert len(built) == 1 and built[0] is trace.final
@@ -181,6 +183,14 @@ def _plain_mm(c, u, grad_tol=1e-10, max_iters=20000):
     raise AssertionError("reference MM did not converge")
 
 
+def _sign_distance(a, b):
+    """Largest entry of |A S - B|, S the column signs that best align A
+    with B: the distance between two points that may differ only in the
+    signs of their columns, as the objective cannot tell them apart."""
+    signs = np.where(np.sum(a * b, axis=0) < 0.0, -1.0, 1.0)
+    return float(np.abs(a * signs - b).max())
+
+
 @pytest.mark.parametrize("d,k", [(20, 5), (40, 5)])
 def test_newton_polish_matches_plain_mm(d, k):
     for seed in range(3):
@@ -188,8 +198,8 @@ def test_newton_polish_matches_plain_mm(d, k):
         u0 = random_stiefel(d, k, np.random.default_rng(seed + 100))
         trace = stmm_solve(c, u0, SolverConfig.for_hppca())
         assert trace.status == "Stationary"
-        assert trace.newton_steps
-        assert np.abs(trace.final.cols - _plain_mm(c, u0.cols)).max() <= 1e-7
+        assert trace.newton_steps and trace.accelerated_steps
+        assert _sign_distance(trace.final.cols, _plain_mm(c, u0.cols)) <= 1e-7
         assert float(np.diff(trace.objectives).min()) >= -1e-12
         if d == 40:  # plain MM takes 2 988-7 711 steps on these draws
             assert trace.iterations < 4000
@@ -212,3 +222,106 @@ def test_newton_from_the_first_step_stays_monotone(monkeypatch):
         assert len(trace.grad_norms) == trace.iterations + 1
         first.append(trace.newton_steps[:1] == (0,))
     assert any(first)
+
+
+def test_rejected_extrapolations_leave_plain_mm_bit_for_bit(monkeypatch):
+    c = gen_hppca(20, 5, seed=4)
+    u0 = random_stiefel(20, 5, np.random.default_rng(4))
+    cfg = SolverConfig.for_hppca()
+    real = stiefel._anderson_point
+    tried = []
+
+    def rejected(mats, history, shape):
+        # the extrapolation as built, then marked as falling below MM; after
+        # a rejection the history restarts from its last pair
+        tried.append(len(history))
+        cand = real(mats, history, shape)
+        return None if cand is None else (cand[0], cand[1], -np.inf, cand[3])
+
+    def same(a, b):
+        return (np.array_equal(a.objectives, b.objectives)
+                and np.array_equal(a.grad_norms, b.grad_norms)
+                and np.array_equal(a.final.cols, b.final.cols)
+                and a.newton_steps == b.newton_steps and a.status == b.status)
+
+    # pure MM with the Newton polish: no history, so no extrapolation
+    monkeypatch.setattr(stiefel, "_ANDERSON_DEPTH", 0)
+    plain = stmm_solve(c, u0, cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(stiefel, "_anderson_point", rejected)
+    every_rejected = stmm_solve(c, u0, cfg)
+    assert plain.status == "Stationary" and plain.newton_steps
+    # every MM step but the first (whose history is one pair) tried one
+    assert tried == [2] * (plain.iterations - len(plain.newton_steps) - 1)
+    assert plain.accelerated_steps == every_rejected.accelerated_steps == ()
+    assert same(plain, every_rejected)
+
+    # every candidate still rejected and no Newton: the steps are the bare
+    # MM map U -> polar(G(U))
+    monkeypatch.setattr(stiefel, "NEWTON_SWITCH", 0.0)
+    trace = stmm_solve(c, u0, SolverConfig(max_iters=200))
+    u, objs = u0.cols, []
+    for _ in range(201):
+        g, f, _ = stiefel._evaluate(c.mats, u)
+        objs.append(f)
+        u = polar_factor(g)
+    assert np.array_equal(trace.objectives, objs)
+
+
+def test_accelerated_ascent_is_monotone():
+    rng = np.random.default_rng(31)
+    cases = [gen_hppca(40, 5, seed=s) for s in (1, 2)]
+    cases += [gen_random_psd(20, 10, seed=s) for s in (1, 2)]
+    cases += [gen_cjd(10, 3, sigma=0.1, seed=s) for s in (1, 2)]
+    for c in cases:
+        trace = stmm_solve(c, random_stiefel(c.d, c.k, rng),
+                           SolverConfig.for_hppca())
+        assert trace.status == "Stationary"
+        assert trace.accelerated_steps
+        assert float(np.diff(trace.objectives).min()) >= -1e-12
+        assert len(trace.grad_norms) == trace.iterations + 1
+        # accelerated and Newton steps are steps, counted once each
+        assert not set(trace.accelerated_steps) & set(trace.newton_steps)
+        assert max(trace.accelerated_steps) < trace.iterations
+
+
+def test_large_hppca_draw_ends_stationary():
+    # plain MM stops at MaxIters (10 000 steps) on this draw, with gradient
+    # norm 1.1e-4 and no Newton step
+    c = gen_hppca(200, 10, seed=1)
+    u0 = StiefelPoint(np.linalg.eigh(c.mats.sum(axis=0))[1][:, :-11:-1])
+    trace = stmm_solve(c, u0, SolverConfig.for_hppca())
+    assert trace.status == "Stationary"
+    assert trace.iterations < 1000 and trace.newton_steps
+
+
+def test_a_newton_step_clears_the_history(monkeypatch):
+    # Newton is tried at every step and, at every other call, returns the
+    # MM point, so accepted Newton steps and MM steps interleave; every
+    # extrapolation is built, then rejected
+    c = gen_hppca(20, 5, seed=4)
+    u0 = random_stiefel(20, 5, np.random.default_rng(4))
+    real = stiefel._anderson_point
+    newton_calls, tried = [], []
+
+    def every_other(mats, u, g, rg):
+        newton_calls.append(len(newton_calls))
+        return polar_factor(g) if len(newton_calls) % 2 else None
+
+    def rejected(mats, history, shape):
+        tried.append(len(history))
+        cand = real(mats, history, shape)
+        return None if cand is None else (cand[0], cand[1], -np.inf, cand[3])
+
+    monkeypatch.setattr(stiefel, "NEWTON_SWITCH", np.inf)
+    monkeypatch.setattr(stiefel, "_NEWTON_WAIT", 0)
+    monkeypatch.setattr(stiefel, "_newton_point", every_other)
+    monkeypatch.setattr(stiefel, "_anderson_point", rejected)
+    trace = stmm_solve(c, u0, SolverConfig(max_iters=60))
+    newton = set(trace.newton_steps)
+    assert len(newton) >= 20
+    # a candidate needs two pairs: only an MM step that follows an MM step
+    # has them, since a Newton step empties the history
+    mm_after_mm = [t for t in range(1, trace.iterations)
+                   if t not in newton and t - 1 not in newton]
+    assert tried == [2] * len(mm_after_mm)
