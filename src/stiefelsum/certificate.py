@@ -3,17 +3,25 @@
 Given a stationary U with multiplier matrix L = sum_i U' M_i U E_i, the
 point is a global maximizer whenever some nu >= 0 makes every matrix
 
-    U (L - D_nu) U' + nu_i I - M_i   (one per block)   and   L - D_nu
+    U (L - D_nu) U' + nu_j I - M_j   (one per block)   and   L - D_nu
 
-positive semidefinite. Feasibility is decided by a small interior-point
-solve of the margin program (maximize t with every matrix >= t I) that
-stops at the first iterate whose nu clears the verdict's slack gate; a
-point that never clears it runs to the margin's optimum. A certified result
-is re-verified by building the induced primal/dual pair and checking all
-optimality residuals, so a CertifiedGlobal verdict is never returned
-unverified, and a stalled feasibility solve is the status NumericalFailure,
-as in sdp.solve_sdp. Infeasibility of the system is NOT a proof of
-suboptimality; that asymmetry is deliberate.
+positive semidefinite. In the basis [U, W V_j], with W an orthonormal basis
+of U's complement and W' M_j W = V_j Theta_j V_j', block j is an arrowhead
+matrix: a dense k x k corner, the diagonal tail nu_j I - Theta_j and a
+constant border. Its row and column j vanish at a stationary point, and
+dropping them (the deflation) leaves a principal submatrix, whose least
+eigenvalue is at least the full block's. After this one O(k d^3)
+reduction, the deflated margin program (maximize t with every deflated
+block and L - D_nu at least t I) has the k + 1 unknowns z = (nu, t); a
+log-barrier path-following solve, O(k^3 d) per Newton step, stops at the
+first nu that clears the verdict's full-block slack gate, or once a bound
+proves that no nu can.
+
+A certified result is re-verified by building the induced primal/dual pair
+and checking all optimality residuals, so neither a CertifiedGlobal verdict
+nor a wrong reduction goes unverified, and a failed margin solve is the
+status NumericalFailure, as in sdp.solve_sdp. Infeasibility of the system
+is NOT a proof of suboptimality; that asymmetry is deliberate.
 """
 
 from __future__ import annotations
@@ -21,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .core import ProblemInstance, StiefelPoint, sym
-from .ipm import DenseOps, eye_stacks, least_eigenvalues, solve_ipm
+from .ipm import _factor_schur, least_eigenvalues
 from .sdp import (
     KKT_TOL,
     STATUS_NUMERICAL_FAILURE,
@@ -43,14 +52,21 @@ CLASS_SUBOPTIMAL = "SuboptimalStationary"
 CLASS_UNKNOWN = "Unknown"
 
 CERT_TOL = 1e-7
-# the margin program's stop tolerance, for a point that never clears the gate
+# the margin solve's stop tolerance on its optimality gap, for a point that
+# never clears the gate
 MARGIN_TOL = 1e-9
-# how far a stationary candidate's objective must fall below a tight
-# relaxation's value to be called suboptimal
+# how far, in units of c.gate_unit, a stationary candidate's objective must
+# fall below a tight relaxation's value to be called suboptimal
 VALUE_MARGIN = 1e-5
 
-# stationarity gate; StMM's stationary points (grad_tol 1e-10) pass it
+# stationarity gate, in units of c.gate_unit; StMM's stationary points
+# (grad_tol 1e-10) pass it
 _PRECONDITION_TOL = 1e-6
+
+# Newton steps of the margin solve; the count grows with the barrier
+# parameter k (d + 1): the benchmark's solves take 20-30, HPPCA (400, 5)
+# 56-97 and HPPCA (200, 20) 237-315
+_MAX_NEWTON = 2000
 
 
 @dataclass(frozen=True)
@@ -83,38 +99,204 @@ def _complete_basis(u: np.ndarray) -> np.ndarray:
     return q
 
 
-def _feasibility_ops(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
-                     scale: float) -> DenseOps:
-    """Margin program: maximize t s.t. each LMI >= t I, nu >= 0.
+@dataclass(frozen=True)
+class _Reduction:
+    """The LMI blocks in the bases [U, W V_j]: block j is
 
-    The dual vector is (nu_1..nu_k, t) over three stacks: k blocks of size
-    d, one of size k, and k scalar blocks carrying nu_i >= 0. The d-blocks
-    are written in the basis Q = _complete_basis(u), where Q'U = [I; 0] and
-    so block j's coefficient of nu_p is diag(e_p - [p = j] 1): every
-    constraint matrix is diagonal."""
-    d, k = c.d, c.k
-    q = _complete_basis(u)
-    core = np.zeros((d, d))
-    core[:k, :k] = lam_s
-    cmats = [sym(core - q.T @ c.mats @ q) / scale, lam_s[None] / scale,
-             np.zeros((k, 1, 1))]
-    base = np.eye(d, k + 1)  # columns e_1..e_k, then t's all-ones column
-    base[:, k] = 1.0
-    unit = np.eye(k, k + 1)[:, None]  # unit[j] = e_j' as a 1 x (k + 1) row
-    diags = [base - unit, base[None, :k], -unit]
-    return DenseOps(diags, np.append(np.zeros(k), 1.0), cmats)
+        [[corner[j] + nu_j I - D_nu,  border[j]                   ],
+         [border[j]',                 nu_j I - diag(theta[j])     ]]
+
+    with corner[j] = L - U' M_j U, border[j] = -U' M_j W V_j and
+    W' M_j W = V_j diag(theta[j]) V_j'."""
+
+    corner: np.ndarray  # (k, k, k)
+    border: np.ndarray  # (k, k, d - k)
+    theta: np.ndarray  # (k, d - k)
+    v: np.ndarray  # (k, d - k, d - k)
 
 
-def _feasibility_start(ops: DenseOps, k: int):
-    """Dual-feasible warm start: nu = 1, t below every block's least eig."""
-    y0 = np.append(np.ones(k), 0.0)
-    slack = [cj - a for cj, a in zip(ops.C, ops.apply_AT(y0))]
-    # the least eigenvalue over the LMI blocks: the d-stack and the k-block
-    y0[k] = min(float(least_eigenvalues(sym(s)).min())
-                for s in slack[:2]) - 1.0
-    z0 = [sym(cj - a) for cj, a in zip(ops.C, ops.apply_AT(y0))]
-    rho = 1.0 / sum(cj.shape[0] * cj.shape[1] for cj in ops.C)
-    return [rho * e for e in eye_stacks(ops)], y0, z0
+def _reduce(c: ProblemInstance, u: np.ndarray,
+            lam_s: np.ndarray) -> _Reduction:
+    """One eigendecomposition of size d - k per block; O(k d^3) in all."""
+    w = _complete_basis(u)[:, c.k:]
+    mw = c.mats @ w
+    theta, v = np.linalg.eigh(sym(w.T @ mw))
+    return _Reduction(corner=lam_s - u.T @ c.mats @ u,
+                      border=-(u.T @ mw) @ v, theta=theta, v=v)
+
+
+@dataclass(frozen=True)
+class _Arrowheads:
+    """A stack of m LMIs in z = (nu, t), each the arrowhead matrix
+
+        [[corner + diag(ccoef @ z),  border                       ],
+         [border',                   diag(tcoef @ z - theta)      ]]
+
+    of a dense n x n corner and a diagonal p x p tail."""
+
+    corner: np.ndarray  # (m, n, n)
+    ccoef: np.ndarray  # (m, n, k + 1)
+    border: np.ndarray  # (m, n, p)
+    theta: np.ndarray  # (m, p)
+    tcoef: np.ndarray  # (m, k + 1)
+
+
+def _margin_program(red: _Reduction, lam_s: np.ndarray,
+                    scale: float) -> _Arrowheads:
+    """The deflated margin program's LMIs, divided by scale, as one stack:
+    the k blocks, then L - D_nu. Block j is deflated by replacing its row
+    and column j with those of the identity, whose determinant factor is 1
+    and which no coordinate of z moves; L - D_nu gets a tail of ones that
+    no coordinate moves either."""
+    k, p = red.border.shape[1:]
+    e = np.eye(k + 1)  # e[:k] are the nu coordinates, e[k] is t
+    j = np.arange(k)
+    corner = np.append(red.corner, lam_s[None], axis=0) / scale
+    ccoef = np.append(e[:k, None] - e[:k] - e[k], (-e[:k] - e[k])[None],
+                      axis=0)
+    border = np.append(red.border, np.zeros((1, k, p)), axis=0) / scale
+    corner[j, j], corner[j, :, j] = 0.0, 0.0
+    corner[j, j, j] = 1.0
+    ccoef[j, j] = 0.0
+    border[j, j] = 0.0
+    return _Arrowheads(corner, ccoef, border,
+                       np.append(red.theta / scale, -np.ones((1, p)), axis=0),
+                       np.append(e[:k] - e[k], np.zeros((1, k + 1)), axis=0))
+
+
+def _barrier(a: _Arrowheads, z: np.ndarray, derivatives: bool = False):
+    """F(z) = -sum log nu_i - sum log det over the arrowheads, or None when
+    z is not interior (or F is not finite); with derivatives,
+    (F, gradient, Hessian).
+
+    Each log det is that of the tail plus that of the corner's Schur
+    complement S = corner - border D^-1 border'. The derivatives read the
+    inverse's corner S^-1, its border and the sum and Frobenius norm of its
+    tail D^-1 + D^-1 border' S^-1 border D^-1, each in O(n^2 p)."""
+    nu = z[:-1]
+    gaps = (a.tcoef @ z)[:, None] - a.theta
+    if not (np.all(nu > 0.0) and np.all(gaps > 0.0)):  # NaN fails too
+        return None
+    i = np.arange(a.corner.shape[1])
+    s = a.corner.copy()
+    s[:, i, i] += a.ccoef @ z
+    bd = a.border / gaps[:, None, :]
+    s -= bd @ a.border.swapaxes(1, 2)
+    try:
+        low = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None
+    value = -float(np.log(nu).sum() + np.log(gaps).sum()
+                   + 2.0 * np.log(np.diagonal(low, axis1=1, axis2=2)).sum())
+    if not np.isfinite(value):
+        return None
+    if not derivatives:
+        return value
+    p = np.linalg.inv(s)
+    r = p @ bd
+    w = np.sum(bd * r, axis=1)
+    inv = 1.0 / gaps
+    tail_sum = np.sum(inv + w, axis=1)
+    tail_sq = (np.sum(inv * (inv + 2.0 * w), axis=1)
+               + np.sum((bd @ bd.swapaxes(1, 2)) * (r @ r.swapaxes(1, 2)),
+                        axis=(1, 2)))
+    ct = a.ccoef.swapaxes(1, 2)
+    grad = -((ct @ np.diagonal(p, axis1=1, axis2=2)[..., None]).sum(0)[:, 0]
+             + tail_sum @ a.tcoef)
+    cross = (ct @ np.sum(r * r, axis=2)[..., None])[..., 0].T @ a.tcoef
+    hess = ((ct @ (p * p) @ a.ccoef).sum(0) + cross + cross.T
+            + (a.tcoef.T * tail_sq) @ a.tcoef)
+    grad[:-1] -= 1.0 / nu
+    hess[:-1, :-1] += np.diag(nu ** -2.0)
+    return value, grad, hess
+
+
+@dataclass(frozen=True)
+class _MarginRun:
+    status: str  # "feasible", "infeasible", "optimal" or "numerical_failure"
+    z: np.ndarray  # (nu, t), divided by the program's scale
+    iterations: int  # Newton steps
+    mu: float  # the last barrier parameter
+    shift: float  # largest diagonal shift of a unit-diagonal Newton system
+
+    def summary(self, scale: float) -> dict:
+        """The run as reports and records describe it; "margin" is the
+        deflated margin t at the returned nu, in the units of the M_i."""
+        return {"status": self.status, "iterations": self.iterations,
+                "mu": self.mu, "margin": float(self.z[-1] * scale),
+                "shift": self.shift}
+
+
+def _margin_solve(lmis: _Arrowheads, floor: float, clears) -> _MarginRun:
+    """Maximize t over z = (nu, t) by path following on the barrier
+    -t / mu + F(z), from mu = 1 / vartheta, halving mu whenever the Newton
+    decrement lam is below 0.5 (a centred iterate), with Armijo
+    backtracking on that barrier; vartheta = k (d - 1) + 2 k is F's
+    barrier parameter.
+
+    clears(z) is tried at every iterate with t >= 0 and at every centred
+    one with t >= floor: "feasible" once it holds. At a centred iterate
+    the optimum t* is at most t + gap, gap = mu (vartheta + (lam +
+    sqrt(vartheta)) lam / (1 - lam)) (Nesterov 2004, Thm 4.2.7), which ends
+    the solve "infeasible" once t + gap < floor (never on a shifted Newton
+    system, whose lam is not exact) and "optimal" once gap <= MARGIN_TOL.
+    A line-search stall, a non-finite value or the step cap is
+    "numerical_failure"."""
+    k, p = lmis.border.shape[1:]
+    vartheta = float(k * (k + p + 1))
+    z = np.append(np.ones(k), -3.0)  # interior: every block >= I
+    mu = 1.0 / vartheta
+    ev = _barrier(lmis, z, derivatives=True)
+    steps, tried_at, shift = 0, -1, 0.0
+
+    def run(status):
+        return _MarginRun(status, z, steps, mu, shift)
+
+    if ev is None:
+        return run("numerical_failure")
+    f, g, h = ev
+    while True:
+        grad = g.copy()
+        grad[k] -= 1.0 / mu
+        try:  # h scaled to a unit diagonal, shifted only if it must be
+            dsc = 1.0 / np.sqrt(np.diag(h))
+            hf, reg = _factor_schur(h * np.outer(dsc, dsc))
+        except (np.linalg.LinAlgError, ValueError):
+            return run("numerical_failure")
+        shift = max(shift, float(reg))
+        dz = -dsc * cho_solve(hf, dsc * grad, check_finite=False)
+        lam = float(np.sqrt(max(-grad @ dz, 0.0)))
+        if not np.isfinite(lam):
+            return run("numerical_failure")
+        t, centred = z[k], lam < 0.5
+        if tried_at < steps and (t >= 0.0 or (centred and t >= floor)):
+            tried_at = steps  # once per iterate
+            if clears(z):
+                return run("feasible")
+        if centred:
+            gap = mu * (vartheta + (lam + np.sqrt(vartheta)) * lam
+                        / (1.0 - lam))
+            if reg == 0.0 and t + gap < floor:
+                return run("infeasible")
+            if gap <= MARGIN_TOL:
+                return run("optimal")
+            mu *= 0.5
+            continue
+        if steps == _MAX_NEWTON:
+            return run("numerical_failure")
+        alpha, slope = 1.0, float(grad @ dz)
+        while True:
+            trial = z + alpha * dz
+            value = _barrier(lmis, trial)
+            if (value is not None and value - f - alpha * dz[k] / mu
+                    <= 1e-4 * alpha * slope):
+                break
+            alpha *= 0.5
+            if alpha < 1e-12:
+                return run("numerical_failure")
+        z = trial
+        f, g, h = _barrier(lmis, z, derivatives=True)
+        steps += 1
 
 
 def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
@@ -123,25 +305,29 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     The verdict is computed from freshly evaluated eigenvalue slacks at the
     recovered witness, which must clear -CERT_TOL, and a CertifiedGlobal
     result additionally passes the induced primal/dual optimality check
-    within KKT_TOL. Both gates are relative to c.gate_unit, which the
-    instance computes once. Weak stationarity of u_bar does not abort the
-    computation; it only flags the result. A stalled feasibility solve is
+    within KKT_TOL. Every gate, the stationarity flag and the multiplier
+    gate included, is relative to s = c.gate_unit, which the instance
+    computes once. Weak stationarity of u_bar does not abort the
+    computation; it only flags the result. A failed margin solve is
     reported, not raised: status NumericalFailure, no witness, NaN t_star
     and slacks. meta["reason"] names the gate that decided against
     certification ("" for a certified point), and meta["ipm"] is the
-    feasibility IPM's IpmResult.summary(), as in sdp.solve_sdp; its status
-    is "feasible" when the solve stopped on the slack gate, and it is
-    absent when the multiplier gate decided before any solve.
+    margin solve's _MarginRun.summary(); its status is "feasible" when the
+    slack gate cleared, "infeasible" when the bound stop fired and
+    "optimal" when the solve ran to MARGIN_TOL, and it is absent when the
+    multiplier gate decided before any solve.
     """
     if not isinstance(u_bar, StiefelPoint):
         u_bar = StiefelPoint(np.asarray(u_bar, dtype=float))
     u = u_bar.cols
     if u.shape != (c.d, c.k):
         raise ValueError("candidate shape does not match the instance")
+    s = c.gate_unit
     lam = lambda_matrix(c, u_bar)
     lam_s = sym(lam.matrix)
     rg = float(np.linalg.norm(riemannian_gradient(c, u)))
-    weak = lam.symmetry_residual > _PRECONDITION_TOL or rg > _PRECONDITION_TOL
+    weak = (lam.symmetry_residual > _PRECONDITION_TOL * s
+            or rg > _PRECONDITION_TOL * s)
     meta = {"grad_norm": rg, "symmetry_residual": lam.symmetry_residual}
 
     def verdict(reason, slacks, t_star, status=STATUS_INCONCLUSIVE, nu=None,
@@ -153,33 +339,27 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
 
     # necessary condition: L - D_nu >= 0 with nu >= 0 forces L >= 0
     lam_min = float(np.linalg.eigvalsh(lam_s)[0])
-    if lam_min < -_PRECONDITION_TOL:
+    if lam_min < -_PRECONDITION_TOL * s:
         return verdict("multiplier matrix indefinite",
                        _lmi_slacks(c, u, lam_s, np.zeros(c.k)), lam_min)
 
-    s = c.gate_unit
     scale = max(s, float(np.linalg.norm(lam_s, 2)))
-    ops = _feasibility_ops(c, u, lam_s, scale)
-    x0, y0, z0 = _feasibility_start(ops, c.k)
-
-    def witness(y):
-        return np.clip(y[:c.k] * scale, 0.0, None)
-
+    lmis = _margin_program(_reduce(c, u, lam_s), lam_s, scale)
     tried = {}  # the slacks at the last iterate the gate was tried on
 
-    def clears(y):  # the verdict's slack gate, tried at every iterate
-        tried["slacks"] = _lmi_slacks(c, u, lam_s, witness(y))
+    def clears(z):  # the verdict's slack gate
+        tried["slacks"] = _lmi_slacks(c, u, lam_s, z[:c.k] * scale)
         return tried["slacks"].min() >= -CERT_TOL * s
 
-    res = solve_ipm(ops, x0, y0, z0, tol=MARGIN_TOL, stop=clears)
-    meta["ipm"] = res.summary()
-    # a stall has no verdict: nothing here reads as certified
-    if res.status not in ("optimal", "feasible"):
+    res = _margin_solve(lmis, -CERT_TOL * s / scale, clears)
+    meta["ipm"] = res.summary(scale)
+    # a failed solve has no verdict: nothing here reads as certified
+    if res.status == "numerical_failure":
         return verdict("feasibility solve stalled", np.full(c.k + 1, np.nan),
                        float("nan"), STATUS_NUMERICAL_FAILURE)
 
-    nu = witness(res.y)
-    # a "feasible" stop returns the y its last gate call was made at
+    nu = res.z[:c.k] * scale
+    # a "feasible" stop returns the z its last gate call was made at
     slacks = (tried["slacks"] if res.status == "feasible"
               else _lmi_slacks(c, u, lam_s, nu))
     t_star = float(slacks.min())
@@ -209,14 +389,15 @@ def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,
     (Riemannian gradient within _PRECONDITION_TOL) by more than
     VALUE_MARGIN means a suboptimal stationary point; anything else,
     including a missing or non-Optimal solve or an unconverged candidate,
-    stays Unknown."""
+    stays Unknown. Both tolerances are in units of c.gate_unit."""
     if sdp_report is None or sdp_report.status != STATUS_OPTIMAL:
         return CLASS_UNKNOWN
     if not is_tight(sdp_report):
         return CLASS_NOT_TIGHT
+    s = c.gate_unit
     rg = float(np.linalg.norm(riemannian_gradient(c, u_bar)))
-    if not rg <= _PRECONDITION_TOL:  # NaN is not stationary either
+    if not rg <= _PRECONDITION_TOL * s:  # NaN is not stationary either
         return CLASS_UNKNOWN
-    if objective(c, u_bar) < sdp_report.value - VALUE_MARGIN:
+    if objective(c, u_bar) < sdp_report.value - VALUE_MARGIN * s:
         return CLASS_SUBOPTIMAL
     return CLASS_UNKNOWN

@@ -1,5 +1,4 @@
-"""Primal-dual interior-point core for the block semidefinite programs used
-throughout the package.
+"""Primal-dual interior-point method for the block semidefinite relaxation.
 
 Standard form over a product of PSD cones:
 
@@ -7,26 +6,20 @@ Standard form over a product of PSD cones:
 
 solved together with its dual  max b'y  s.t.  A*(y) + Z = C,  Z_j PSD.
 The search direction is the HKM direction, stepped with a Mehrotra
-predictor-corrector.
-
-Two constraint-operator flavors feed the shared iteration:
-
-* FantopeOps: k trace-one blocks coupled through sum_i X_i + S = I, the
-  structure of the relaxation. The Schur complement is assembled blockwise.
-* DenseOps: a handful of constraints whose matrices are all diagonal, the
-  structure of the optimality certificate in the [U, U_perp] basis. The
-  Schur complement is one elementwise product per block.
+predictor-corrector. The constraint operator is FantopeOps: k trace-one
+blocks coupled through sum_i X_i + S = I, the structure of the relaxation,
+whose Schur complement is assembled blockwise.
 
 Blocks are held as stacks: a group of blocks of equal size is one
 (count, n, n) array, so the iteration's per-block work (factors, products,
 step lengths, residuals) is one batched call per stack. An operator's cost
-ops.C, a list of stacks, fixes the layout: its operators, and solve_ipm's
-starts and results, are lists of stacks of the same shapes. The relaxation
-is one stack; the certificate three.
+ops.C, a list of stacks, fixes the layout: solve_ipm's starts and results
+are lists of stacks of the same shapes. The relaxation is one stack.
 
 A step length needs only the least eigenvalue of the scaled direction
 (Toh 2002), so least_eigenvalues computes that one eigenvalue per matrix
-rather than the spectrum; the certificate's slack gate uses it too.
+rather than the spectrum; the certificate's slack gate and sdp.check_kkt
+use it too.
 """
 
 from __future__ import annotations
@@ -198,40 +191,12 @@ class FantopeOps:
         return h
 
 
-class DenseOps:
-    """Diagonal constraint data: column p of diags[s][j] is the diagonal of
-    constraint p's coefficient on block j of stack s (a zero column for no
-    coupling), so diags[s] is (count, n, m) for the (count, n, n) cost
-    stack cmats[s]. Meant for problems with a handful of constraints; the
-    Schur complement sum_j A_j' (Z_j^-1 o X_j) A_j is m x m dense."""
-
-    def __init__(self, diags, b, cmats):
-        self.diags = [np.asarray(a, dtype=float) for a in diags]
-        self.b = np.asarray(b, dtype=float)
-        self.m = len(self.b)
-        self.C = [np.asarray(c, dtype=float) for c in cmats]
-
-    def apply_A(self, stacks):
-        return sum(a.reshape(-1, self.m).T
-                   @ np.diagonal(x, axis1=1, axis2=2).ravel()
-                   for a, x in zip(self.diags, stacks))
-
-    def apply_AT(self, y):
-        return [(a @ y)[:, :, None] * np.eye(a.shape[1]) for a in self.diags]
-
-    def schur(self, zinv, x):
-        m = self.m
-        h = sum(a.reshape(-1, m).T @ ((zi * xj) @ a).reshape(-1, m)
-                for a, zi, xj in zip(self.diags, zinv, x))
-        return 0.5 * (h + h.T)  # symmetrize away accumulation roundoff
-
-
 # ---------------------------------------------------------------------------
-# Shared predictor-corrector iteration
+# Predictor-corrector iteration
 
 @dataclass
 class IpmResult:
-    status: str  # "optimal", "feasible" (stop held) or "numerical_failure"
+    status: str  # "optimal" or "numerical_failure"
     x: list  # stacks, shaped as ops.C
     y: np.ndarray
     z: list
@@ -295,7 +260,6 @@ def solve_ipm(
     tol: float = 1e-8,
     max_iters: int = 100,
     step_frac: float = 0.98,
-    stop=None,  # predicate on y: ends the solve at "feasible" once it holds
 ) -> IpmResult:
     """x0 and z0 are lists of stacks shaped as ops.C (identities when
     omitted); the result's x and z are too."""
@@ -330,9 +294,6 @@ def solve_ipm(
 
         if not np.isfinite(metric) or not np.isfinite(mu):
             break  # diverged (e.g. infeasible problem)
-        if stop is not None and stop(y):
-            status = "feasible"
-            break
         if metric <= tol:
             status = "optimal"
             break

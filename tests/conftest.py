@@ -9,11 +9,11 @@ from stiefelsum import certificate
 
 @pytest.fixture
 def stalled_certificate(monkeypatch):
-    """certify's feasibility IPM runs as usual but reports a stall."""
-    real = certificate.solve_ipm
+    """certify's margin solve runs as usual but reports a failure."""
+    real = certificate._margin_solve
 
     def stalled(*args, **kwargs):
         return dataclasses.replace(real(*args, **kwargs),
                                    status="numerical_failure")
 
-    monkeypatch.setattr(certificate, "solve_ipm", stalled)
+    monkeypatch.setattr(certificate, "_margin_solve", stalled)

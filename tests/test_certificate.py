@@ -3,16 +3,18 @@ construction (diagonal instances where the optimum is an assignment)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelsum import certificate, core
 from stiefelsum.certificate import (
     CERT_TOL,
-    MARGIN_TOL,
     VALUE_MARGIN,
     _complete_basis,
-    _feasibility_ops,
-    _feasibility_start,
     _lmi_slacks,
+    _margin_program,
+    _margin_solve,
+    _reduce,
     certify,
     classify_inconclusive,
 )
@@ -23,7 +25,6 @@ from stiefelsum.generators import (
     gen_separated_diagonal,
 )
 from stiefelsum.harness import sweep_trial
-from stiefelsum.ipm import solve_ipm
 from stiefelsum.sdp import (
     STATUS_NUMERICAL_FAILURE,
     KktResiduals,
@@ -91,12 +92,15 @@ def test_suboptimal_stationary_point_is_inconclusive():
     res = certify(c, sub)
     assert res.status == "Inconclusive"
     assert res.nu_witness is None
-    # the gate never clears, so the margin program runs to its optimum,
-    # max over nu >= 0 of min(nu - 3, 0, 1 - nu) = -1
-    assert res.meta["ipm"]["status"] == "optimal"
+    # the deflated margin, max over nu >= 0 of min(nu - 3, 1 - nu) = -1, is
+    # far below the gate, so the path-following bound stops the solve
+    assert res.meta["ipm"]["status"] == "infeasible"
     assert res.meta["reason"] == "least slack below -CERT_TOL * s"
     assert res.t_star == res.min_eig_slacks.min()
-    assert res.t_star == pytest.approx(-1.0, abs=1e-6)
+    # at the returned nu neither margin beats the optimum -1; the full
+    # block's zero corner makes its least slack at most that
+    assert res.meta["ipm"]["margin"] <= -1.0 + 1e-12
+    assert res.t_star <= -1.0 + 1e-12
     rep = solve_sdp(c)
     assert classify_inconclusive(c, sub, rep) == "SuboptimalStationary"
     assert classify_inconclusive(c, sub) == "Unknown"
@@ -200,61 +204,150 @@ def test_stalled_feasibility_solve_is_a_status(stalled_certificate):
     assert "classification" not in rec and "marker" not in rec
 
 
-def test_feasibility_program_is_the_lmi_system_in_the_complete_basis():
-    # C_j - A*(nu, t)_j, rotated back by Q and rescaled, is block j's LMI
-    # minus t I; the multiplier block is L - D_nu - t I, the scalars nu_i
-    rng = np.random.default_rng(17)
-    c = gen_random_psd(7, 3, seed=17)
-    u = random_stiefel(7, 3, rng).cols
+
+
+def _arrowhead(a, m, z):
+    """Arrowhead m of the stack a at z, as a dense matrix."""
+    n, p = a.border.shape[1:]
+    out = np.zeros((n + p, n + p))
+    out[:n, :n] = a.corner[m] + np.diag(a.ccoef[m] @ z)
+    out[:n, n:] = a.border[m]
+    out[n:, :n] = a.border[m].T
+    out[n:, n:] = np.diag(a.tcoef[m] @ z - a.theta[m])
+    return out
+
+
+def _random_setup(d, k, seed):
+    """A random instance, point, multiplier vector and margin; the point is
+    not stationary, so no row of any block vanishes."""
+    rng = np.random.default_rng(seed)
+    c = gen_random_psd(d, k, seed=seed)
+    u = random_stiefel(d, k, rng).cols
     lam_s = sym(lambda_matrix(c, u).matrix)
-    scale = 2.5
-    ops = _feasibility_ops(c, u, lam_s, scale)
+    return c, u, lam_s, rng.uniform(0.0, 2.0, k), float(rng.standard_normal())
+
+
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_arrowheads_are_the_lmi_blocks_in_the_eigenbases(d, k, seed):
+    k = min(k, d)
+    c, u, lam_s, nu, t = _random_setup(d, k, seed)
+    red = _reduce(c, u, lam_s)
     q = _complete_basis(u)
-    assert np.array_equal(q[:, :3], u)
-    assert np.allclose(q.T @ q, np.eye(7), atol=1e-14)
-    nu, t = rng.uniform(0.0, 2.0, 3), float(rng.standard_normal())
-    aty = ops.apply_AT(np.append(nu, t) / scale)
-    z_lmi, (z_mult,), z_nu = [(cj - a) * scale for cj, a in zip(ops.C, aty)]
-    slacks = _lmi_slacks(c, u, lam_s, nu)
-    core = u @ (lam_s - np.diag(nu)) @ u.T
+    assert np.array_equal(q[:, :k], u)
+    assert np.allclose(q.T @ q, np.eye(d), atol=1e-14)
+    scale = 2.5
+    lmis = _margin_program(red, lam_s, scale)
+    z = np.append(nu, t) / scale
+    core_mat = u @ (lam_s - np.diag(nu)) @ u.T
     for j, m in enumerate(c.mats):
-        lmi = core + nu[j] * np.eye(7) - m
-        assert np.allclose(q @ z_lmi[j] @ q.T, lmi - t * np.eye(7),
+        # block j of the LMI system, less t I, in the basis [U, W V_j]
+        arrow = np.zeros((d, d))
+        arrow[:k, :k] = red.corner[j] - np.diag(nu) + (nu[j] - t) * np.eye(k)
+        arrow[:k, k:] = red.border[j]
+        arrow[k:, :k] = red.border[j].T
+        arrow[k:, k:] = np.diag(nu[j] - t - red.theta[j])
+        basis = np.eye(d)
+        basis[k:, k:] = red.v[j]
+        lmi = core_mat + (nu[j] - t) * np.eye(d) - m
+        assert np.allclose(basis @ arrow @ basis.T, q.T @ lmi @ q,
                            atol=1e-12)
-        least = np.linalg.eigvalsh(sym(z_lmi[j]))[0] + t
-        assert least == pytest.approx(slacks[j], rel=1e-12, abs=1e-12)
-    assert np.allclose(z_mult, lam_s - np.diag(nu) - t * np.eye(3),
-                       atol=1e-12)
-    assert np.linalg.eigvalsh(sym(z_mult))[0] + t == pytest.approx(
-        slacks[3], rel=1e-12, abs=1e-12)
-    assert z_nu.shape == (3, 1, 1)
-    assert np.allclose(z_nu[:, 0, 0], nu, atol=1e-12)
+        # the program holds it deflated: row and column j are the
+        # identity's, the rest is the arrowhead over scale
+        keep = np.arange(d) != j
+        got = _arrowhead(lmis, j, z)
+        assert np.allclose(got[np.ix_(keep, keep)],
+                           arrow[np.ix_(keep, keep)] / scale, atol=1e-12)
+        assert np.array_equal(got[j], np.eye(d)[j])
+    # then the multiplier block L - D_nu - t I, with a tail of ones
+    got = _arrowhead(lmis, k, z)
+    assert np.allclose(got[:k, :k], (lam_s - np.diag(nu) - t * np.eye(k))
+                       / scale, atol=1e-12)
+    assert np.array_equal(got[k:], np.eye(d)[k:])
 
 
-# the program is three stacks whatever the sizes: k blocks of size d, the
-# multiplier block of size k, and k scalar blocks, also when k = d, k = 1 or
-# d = k = 1, where blocks of different stacks share a size. The iteration
-# counts are pinned from a block-by-block run of the same iteration.
-@pytest.mark.parametrize("d,k,runs,iterations", [
-    (3, 3, [(3, 3, 3), (1, 3, 3), (3, 1, 1)], 7),
-    (4, 4, [(4, 4, 4), (1, 4, 4), (4, 1, 1)], 7),
-    (5, 1, [(1, 5, 5), (1, 1, 1), (1, 1, 1)], 8),
-    (1, 1, [(1, 1, 1), (1, 1, 1), (1, 1, 1)], 7),
-])
-def test_feasibility_program_runs_merge_and_split(d, k, runs, iterations):
-    c = gen_separated_diagonal(d, k, seed=d)
-    u = np.eye(d)[:, :k]  # the unique optimum, by construction
-    assert certify(c, StiefelPoint(u)).status == "CertifiedGlobal"
+@given(st.integers(2, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_deflated_blocks_bound_the_full_blocks(d, k, seed):
+    # a deflated block is a principal submatrix of its full block, so its
+    # least eigenvalue is at least the full block's (Cauchy interlacing)
+    k = min(k, d)
+    c, u, lam_s, nu, _ = _random_setup(d, k, seed)
+    lmis = _margin_program(_reduce(c, u, lam_s), lam_s, 1.0)
+    slacks = _lmi_slacks(c, u, lam_s, nu)
+    for j in range(k):
+        keep = np.arange(d) != j
+        block = _arrowhead(lmis, j, np.append(nu, 0.0))[np.ix_(keep, keep)]
+        norm = max(1.0, np.linalg.norm(block, 2))
+        assert np.linalg.eigvalsh(block)[0] >= slacks[j] - 1e-12 * norm
+
+
+@given(st.sampled_from(["hppca", "randpsd"]), st.integers(3, 12),
+       st.integers(1, 4), st.sampled_from([3, 30, 2000]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_bound_stop_never_fires_on_a_certifiable_point(family, d, k, steps,
+                                                       seed):
+    # points short of, near and at stationarity, some of them suboptimal
+    # local maxima: the bound stop must never end a solve that, run on to
+    # MARGIN_TOL without it, clears the gate
+    k = min(k, d)
+    c = (gen_hppca(d, k, seed=seed % 1000) if family == "hppca"
+         else gen_random_psd(d, k, seed=seed))
+    start = random_stiefel(d, k, np.random.default_rng(seed))
+    u = stmm_solve(c, start, SolverConfig(max_iters=steps)).final.cols
     lam_s = sym(lambda_matrix(c, u).matrix)
-    scale = max(c.gate_unit, np.linalg.norm(lam_s, 2))
-    ops = _feasibility_ops(c, u, lam_s, scale)
-    assert [s.shape for s in ops.C] == runs
-    full = solve_ipm(ops, *_feasibility_start(ops, k), tol=1e-9)
-    assert full.status == "optimal" and full.iterations == iterations
-    # at a global optimum the margin t* is 0: the least slack at its nu
-    nu = np.clip(full.y[:k] * scale, 0.0, None)
-    assert full.y[k] * scale == pytest.approx(
-        _lmi_slacks(c, u, lam_s, nu).min(), abs=1e-8)
+    s = c.gate_unit
+    scale = max(s, np.linalg.norm(lam_s, 2))
+    lmis = _margin_program(_reduce(c, u, lam_s), lam_s, scale)
+
+    def clears(z):
+        return _lmi_slacks(c, u, lam_s, z[:k] * scale).min() >= -CERT_TOL * s
+
+    floor = -CERT_TOL * s / scale
+    bounded = _margin_solve(lmis, floor, clears)
+    unbounded = _margin_solve(lmis, -np.inf, clears)
+    assert unbounded.status in ("feasible", "optimal")
+    if bounded.status == "infeasible":
+        assert unbounded.status == "optimal"
+        # the optimum it ran to is below the floor, as the bound said
+        assert unbounded.z[k] < floor
+
+
+# k = d (no tails), k = 1 (no corners after deflation) and d = k = 1
+@pytest.mark.parametrize("d,k", [(3, 3), (4, 4), (5, 1), (1, 1), (6, 2)])
+def test_certify_edge_shapes(d, k):
+    c = gen_separated_diagonal(d, k, seed=d)
+    u = StiefelPoint(np.eye(d)[:, :k])  # the unique optimum, by construction
+    res = certify(c, u)
+    assert res.status == "CertifiedGlobal"
+    assert res.meta["ipm"]["status"] == "feasible"
+    assert res.meta["ipm"]["shift"] == 0.0
+    # a positive deflated margin: the relaxation's optimum is unique and
+    # rank one; the full blocks keep their zero row, so t_star is at most 0
+    assert res.meta["ipm"]["margin"] > 0.0
+    assert -CERT_TOL * c.gate_unit <= res.t_star <= 1e-12
+
+
+@pytest.mark.parametrize("d,k", [(3, 3), (5, 1), (6, 2)])
+def test_certify_refuses_a_non_stationary_point(d, k):
+    # the optimum with coordinates 0 and 1 (k = d) or 0 and d - 1 turned by
+    # 0.3 rad: its rows j no longer vanish, and no nu clears the gate
+    c = gen_separated_diagonal(d, k, seed=d)
+    a, b = 0, (1 if k == d else d - 1)
+    turn = np.eye(d)
+    turn[[a, a, b, b], [a, b, a, b]] = [np.cos(0.3), -np.sin(0.3),
+                                        np.sin(0.3), np.cos(0.3)]
+    u = StiefelPoint(turn[:, :k])
+    assert np.linalg.norm(riemannian_gradient(c, u)) > 0.1
+    res = certify(c, u)
+    assert res.status == "Inconclusive" and res.precondition_weak
+    assert res.meta["reason"] == "least slack below -CERT_TOL * s"
+    # the deflated margin stays positive, so the solve runs to MARGIN_TOL;
+    # at k = d its optimum is degenerate and the Newton system is shifted
+    assert res.meta["ipm"]["status"] == "optimal"
+    assert res.meta["ipm"]["margin"] > 0.0
+    assert (res.meta["ipm"]["shift"] > 0.0) == (k == d)
 
 
 def test_feasibility_solve_stops_once_the_gate_clears(monkeypatch):
@@ -273,15 +366,36 @@ def test_feasibility_solve_stops_once_the_gate_clears(monkeypatch):
     assert res.meta["ipm"]["status"] == "feasible"
     assert res.meta["reason"] == ""
     assert res.t_star >= -CERT_TOL * c.gate_unit
-    # one gate evaluation per iterate: the verdict reuses the last one's
-    # slacks, which are those of the returned nu
-    assert len(calls) == res.meta["ipm"]["iterations"] + 1
+    # the gate is tried only where the margin is near or above zero, and
+    # the verdict reuses the last try's slacks, those of the returned nu
+    assert 1 <= len(calls) <= res.meta["ipm"]["iterations"] + 1
     lam_s = sym(lambda_matrix(c, u).matrix)
     assert np.array_equal(res.min_eig_slacks,
                           _lmi_slacks(c, u.cols, lam_s, res.nu_witness))
-    # the same program without the stop runs on to the margin's optimum
-    ops = _feasibility_ops(c, u.cols, lam_s,
-                           max(c.gate_unit, np.linalg.norm(lam_s, 2)))
-    full = solve_ipm(ops, *_feasibility_start(ops, c.k), tol=MARGIN_TOL)
+    # the same program with a gate that never clears runs on to MARGIN_TOL
+    scale = max(c.gate_unit, np.linalg.norm(lam_s, 2))
+    lmis = _margin_program(_reduce(c, u.cols, lam_s), lam_s, scale)
+    full = _margin_solve(lmis, -np.inf, lambda z: False)
     assert full.status == "optimal"
     assert res.meta["ipm"]["iterations"] < full.iterations
+    assert 0.0 <= res.meta["ipm"]["margin"] <= full.z[-1] * scale
+
+
+@pytest.mark.parametrize("a", [1.0, 1e10])
+def test_verdicts_do_not_depend_on_the_units(a):
+    # every gate is in units of c.gate_unit, so scaling the M_i changes no
+    # verdict, flag or classification
+    c = gen_hppca(20, 3, seed=3)
+    u = stmm_solve(c, random_stiefel(20, 3, np.random.default_rng(3)),
+                   SolverConfig.for_hppca()).final
+    res = certify(ProblemInstance(a * c.mats), u)
+    assert res.status == "CertifiedGlobal" and not res.precondition_weak
+    # the acceptance suite's 07b pair, in a random basis
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))[0]
+    pair = ProblemInstance(tuple(a * q @ np.diag(v) @ q.T
+                                 for v in ([3.0, 1.0, 0.0], [0.0, 2.0, 1.0])))
+    swapped = StiefelPoint(q @ np.eye(3)[:, 1:])
+    res = certify(pair, swapped)
+    assert res.status == "Inconclusive" and not res.precondition_weak
+    rep = solve_sdp(pair)
+    assert classify_inconclusive(pair, swapped, rep) == "SuboptimalStationary"

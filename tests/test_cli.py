@@ -60,7 +60,7 @@ def test_gen_solve_certify_roundtrip(tmp_path):
     assert isinstance(cert["min_eig_slacks"], list)
     assert all(isinstance(x, float) for x in cert["min_eig_slacks"])
     assert cert["meta"]["ipm"]["status"] == "feasible"
-    assert cert["meta"]["ipm"]["schur_shift"] == 0.0
+    assert cert["meta"]["ipm"]["shift"] == 0.0
     assert cert["meta"]["reason"] == ""
 
 
@@ -135,8 +135,11 @@ def test_reports_and_records_carry_one_ipm_summary(tmp_path):
     summaries = [json.loads(read("solve-sdp.json"))["meta"]["ipm"],
                  json.loads(read("certify.json"))["meta"]["ipm"], rop["ipm"],
                  sweep["sdp_ipm"], sweep["certificate_ipm"]]
-    keys = {"status", "iterations", "pinf", "dinf", "relgap", "schur_shift"}
-    assert [set(s) for s in summaries] == [keys] * 5
+    # the relaxation's IPM and the certificate's margin solve each have
+    # one summary
+    ipm = {"status", "iterations", "pinf", "dinf", "relgap", "schur_shift"}
+    margin = {"status", "iterations", "mu", "margin", "shift"}
+    assert [set(s) for s in summaries] == [ipm, margin, ipm, ipm, margin]
 
 
 def test_bench_leaves_errored_trials_out_and_exits_2(tmp_path, monkeypatch):

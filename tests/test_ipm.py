@@ -9,7 +9,6 @@ from stiefelsum import ipm
 from stiefelsum.core import sym
 from stiefelsum.sdp import _fantope_start
 from stiefelsum.ipm import (
-    DenseOps,
     FantopeOps,
     _factor_schur,
     _inverse_factor,
@@ -83,6 +82,28 @@ def _assert_adjoint(ops, x, y):
     assert np.isclose(lhs, rhs)
 
 
+class _TraceOps:
+    """The least operator solve_ipm takes: one constraint, the trace summed
+    over every block of every stack, min <C, X> s.t. sum tr X = b."""
+
+    def __init__(self, cmats, b):
+        self.C = [np.asarray(c, dtype=float) for c in cmats]
+        self.b = np.array([float(b)])
+        self.m = 1
+
+    def apply_A(self, stacks):
+        return np.array([sum(float(np.trace(x, axis1=1, axis2=2).sum())
+                             for x in stacks)])
+
+    def apply_AT(self, y):
+        return [y[0] * np.broadcast_to(np.eye(c.shape[-1]), c.shape)
+                for c in self.C]
+
+    def schur(self, zinv, x):
+        return np.array([[sum(float(np.sum(zi * xs))
+                              for zi, xs in zip(zinv, x))]])
+
+
 # d = 12 has 78 coupling rows, several chunks; k = 10 gives 11 blocks
 @pytest.mark.parametrize("d,k,slack", [(3, 1, True), (4, 2, True),
                                        (5, 3, True), (3, 3, False),
@@ -104,32 +125,6 @@ def test_fantope_schur_vs_brute_force(d, k, slack):
     want.extend(svec(sum(p[0])))
     assert np.allclose(ops.apply_A(p), want)
     _assert_adjoint(ops, p, rng.standard_normal(ops.m))
-
-
-def test_dense_schur_vs_brute_force():
-    # diagonal data with some uncoupled (zero) columns, in stacks of two
-    # blocks of size 3, one of size 2 and one of size 1
-    rng = np.random.default_rng(9)
-    layout = [(2, 3), (1, 2), (1, 1)]
-    m = 3
-    diags = [np.array([rng.standard_normal((n, m))
-                       * (rng.uniform(size=m) > 0.3) for _ in range(count)])
-             for count, n in layout]
-    cmats = [np.array([_rand_sym(rng, n) for _ in range(count)])
-             for count, n in layout]
-    ops = DenseOps(diags, np.ones(m), cmats)
-    assert [c.shape for c in ops.C] == [(2, 3, 3), (1, 2, 2), (1, 1, 1)]
-    assert [a.shape for a in ops.diags] == [(2, 3, m), (1, 2, m), (1, 1, m)]
-    p = _rand_spd_stacks(rng, ops)
-    q = _rand_spd_stacks(rng, ops)
-    h = ops.schur(p, q)
-    hb = _brute_schur(ops, p, q)
-    assert np.allclose(h, hb, atol=1e-9 * max(1.0, np.abs(hb).max()))
-    # A itself, block by block: A(X)_p = sum_j <diag(diags[j][:, p]), X_j>
-    want = sum(ab.T @ np.diagonal(pb) for a, ps in zip(diags, p)
-               for ab, pb in zip(a, ps))
-    assert np.allclose(ops.apply_A(p), want)
-    _assert_adjoint(ops, p, rng.standard_normal(m))
 
 
 def test_fantope_solve_k1_matches_top_eigenvalue():
@@ -179,7 +174,7 @@ def test_dense_solve_min_eigenvalue():
     # min <C, X> s.t. tr X = 1, X PSD: optimum is the smallest eigenvalue
     rng = np.random.default_rng(11)
     c = _rand_sym(rng, 4)
-    ops = DenseOps([np.ones((1, 4, 1))], np.ones(1), [c[None]])
+    ops = _TraceOps([c[None]], 1.0)
     res = solve_ipm(ops)
     assert res.status == "optimal"
     want = float(np.linalg.eigvalsh(c)[0])
@@ -188,7 +183,7 @@ def test_dense_solve_min_eigenvalue():
 
 def test_dense_infeasible_is_flagged():
     # tr X = -1 with X PSD has no solution; must not report optimal
-    ops = DenseOps([np.ones((1, 3, 1))], -np.ones(1), [np.eye(3)[None]])
+    ops = _TraceOps([np.eye(3)[None]], -1.0)
     res = solve_ipm(ops, max_iters=60)
     assert res.status == "numerical_failure"
 
@@ -230,7 +225,7 @@ def test_nan_in_schur_complement_is_numerical_failure(monkeypatch):
     assert res.status == "numerical_failure"
 
 
-# n = 1 covers the scalar blocks of the certificate's feasibility program
+# n = 1 covers scalar blocks
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_max_step_reaches_the_cone_boundary(n, seed):
@@ -287,12 +282,10 @@ def test_stacked_factor_and_step_match_each_matrix(n, count, seed):
 def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
     rng = np.random.default_rng(5)
     if case == "dense":
-        # min <C, X> over the stacks of a certificate program: d, k, 1 x 1
+        # min <C, X> s.t. sum tr X = 1 over three stacks of blocks
         layout = [(1, 4), (1, 2), (2, 1)]
-        ops = DenseOps([np.ones((count, n, 1)) for count, n in layout],
-                       np.ones(1),
-                       [np.array([_rand_sym(rng, n) for _ in range(count)])
-                        for count, n in layout])
+        ops = _TraceOps([np.array([_rand_sym(rng, n) for _ in range(count)])
+                         for count, n in layout], 1.0)
         start = ()
     else:
         d = 2 if case == "fantope-square" else 3
