@@ -10,11 +10,11 @@ predictor-corrector. The constraint operator is FantopeOps: k trace-one
 blocks coupled through sum_i X_i + S = I, the structure of the relaxation,
 whose Schur complement is assembled blockwise.
 
-Blocks are held as stacks: a group of blocks of equal size is one
-(count, n, n) array, so the iteration's per-block work (factors, products,
-step lengths, residuals) is one batched call per stack. An operator's cost
-ops.C, a list of stacks, fixes the layout: solve_ipm's starts and results
-are lists of stacks of the same shapes. The relaxation is one stack.
+Every block of the relaxation has size d, so the blocks are held as one
+(nb, d, d) stack, the layout of the cost ops.C: the iteration's per-block
+work (factors, products, step lengths, residuals) is one batched call.
+solve_ipm starts at FantopeOps.start() and returns X and Z as stacks of
+the same shape.
 
 A step length needs only the least eigenvalue of the scaled direction
 (Toh 2002), so least_eigenvalues computes that one eigenvalue per matrix
@@ -125,11 +125,6 @@ def least_eigenvalues(a):
     return out
 
 
-def eye_stacks(ops):
-    """Identity blocks in the layout of ops.C."""
-    return [np.zeros_like(c) + np.eye(c.shape[-1]) for c in ops.C]
-
-
 # ---------------------------------------------------------------------------
 # Constraint operators
 
@@ -146,7 +141,9 @@ class FantopeOps:
     k = d, where the slack is forced to zero and would kill strict
     feasibility) the coupling is an equality. Cost blocks are -mats[i] (the
     relaxation minimizes the negated objective) and zero on the slack. mats
-    is the (k, d, d) stack of the M_i; every block is in the one stack C[0].
+    is the (k, d, d) stack of the M_i; the cost C is the (nb, d, d) stack
+    of every block, nb = k + [k < d], with the slack last. The rows of y
+    are the k trace rows, then the svec rows of the coupling.
     """
 
     def __init__(self, mats, d: int):
@@ -157,29 +154,38 @@ class FantopeOps:
         self.d = d
         self.has_slack = self.k < d
         self.sd = d * (d + 1) // 2
-        self.off = self.k
-        self.m = self.off + self.sd
-        cost = np.zeros((self.k + self.has_slack, d, d))
-        cost[:self.k] = np.negative(mats)
-        self.C = [cost]
+        self.m = self.k + self.sd
+        self.C = np.zeros((self.k + self.has_slack, d, d))
+        self.C[:self.k] = np.negative(mats)
         b = np.ones(self.m)
-        b[self.off:] = svec(np.eye(d))
+        b[self.k:] = svec(np.eye(d))
         self.b = b
 
-    def apply_A(self, stacks):
-        x, = stacks
+    def start(self):
+        """The interior start (X, y, Z): X_i = I/d, S = (1 - k/d) I, so X
+        is primal feasible; y = -1 on the trace rows and -svec(I) on the
+        coupling rows; Z = I."""
+        d, k = self.d, self.k
+        eye = np.eye(d)
+        x = np.repeat(eye[None] / d, len(self.C), axis=0)
+        if self.has_slack:
+            x[k] = (1.0 - k / d) * eye
+        y = np.zeros(self.m)
+        y[:k] = -1.0
+        y[k:] = svec(-eye)
+        return x, y, np.zeros_like(self.C) + eye
+
+    def apply_A(self, x):
         return np.concatenate([np.trace(x[:self.k], axis1=1, axis2=2),
                                svec(x.sum(axis=0))])
 
     def apply_AT(self, y):
         k, i = self.k, np.arange(self.d)
-        out = np.repeat(smat(y[self.off:], self.d)[None], len(self.C[0]),
-                        axis=0)
+        out = np.repeat(smat(y[k:], self.d)[None], len(self.C), axis=0)
         out[:k, i, i] += y[:k, None]
-        return [out]
+        return out
 
     def schur(self, zinv, x):
-        (zinv,), (x,) = zinv, x
         k, i = self.k, np.arange(self.k)
         h = np.empty((self.m, self.m))
         h[:k, :k] = 0.0
@@ -197,9 +203,9 @@ class FantopeOps:
 @dataclass
 class IpmResult:
     status: str  # "optimal" or "numerical_failure"
-    x: list  # stacks, shaped as ops.C
+    x: np.ndarray  # (nb, d, d) stack, shaped as ops.C
     y: np.ndarray
-    z: list
+    z: np.ndarray  # shaped as x
     pobj: float
     dobj: float
     iterations: int
@@ -253,23 +259,17 @@ def _factor_schur(h):
 
 
 def solve_ipm(
-    ops,
-    x0=None,
-    y0=None,
-    z0=None,
+    ops: FantopeOps,
     tol: float = 1e-8,
     max_iters: int = 100,
     step_frac: float = 0.98,
 ) -> IpmResult:
-    """x0 and z0 are lists of stacks shaped as ops.C (identities when
-    omitted); the result's x and z are too."""
-    eyes = eye_stacks(ops)
-    x = eyes if x0 is None else [np.asarray(s, dtype=float) for s in x0]
-    z = eyes if z0 is None else [np.asarray(s, dtype=float) for s in z0]
-    y = np.zeros(ops.m) if y0 is None else np.array(y0, dtype=float)
-    ntot = sum(c.shape[0] * c.shape[1] for c in ops.C)
+    """Run the iteration from ops.start() until the residuals and the
+    relative gap are below tol, or it stalls, diverges or hits max_iters."""
+    x, y, z = ops.start()
+    ntot = ops.C.shape[0] * ops.C.shape[1]
     bnorm = 1.0 + np.linalg.norm(ops.b)
-    cnorm = 1.0 + max(np.linalg.norm(c, axis=(1, 2)).max() for c in ops.C)
+    cnorm = 1.0 + np.linalg.norm(ops.C, axis=(1, 2)).max()
 
     best = np.inf
     best_iter = 0
@@ -280,15 +280,14 @@ def solve_ipm(
     schur_shift = 0.0
 
     for it in range(max_iters + 1):
-        pobj = sum(float(np.sum(c * xs)) for c, xs in zip(ops.C, x))
+        pobj = float(np.sum(ops.C * x))
         dobj = float(ops.b @ y)
         rp = ops.b - ops.apply_A(x)
-        rd = [c - a - zs for c, a, zs in zip(ops.C, ops.apply_AT(y), z)]
-        mu = sum(float(np.sum(xs * zs)) for xs, zs in zip(x, z)) / ntot
+        rd = ops.C - ops.apply_AT(y) - z
+        mu = float(np.sum(x * z)) / ntot
         pinf = float(np.linalg.norm(rp)) / bnorm
         # np.max, unlike max(), propagates a NaN in any position
-        dinf = float(np.max(np.concatenate(
-            [np.linalg.norm(r, axis=(1, 2)) for r in rd]))) / cnorm
+        dinf = float(np.max(np.linalg.norm(rd, axis=(1, 2)))) / cnorm
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         metric = float(np.max([pinf, dinf, relgap]))
 
@@ -305,9 +304,9 @@ def solve_ipm(
             break
 
         try:
-            lx = [_inverse_factor(xs) for xs in x]
-            lz = [_inverse_factor(zs) for zs in z]
-            zinv = [li.swapaxes(1, 2) @ li for li in lz]
+            lx = _inverse_factor(x)
+            lz = _inverse_factor(z)
+            zinv = lz.swapaxes(1, 2) @ lz
             h = ops.schur(zinv, x)
             hf, reg = _factor_schur(h)
             schur_shift = max(schur_shift, reg)
@@ -319,46 +318,37 @@ def solve_ipm(
                 dy += cho_solve(hf, resid, check_finite=False)
                 return dy
 
-            t1 = [sym(zi @ r @ xs) for zi, r, xs in zip(zinv, rd, x)]
+            t1 = sym(zinv @ rd @ x)
             a_zinv = ops.apply_A(zinv)
 
             def direction(tau, corr):
                 """HKM direction for the centering target tau and the
                 Mehrotra second-order term corr."""
-                rhs = (rp
-                       + ops.apply_A([xs + t + c
-                                      for xs, t, c in zip(x, t1, corr)])
-                       - tau * a_zinv)
+                rhs = rp + ops.apply_A(x + t1 + corr) - tau * a_zinv
                 dy = solve_h(rhs)
                 atdy = ops.apply_AT(dy)
-                dz = [r - a for r, a in zip(rd, atdy)]
-                dx = [sym(tau * zi - xs - t + sym(zi @ a @ xs) - c)
-                      for zi, xs, t, a, c in zip(zinv, x, t1, atdy, corr)]
+                dz = rd - atdy
+                dx = sym(tau * zinv - x - t1 + sym(zinv @ atdy @ x) - corr)
                 return dx, dy, dz
 
             # predictor (affine scaling)
-            dx_a, _, dz_a = direction(0.0, [0.0] * len(x))
-            ap = min(1.0, min(map(_max_step, lx, dx_a)))
-            ad = min(1.0, min(map(_max_step, lz, dz_a)))
-            mu_aff = sum(
-                float(np.sum((xs + ap * dxs) * (zs + ad * dzs)))
-                for xs, dxs, zs, dzs in zip(x, dx_a, z, dz_a)
-            ) / ntot
+            dx_a, _, dz_a = direction(0.0, 0.0)
+            ap = min(1.0, _max_step(lx, dx_a))
+            ad = min(1.0, _max_step(lz, dz_a))
+            mu_aff = float(np.sum((x + ap * dx_a) * (z + ad * dz_a))) / ntot
             sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3
             tau = sigma * mu
 
             # corrector
-            corr = [sym(zi @ dzs @ dxs)
-                    for zi, dzs, dxs in zip(zinv, dz_a, dx_a)]
-            dx, dy, dz = direction(tau, corr)
-            ap = min(1.0, step_frac * min(map(_max_step, lx, dx)))
-            ad = min(1.0, step_frac * min(map(_max_step, lz, dz)))
+            dx, dy, dz = direction(tau, sym(zinv @ dz_a @ dx_a))
+            ap = min(1.0, step_frac * _max_step(lx, dx))
+            ad = min(1.0, step_frac * _max_step(lz, dz))
         except (np.linalg.LinAlgError, ValueError):
             break  # factorization lost or iterates overflowed
         if ap < 1e-8 and ad < 1e-8:
             break
-        x = [sym(xs + ap * dxs) for xs, dxs in zip(x, dx)]
-        z = [sym(zs + ad * dzs) for zs, dzs in zip(z, dz)]
+        x = sym(x + ap * dx)
+        z = sym(z + ad * dz)
         y = y + ad * dy
 
     return IpmResult(

@@ -29,14 +29,7 @@ from .core import (
     sym,
     top_eigenpairs,
 )
-from .ipm import (
-    FantopeOps,
-    eye_stacks,
-    least_eigenvalues,
-    smat,
-    solve_ipm,
-    svec,
-)
+from .ipm import FantopeOps, least_eigenvalues, smat, solve_ipm
 from .stiefel import SolverConfig
 
 STATUS_OPTIMAL = "Optimal"
@@ -146,28 +139,15 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
     return KktResiduals(res_primal, res_dual_eq, res_slack, res_block, res_cone)
 
 
-def _fantope_start(ops: FantopeOps):
-    d, k = ops.d, ops.k
-    eye = np.eye(d)
-    x = np.repeat(eye[None] / d, len(ops.C[0]), axis=0)
-    if ops.has_slack:
-        x[k] = (1.0 - k / d) * eye
-    y = np.zeros(ops.m)
-    y[:k] = -1.0
-    y[ops.off:] = svec(-eye)
-    return [x], y, eye_stacks(ops)
-
-
 def _recover_coupling_dual(ops, res, scale):
     """Input-unit (Y, Z_i, nu) from the solver's internal variables."""
-    k = ops.k
-    z, = res.z
+    k, z = ops.k, res.z
     if ops.has_slack:
         y_mat = sym(z[-1]) * scale
         nu = -res.y[:k] * scale
     else:
         # sum X_i = I exactly: shift the equality multiplier into the cone
-        y_raw = -smat(res.y[ops.off:], ops.d)
+        y_raw = -smat(res.y[k:], ops.d)
         c = max(0.0, -float(np.linalg.eigvalsh(sym(y_raw))[0]))
         y_mat = sym(y_raw + c * np.eye(ops.d)) * scale
         nu = (-res.y[:k] - c) * scale
@@ -205,11 +185,10 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     t0 = time.perf_counter()
     mats_s, shift, scale = shift_and_scale(c.mats)
     ops = FantopeOps(mats_s, c.d)
-    x0, y0, z0 = _fantope_start(ops)
-    res = solve_ipm(ops, x0, y0, z0, tol=cfg.sdp_tol,
-                    max_iters=cfg.sdp_max_iters, step_frac=cfg.step_frac)
+    res = solve_ipm(ops, tol=cfg.sdp_tol, max_iters=cfg.sdp_max_iters,
+                    step_frac=cfg.step_frac)
 
-    x_blocks = tuple(sym(res.x[0][:c.k]))
+    x_blocks = tuple(sym(res.x[:c.k]))
     y_mat, z_blocks, nu = _recover_coupling_dual(ops, res, scale)
     nu = nu - shift
 

@@ -62,6 +62,10 @@ class SolverConfig:
     sdp_max_iters: int = 100
     step_frac: float = 0.98
 
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"need max_iters >= 0, got {self.max_iters}")
+
     @classmethod
     def for_hppca(cls) -> "SolverConfig":
         # heteroscedastic-PCA runs converge slower: 10000 iterations
@@ -129,6 +133,8 @@ def lambda_matrix(c: ProblemInstance, u) -> LambdaMatrix:
 
 def random_stiefel(d: int, k: int, rng: np.random.Generator) -> StiefelPoint:
     """Haar-ish random point: QR of a Gaussian with positive R diagonal."""
+    if k > d:
+        raise ValueError(f"need k <= d, got d={d}, k={k}")
     q, r = np.linalg.qr(rng.standard_normal((d, k)))
     q = q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
     return StiefelPoint(q)

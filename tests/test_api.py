@@ -30,6 +30,7 @@ SIGNATURES = {
     sdp.extract_candidate: ["primal"],
     sdp.dual_rank_profile: ["dual"],
     ipm.FantopeOps: ["mats", "d"],
+    ipm.solve_ipm: ["ops", "tol", "max_iters", "step_frac"],
     certificate.certify: ["c", "u_bar"],
     diagonal.joint_diagonalize: ["c"],
     diagonal.goldman_tucker_dual: ["diag_values", "primal"],
@@ -67,7 +68,8 @@ DELETED = [
     (cli, "_apply_fast"), (ipm, "sym_kron"), (sdp, "gate_unit"),
     (ipm, "stack_blocks"), (ipm, "unstack"), (core, "eigh_desc"),
     (core, "spectral_norm"), (core.ProblemInstance, "spectral_norms"),
-    (sdp, "_normalize_for_solve"),
+    (sdp, "_normalize_for_solve"), (ipm, "eye_stacks"),
+    (sdp, "_fantope_start"),
 ]
 
 

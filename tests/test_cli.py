@@ -306,6 +306,18 @@ def test_missing_instance_is_reported_not_raised(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_max_iters_is_bad_input(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "--family", "randpsd", "--params", '{"d": 4, "k": 2}',
+                 "--out", str(inst_path)]) == 0
+    out = tmp_path / "pt.json"
+    rc = main(["solve-stmm", "--instance", str(inst_path),
+               "--max-iters", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "error: need max_iters >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_instance_is_bad_input(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(

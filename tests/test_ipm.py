@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from stiefelsum import ipm
 from stiefelsum.core import sym
-from stiefelsum.sdp import _fantope_start
 from stiefelsum.ipm import (
     FantopeOps,
     _factor_schur,
     _inverse_factor,
     _max_step,
     coupling_block,
-    eye_stacks,
     solve_ipm,
     smat,
     svec,
@@ -57,8 +55,8 @@ def test_coupling_block_matches_operator():
             assert np.allclose(m @ svec(v), svec(want), atol=1e-10)
 
 
-def _rand_spd_stacks(rng, ops):
-    return [np.array([_rand_spd(rng, c.shape[1]) for _ in c]) for c in ops.C]
+def _rand_spd_stack(rng, ops):
+    return np.array([_rand_spd(rng, ops.d) for _ in ops.C])
 
 
 def _brute_schur(ops, p, q):
@@ -67,9 +65,8 @@ def _brute_schur(ops, p, q):
     h = np.zeros((m, m))
     for col in range(m):
         at = ops.apply_AT(np.eye(m)[col])
-        mids = [np.array([sym(pb @ tb @ qb) for pb, tb, qb in zip(*s)])
-                for s in zip(p, at, q)]
-        h[:, col] = ops.apply_A(mids)
+        h[:, col] = ops.apply_A(
+            np.array([sym(pb @ tb @ qb) for pb, tb, qb in zip(p, at, q)]))
     return h
 
 
@@ -77,31 +74,8 @@ def _assert_adjoint(ops, x, y):
     # the operator and its adjoint agree: <A(X), y> = <X, A*(y)>, with the
     # inner product summed block by block
     lhs = ops.apply_A(x) @ y
-    rhs = sum(np.sum(xb * ab) for xs, at in zip(x, ops.apply_AT(y))
-              for xb, ab in zip(xs, at))
+    rhs = sum(np.sum(xb * ab) for xb, ab in zip(x, ops.apply_AT(y)))
     assert np.isclose(lhs, rhs)
-
-
-class _TraceOps:
-    """The least operator solve_ipm takes: one constraint, the trace summed
-    over every block of every stack, min <C, X> s.t. sum tr X = b."""
-
-    def __init__(self, cmats, b):
-        self.C = [np.asarray(c, dtype=float) for c in cmats]
-        self.b = np.array([float(b)])
-        self.m = 1
-
-    def apply_A(self, stacks):
-        return np.array([sum(float(np.trace(x, axis1=1, axis2=2).sum())
-                             for x in stacks)])
-
-    def apply_AT(self, y):
-        return [y[0] * np.broadcast_to(np.eye(c.shape[-1]), c.shape)
-                for c in self.C]
-
-    def schur(self, zinv, x):
-        return np.array([[sum(float(np.sum(zi * xs))
-                              for zi, xs in zip(zinv, x))]])
 
 
 # d = 12 has 78 coupling rows, several chunks; k = 10 gives 11 blocks
@@ -114,15 +88,15 @@ def test_fantope_schur_vs_brute_force(d, k, slack):
     mats = [_rand_sym(rng, d) for _ in range(k)]
     ops = FantopeOps(mats, d)
     assert ops.has_slack == slack
-    assert len(ops.C) == 1 and ops.C[0].shape == (k + slack, d, d)
-    p = _rand_spd_stacks(rng, ops)
-    q = _rand_spd_stacks(rng, ops)
+    assert ops.C.shape == (k + slack, d, d)
+    p = _rand_spd_stack(rng, ops)
+    q = _rand_spd_stack(rng, ops)
     h = ops.schur(p, q)
     hb = _brute_schur(ops, p, q)
     assert np.allclose(h, hb, atol=1e-8 * max(1.0, np.abs(hb).max()))
     # A itself, block by block: the traces, then svec of the coupling sum
-    want = [np.trace(pb) for pb in p[0][:k]]
-    want.extend(svec(sum(p[0])))
+    want = [np.trace(pb) for pb in p[:k]]
+    want.extend(svec(sum(p)))
     assert np.allclose(ops.apply_A(p), want)
     _assert_adjoint(ops, p, rng.standard_normal(ops.m))
 
@@ -136,7 +110,7 @@ def test_fantope_solve_k1_matches_top_eigenvalue():
     assert res.status == "optimal"
     assert abs(res.pobj - (-3.0)) < 1e-7
     assert abs(res.dobj - (-3.0)) < 1e-7
-    x = res.x[0][0]
+    x = res.x[0]
     assert abs(x[0, 0] - 1.0) < 1e-6
     assert res.relgap < 1e-8
 
@@ -148,9 +122,8 @@ def test_fantope_solve_k_equals_d():
     res = solve_ipm(ops)
     assert res.status == "optimal"
     assert abs(res.pobj - (-4.0)) < 1e-7
-    x, = res.x
-    assert abs(x[0][0, 0] - 1.0) < 1e-6
-    assert abs(x[1][1, 1] - 1.0) < 1e-6
+    assert abs(res.x[0, 0, 0] - 1.0) < 1e-6
+    assert abs(res.x[1, 1, 1] - 1.0) < 1e-6
 
 
 # k = d: no slack block, so the k cost blocks are the relaxation's one stack;
@@ -162,40 +135,12 @@ def test_square_relaxation_is_one_stack(d, seed, iterations):
     vals = np.random.default_rng(seed).uniform(size=(d, d))
     ops = FantopeOps([np.diag(v) for v in vals], d)
     assert not ops.has_slack
-    assert [c.shape for c in ops.C] == [(d, d, d)]
-    res = solve_ipm(ops, *_fantope_start(ops))
+    assert ops.C.shape == (d, d, d)
+    res = solve_ipm(ops)
     assert res.status == "optimal" and res.iterations == iterations
     best = max(sum(vals[i, p[i]] for i in range(d))
                for p in itertools.permutations(range(d)))
     assert -res.pobj == pytest.approx(best, abs=1e-7)
-
-
-def test_dense_solve_min_eigenvalue():
-    # min <C, X> s.t. tr X = 1, X PSD: optimum is the smallest eigenvalue
-    rng = np.random.default_rng(11)
-    c = _rand_sym(rng, 4)
-    ops = _TraceOps([c[None]], 1.0)
-    res = solve_ipm(ops)
-    assert res.status == "optimal"
-    want = float(np.linalg.eigvalsh(c)[0])
-    assert abs(res.pobj - want) < 1e-7
-
-
-def test_dense_infeasible_is_flagged():
-    # tr X = -1 with X PSD has no solution; must not report optimal
-    ops = _TraceOps([np.eye(3)[None]], -1.0)
-    res = solve_ipm(ops, max_iters=60)
-    assert res.status == "numerical_failure"
-
-
-def test_ipm_interior_start_override():
-    mats = [np.diag([5.0, 1.0])]
-    ops = FantopeOps(mats, 2)
-    x0 = [e / 3.0 for e in eye_stacks(ops)]
-    z0 = eye_stacks(ops)
-    res = solve_ipm(ops, x0=x0, y0=np.zeros(ops.m), z0=z0)
-    assert res.status == "optimal"
-    assert abs(res.pobj + 5.0) < 1e-7
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -204,7 +149,7 @@ def test_non_finite_cost_never_converges():
     # stop metric must carry the NaN dual residual rather than drop it
     for m in (np.diag([1.0, np.inf]), np.diag([1.0, np.nan])):
         ops = FantopeOps([m], 2)
-        res = solve_ipm(ops, *_fantope_start(ops))
+        res = solve_ipm(ops)
         assert res.status == "numerical_failure"
 
 
@@ -278,19 +223,11 @@ def test_stacked_factor_and_step_match_each_matrix(n, count, seed):
     assert _max_step(li, da) == pytest.approx(min(steps), rel=1e-10)
 
 
-@pytest.mark.parametrize("case", ["fantope", "fantope-square", "dense"])
+@pytest.mark.parametrize("case", ["fantope", "fantope-square"])
 def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
     rng = np.random.default_rng(5)
-    if case == "dense":
-        # min <C, X> s.t. sum tr X = 1 over three stacks of blocks
-        layout = [(1, 4), (1, 2), (2, 1)]
-        ops = _TraceOps([np.array([_rand_sym(rng, n) for _ in range(count)])
-                         for count, n in layout], 1.0)
-        start = ()
-    else:
-        d = 2 if case == "fantope-square" else 3
-        ops = FantopeOps([_rand_sym(rng, d) for _ in range(2)], d)
-        start = _fantope_start(ops)
+    d = 2 if case == "fantope-square" else 3
+    ops = FantopeOps([_rand_sym(rng, d) for _ in range(2)], d)
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -299,25 +236,22 @@ def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
-    res = solve_ipm(ops, *start)
+    res = solve_ipm(ops)
     assert res.status == "optimal" and res.iterations > 0
     # every iteration before the last computes a direction, with one
-    # batched factor per stack of X and of Z: the batch sizes sum to 2 nb
-    stacks = [c.shape for c in ops.C]
-    assert len(stacks) == (3 if case == "dense" else 1)
-    per_iteration = 2 * stacks
-    assert calls == per_iteration * res.iterations
-    blocks = {"dense": 4, "fantope": 3, "fantope-square": 2}[case]
-    assert sum(c[0] for c in per_iteration) == 2 * blocks
+    # batched factor of the stack X and one of the stack Z
+    assert calls == [ops.C.shape] * 2 * res.iterations
+    assert ops.C.shape[0] == {"fantope": 3, "fantope-square": 2}[case]
 
 
-def test_singular_start_fails_closed():
+def test_singular_start_fails_closed(monkeypatch):
     # X_1 is PSD but singular: no step length exists without a shift, and
     # none is applied
     ops = FantopeOps([np.diag([3.0, 1.0, 0.0])], 3)
-    _, y0, z0 = _fantope_start(ops)
-    x0 = [np.array([np.diag([0.0, 0.5, 0.5]), np.diag([1.0, 0.5, 0.5])])]
-    res = solve_ipm(ops, x0, y0, z0)
+    _, y0, z0 = ops.start()
+    x0 = np.array([np.diag([0.0, 0.5, 0.5]), np.diag([1.0, 0.5, 0.5])])
+    monkeypatch.setattr(FantopeOps, "start", lambda self: (x0, y0, z0))
+    res = solve_ipm(ops)
     assert res.status == "numerical_failure"
     assert res.iterations == 0
-    assert np.array_equal(res.x[0], x0[0])
+    assert np.array_equal(res.x, x0)

@@ -90,6 +90,10 @@ def test_random_stiefel_deterministic_and_orthonormal():
     assert np.linalg.norm(a.cols.T @ a.cols - np.eye(3)) <= 1e-12
     c = random_stiefel(7, 3, np.random.default_rng(43))
     assert not np.allclose(a.cols, c.cols)
+    # more columns than rows fails loudly, as StiefelPoint does, rather
+    # than returning a d x d point
+    with pytest.raises(ValueError, match="need k <= d"):
+        random_stiefel(3, 5, np.random.default_rng(42))
 
 
 def test_ascent_is_monotone():
@@ -169,6 +173,16 @@ def test_k1_ascent_finds_top_eigenvector():
 
 def test_config_factories():
     assert SolverConfig.for_hppca().max_iters == 10000
+
+
+def test_negative_max_iters_is_rejected():
+    # an empty trace has no final objective to report
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=-1)
+    u0 = random_stiefel(6, 2, np.random.default_rng(1))
+    trace = stmm_solve(gen_random_psd(6, 2, seed=1), u0,
+                       SolverConfig(max_iters=0))
+    assert trace.iterations == 0 and trace.status == "MaxIters"
 
 
 def _plain_mm(c, u, grad_tol=1e-10, max_iters=20000):
