@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from .core import ProblemInstance, StiefelPoint, sym
 from .ipm import _factor_schur, least_eigenvalues
@@ -264,7 +264,7 @@ def _margin_solve(lmis: _Arrowheads, floor: float, clears) -> _MarginRun:
         except (np.linalg.LinAlgError, ValueError):
             return run("numerical_failure")
         shift = max(shift, float(reg))
-        dz = -dsc * cho_solve(hf, dsc * grad, check_finite=False)
+        dz = -dsc * dpotrs(hf, dsc * grad, lower=1)[0]
         lam = float(np.sqrt(max(-grad @ dz, 0.0)))
         if not np.isfinite(lam):
             return run("numerical_failure")

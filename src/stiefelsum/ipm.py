@@ -16,6 +16,14 @@ work (factors, products, step lengths, residuals) is one batched call.
 solve_ipm starts at FantopeOps.start() and returns X and Z as stacks of
 the same shape.
 
+Each solve holds one m x m array: FantopeOps.schur assembles the lower
+triangle of the Schur complement H into one Fortran-ordered buffer and
+mirrors it above the diagonal, and _factor_schur factors it there with
+LAPACK dpotrf, as CSDP (Borchers 1999) and SDPT3 (Toh, Todd & Tutuncu
+1999) do. The factor overwrites only the lower triangle, so the strict
+upper one still holds H: each Schur solve is a dpotrs on the factor,
+refined once against H through dsymv on the upper triangle.
+
 A step length needs only the least eigenvalue of the scaled direction
 (Toh 2002), so least_eigenvalues computes that one eigenvalue per matrix
 rather than the spectrum; the certificate's slack gate and sdp.check_kkt
@@ -28,8 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dlamch, dsyevx, dtrtri
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dlamch, dpotrf, dpotrs, dsyevx, dtrtri
 
 from .core import sym
 
@@ -65,6 +73,10 @@ def smat(v: np.ndarray, n: int) -> np.ndarray:
 # svec rows of the coupling block per stacked matmul: bounds the (rows, d, d)
 # scratch to about 1 MB at d = 60, so no d^4 array is ever formed
 _COUPLING_CHUNK = 32
+# where a chunk's diagonal block keeps its own entries: on and below the
+# diagonal
+_CHUNK_LOWER = np.tri(_COUPLING_CHUNK, dtype=bool)
+_CHUNK_LOWER.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +96,9 @@ def coupling_block(p, q, out):
 
     Row (i, j) holds v_ij v_kl (R[k, l] + R[l, k]) over the columns (k, l),
     where R = sum_a P_a[i]' Q_a[j] + Q_a[i]' P_a[j] is one stacked product
-    and v the halved svec weights."""
+    and v the halved svec weights. Only the columns up to the diagonal are
+    gathered; each chunk of rows is written again, transposed, above it, so
+    out is exactly symmetric."""
     d = p.shape[1]
     i, j, ij, ji, v = _coupling_indices(d)
     # left[i] = [P_a[i]; Q_a[i]]', right[j] = [Q_a[j]; P_a[j]]; contiguous,
@@ -92,11 +106,16 @@ def coupling_block(p, q, out):
     left = np.concatenate([p, q]).transpose(1, 2, 0).copy()
     right = np.concatenate([q, p]).transpose(1, 0, 2).copy()
     for r0 in range(0, len(i), _COUPLING_CHUNK):
-        rows = slice(r0, r0 + _COUPLING_CHUNK)
+        r1 = min(r0 + _COUPLING_CHUNK, len(i))
+        rows = slice(r0, r1)
         r = np.matmul(left[i[rows]], right[j[rows]]).reshape(-1, d * d)
-        s = np.take(r, ij, axis=1)
-        s += np.take(r, ji, axis=1)
-        np.multiply(s, v[rows, None] * v, out=out[rows])
+        s = np.take(r, ij[:r1], axis=1)
+        s += np.take(r, ji[:r1], axis=1)
+        s *= v[rows, None] * v[:r1]
+        blk = s[:, r0:]  # the chunk's diagonal block: mirror its lower half
+        blk[...] = np.where(_CHUNK_LOWER[:r1 - r0, :r1 - r0], blk, blk.T)
+        out[rows, :r1] = s
+        out[:r0, rows] = s[:, :r0].T
 
 
 # dsyevx's absolute eigenvalue tolerance: 2 * underflow threshold, the
@@ -144,6 +163,10 @@ class FantopeOps:
     is the (k, d, d) stack of the M_i; the cost C is the (nb, d, d) stack
     of every block, nb = k + [k < d], with the slack last. The rows of y
     are the k trace rows, then the svec rows of the coupling.
+
+    schur assembles the Schur complement into one Fortran-ordered (m, m)
+    buffer, allocated on the first call and reused by every later one, so a
+    solve holds one m x m array, which _factor_schur factors in place.
     """
 
     def __init__(self, mats, d: int):
@@ -160,6 +183,7 @@ class FantopeOps:
         b = np.ones(self.m)
         b[self.k:] = svec(np.eye(d))
         self.b = b
+        self._h = None
 
     def start(self):
         """The interior start (X, y, Z): X_i = I/d, S = (1 - k/d) I, so X
@@ -186,8 +210,11 @@ class FantopeOps:
         return out
 
     def schur(self, zinv, x):
-        k, i = self.k, np.arange(self.k)
-        h = np.empty((self.m, self.m))
+        """The exactly symmetric Schur complement A (Z^-1 . X) A*, written
+        into this operator's one buffer."""
+        if self._h is None:
+            self._h = np.empty((self.m, self.m), order="F")
+        k, i, h = self.k, np.arange(self.k), self._h
         h[:k, :k] = 0.0
         pq = zinv[:k] @ x[:k]
         h[i, i] = np.trace(pq, axis1=1, axis2=2)
@@ -241,20 +268,31 @@ def _max_step(li, da):
 
 
 def _factor_schur(h):
-    """Cholesky factor of h and the diagonal shift it needed (0.0 when none).
+    """Cholesky factor of the symmetric h and the diagonal shift it needed
+    (0.0 when none).
 
-    A non-finite h raises LinAlgError here, once, which is why the factor
-    and its solves skip scipy's own finiteness checks."""
+    The factor is one (m, m) Fortran-ordered array: its lower triangle is
+    L, with L L' = h + shift I, and its strict upper triangle is h's, as
+    dpotrs and dsymv(lower=0) read them. A Fortran-ordered h is factored in
+    place; any other h is copied first and left unchanged. A failed attempt
+    rebuilds the lower triangle from the upper one, and the diagonal from a
+    saved copy, before the next shift. A non-finite h raises LinAlgError
+    here, once, which is why the factor and its solves skip any finiteness
+    check of their own."""
     if not np.isfinite(h).all():
         raise np.linalg.LinAlgError("Schur complement not finite")
+    h = np.asfortranarray(h, dtype=np.float64)
+    diag = h.diagonal().copy()
     reg = 0.0
-    base = max(np.max(np.diag(h)), 1.0)
+    base = max(np.max(diag), 1.0)
     for _ in range(4):
-        try:
-            hr = h if reg == 0.0 else h + reg * np.eye(h.shape[0])
-            return cho_factor(hr, lower=True, check_finite=False), reg
-        except np.linalg.LinAlgError:
-            reg = base * 1e-12 if reg == 0.0 else reg * 1e4
+        c, info = dpotrf(h, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return c, reg
+        for col in range(len(diag) - 1):
+            h[col + 1:, col] = h[col, col + 1:]
+        reg = base * 1e-12 if reg == 0.0 else reg * 1e4
+        np.fill_diagonal(h, diag + reg)
     raise np.linalg.LinAlgError("Schur complement not positive definite")
 
 
@@ -308,14 +346,18 @@ def solve_ipm(
             lz = _inverse_factor(z)
             zinv = lz.swapaxes(1, 2) @ lz
             h = ops.schur(zinv, x)
+            hdiag = h.diagonal().copy()
             hf, reg = _factor_schur(h)
             schur_shift = max(schur_shift, reg)
+            # dsymv reads h's upper triangle and the factor's diagonal
+            dfix = hdiag - hf.diagonal()
 
             def solve_h(rhs):
-                dy = cho_solve(hf, rhs, check_finite=False)
+                """h^-1 rhs, refined once against the unshifted h."""
+                dy = dpotrs(hf, rhs, lower=1)[0]
+                resid = dsymv(-1.0, hf, dy, beta=1.0, y=rhs) - dfix * dy
                 # ValueError once dy overflows (or rhs was not finite)
-                resid = np.asarray_chkfinite(rhs - h @ dy)
-                dy += cho_solve(hf, resid, check_finite=False)
+                dy += dpotrs(hf, np.asarray_chkfinite(resid), lower=1)[0]
                 return dy
 
             t1 = sym(zinv @ rd @ x)

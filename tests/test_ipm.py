@@ -49,6 +49,7 @@ def test_coupling_block_matches_operator():
         sd = n * (n + 1) // 2
         m = np.empty((sd, sd))
         coupling_block(ps, qs, m)
+        assert np.array_equal(m, m.T)
         for _ in range(4):
             v = _rand_sym(rng, n)
             want = sum(0.5 * (p @ v @ q + q @ v @ p) for p, q in zip(ps, qs))
@@ -92,7 +93,12 @@ def test_fantope_schur_vs_brute_force(d, k, slack):
     p = _rand_spd_stack(rng, ops)
     q = _rand_spd_stack(rng, ops)
     h = ops.schur(p, q)
+    # one exactly symmetric Fortran-ordered buffer, reused by every call
+    assert h.flags.f_contiguous and np.array_equal(h, h.T)
     hb = _brute_schur(ops, p, q)
+    assert np.allclose(h, hb, atol=1e-8 * max(1.0, np.abs(hb).max()))
+    assert ops.schur(q, p) is h
+    hb = _brute_schur(ops, q, p)
     assert np.allclose(h, hb, atol=1e-8 * max(1.0, np.abs(hb).max()))
     # A itself, block by block: the traces, then svec of the coupling sum
     want = [np.trace(pb) for pb in p[:k]]
@@ -168,6 +174,46 @@ def test_nan_in_schur_complement_is_numerical_failure(monkeypatch):
     monkeypatch.setattr(FantopeOps, "schur", poisoned)
     res = solve_ipm(FantopeOps([np.diag([3.0, 1.0, 0.0])], 3))
     assert res.status == "numerical_failure"
+
+
+def test_factor_schur_overwrites_only_the_lower_triangle():
+    h0 = _rand_spd(np.random.default_rng(3), 40)
+    h = np.asfortranarray(h0)
+    f, reg = _factor_schur(h)
+    assert f is h and reg == 0.0
+    assert np.array_equal(np.triu(h, 1), np.triu(h0, 1))
+    lo = np.tril(h)
+    assert np.allclose(lo @ lo.T, h0, rtol=1e-13, atol=1e-12 * np.abs(h0).max())
+
+
+def test_factor_schur_shift_rebuilds_h_from_its_upper_triangle():
+    # rank 200 of 300, exactly: the Schur complement of the leading
+    # identity block is G G' - G G' = 0 in integer arithmetic, so the
+    # unshifted factor stops at pivot 201, after the blocked factor has
+    # also updated the trailing lower triangle
+    rng = np.random.default_rng(4)
+    g = rng.integers(-3, 4, size=(100, 200)).astype(float)
+    c = np.vstack([np.eye(200), g])
+    h0 = c @ c.T
+    h = np.asfortranarray(h0)
+    diag = h0.diagonal().copy()
+    f, reg = _factor_schur(h)
+    assert f is h and reg > 0.0
+    upper = np.triu(f, 1)
+    assert np.array_equal(upper + upper.T + np.diag(diag), h0)
+    lo = np.tril(f)
+    assert np.allclose(lo @ lo.T, h0 + reg * np.eye(300),
+                       rtol=0.0, atol=1e-12 * np.abs(h0).max())
+
+
+def test_factor_schur_leaves_a_c_ordered_input_unchanged():
+    # the certificate's margin solve passes a fresh C-ordered product
+    h = _rand_spd(np.random.default_rng(6), 7)
+    h0 = h.copy()
+    f, reg = _factor_schur(h)
+    assert reg == 0.0 and f is not h and np.array_equal(h, h0)
+    lo = np.tril(f)
+    assert np.allclose(lo @ lo.T, h0)
 
 
 # n = 1 covers scalar blocks

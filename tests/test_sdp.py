@@ -3,6 +3,7 @@ enumeration for the square commuting case, and hand-built KKT points."""
 
 import dataclasses
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,7 @@ from stiefelsum.sdp import (
 )
 from stiefelsum.generators import (
     gen_cjd,
+    gen_hppca,
     gen_random_diagonal,
     gen_random_psd,
     gen_separated_diagonal,
@@ -146,6 +148,22 @@ def test_schur_regularization_is_reported():
     res = certify(c, StiefelPoint(np.array([[1.0], [0.0]])))
     assert res.status == STATUS_CERTIFIED
     assert res.meta["ipm"]["shift"] == 0.0
+
+
+def test_relaxation_solve_holds_one_schur_complement():
+    # the Schur complement is m x m, m = k + d (d + 1) / 2; the first solve
+    # warms the process's caches, so the second one's peak is the solve's
+    inst = gen_hppca(40, 3, seed=1)
+    solve_sdp(inst)
+    tracemalloc.start()
+    try:
+        rep = solve_sdp(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = 3 + 40 * 41 // 2
+    assert rep.status == STATUS_OPTIMAL
+    assert peak < 2 * m * m * 8
 
 
 def test_check_kkt_hand_point():
