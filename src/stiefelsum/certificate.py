@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .core import ProblemInstance, StiefelPoint, sym
-from .ipm import _factor_schur, least_eigenvalues
+from .ipm import _factor_schur, _solve_factor, least_eigenvalues
 from .sdp import (
     KKT_TOL,
     STATUS_NUMERICAL_FAILURE,
@@ -264,7 +263,7 @@ def _margin_solve(lmis: _Arrowheads, floor: float, clears) -> _MarginRun:
         except (np.linalg.LinAlgError, ValueError):
             return run("numerical_failure")
         shift = max(shift, float(reg))
-        dz = -dsc * dpotrs(hf, dsc * grad, lower=1)[0]
+        dz = -dsc * _solve_factor(hf, dsc * grad)
         lam = float(np.sqrt(max(-grad @ dz, 0.0)))
         if not np.isfinite(lam):
             return run("numerical_failure")

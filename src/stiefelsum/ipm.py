@@ -21,8 +21,10 @@ triangle of the Schur complement H into one Fortran-ordered buffer and
 mirrors it above the diagonal, and _factor_schur factors it there with
 LAPACK dpotrf, as CSDP (Borchers 1999) and SDPT3 (Toh, Todd & Tutuncu
 1999) do. The factor overwrites only the lower triangle, so the strict
-upper one still holds H: each Schur solve is a dpotrs on the factor,
-refined once against H through dsymv on the upper triangle.
+upper one still holds H. Each Schur solve (_solve_factor) is two level-2
+triangular solves (BLAS dtrsv) on the lower triangle, which for one
+right-hand side cost less than LAPACK dpotrs; it is refined once against
+H through dsymv on the upper triangle.
 
 A step length needs only the least eigenvalue of the scaled direction
 (Toh 2002), so least_eigenvalues computes that one eigenvalue per matrix
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dlamch, dpotrf, dpotrs, dsyevx, dtrtri
+from scipy.linalg.blas import dsymv, dtrsv
+from scipy.linalg.lapack import dlamch, dpotrf, dsyevx, dtrtri
 
 from .core import sym
 
@@ -229,7 +231,24 @@ class FantopeOps:
 
 @dataclass
 class IpmResult:
-    status: str  # "optimal" or "numerical_failure"
+    """A solve_ipm run. status is "optimal" or "numerical_failure";
+    stop_reason names the exit that ended it, one value per exit:
+
+    - "converged": the residuals and the relative gap are below tol
+      (the only "optimal" exit);
+    - "non_finite": the stop metric or mu is NaN or infinite;
+    - "stalled": the metric did not fall below 0.9 times its best for
+      more than 25 iterations;
+    - "max_iters": the iteration cap was reached;
+    - "factorization_lost": a factor or an eigenvalue failed (LinAlgError:
+      a block lost definiteness, or the Schur complement was not finite or
+      not positive definite after every shift);
+    - "overflow": a Schur solve's residual was not finite (ValueError);
+    - "step_collapse": both step lengths fell below 1e-8.
+    """
+
+    status: str
+    stop_reason: str
     x: np.ndarray  # (nb, d, d) stack, shaped as ops.C
     y: np.ndarray
     z: np.ndarray  # shaped as x
@@ -243,10 +262,11 @@ class IpmResult:
     schur_shift: float  # largest diagonal shift _factor_schur applied
 
     def summary(self) -> dict:
-        """The run as reports and records describe it: how it stopped,
-        after how many iterations, with which final residuals and Schur
-        shift."""
-        return {"status": self.status, "iterations": self.iterations,
+        """The run as reports and records describe it: how and why it
+        stopped, after how many iterations, with which final residuals and
+        Schur shift."""
+        return {"status": self.status, "stop_reason": self.stop_reason,
+                "iterations": self.iterations,
                 "pinf": self.pinf, "dinf": self.dinf, "relgap": self.relgap,
                 "schur_shift": self.schur_shift}
 
@@ -272,13 +292,13 @@ def _factor_schur(h):
     (0.0 when none).
 
     The factor is one (m, m) Fortran-ordered array: its lower triangle is
-    L, with L L' = h + shift I, and its strict upper triangle is h's, as
-    dpotrs and dsymv(lower=0) read them. A Fortran-ordered h is factored in
-    place; any other h is copied first and left unchanged. A failed attempt
-    rebuilds the lower triangle from the upper one, and the diagonal from a
-    saved copy, before the next shift. A non-finite h raises LinAlgError
-    here, once, which is why the factor and its solves skip any finiteness
-    check of their own."""
+    L, with L L' = h + shift I, which _solve_factor reads, and its strict
+    upper triangle is h's, which dsymv(lower=0) reads. A Fortran-ordered h
+    is factored in place; any other h is copied first and left unchanged.
+    A failed attempt rebuilds the lower triangle from the upper one, and
+    the diagonal from a saved copy, before the next shift. A non-finite h
+    raises LinAlgError here, once, which is why the factor and its solves
+    skip any finiteness check of their own."""
     if not np.isfinite(h).all():
         raise np.linalg.LinAlgError("Schur complement not finite")
     h = np.asfortranarray(h, dtype=np.float64)
@@ -294,6 +314,14 @@ def _factor_schur(h):
         reg = base * 1e-12 if reg == 0.0 else reg * 1e4
         np.fill_diagonal(h, diag + reg)
     raise np.linalg.LinAlgError("Schur complement not positive definite")
+
+
+def _solve_factor(f, b):
+    """(L L')^-1 b for the lower triangle L of a _factor_schur factor f, by
+    two BLAS dtrsv calls; f's strict upper triangle is never read, and b is
+    left unchanged. A non-finite b gives a non-finite result."""
+    x = dtrsv(f, b, lower=1)
+    return dtrsv(f, x, lower=1, trans=1, overwrite_x=1)
 
 
 def solve_ipm(
@@ -312,6 +340,7 @@ def solve_ipm(
     best = np.inf
     best_iter = 0
     status = "numerical_failure"
+    stop_reason = "max_iters"
     it = 0
     pinf = dinf = relgap = mu = np.nan
     pobj = dobj = np.nan
@@ -330,13 +359,15 @@ def solve_ipm(
         metric = float(np.max([pinf, dinf, relgap]))
 
         if not np.isfinite(metric) or not np.isfinite(mu):
-            break  # diverged (e.g. infeasible problem)
+            stop_reason = "non_finite"  # diverged (e.g. infeasible problem)
+            break
         if metric <= tol:
-            status = "optimal"
+            status, stop_reason = "optimal", "converged"
             break
         if metric < 0.9 * best:
             best, best_iter = metric, it
         elif it - best_iter > 25:
+            stop_reason = "stalled"
             break
         if it == max_iters:
             break
@@ -354,10 +385,10 @@ def solve_ipm(
 
             def solve_h(rhs):
                 """h^-1 rhs, refined once against the unshifted h."""
-                dy = dpotrs(hf, rhs, lower=1)[0]
+                dy = _solve_factor(hf, rhs)
                 resid = dsymv(-1.0, hf, dy, beta=1.0, y=rhs) - dfix * dy
                 # ValueError once dy overflows (or rhs was not finite)
-                dy += dpotrs(hf, np.asarray_chkfinite(resid), lower=1)[0]
+                dy += _solve_factor(hf, np.asarray_chkfinite(resid))
                 return dy
 
             t1 = sym(zinv @ rd @ x)
@@ -385,9 +416,14 @@ def solve_ipm(
             dx, dy, dz = direction(tau, sym(zinv @ dz_a @ dx_a))
             ap = min(1.0, step_frac * _max_step(lx, dx))
             ad = min(1.0, step_frac * _max_step(lz, dz))
-        except (np.linalg.LinAlgError, ValueError):
-            break  # factorization lost or iterates overflowed
+        except np.linalg.LinAlgError:
+            stop_reason = "factorization_lost"
+            break
+        except ValueError:
+            stop_reason = "overflow"
+            break
         if ap < 1e-8 and ad < 1e-8:
+            stop_reason = "step_collapse"
             break
         x = sym(x + ap * dx)
         z = sym(z + ad * dz)
@@ -395,6 +431,7 @@ def solve_ipm(
 
     return IpmResult(
         status=status,
+        stop_reason=stop_reason,
         x=x,
         y=y,
         z=z,

@@ -69,7 +69,7 @@ DELETED = [
     (ipm, "stack_blocks"), (ipm, "unstack"), (core, "eigh_desc"),
     (core, "spectral_norm"), (core.ProblemInstance, "spectral_norms"),
     (sdp, "_normalize_for_solve"), (ipm, "eye_stacks"),
-    (sdp, "_fantope_start"),
+    (sdp, "_fantope_start"), (ipm, "dpotrs"), (certificate, "dpotrs"),
 ]
 
 

@@ -137,7 +137,8 @@ def test_reports_and_records_carry_one_ipm_summary(tmp_path):
                  sweep["sdp_ipm"], sweep["certificate_ipm"]]
     # the relaxation's IPM and the certificate's margin solve each have
     # one summary
-    ipm = {"status", "iterations", "pinf", "dinf", "relgap", "schur_shift"}
+    ipm = {"status", "stop_reason", "iterations", "pinf", "dinf", "relgap",
+           "schur_shift"}
     margin = {"status", "iterations", "mu", "margin", "shift"}
     assert [set(s) for s in summaries] == [ipm, margin, ipm, ipm, margin]
 

@@ -113,7 +113,7 @@ def test_fantope_solve_k1_matches_top_eigenvalue():
     mats = [np.diag([3.0, 1.0, 0.0])]
     ops = FantopeOps(mats, 3)
     res = solve_ipm(ops)
-    assert res.status == "optimal"
+    assert (res.status, res.stop_reason) == ("optimal", "converged")
     assert abs(res.pobj - (-3.0)) < 1e-7
     assert abs(res.dobj - (-3.0)) < 1e-7
     x = res.x[0]
@@ -157,6 +157,7 @@ def test_non_finite_cost_never_converges():
         ops = FantopeOps([m], 2)
         res = solve_ipm(ops)
         assert res.status == "numerical_failure"
+        assert res.stop_reason == "non_finite"
 
 
 def test_nan_in_schur_complement_is_numerical_failure(monkeypatch):
@@ -174,6 +175,7 @@ def test_nan_in_schur_complement_is_numerical_failure(monkeypatch):
     monkeypatch.setattr(FantopeOps, "schur", poisoned)
     res = solve_ipm(FantopeOps([np.diag([3.0, 1.0, 0.0])], 3))
     assert res.status == "numerical_failure"
+    assert res.stop_reason == "factorization_lost"
 
 
 def test_factor_schur_overwrites_only_the_lower_triangle():
@@ -186,7 +188,7 @@ def test_factor_schur_overwrites_only_the_lower_triangle():
     assert np.allclose(lo @ lo.T, h0, rtol=1e-13, atol=1e-12 * np.abs(h0).max())
 
 
-def test_factor_schur_shift_rebuilds_h_from_its_upper_triangle():
+def _rank_deficient_psd():
     # rank 200 of 300, exactly: the Schur complement of the leading
     # identity block is G G' - G G' = 0 in integer arithmetic, so the
     # unshifted factor stops at pivot 201, after the blocked factor has
@@ -194,7 +196,11 @@ def test_factor_schur_shift_rebuilds_h_from_its_upper_triangle():
     rng = np.random.default_rng(4)
     g = rng.integers(-3, 4, size=(100, 200)).astype(float)
     c = np.vstack([np.eye(200), g])
-    h0 = c @ c.T
+    return c @ c.T
+
+
+def test_factor_schur_shift_rebuilds_h_from_its_upper_triangle():
+    h0 = _rank_deficient_psd()
     h = np.asfortranarray(h0)
     diag = h0.diagonal().copy()
     f, reg = _factor_schur(h)
@@ -214,6 +220,37 @@ def test_factor_schur_leaves_a_c_ordered_input_unchanged():
     assert reg == 0.0 and f is not h and np.array_equal(h, h0)
     lo = np.tril(f)
     assert np.allclose(lo @ lo.T, h0)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_solve_factor_reads_only_the_lower_factor(shifted):
+    rng = np.random.default_rng(8)
+    h0 = _rank_deficient_psd() if shifted else _rand_spd(rng, 60)
+    n = len(h0)
+    f, reg = _factor_schur(np.asfortranarray(h0))
+    assert (reg > 0.0) == shifted
+    hs = h0 + reg * np.eye(n)
+    b = rng.standard_normal(n)
+    b0 = b.copy()
+    x = ipm._solve_factor(f, b)
+    assert np.array_equal(b, b0)
+    if shifted:
+        # cond(hs) is about 2e12 here, so the forward error of any backward
+        # stable solve is about 1e-4: check the backward error instead
+        resid = np.linalg.norm(hs @ x - b)
+        assert resid <= 1e-10 * np.linalg.norm(hs, 2) * np.linalg.norm(x)
+    else:
+        want = np.linalg.solve(hs, b)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+    # the strict upper triangle, which holds h for the refinement, is
+    # never read
+    poisoned = f.copy(order="F")
+    poisoned[np.triu_indices(n, 1)] = np.nan
+    assert np.array_equal(ipm._solve_factor(poisoned, b), x)
+    # a NaN right-hand side stays visible, for solve_h's finiteness check
+    b[n // 2] = np.nan
+    with pytest.raises(ValueError):
+        np.asarray_chkfinite(ipm._solve_factor(f, b))
 
 
 # n = 1 covers scalar blocks
@@ -290,6 +327,29 @@ def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
     assert ops.C.shape[0] == {"fantope": 3, "fantope-square": 2}[case]
 
 
+def test_one_schur_factor_and_four_solves_per_iteration(monkeypatch):
+    ops = FantopeOps([_rand_sym(np.random.default_rng(5), 4)
+                      for _ in range(2)], 4)
+    calls = {"_factor_schur": 0, "dsymv": 0, "_solve_factor": 0}
+
+    def counting(name):
+        real = getattr(ipm, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ipm, name, counting(name))
+    res = solve_ipm(ops)
+    assert res.status == "optimal" and res.iterations > 0
+    # one factor per direction-computing iteration; the predictor and the
+    # corrector each solve once and refine once, with one residual each
+    n = res.iterations
+    assert calls == {"_factor_schur": n, "dsymv": 2 * n, "_solve_factor": 4 * n}
+
+
 def test_singular_start_fails_closed(monkeypatch):
     # X_1 is PSD but singular: no step length exists without a shift, and
     # none is applied
@@ -299,5 +359,29 @@ def test_singular_start_fails_closed(monkeypatch):
     monkeypatch.setattr(FantopeOps, "start", lambda self: (x0, y0, z0))
     res = solve_ipm(ops)
     assert res.status == "numerical_failure"
+    assert res.stop_reason == "factorization_lost"
     assert res.iterations == 0
     assert np.array_equal(res.x, x0)
+
+
+# the exits not covered by the tests above, each forced on a tiny solve; a
+# step of 1e-7 is above the collapse threshold but makes no progress
+@pytest.mark.parametrize("name,patch,reason", [
+    ("_max_step", lambda li, da: 1e-9, "step_collapse"),
+    ("_max_step", lambda li, da: 1e-7, "stalled"),
+    pytest.param("_solve_factor", lambda f, b: np.full_like(b, np.inf),
+                 "overflow",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+])
+def test_every_exit_is_named(name, patch, reason, monkeypatch):
+    monkeypatch.setattr(ipm, name, patch)
+    res = solve_ipm(FantopeOps([np.diag([3.0, 1.0, 0.0])], 3))
+    assert (res.status, res.stop_reason) == ("numerical_failure", reason)
+    assert res.summary()["stop_reason"] == reason
+
+
+def test_iteration_cap_is_named():
+    ops = FantopeOps([np.diag([3.0, 1.0, 0.0])], 3)
+    res = solve_ipm(ops, max_iters=0)
+    assert (res.status, res.stop_reason) == ("numerical_failure", "max_iters")
+    assert res.iterations == 0

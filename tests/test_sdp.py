@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelsum.certificate import STATUS_CERTIFIED, certify
 from stiefelsum.core import (
@@ -38,8 +40,9 @@ from stiefelsum.generators import (
     gen_random_diagonal,
     gen_random_psd,
     gen_separated_diagonal,
+    make_instance,
 )
-from stiefelsum.stiefel import stmm_solve
+from stiefelsum.stiefel import objective, stmm_solve
 
 
 def _rand_psd(d, rng, gap=None):
@@ -308,3 +311,22 @@ def test_is_tight_takes_one_batched_eigh(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name))
     assert is_tight(rep)
     assert calls == [("eigh", (3, 6, 6)), ("eigvalsh", (6, 6))]
+
+
+@given(st.sampled_from(["hppca", "randpsd"]), st.integers(2, 8),
+       st.integers(1, 3), st.integers(0, 2**16), st.floats(-2.0, 2.0))
+@settings(max_examples=30, deadline=None)
+def test_value_bounds_stmm_and_moves_with_a_shift(family, d, k, seed, c):
+    k = min(k, d)
+    inst = make_instance(family, d, k, {}, seed)
+    rep = solve_sdp(inst)
+    assert rep.status == STATUS_OPTIMAL
+    # the relaxation's value bounds every feasible point's objective
+    u0 = StiefelPoint(np.linalg.eigh(inst.mats.sum(axis=0))[1][:, :-k - 1:-1])
+    stmm = stmm_solve(inst, u0)
+    assert rep.value >= objective(inst, stmm.final) - 1e-7 * inst.gate_unit
+    # every X_i has unit trace, so M_i + c I adds exactly k c
+    shifted = solve_sdp(ProblemInstance(inst.mats + c * np.eye(d)))
+    assert shifted.status == STATUS_OPTIMAL
+    assert shifted.value - rep.value == pytest.approx(
+        k * c, rel=0, abs=1e-7 * max(1.0, abs(shifted.value)))
