@@ -20,11 +20,25 @@ Each solve holds one m x m array: FantopeOps.schur assembles the lower
 triangle of the Schur complement H into one Fortran-ordered buffer and
 mirrors it above the diagonal, and _factor_schur factors it there with
 LAPACK dpotrf, as CSDP (Borchers 1999) and SDPT3 (Toh, Todd & Tutuncu
-1999) do. The factor overwrites only the lower triangle, so the strict
-upper one still holds H. Each Schur solve (_solve_factor) is two level-2
-triangular solves (BLAS dtrsv) on the lower triangle, which for one
-right-hand side cost less than LAPACK dpotrs; it is refined once against
-H through dsymv on the upper triangle.
+1999) do. Each Schur solve (_solve_factor) is two level-2 triangular
+solves (BLAS dtrsv, or strsv on a float32 factor) on the lower triangle,
+which for one right-hand side cost less than LAPACK dpotrs. Every solve
+is refined in float64 against the exact matrix-free product
+FantopeOps.schur_product, H v = A(sym(Z^-1 A*(v) X)), which costs a few
+small matrix products.
+
+Mixed precision (Buttari et al. 2007; Carson & Higham 2018): from
+m = _SINGLE_MIN_M on, an iteration first assembles H in float32 into the
+first half of the same buffer and factors it with spotrf, about half
+dpotrf's time; each solve on that factor is refined until its residual is
+below _SINGLE_RTOL relative. While H is well conditioned (the early
+iterations) that takes a few steps. A float32 factor that fails, or a
+solve that misses _SINGLE_RTOL within _SINGLE_MAX_STEPS, hands that
+iteration and every later one to float64; a solve that needed
+_SINGLE_SLOW_STEPS or more hands over every later one. A float64 solve is
+refined once. IpmResult.summary() reports the iterations factored in
+float32 (single_iterations) and the refinement steps over every solve
+(refine_steps).
 
 A step length needs only the least eigenvalue of the scaled direction
 (Toh 2002), so least_eigenvalues computes that one eigenvalue per matrix
@@ -38,8 +52,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.blas import dsymv, dtrsv
-from scipy.linalg.lapack import dlamch, dpotrf, dsyevx, dtrtri
+from scipy.linalg.blas import dtrsv, strsv
+from scipy.linalg.lapack import dlamch, dpotrf, dsyevx, dtrtri, spotrf
 
 from .core import sym
 
@@ -63,13 +77,19 @@ def svec(x: np.ndarray) -> np.ndarray:
     return w * x[..., i, j]
 
 
+@lru_cache(maxsize=None)
+def _smat_positions(n: int):
+    """The svec coordinate of each entry of an n x n matrix."""
+    i, j, _ = svec_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(len(i))
+    pos.setflags(write=False)
+    return pos
+
+
 def smat(v: np.ndarray, n: int) -> np.ndarray:
-    i, j, w = svec_indices(n)
-    t = v / w
-    x = np.zeros((n, n))
-    x[i, j] = t
-    x[j, i] = t
-    return x
+    """The symmetric matrix of svec coordinates v, by one gather."""
+    return (v / svec_indices(n)[2])[_smat_positions(n)]
 
 
 # svec rows of the coupling block per stacked matmul: bounds the (rows, d, d)
@@ -168,7 +188,9 @@ class FantopeOps:
 
     schur assembles the Schur complement into one Fortran-ordered (m, m)
     buffer, allocated on the first call and reused by every later one, so a
-    solve holds one m x m array, which _factor_schur factors in place.
+    solve holds one m x m array, which _factor_schur factors in place; a
+    float32 H is a view of the buffer's first half. schur_product applies
+    the same operator without forming it.
     """
 
     def __init__(self, mats, d: int):
@@ -202,21 +224,28 @@ class FantopeOps:
         return x, y, np.zeros_like(self.C) + eye
 
     def apply_A(self, x):
-        return np.concatenate([np.trace(x[:self.k], axis1=1, axis2=2),
-                               svec(x.sum(axis=0))])
+        k, d = self.k, self.d
+        traces = x[:k].reshape(k, d * d)[:, ::d + 1].sum(axis=1)  # diagonals
+        return np.concatenate([traces, svec(x.sum(axis=0))])
 
     def apply_AT(self, y):
-        k, i = self.k, np.arange(self.d)
-        out = np.repeat(smat(y[k:], self.d)[None], len(self.C), axis=0)
-        out[:k, i, i] += y[:k, None]
+        k, d = self.k, self.d
+        out = np.repeat(smat(y[k:], d)[None], len(self.C), axis=0)
+        out.reshape(len(out), d * d)[:k, ::d + 1] += y[:k, None]  # diagonals
         return out
 
-    def schur(self, zinv, x):
+    def schur(self, zinv, x, single=False):
         """The exactly symmetric Schur complement A (Z^-1 . X) A*, written
-        into this operator's one buffer."""
+        into this operator's one buffer: in float64, or, when single, in
+        float32 into a Fortran-ordered view of the buffer's first half."""
+        m = self.m
         if self._h is None:
-            self._h = np.empty((self.m, self.m), order="F")
-        k, i, h = self.k, np.arange(self.k), self._h
+            self._h = np.empty((m, m), order="F")
+        h = self._h
+        if single:
+            h = h.reshape(-1, order="F").view(np.float32)[:m * m]
+            h = h.reshape((m, m), order="F")
+        k, i = self.k, np.arange(self.k)
         h[:k, :k] = 0.0
         pq = zinv[:k] @ x[:k]
         h[i, i] = np.trace(pq, axis1=1, axis2=2)
@@ -224,6 +253,11 @@ class FantopeOps:
         h[k:, :k] = h[:k, k:].T
         coupling_block(zinv, x, h[k:, k:])
         return h
+
+    def schur_product(self, zinv, x, v):
+        """H v for H = schur(zinv, x), without forming H: A(sym(Z^-1 A*(v)
+        X)), exact to float64 roundoff."""
+        return self.apply_A(sym(zinv @ self.apply_AT(v) @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +279,11 @@ class IpmResult:
       not positive definite after every shift);
     - "overflow": a Schur solve's residual was not finite (ValueError);
     - "step_collapse": both step lengths fell below 1e-8.
+
+    single_iterations counts the iterations whose directions came from a
+    float32 Schur factor, and refine_steps the refinement steps over every
+    Schur solve: one per float64 solve, and as many as each float32 solve
+    needed (those of an iteration handed to float64 included).
     """
 
     status: str
@@ -260,15 +299,19 @@ class IpmResult:
     relgap: float
     mu: float
     schur_shift: float  # largest diagonal shift _factor_schur applied
+    single_iterations: int
+    refine_steps: int
 
     def summary(self) -> dict:
         """The run as reports and records describe it: how and why it
-        stopped, after how many iterations, with which final residuals and
-        Schur shift."""
+        stopped, after how many iterations, with which final residuals,
+        Schur shift, float32 iterations and refinement steps."""
         return {"status": self.status, "stop_reason": self.stop_reason,
                 "iterations": self.iterations,
                 "pinf": self.pinf, "dinf": self.dinf, "relgap": self.relgap,
-                "schur_shift": self.schur_shift}
+                "schur_shift": self.schur_shift,
+                "single_iterations": self.single_iterations,
+                "refine_steps": self.refine_steps}
 
 
 def _inverse_factor(a):
@@ -287,20 +330,46 @@ def _max_step(li, da):
     return -1.0 / lmin
 
 
+# Schur size from which an iteration first tries a float32 factor: below
+# it the extra refinement steps cost more than spotrf saves over dpotrf
+_SINGLE_MIN_M = 500
+# a solve on a float32 factor is refined until its residual is below
+# _SINGLE_RTOL times its right-hand side's, within _SINGLE_MAX_STEPS steps
+_SINGLE_RTOL = 1e-13
+_SINGLE_MAX_STEPS = 10
+# a solve that needed this many steps hands every later iteration to float64
+_SINGLE_SLOW_STEPS = 5
+
+
+class _SingleMiss(Exception):
+    """A float32 Schur factor failed, or a solve on it missed _SINGLE_RTOL."""
+
+
 def _factor_schur(h):
     """Cholesky factor of the symmetric h and the diagonal shift it needed
     (0.0 when none).
 
-    The factor is one (m, m) Fortran-ordered array: its lower triangle is
-    L, with L L' = h + shift I, which _solve_factor reads, and its strict
-    upper triangle is h's, which dsymv(lower=0) reads. A Fortran-ordered h
-    is factored in place; any other h is copied first and left unchanged.
-    A failed attempt rebuilds the lower triangle from the upper one, and
-    the diagonal from a saved copy, before the next shift. A non-finite h
+    A float64 factor is one (m, m) Fortran-ordered array: its lower
+    triangle is L, with L L' = h + shift I, which _solve_factor reads. Its
+    strict upper triangle still holds h's, kept only so that a failed
+    attempt can rebuild the lower triangle from it, and the diagonal from a
+    saved copy, before the next shift. A Fortran-ordered h is factored in
+    place; any other h is copied first and left unchanged. A non-finite h
     raises LinAlgError here, once, which is why the factor and its solves
-    skip any finiteness check of their own."""
+    skip any finiteness check of their own.
+
+    A float32 h (solve_ipm's view of its buffer) is factored in place with
+    LAPACK spotrf, once and unshifted. When it is not finite or not
+    positive definite the factor is None, not an error: the caller hands
+    the iteration to float64."""
+    single = h.dtype == np.float32
     if not np.isfinite(h).all():
+        if single:
+            return None, 0.0
         raise np.linalg.LinAlgError("Schur complement not finite")
+    if single:
+        c, info = spotrf(h, lower=1, clean=0, overwrite_a=1)
+        return (c if info == 0 else None), 0.0
     h = np.asfortranarray(h, dtype=np.float64)
     diag = h.diagonal().copy()
     reg = 0.0
@@ -318,8 +387,16 @@ def _factor_schur(h):
 
 def _solve_factor(f, b):
     """(L L')^-1 b for the lower triangle L of a _factor_schur factor f, by
-    two BLAS dtrsv calls; f's strict upper triangle is never read, and b is
-    left unchanged. A non-finite b gives a non-finite result."""
+    two BLAS triangular solves in f's precision; f's strict upper triangle
+    is never read, and b is left unchanged. A float32 f solves b scaled to
+    unit max norm, so that neither the cast nor the solve leaves float32's
+    range, and returns float64. A non-finite b gives a non-finite
+    result."""
+    if f.dtype == np.float32:
+        s = np.max(np.abs(b)) or 1.0
+        x = strsv(f, b / s, lower=1)
+        x = strsv(f, x, lower=1, trans=1, overwrite_x=1)
+        return s * x.astype(np.float64)
     x = dtrsv(f, b, lower=1)
     return dtrsv(f, x, lower=1, trans=1, overwrite_x=1)
 
@@ -345,6 +422,8 @@ def solve_ipm(
     pinf = dinf = relgap = mu = np.nan
     pobj = dobj = np.nan
     schur_shift = 0.0
+    single = ops.m >= _SINGLE_MIN_M
+    single_iterations = refine_steps = 0
 
     for it in range(max_iters + 1):
         pobj = float(np.sum(ops.C * x))
@@ -376,46 +455,79 @@ def solve_ipm(
             lx = _inverse_factor(x)
             lz = _inverse_factor(z)
             zinv = lz.swapaxes(1, 2) @ lz
-            h = ops.schur(zinv, x)
-            hdiag = h.diagonal().copy()
-            hf, reg = _factor_schur(h)
-            schur_shift = max(schur_shift, reg)
-            # dsymv reads h's upper triangle and the factor's diagonal
-            dfix = hdiag - hf.diagonal()
-
-            def solve_h(rhs):
-                """h^-1 rhs, refined once against the unshifted h."""
-                dy = _solve_factor(hf, rhs)
-                resid = dsymv(-1.0, hf, dy, beta=1.0, y=rhs) - dfix * dy
-                # ValueError once dy overflows (or rhs was not finite)
-                dy += _solve_factor(hf, np.asarray_chkfinite(resid))
-                return dy
-
             t1 = sym(zinv @ rd @ x)
             a_zinv = ops.apply_A(zinv)
 
-            def direction(tau, corr):
-                """HKM direction for the centering target tau and the
-                Mehrotra second-order term corr."""
-                rhs = rp + ops.apply_A(x + t1 + corr) - tau * a_zinv
-                dy = solve_h(rhs)
-                atdy = ops.apply_AT(dy)
-                dz = rd - atdy
-                dx = sym(tau * zinv - x - t1 + sym(zinv @ atdy @ x) - corr)
-                return dx, dy, dz
+            def residual(rhs, dy):
+                # ValueError once dy overflows (or rhs was not finite)
+                return np.asarray_chkfinite(
+                    rhs - ops.schur_product(zinv, x, dy))
 
-            # predictor (affine scaling)
-            dx_a, _, dz_a = direction(0.0, 0.0)
-            ap = min(1.0, _max_step(lx, dx_a))
-            ad = min(1.0, _max_step(lz, dz_a))
-            mu_aff = float(np.sum((x + ap * dx_a) * (z + ad * dz_a))) / ntot
-            sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3
-            tau = sigma * mu
+            def solve_h(hf, rhs):
+                """h^-1 rhs from the factor hf, refined in float64 against
+                the exact product: once for a float64 hf; for a float32
+                one, until the residual is below _SINGLE_RTOL relative."""
+                nonlocal refine_steps, single
+                dy = _solve_factor(hf, rhs)
+                if hf.dtype == np.float64:
+                    refine_steps += 1
+                    return dy + _solve_factor(hf, residual(rhs, dy))
+                bound = _SINGLE_RTOL * np.linalg.norm(rhs)
+                resid = residual(rhs, dy)
+                for steps in range(_SINGLE_MAX_STEPS + 1):
+                    if np.linalg.norm(resid) <= bound:
+                        if steps >= _SINGLE_SLOW_STEPS:
+                            single = False  # for every later iteration
+                        return dy
+                    if steps == _SINGLE_MAX_STEPS:
+                        raise _SingleMiss
+                    refine_steps += 1
+                    dy += _solve_factor(hf, resid)
+                    resid = residual(rhs, dy)
 
-            # corrector
-            dx, dy, dz = direction(tau, sym(zinv @ dz_a @ dx_a))
-            ap = min(1.0, step_frac * _max_step(lx, dx))
-            ad = min(1.0, step_frac * _max_step(lz, dz))
+            def newton_step(float32):
+                """(dx, dy, dz, ap, ad) of the corrector step, from one
+                Schur factor: a float32 one when float32 is set."""
+                nonlocal schur_shift
+                hf, reg = _factor_schur(ops.schur(zinv, x, float32))
+                if hf is None:
+                    raise _SingleMiss
+                schur_shift = max(schur_shift, reg)
+
+                def direction(tau, corr):
+                    """HKM direction for the centering target tau and the
+                    Mehrotra second-order term corr."""
+                    rhs = rp + ops.apply_A(x + t1 + corr) - tau * a_zinv
+                    dy = solve_h(hf, rhs)
+                    atdy = ops.apply_AT(dy)
+                    dz = rd - atdy
+                    dx = sym(tau * zinv - x - t1 + sym(zinv @ atdy @ x)
+                             - corr)
+                    return dx, dy, dz
+
+                # predictor (affine scaling)
+                dx_a, _, dz_a = direction(0.0, 0.0)
+                ap = min(1.0, _max_step(lx, dx_a))
+                ad = min(1.0, _max_step(lz, dz_a))
+                mu_aff = float(np.sum((x + ap * dx_a) * (z + ad * dz_a)))
+                mu_aff /= ntot
+                sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3
+                tau = sigma * mu
+
+                # corrector
+                dx, dy, dz = direction(tau, sym(zinv @ dz_a @ dx_a))
+                ap = min(1.0, step_frac * _max_step(lx, dx))
+                ad = min(1.0, step_frac * _max_step(lz, dz))
+                return dx, dy, dz, ap, ad
+
+            found = None
+            if single:
+                try:
+                    found = newton_step(True)
+                    single_iterations += 1
+                except _SingleMiss:
+                    single = False
+            dx, dy, dz, ap, ad = found or newton_step(False)
         except np.linalg.LinAlgError:
             stop_reason = "factorization_lost"
             break
@@ -443,4 +555,6 @@ def solve_ipm(
         relgap=relgap,
         mu=mu,
         schur_shift=schur_shift,
+        single_iterations=single_iterations,
+        refine_steps=refine_steps,
     )

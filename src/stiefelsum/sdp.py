@@ -175,9 +175,11 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     eigenvalue shift and global scale are applied internally and mapped
     back, and recorded as meta["psd_shift"] and meta["scale"].
     meta["ipm"] is the IPM run's IpmResult.summary(): its stop status,
-    the exit that ended it (stop_reason), iterations, final residuals and
+    the exit that ended it (stop_reason), iterations, final residuals,
     the largest diagonal shift its Schur factorization needed
-    (schur_shift, 0.0 for none). A report is never
+    (schur_shift, 0.0 for none), the iterations whose Schur complement was
+    factored in float32 (single_iterations) and the refinement steps over
+    every Schur solve (refine_steps). A report is never
     labeled Optimal unless the duality gap and all five KKT residuals
     (check_kkt's, relative to c.gate_unit) pass GAP_TOL and KKT_TOL;
     meta["reason"] names the gates that failed ("" for none).

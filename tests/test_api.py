@@ -70,6 +70,7 @@ DELETED = [
     (core, "spectral_norm"), (core.ProblemInstance, "spectral_norms"),
     (sdp, "_normalize_for_solve"), (ipm, "eye_stacks"),
     (sdp, "_fantope_start"), (ipm, "dpotrs"), (certificate, "dpotrs"),
+    (ipm, "dsymv"),
 ]
 
 

@@ -138,7 +138,7 @@ def test_reports_and_records_carry_one_ipm_summary(tmp_path):
     # the relaxation's IPM and the certificate's margin solve each have
     # one summary
     ipm = {"status", "stop_reason", "iterations", "pinf", "dinf", "relgap",
-           "schur_shift"}
+           "schur_shift", "single_iterations", "refine_steps"}
     margin = {"status", "iterations", "mu", "margin", "shift"}
     assert [set(s) for s in summaries] == [ipm, margin, ipm, ipm, margin]
 

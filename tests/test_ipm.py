@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stiefelsum import ipm
 from stiefelsum.core import sym
+from stiefelsum.generators import make_instance
 from stiefelsum.ipm import (
     FantopeOps,
     _factor_schur,
@@ -17,6 +18,8 @@ from stiefelsum.ipm import (
     smat,
     svec,
 )
+
+F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 
 
 def _rand_sym(rng, n):
@@ -107,6 +110,149 @@ def test_fantope_schur_vs_brute_force(d, k, slack):
     _assert_adjoint(ops, p, rng.standard_normal(ops.m))
 
 
+@given(st.integers(1, 8), st.integers(1, 8), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_schur_product_matches_the_assembled_schur(d, k, square, seed):
+    # k = d has no slack block
+    k = d if square else min(k, d)
+    rng = np.random.default_rng(seed)
+    ops = FantopeOps([_rand_sym(rng, d) for _ in range(k)], d)
+    zinv, x = _rand_spd_stack(rng, ops), _rand_spd_stack(rng, ops)
+    v = rng.standard_normal(ops.m)
+    want = ops.schur(zinv, x) @ v
+    got = ops.schur_product(zinv, x, v)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_single_schur_is_a_view_of_the_one_buffer():
+    rng = np.random.default_rng(9)
+    ops = FantopeOps([_rand_sym(rng, 12) for _ in range(3)], 12)
+    p, q = _rand_spd_stack(rng, ops), _rand_spd_stack(rng, ops)
+    h = ops.schur(p, q)
+    h64 = h.copy()
+    h32 = ops.schur(p, q, single=True)
+    # float32 in the first half of the float64 buffer: still one m x m array
+    assert h32.dtype == F32 and h32.shape == (ops.m, ops.m)
+    assert h32.flags.f_contiguous and np.shares_memory(h32, h)
+    assert np.array_equal(h32, h64.astype(np.float32))
+    f, reg = _factor_schur(h32)
+    assert f is h32 and reg == 0.0
+    lo = np.tril(f).astype(float)
+    assert np.allclose(lo @ lo.T, h64, rtol=1e-5,
+                       atol=1e-5 * np.abs(h64).max())
+    # a float32 solve scales its right-hand side, so it works beyond float32's
+    # range, and returns float64
+    b = rng.standard_normal(ops.m)
+    want = np.linalg.solve(h64, b)
+    for scale in (1.0, 1e60, 1e-60):
+        got = ipm._solve_factor(f, scale * b)
+        assert got.dtype == F64
+        err = np.linalg.norm(got / scale - want)
+        assert err <= 1e-4 * np.linalg.norm(want)
+    # a non-finite or indefinite float32 H is a failed factor, not an error
+    h32 = ops.schur(p, q, single=True)
+    h32[0, 0] = np.inf
+    assert _factor_schur(h32) == (None, 0.0)
+    h32 = ops.schur(p, q, single=True)
+    h32[0, 0] = -1.0
+    assert _factor_schur(h32) == (None, 0.0)
+
+
+def _hppca_ops(d, k, seed):
+    mats = np.array(make_instance("hppca", d, k, {}, seed).mats)
+    return FantopeOps(mats / np.linalg.norm(mats, 2, axis=(1, 2)).max(), d)
+
+
+def _record_factor_dtypes(monkeypatch):
+    seen = []
+    real = ipm._factor_schur
+
+    def recording(h):
+        seen.append(h.dtype)
+        return real(h)
+
+    monkeypatch.setattr(ipm, "_factor_schur", recording)
+    return seen
+
+
+# the single path forced on small solves: square ones hand every
+# iteration to float64 once their Schur complement loses conditioning
+@pytest.mark.parametrize("family,d,k", [("randpsd", 3, 1), ("randpsd", 5, 3),
+                                        ("randpsd", 3, 3), ("hppca", 10, 3),
+                                        ("diagonal", 4, 4)])
+def test_single_path_matches_the_float64_path(family, d, k, monkeypatch):
+    mats = np.array(make_instance(family, d, k, {}, 1).mats)
+    ref = solve_ipm(FantopeOps(mats, d))
+    assert ref.single_iterations == 0
+    monkeypatch.setattr(ipm, "_SINGLE_MIN_M", 0)
+    seen = _record_factor_dtypes(monkeypatch)
+    res = solve_ipm(FantopeOps(mats, d))
+    assert seen[0] == F32
+    assert res.single_iterations == seen.count(F32) - (
+        len(seen) - res.iterations)
+    assert (res.status, res.stop_reason) == (ref.status, ref.stop_reason)
+    assert abs(res.iterations - ref.iterations) <= 1
+    assert res.pobj == pytest.approx(ref.pobj, rel=0, abs=1e-8)
+    assert res.refine_steps >= 2 * res.iterations
+    if family == "hppca":
+        assert res.single_iterations > 2
+
+
+# each fault strikes the third float32 factor of a solve with six
+@pytest.mark.parametrize("fault", [
+    "spotrf", "miss",
+    pytest.param("range",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+])
+def test_a_single_path_fault_hands_over_for_good(fault, monkeypatch):
+    monkeypatch.setattr(ipm, "_SINGLE_MIN_M", 0)
+    seen = _record_factor_dtypes(monkeypatch)
+    schur, spotrf = FantopeOps.schur, ipm.spotrf
+
+    def faulty_schur(self, zinv, x, single=False):
+        if single and seen.count(F32) == 2:
+            # a factor of 2 H refines by halves: it misses _SINGLE_RTOL; a
+            # factor of 1e40 overflows float32
+            zinv = zinv * {"spotrf": 1.0, "miss": 2.0, "range": 1e40}[fault]
+        return schur(self, zinv, x, single)
+
+    def faulty_spotrf(a, **kwargs):
+        c, info = spotrf(a, **kwargs)
+        return c, (1 if fault == "spotrf" and seen.count(F32) == 3 else info)
+
+    monkeypatch.setattr(FantopeOps, "schur", faulty_schur)
+    monkeypatch.setattr(ipm, "spotrf", faulty_spotrf)
+    res = solve_ipm(_hppca_ops(10, 3, 1))
+    assert (res.status, res.stop_reason) == ("optimal", "converged")
+    # that iteration is redone in float64, and so is every later one
+    assert seen == [F32] * 3 + [F64] * (res.iterations - 2)
+    assert res.single_iterations == 2
+
+
+def test_a_slow_single_solve_hands_later_iterations_over(monkeypatch):
+    monkeypatch.setattr(ipm, "_SINGLE_MIN_M", 0)
+    monkeypatch.setattr(ipm, "_SINGLE_SLOW_STEPS", 1)
+    seen = _record_factor_dtypes(monkeypatch)
+    res = solve_ipm(_hppca_ops(10, 3, 1))
+    assert res.status == "optimal"
+    # the first iteration needs a step, so it is the only float32 one
+    assert seen == [F32] + [F64] * (res.iterations - 1)
+    assert res.single_iterations == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_on_the_single_path_is_overflow(monkeypatch):
+    monkeypatch.setattr(ipm, "_SINGLE_MIN_M", 0)
+    monkeypatch.setattr(FantopeOps, "schur_product",
+                        lambda self, zinv, x, v: np.full_like(v, np.inf))
+    seen = _record_factor_dtypes(monkeypatch)
+    res = solve_ipm(_hppca_ops(10, 3, 1))
+    assert seen == [F32]
+    assert (res.status, res.stop_reason) == ("numerical_failure", "overflow")
+    assert (res.iterations, res.single_iterations) == (0, 0)
+
+
 def test_fantope_solve_k1_matches_top_eigenvalue():
     # one block: the relaxation maximizes a Rayleigh quotient over the
     # trace-one PSD ball, so the optimum is the top eigenvalue
@@ -167,8 +313,8 @@ def test_nan_in_schur_complement_is_numerical_failure(monkeypatch):
         _factor_schur(h)
     schur = FantopeOps.schur
 
-    def poisoned(self, zinv, x):
-        h = schur(self, zinv, x)
+    def poisoned(self, zinv, x, *single):
+        h = schur(self, zinv, x, *single)
         h[0, -1] = np.nan
         return h
 
@@ -330,24 +476,28 @@ def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
 def test_one_schur_factor_and_four_solves_per_iteration(monkeypatch):
     ops = FantopeOps([_rand_sym(np.random.default_rng(5), 4)
                       for _ in range(2)], 4)
-    calls = {"_factor_schur": 0, "dsymv": 0, "_solve_factor": 0}
+    calls = {"_factor_schur": 0, "schur_product": 0, "_solve_factor": 0}
 
-    def counting(name):
-        real = getattr(ipm, name)
+    def counting(owner, name):
+        real = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
-        return counted
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in calls:
-        monkeypatch.setattr(ipm, name, counting(name))
+    for owner, name in ((ipm, "_factor_schur"), (FantopeOps, "schur_product"),
+                        (ipm, "_solve_factor")):
+        counting(owner, name)
     res = solve_ipm(ops)
     assert res.status == "optimal" and res.iterations > 0
-    # one factor per direction-computing iteration; the predictor and the
-    # corrector each solve once and refine once, with one residual each
+    # one float64 factor per direction-computing iteration; the predictor
+    # and the corrector each solve once and refine once, with one exact
+    # Schur product each
     n = res.iterations
-    assert calls == {"_factor_schur": n, "dsymv": 2 * n, "_solve_factor": 4 * n}
+    assert calls == {"_factor_schur": n, "schur_product": 2 * n,
+                     "_solve_factor": 4 * n}
+    assert (res.single_iterations, res.refine_steps) == (0, 2 * n)
 
 
 def test_singular_start_fails_closed(monkeypatch):

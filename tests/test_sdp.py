@@ -322,11 +322,40 @@ def test_value_bounds_stmm_and_moves_with_a_shift(family, d, k, seed, c):
     rep = solve_sdp(inst)
     assert rep.status == STATUS_OPTIMAL
     # the relaxation's value bounds every feasible point's objective
-    u0 = StiefelPoint(np.linalg.eigh(inst.mats.sum(axis=0))[1][:, :-k - 1:-1])
-    stmm = stmm_solve(inst, u0)
+    stmm = stmm_solve(inst, _top_k_start(inst))
     assert rep.value >= objective(inst, stmm.final) - 1e-7 * inst.gate_unit
     # every X_i has unit trace, so M_i + c I adds exactly k c
     shifted = solve_sdp(ProblemInstance(inst.mats + c * np.eye(d)))
     assert shifted.status == STATUS_OPTIMAL
     assert shifted.value - rep.value == pytest.approx(
         k * c, rel=0, abs=1e-7 * max(1.0, abs(shifted.value)))
+
+
+def _top_k_start(inst):
+    return StiefelPoint(
+        np.linalg.eigh(inst.mats.sum(axis=0))[1][:, :-inst.k - 1:-1])
+
+
+@given(st.sampled_from(["hppca", "randpsd"]), st.integers(2, 8),
+       st.integers(1, 3), st.integers(0, 2**16), st.floats(0.1, 10.0))
+@settings(max_examples=30, deadline=None)
+def test_solve_is_invariant_under_scale(family, d, k, seed, c):
+    inst = make_instance(family, d, min(k, d), {}, seed)
+    rep = solve_sdp(inst)
+    scaled = solve_sdp(ProblemInstance(c * inst.mats))
+    assert scaled.status == rep.status
+    assert is_tight(scaled) == is_tight(rep)
+    assert scaled.value == pytest.approx(c * rep.value, rel=1e-7)
+
+
+@given(st.sampled_from(["hppca", "randpsd"]), st.integers(2, 8),
+       st.integers(1, 3), st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_a_certified_point_attains_the_relaxation_value(family, d, k, seed):
+    inst = make_instance(family, d, min(k, d), {}, seed)
+    u = stmm_solve(inst, _top_k_start(inst)).final
+    if certify(inst, u).status != STATUS_CERTIFIED:
+        return
+    rep = solve_sdp(inst)
+    assert rep.status == STATUS_OPTIMAL
+    assert abs(objective(inst, u) - rep.value) <= 1e-6 * inst.gate_unit
