@@ -259,7 +259,7 @@ def _margin_solve(lmis: _Arrowheads, floor: float, clears) -> _MarginRun:
         grad[k] -= 1.0 / mu
         try:  # h scaled to a unit diagonal, shifted only if it must be
             dsc = 1.0 / np.sqrt(np.diag(h))
-            hf, reg = _factor_schur(h * np.outer(dsc, dsc))
+            hf, reg = _factor_schur(lambda: h * np.outer(dsc, dsc))
         except (np.linalg.LinAlgError, ValueError):
             return run("numerical_failure")
         shift = max(shift, float(reg))

@@ -148,7 +148,10 @@ def _cmd_solve_stmm(args) -> int:
 
 def _load_point(path, d, k):
     doc = json.loads(Path(path).read_text())
-    return np.asarray(doc["u"], dtype=float).reshape(d, k)
+    try:
+        return np.asarray(doc["u"], dtype=float).reshape(d, k)
+    except TypeError as exc:  # a JSON value of the wrong type
+        raise ValueError(f"malformed point {path}: {exc}") from exc
 
 
 def _cmd_certify(args) -> int:

@@ -260,12 +260,19 @@ def save_instance(c: ProblemInstance, path) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
+    """The instance save_instance wrote to path. A file that is not such a
+    document is bad input: ValueError (or KeyError for a missing field)."""
     doc = json.loads(Path(path).read_text())
-    d, k = int(doc["d"]), int(doc["k"])
-    if len(doc["mats"]) != k:
-        raise ValueError(f"expected {k} matrices, found {len(doc['mats'])}")
-    mats = np.asarray(doc["mats"], dtype=float).reshape(k, d, d)
+    try:
+        d, k = int(doc["d"]), int(doc["k"])
+        if len(doc["mats"]) != k:
+            raise ValueError(
+                f"expected {k} matrices, found {len(doc['mats'])}")
+        mats = np.asarray(doc["mats"], dtype=float).reshape(k, d, d)
+        meta = dict(doc.get("meta") or {})
+    except TypeError as exc:  # a JSON value of the wrong type
+        raise ValueError(f"malformed instance {path}: {exc}") from exc
     asym = np.max(np.abs(mats - mats.swapaxes(1, 2)), initial=0.0)
     if asym > 1e-12:
         raise ValueError(f"matrix not symmetric: max |A - A'| = {asym:.3e}")
-    return ProblemInstance(mats=mats, meta=dict(doc.get("meta") or {}))
+    return ProblemInstance(mats=mats, meta=meta)

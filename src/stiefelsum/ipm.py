@@ -17,13 +17,14 @@ solve_ipm starts at FantopeOps.start() and returns X and Z as stacks of
 the same shape.
 
 Each solve holds one m x m array: FantopeOps.schur assembles the lower
-triangle of the Schur complement H into one Fortran-ordered buffer and
-mirrors it above the diagonal, and _factor_schur factors it there with
-LAPACK dpotrf, as CSDP (Borchers 1999) and SDPT3 (Toh, Todd & Tutuncu
-1999) do. Each Schur solve (_solve_factor) is two level-2 triangular
-solves (BLAS dtrsv, or strsv on a float32 factor) on the lower triangle,
-which for one right-hand side cost less than LAPACK dpotrs. Every solve
-is refined in float64 against the exact matrix-free product
+triangle of the Schur complement H into one Fortran-ordered buffer, and
+_factor_schur factors it there with LAPACK dpotrf, as CSDP (Borchers 1999)
+and SDPT3 (Toh, Todd & Tutuncu 1999) do. Nothing reads the strict upper
+triangle: the factor, its solves and a shifted retry, which assembles H
+again, all work on the lower one. Each Schur solve (_solve_factor) is two
+level-2 triangular solves (BLAS dtrsv, or strsv on a float32 factor),
+which for one right-hand side cost less than LAPACK dpotrs. Every solve is
+refined in float64 against the exact matrix-free product
 FantopeOps.schur_product, H v = A(sym(Z^-1 A*(v) X)), which costs a few
 small matrix products.
 
@@ -95,10 +96,6 @@ def smat(v: np.ndarray, n: int) -> np.ndarray:
 # svec rows of the coupling block per stacked matmul: bounds the (rows, d, d)
 # scratch to about 1 MB at d = 60, so no d^4 array is ever formed
 _COUPLING_CHUNK = 32
-# where a chunk's diagonal block keeps its own entries: on and below the
-# diagonal
-_CHUNK_LOWER = np.tri(_COUPLING_CHUNK, dtype=bool)
-_CHUNK_LOWER.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -113,14 +110,15 @@ def _coupling_indices(d: int):
 
 
 def coupling_block(p, q, out):
-    """Write into out the matrix of V -> sum_a 0.5 (P_a V Q_a + Q_a V P_a)
-    in svec coordinates; p and q are (nb, d, d) stacks of symmetric P_a, Q_a.
+    """Write into the lower triangle of out the symmetric matrix of
+    V -> sum_a 0.5 (P_a V Q_a + Q_a V P_a) in svec coordinates; p and q are
+    (nb, d, d) stacks of symmetric P_a, Q_a.
 
     Row (i, j) holds v_ij v_kl (R[k, l] + R[l, k]) over the columns (k, l),
     where R = sum_a P_a[i]' Q_a[j] + Q_a[i]' P_a[j] is one stacked product
-    and v the halved svec weights. Only the columns up to the diagonal are
-    gathered; each chunk of rows is written again, transposed, above it, so
-    out is exactly symmetric."""
+    and v the halved svec weights. Each chunk of rows gathers only the
+    columns up to its last row's diagonal: above the diagonal it writes
+    only into its own diagonal block, whose upper half nothing reads."""
     d = p.shape[1]
     i, j, ij, ji, v = _coupling_indices(d)
     # left[i] = [P_a[i]; Q_a[i]]', right[j] = [Q_a[j]; P_a[j]]; contiguous,
@@ -134,10 +132,7 @@ def coupling_block(p, q, out):
         s = np.take(r, ij[:r1], axis=1)
         s += np.take(r, ji[:r1], axis=1)
         s *= v[rows, None] * v[:r1]
-        blk = s[:, r0:]  # the chunk's diagonal block: mirror its lower half
-        blk[...] = np.where(_CHUNK_LOWER[:r1 - r0, :r1 - r0], blk, blk.T)
         out[rows, :r1] = s
-        out[:r0, rows] = s[:, :r0].T
 
 
 # dsyevx's absolute eigenvalue tolerance: 2 * underflow threshold, the
@@ -186,11 +181,13 @@ class FantopeOps:
     of every block, nb = k + [k < d], with the slack last. The rows of y
     are the k trace rows, then the svec rows of the coupling.
 
-    schur assembles the Schur complement into one Fortran-ordered (m, m)
-    buffer, allocated on the first call and reused by every later one, so a
-    solve holds one m x m array, which _factor_schur factors in place; a
-    float32 H is a view of the buffer's first half. schur_product applies
-    the same operator without forming it.
+    schur assembles the lower triangle of the Schur complement into one
+    Fortran-ordered (m, m) buffer, allocated on the first call and reused
+    by every later one, so a solve holds one m x m array, which
+    _factor_schur factors in place; a float32 H is a view of the buffer's
+    first half. Its strict upper triangle is never read, and may hold
+    stale bytes of either precision. schur_product applies the same
+    operator without forming it.
     """
 
     def __init__(self, mats, d: int):
@@ -235,9 +232,10 @@ class FantopeOps:
         return out
 
     def schur(self, zinv, x, single=False):
-        """The exactly symmetric Schur complement A (Z^-1 . X) A*, written
-        into this operator's one buffer: in float64, or, when single, in
-        float32 into a Fortran-ordered view of the buffer's first half."""
+        """The lower triangle of the Schur complement A (Z^-1 . X) A*,
+        written into this operator's one buffer: in float64, or, when
+        single, in float32 into a Fortran-ordered view of the buffer's
+        first half."""
         m = self.m
         if self._h is None:
             self._h = np.empty((m, m), order="F")
@@ -249,8 +247,7 @@ class FantopeOps:
         h[:k, :k] = 0.0
         pq = zinv[:k] @ x[:k]
         h[i, i] = np.trace(pq, axis1=1, axis2=2)
-        h[:k, k:] = svec(sym(pq))
-        h[k:, :k] = h[:k, k:].T
+        h[k:, :k] = svec(sym(pq)).T
         coupling_block(zinv, x, h[k:, k:])
         return h
 
@@ -345,43 +342,40 @@ class _SingleMiss(Exception):
     """A float32 Schur factor failed, or a solve on it missed _SINGLE_RTOL."""
 
 
-def _factor_schur(h):
-    """Cholesky factor of the symmetric h and the diagonal shift it needed
-    (0.0 when none).
+def _factor_schur(build):
+    """Cholesky factor of the symmetric H that build() writes and returns,
+    and the diagonal shift it needed (0.0 when none). Only H's lower
+    triangle is read.
 
-    A float64 factor is one (m, m) Fortran-ordered array: its lower
-    triangle is L, with L L' = h + shift I, which _solve_factor reads. Its
-    strict upper triangle still holds h's, kept only so that a failed
-    attempt can rebuild the lower triangle from it, and the diagonal from a
-    saved copy, before the next shift. A Fortran-ordered h is factored in
-    place; any other h is copied first and left unchanged. A non-finite h
-    raises LinAlgError here, once, which is why the factor and its solves
-    skip any finiteness check of their own.
+    A float64 H is factored in place with LAPACK dpotrf when it is
+    Fortran-ordered (any other H is copied first): the factor's lower
+    triangle is L, with L L' = H + shift I, which _solve_factor reads. A
+    failed attempt calls build() again for a fresh H, whose diagonal is
+    shifted before the next one. A non-finite lower entry of H reaches L's
+    diagonal (LAPACK may still report success), so a factor with a
+    non-finite diagonal raises LinAlgError, which is why the solves skip
+    any finiteness check of their own.
 
-    A float32 h (solve_ipm's view of its buffer) is factored in place with
-    LAPACK spotrf, once and unshifted. When it is not finite or not
-    positive definite the factor is None, not an error: the caller hands
-    the iteration to float64."""
-    single = h.dtype == np.float32
-    if not np.isfinite(h).all():
-        if single:
-            return None, 0.0
-        raise np.linalg.LinAlgError("Schur complement not finite")
-    if single:
+    A float32 H (solve_ipm's view of its buffer) is factored in place with
+    LAPACK spotrf, once and unshifted. When it is not positive definite or
+    its factor not finite the factor is None, not an error: the caller
+    hands the iteration to float64."""
+    h = build()
+    if h.dtype == np.float32:
         c, info = spotrf(h, lower=1, clean=0, overwrite_a=1)
-        return (c if info == 0 else None), 0.0
-    h = np.asfortranarray(h, dtype=np.float64)
-    diag = h.diagonal().copy()
+        ok = info == 0 and np.isfinite(c.diagonal()).all()
+        return (c if ok else None), 0.0
     reg = 0.0
-    base = max(np.max(diag), 1.0)
+    base = max(np.max(h.diagonal()), 1.0)
     for _ in range(4):
         c, info = dpotrf(h, lower=1, clean=0, overwrite_a=1)
+        if not np.isfinite(c.diagonal()).all():
+            raise np.linalg.LinAlgError("Schur complement not finite")
         if info == 0:
             return c, reg
-        for col in range(len(diag) - 1):
-            h[col + 1:, col] = h[col, col + 1:]
         reg = base * 1e-12 if reg == 0.0 else reg * 1e4
-        np.fill_diagonal(h, diag + reg)
+        h = build()
+        np.fill_diagonal(h, h.diagonal() + reg)
     raise np.linalg.LinAlgError("Schur complement not positive definite")
 
 
@@ -489,7 +483,7 @@ def solve_ipm(
                 """(dx, dy, dz, ap, ad) of the corrector step, from one
                 Schur factor: a float32 one when float32 is set."""
                 nonlocal schur_shift
-                hf, reg = _factor_schur(ops.schur(zinv, x, float32))
+                hf, reg = _factor_schur(lambda: ops.schur(zinv, x, float32))
                 if hf is None:
                     raise _SingleMiss
                 schur_shift = max(schur_shift, reg)

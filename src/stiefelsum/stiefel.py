@@ -107,21 +107,23 @@ def _block_products(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.matmul(mats, cols.T[:, :, None])[:, :, 0].T
 
 
+def _evaluate(mats: np.ndarray, u: np.ndarray):
+    """Euclidean gradient G, objective (read off it as <U, G>/2) and
+    Riemannian gradient (I - UU')G + U skew(U'G) = G - U sym(U'G) at u."""
+    g = 2.0 * _block_products(mats, u)
+    return g, 0.5 * float(np.sum(u * g)), g - u @ sym(u.T @ g)
+
+
 def objective(c: ProblemInstance, u) -> float:
-    cols = _cols(u)
-    return float(np.sum(cols * _block_products(c.mats, cols)))
+    return _evaluate(c.mats, _cols(u))[1]
 
 
 def euclidean_gradient(c: ProblemInstance, u) -> np.ndarray:
-    return 2.0 * _block_products(c.mats, _cols(u))
+    return _evaluate(c.mats, _cols(u))[0]
 
 
 def riemannian_gradient(c: ProblemInstance, u) -> np.ndarray:
-    """Tangent-space gradient (I - UU')G + U skew(U'G) for G = euclidean."""
-    cols = _cols(u)
-    g = euclidean_gradient(c, cols)
-    utg = cols.T @ g
-    return g - cols @ sym(utg)
+    return _evaluate(c.mats, _cols(u))[2]
 
 
 def lambda_matrix(c: ProblemInstance, u) -> LambdaMatrix:
@@ -138,13 +140,6 @@ def random_stiefel(d: int, k: int, rng: np.random.Generator) -> StiefelPoint:
     q, r = np.linalg.qr(rng.standard_normal((d, k)))
     q = q * np.sign(np.where(np.diag(r) == 0.0, 1.0, np.diag(r)))
     return StiefelPoint(q)
-
-
-def _evaluate(mats: np.ndarray, u: np.ndarray):
-    """Euclidean gradient, objective (read off it as <U, G>/2) and
-    Riemannian gradient at u."""
-    g = 2.0 * _block_products(mats, u)
-    return g, 0.5 * float(np.sum(u * g)), g - u @ sym(u.T @ g)
 
 
 def _newton_point(mats: np.ndarray, u: np.ndarray, g: np.ndarray,

@@ -329,6 +329,24 @@ def test_non_finite_instance_is_bad_input(tmp_path, capsys):
     assert "error:" in err and "finite" in err
 
 
+# well-formed JSON of the wrong shape, as the instance or as the point
+@pytest.mark.parametrize("instance,point", [
+    ([1, 2], None),
+    ({"d": 2, "k": 1, "mats": None}, None),
+    ({"d": 2, "k": 1, "mats": [[1.0, 0.0, 0.0, {}]]}, None),
+    ({"d": 2, "k": 1, "mats": [[1.0, 0.0, 0.0, 1.0]], "meta": 5}, None),
+    ({"d": 2, "k": 1, "mats": [[1.0, 0.0, 0.0, 1.0]]}, [0]),
+])
+def test_malformed_json_is_bad_input(tmp_path, capsys, instance, point):
+    inst_path, point_path = tmp_path / "inst.json", tmp_path / "pt.json"
+    inst_path.write_text(json.dumps(instance))
+    point_path.write_text(json.dumps(point))
+    argv = ["certify", "--instance", str(inst_path)]
+    rc = main(argv + (["--point", str(point_path)] if point else []))
+    assert rc == 1
+    assert "error: malformed" in capsys.readouterr().err
+
+
 OPTIONS = {
     "gen": {"--seed", "--family", "--params", "--out"},
     "solve-sdp": {"--tolerate-failures", "--instance", "--out",

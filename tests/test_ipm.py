@@ -31,6 +31,11 @@ def _rand_spd(rng, n):
     return a @ a.T + n * np.eye(n)
 
 
+def _from_lower(h):
+    """The symmetric matrix whose lower triangle is h's."""
+    return np.tril(h) + np.tril(h, -1).T
+
+
 @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_svec_isometry_roundtrip(n, seed):
@@ -50,9 +55,11 @@ def test_coupling_block_matches_operator():
         ps = np.array([_rand_sym(rng, n) for _ in range(nb)])
         qs = np.array([_rand_sym(rng, n) for _ in range(nb)])
         sd = n * (n + 1) // 2
-        m = np.empty((sd, sd))
+        m = np.full((sd, sd), np.nan)
         coupling_block(ps, qs, m)
-        assert np.array_equal(m, m.T)
+        # the lower triangle is written in full, and is all that is needed
+        m = _from_lower(m)
+        assert np.isfinite(m).all()
         for _ in range(4):
             v = _rand_sym(rng, n)
             want = sum(0.5 * (p @ v @ q + q @ v @ p) for p, q in zip(ps, qs))
@@ -96,13 +103,17 @@ def test_fantope_schur_vs_brute_force(d, k, slack):
     p = _rand_spd_stack(rng, ops)
     q = _rand_spd_stack(rng, ops)
     h = ops.schur(p, q)
-    # one exactly symmetric Fortran-ordered buffer, reused by every call
-    assert h.flags.f_contiguous and np.array_equal(h, h.T)
+    # one Fortran-ordered buffer, reused by every call, whose lower triangle
+    # is H's
+    assert h.flags.f_contiguous
     hb = _brute_schur(ops, p, q)
-    assert np.allclose(h, hb, atol=1e-8 * max(1.0, np.abs(hb).max()))
+    assert np.allclose(np.tril(h), np.tril(hb),
+                       atol=1e-8 * max(1.0, np.abs(hb).max()))
+    h[...] = np.nan  # a later call writes every lower entry again
     assert ops.schur(q, p) is h
     hb = _brute_schur(ops, q, p)
-    assert np.allclose(h, hb, atol=1e-8 * max(1.0, np.abs(hb).max()))
+    assert np.allclose(np.tril(h), np.tril(hb),
+                       atol=1e-8 * max(1.0, np.abs(hb).max()))
     # A itself, block by block: the traces, then svec of the coupling sum
     want = [np.trace(pb) for pb in p[:k]]
     want.extend(svec(sum(p)))
@@ -120,7 +131,7 @@ def test_schur_product_matches_the_assembled_schur(d, k, square, seed):
     ops = FantopeOps([_rand_sym(rng, d) for _ in range(k)], d)
     zinv, x = _rand_spd_stack(rng, ops), _rand_spd_stack(rng, ops)
     v = rng.standard_normal(ops.m)
-    want = ops.schur(zinv, x) @ v
+    want = _from_lower(ops.schur(zinv, x)) @ v
     got = ops.schur_product(zinv, x, v)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -130,13 +141,13 @@ def test_single_schur_is_a_view_of_the_one_buffer():
     ops = FantopeOps([_rand_sym(rng, 12) for _ in range(3)], 12)
     p, q = _rand_spd_stack(rng, ops), _rand_spd_stack(rng, ops)
     h = ops.schur(p, q)
-    h64 = h.copy()
+    h64 = _from_lower(h)
     h32 = ops.schur(p, q, single=True)
     # float32 in the first half of the float64 buffer: still one m x m array
     assert h32.dtype == F32 and h32.shape == (ops.m, ops.m)
     assert h32.flags.f_contiguous and np.shares_memory(h32, h)
-    assert np.array_equal(h32, h64.astype(np.float32))
-    f, reg = _factor_schur(h32)
+    assert np.array_equal(np.tril(h32), np.tril(h64).astype(np.float32))
+    f, reg = _factor_schur(lambda: h32)
     assert f is h32 and reg == 0.0
     lo = np.tril(f).astype(float)
     assert np.allclose(lo @ lo.T, h64, rtol=1e-5,
@@ -150,13 +161,10 @@ def test_single_schur_is_a_view_of_the_one_buffer():
         assert got.dtype == F64
         err = np.linalg.norm(got / scale - want)
         assert err <= 1e-4 * np.linalg.norm(want)
-    # a non-finite or indefinite float32 H is a failed factor, not an error
-    h32 = ops.schur(p, q, single=True)
-    h32[0, 0] = np.inf
-    assert _factor_schur(h32) == (None, 0.0)
+    # an indefinite float32 H is a failed factor, not an error
     h32 = ops.schur(p, q, single=True)
     h32[0, 0] = -1.0
-    assert _factor_schur(h32) == (None, 0.0)
+    assert _factor_schur(lambda: h32) == (None, 0.0)
 
 
 def _hppca_ops(d, k, seed):
@@ -168,9 +176,14 @@ def _record_factor_dtypes(monkeypatch):
     seen = []
     real = ipm._factor_schur
 
-    def recording(h):
-        seen.append(h.dtype)
-        return real(h)
+    def recording(build):
+        n = len(seen)
+
+        def built():
+            h = build()
+            seen[n:] = [h.dtype]  # one entry per factor, shifted or not
+            return h
+        return real(built)
 
     monkeypatch.setattr(ipm, "_factor_schur", recording)
     return seen
@@ -307,15 +320,11 @@ def test_non_finite_cost_never_converges():
 
 
 def test_nan_in_schur_complement_is_numerical_failure(monkeypatch):
-    h = np.eye(4)
-    h[0, 3] = np.nan  # above the diagonal, where the lower factor never looks
-    with pytest.raises(np.linalg.LinAlgError):
-        _factor_schur(h)
     schur = FantopeOps.schur
 
     def poisoned(self, zinv, x, *single):
         h = schur(self, zinv, x, *single)
-        h[0, -1] = np.nan
+        h[-1, 0] = np.nan
         return h
 
     monkeypatch.setattr(FantopeOps, "schur", poisoned)
@@ -326,12 +335,26 @@ def test_nan_in_schur_complement_is_numerical_failure(monkeypatch):
 
 def test_factor_schur_overwrites_only_the_lower_triangle():
     h0 = _rand_spd(np.random.default_rng(3), 40)
-    h = np.asfortranarray(h0)
-    f, reg = _factor_schur(h)
+    h = h0.copy(order="F")
+    h[np.triu_indices(40, 1)] = np.nan
+    f, reg = _factor_schur(lambda: h)
     assert f is h and reg == 0.0
-    assert np.array_equal(np.triu(h, 1), np.triu(h0, 1))
+    assert np.isnan(h[np.triu_indices(40, 1)]).all()
     lo = np.tril(h)
     assert np.allclose(lo @ lo.T, h0, rtol=1e-13, atol=1e-12 * np.abs(h0).max())
+
+
+# an off-diagonal entry of column 0, a middle and the last diagonal entry
+@pytest.mark.parametrize("spot", [(25, 0), (20, 20), (39, 39)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_lower_entry_fails_the_factor(spot, bad):
+    h0 = _rand_spd(np.random.default_rng(3), 40)
+    h0[spot] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        _factor_schur(lambda: h0.copy(order="F"))
+    # float32: a failed factor, which hands the iteration to float64
+    h32 = h0.astype(np.float32, order="F")
+    assert _factor_schur(lambda: h32) == (None, 0.0)
 
 
 def _rank_deficient_psd():
@@ -345,27 +368,32 @@ def _rank_deficient_psd():
     return c @ c.T
 
 
-def test_factor_schur_shift_rebuilds_h_from_its_upper_triangle():
+# the certificate's margin solve builds a C-ordered H, which is copied
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_factor_schur_builds_h_again_for_each_shifted_attempt(order,
+                                                              monkeypatch):
     h0 = _rank_deficient_psd()
-    h = np.asfortranarray(h0)
-    diag = h0.diagonal().copy()
-    f, reg = _factor_schur(h)
-    assert f is h and reg > 0.0
-    upper = np.triu(f, 1)
-    assert np.array_equal(upper + upper.T + np.diag(diag), h0)
+    built, attempts = [], []
+    dpotrf = ipm.dpotrf
+
+    def build():
+        built.append(h0.copy(order=order))
+        return built[-1]
+
+    def counting(a, **kwargs):
+        attempts.append(a)
+        return dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(ipm, "dpotrf", counting)
+    f, reg = _factor_schur(build)
+    assert reg > 0.0 and len(attempts) > 1
+    # one fresh H per attempt, the unshifted one included
+    assert len(built) == len(attempts)
+    assert all(a is b for a, b in zip(attempts, built))
+    assert (f is built[-1]) == (order == "F")
     lo = np.tril(f)
     assert np.allclose(lo @ lo.T, h0 + reg * np.eye(300),
                        rtol=0.0, atol=1e-12 * np.abs(h0).max())
-
-
-def test_factor_schur_leaves_a_c_ordered_input_unchanged():
-    # the certificate's margin solve passes a fresh C-ordered product
-    h = _rand_spd(np.random.default_rng(6), 7)
-    h0 = h.copy()
-    f, reg = _factor_schur(h)
-    assert reg == 0.0 and f is not h and np.array_equal(h, h0)
-    lo = np.tril(f)
-    assert np.allclose(lo @ lo.T, h0)
 
 
 @pytest.mark.parametrize("shifted", [False, True])
@@ -373,7 +401,7 @@ def test_solve_factor_reads_only_the_lower_factor(shifted):
     rng = np.random.default_rng(8)
     h0 = _rank_deficient_psd() if shifted else _rand_spd(rng, 60)
     n = len(h0)
-    f, reg = _factor_schur(np.asfortranarray(h0))
+    f, reg = _factor_schur(lambda: h0.copy(order="F"))
     assert (reg > 0.0) == shifted
     hs = h0 + reg * np.eye(n)
     b = rng.standard_normal(n)
@@ -388,8 +416,7 @@ def test_solve_factor_reads_only_the_lower_factor(shifted):
     else:
         want = np.linalg.solve(hs, b)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
-    # the strict upper triangle, which holds h for the refinement, is
-    # never read
+    # the strict upper triangle is never read
     poisoned = f.copy(order="F")
     poisoned[np.triu_indices(n, 1)] = np.nan
     assert np.array_equal(ipm._solve_factor(poisoned, b), x)
