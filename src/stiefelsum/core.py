@@ -264,7 +264,11 @@ def load_instance(path) -> ProblemInstance:
     document is bad input: ValueError (or KeyError for a missing field)."""
     doc = json.loads(Path(path).read_text())
     try:
-        d, k = int(doc["d"]), int(doc["k"])
+        d, k = doc["d"], doc["k"]
+        for name, n in (("d", d), ("k", k)):
+            if type(n) is not int or n < 1:
+                raise ValueError(f"malformed instance {path}: {name} must be "
+                                 f"a positive integer, got {n!r}")
         if len(doc["mats"]) != k:
             raise ValueError(
                 f"expected {k} matrices, found {len(doc['mats'])}")

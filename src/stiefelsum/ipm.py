@@ -41,6 +41,20 @@ refined once. IpmResult.summary() reports the iterations factored in
 float32 (single_iterations) and the refinement steps over every solve
 (refine_steps).
 
+Repeated correctors (Carpenter, Lustig, Mulvey & Shanno 1993; Gondzio
+1996): a solve on the factor costs a small part of factoring it, so from
+m = _CORRECTOR_MIN_M on, an iteration repeats the Mehrotra correction on
+its one factor. Each extra corrector keeps the centering target tau and
+takes its second-order term sym(Z^-1 dZ dX) from the latest direction; it
+is kept only while it lengthens the shorter step length by the factor
+_CORRECTOR_GAIN, at most _MAX_CORRECTORS times per iteration, and none is
+tried once both steps are full. Its solves follow the float32 and float64
+rules above. On HPPCA and random draws at d = 50-70, k = 3, the extra
+solves cut the iterations by 10-20 %, float64 ones the most; the gate sits
+past the measured break-even near m = 1,100 (d = 47 at k = 3), below which
+the extra solves and step lengths cost about what the saved iterations
+do. IpmResult.summary() reports them as corrector_solves.
+
 A step length needs only the least eigenvalue of the scaled direction
 (Toh 2002), so least_eigenvalues computes that one eigenvalue per matrix
 rather than the spectrum; the certificate's slack gate and sdp.check_kkt
@@ -281,6 +295,8 @@ class IpmResult:
     float32 Schur factor, and refine_steps the refinement steps over every
     Schur solve: one per float64 solve, and as many as each float32 solve
     needed (those of an iteration handed to float64 included).
+    corrector_solves counts the extra corrector directions solved on an
+    iteration's factor, kept or discarded (0 below _CORRECTOR_MIN_M).
     """
 
     status: str
@@ -298,17 +314,20 @@ class IpmResult:
     schur_shift: float  # largest diagonal shift _factor_schur applied
     single_iterations: int
     refine_steps: int
+    corrector_solves: int
 
     def summary(self) -> dict:
         """The run as reports and records describe it: how and why it
         stopped, after how many iterations, with which final residuals,
-        Schur shift, float32 iterations and refinement steps."""
+        Schur shift, float32 iterations, refinement steps and extra
+        corrector solves."""
         return {"status": self.status, "stop_reason": self.stop_reason,
                 "iterations": self.iterations,
                 "pinf": self.pinf, "dinf": self.dinf, "relgap": self.relgap,
                 "schur_shift": self.schur_shift,
                 "single_iterations": self.single_iterations,
-                "refine_steps": self.refine_steps}
+                "refine_steps": self.refine_steps,
+                "corrector_solves": self.corrector_solves}
 
 
 def _inverse_factor(a):
@@ -336,6 +355,16 @@ _SINGLE_RTOL = 1e-13
 _SINGLE_MAX_STEPS = 10
 # a solve that needed this many steps hands every later iteration to float64
 _SINGLE_SLOW_STEPS = 5
+
+
+# Schur size from which an iteration repeats the Mehrotra correction on its
+# factor (d >= 49 at k = 3): below about m = 1,100 the extra solves and step
+# lengths cost what the saved iterations do, and the d = 40 solves slow down
+_CORRECTOR_MIN_M = 1200
+# at most this many extra correctors per iteration, each kept only when it
+# lengthens the shorter step length by the factor _CORRECTOR_GAIN
+_MAX_CORRECTORS = 2
+_CORRECTOR_GAIN = 1.01
 
 
 class _SingleMiss(Exception):
@@ -417,7 +446,8 @@ def solve_ipm(
     pobj = dobj = np.nan
     schur_shift = 0.0
     single = ops.m >= _SINGLE_MIN_M
-    single_iterations = refine_steps = 0
+    single_iterations = refine_steps = corrector_solves = 0
+    correctors = _MAX_CORRECTORS if ops.m >= _CORRECTOR_MIN_M else 0
 
     for it in range(max_iters + 1):
         pobj = float(np.sum(ops.C * x))
@@ -480,9 +510,9 @@ def solve_ipm(
                     resid = residual(rhs, dy)
 
             def newton_step(float32):
-                """(dx, dy, dz, ap, ad) of the corrector step, from one
-                Schur factor: a float32 one when float32 is set."""
-                nonlocal schur_shift
+                """(dx, dy, dz, ap, ad) of the last corrector kept, from
+                one Schur factor: a float32 one when float32 is set."""
+                nonlocal schur_shift, corrector_solves
                 hf, reg = _factor_schur(lambda: ops.schur(zinv, x, float32))
                 if hf is None:
                     raise _SingleMiss
@@ -508,10 +538,23 @@ def solve_ipm(
                 sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3
                 tau = sigma * mu
 
+                def steps(dx, dz):
+                    return (min(1.0, step_frac * _max_step(lx, dx)),
+                            min(1.0, step_frac * _max_step(lz, dz)))
+
                 # corrector
                 dx, dy, dz = direction(tau, sym(zinv @ dz_a @ dx_a))
-                ap = min(1.0, step_frac * _max_step(lx, dx))
-                ad = min(1.0, step_frac * _max_step(lz, dz))
+                ap, ad = steps(dx, dz)
+                # repeated correctors on the same factor
+                for _ in range(correctors):
+                    if min(ap, ad) >= 1.0:
+                        break
+                    cand = direction(tau, sym(zinv @ dz @ dx))
+                    cand_steps = steps(cand[0], cand[2])
+                    corrector_solves += 1
+                    if min(cand_steps) < _CORRECTOR_GAIN * min(ap, ad):
+                        break
+                    (dx, dy, dz), (ap, ad) = cand, cand_steps
                 return dx, dy, dz, ap, ad
 
             found = None
@@ -551,4 +594,5 @@ def solve_ipm(
         schur_shift=schur_shift,
         single_iterations=single_iterations,
         refine_steps=refine_steps,
+        corrector_solves=corrector_solves,
     )

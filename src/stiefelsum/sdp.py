@@ -178,8 +178,9 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     the exit that ended it (stop_reason), iterations, final residuals,
     the largest diagonal shift its Schur factorization needed
     (schur_shift, 0.0 for none), the iterations whose Schur complement was
-    factored in float32 (single_iterations) and the refinement steps over
-    every Schur solve (refine_steps). A report is never
+    factored in float32 (single_iterations), the refinement steps over
+    every Schur solve (refine_steps) and the extra corrector directions
+    solved on the iterations' factors (corrector_solves). A report is never
     labeled Optimal unless the duality gap and all five KKT residuals
     (check_kkt's, relative to c.gate_unit) pass GAP_TOL and KKT_TOL;
     meta["reason"] names the gates that failed ("" for none).

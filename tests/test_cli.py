@@ -138,7 +138,8 @@ def test_reports_and_records_carry_one_ipm_summary(tmp_path):
     # the relaxation's IPM and the certificate's margin solve each have
     # one summary
     ipm = {"status", "stop_reason", "iterations", "pinf", "dinf", "relgap",
-           "schur_shift", "single_iterations", "refine_steps"}
+           "schur_shift", "single_iterations", "refine_steps",
+           "corrector_solves"}
     margin = {"status", "iterations", "mu", "margin", "shift"}
     assert [set(s) for s in summaries] == [ipm, margin, ipm, ipm, margin]
 
@@ -336,6 +337,10 @@ def test_non_finite_instance_is_bad_input(tmp_path, capsys):
     ({"d": 2, "k": 1, "mats": [[1.0, 0.0, 0.0, {}]]}, None),
     ({"d": 2, "k": 1, "mats": [[1.0, 0.0, 0.0, 1.0]], "meta": 5}, None),
     ({"d": 2, "k": 1, "mats": [[1.0, 0.0, 0.0, 1.0]]}, [0]),
+    # a size must be a positive JSON integer: never truncated or cast
+    ({"d": 2.7, "k": 1, "mats": [[1.0, 0.0, 0.0, 1.0]]}, None),
+    ({"d": True, "k": 1, "mats": [[1.0]]}, None),
+    ({"d": -2, "k": 1, "mats": [[1.0, 0.0, 0.0, 1.0]]}, None),
 ])
 def test_malformed_json_is_bad_input(tmp_path, capsys, instance, point):
     inst_path, point_path = tmp_path / "inst.json", tmp_path / "pt.json"

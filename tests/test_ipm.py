@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiefelsum import ipm
-from stiefelsum.core import sym
+from stiefelsum.core import shift_and_scale, sym
 from stiefelsum.generators import make_instance
 from stiefelsum.ipm import (
     FantopeOps,
@@ -18,6 +19,7 @@ from stiefelsum.ipm import (
     smat,
     svec,
 )
+from stiefelsum.sdp import is_tight, solve_sdp
 
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 
@@ -500,23 +502,30 @@ def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
     assert ops.C.shape[0] == {"fantope": 3, "fantope-square": 2}[case]
 
 
-def test_one_schur_factor_and_four_solves_per_iteration(monkeypatch):
-    ops = FantopeOps([_rand_sym(np.random.default_rng(5), 4)
-                      for _ in range(2)], 4)
-    calls = {"_factor_schur": 0, "schur_product": 0, "_solve_factor": 0}
+def _small_ops():
+    return FantopeOps([_rand_sym(np.random.default_rng(5), 4)
+                       for _ in range(2)], 4)
 
-    def counting(owner, name):
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls to each of names, looked up in ipm or on
+    FantopeOps."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        owner = ipm if hasattr(ipm, name) else FantopeOps
         real = getattr(owner, name)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
+    return calls
 
-    for owner, name in ((ipm, "_factor_schur"), (FantopeOps, "schur_product"),
-                        (ipm, "_solve_factor")):
-        counting(owner, name)
-    res = solve_ipm(ops)
+
+def test_one_schur_factor_and_four_solves_per_iteration(monkeypatch):
+    calls = _count_calls(monkeypatch, "_factor_schur", "schur_product",
+                         "_solve_factor")
+    res = solve_ipm(_small_ops())
     assert res.status == "optimal" and res.iterations > 0
     # one float64 factor per direction-computing iteration; the predictor
     # and the corrector each solve once and refine once, with one exact
@@ -525,6 +534,90 @@ def test_one_schur_factor_and_four_solves_per_iteration(monkeypatch):
     assert calls == {"_factor_schur": n, "schur_product": 2 * n,
                      "_solve_factor": 4 * n}
     assert (res.single_iterations, res.refine_steps) == (0, 2 * n)
+    assert res.corrector_solves == 0
+
+
+def test_correctors_reuse_the_one_factor_per_iteration(monkeypatch):
+    monkeypatch.setattr(ipm, "_CORRECTOR_MIN_M", 0)
+    calls = _count_calls(monkeypatch, "_factor_schur", "schur_product",
+                         "_solve_factor")
+    res = solve_ipm(_small_ops())
+    assert res.status == "optimal"
+    # each extra corrector is one more refined solve on the same factor,
+    # at most _MAX_CORRECTORS of them per iteration
+    n, c = res.iterations, res.corrector_solves
+    assert 0 < c <= ipm._MAX_CORRECTORS * n
+    assert calls == {"_factor_schur": n, "schur_product": 2 * n + c,
+                     "_solve_factor": 4 * n + 2 * c}
+    assert res.refine_steps == 2 * n + c
+
+
+def _same_run(a, b):
+    return (a.summary() == b.summary()
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("x", "y", "z")))
+
+
+def test_below_the_corrector_gate_the_solve_is_unchanged(monkeypatch):
+    # m = 823, below the gate, with float32 iterations: the counts are
+    # those of the iteration with one corrector
+    assert _hppca_ops(40, 3, 1).m < ipm._CORRECTOR_MIN_M
+    calls = _count_calls(monkeypatch, "_max_step")
+    res = solve_ipm(_hppca_ops(40, 3, 1))
+    assert (res.iterations, res.single_iterations) == (13, 10)
+    assert res.corrector_solves == 0
+    assert calls["_max_step"] == 4 * res.iterations
+    # bitwise the run that allows no extra corrector at any size
+    monkeypatch.setattr(ipm, "_CORRECTOR_MIN_M", 0)
+    monkeypatch.setattr(ipm, "_MAX_CORRECTORS", 0)
+    assert _same_run(res, solve_ipm(_hppca_ops(40, 3, 1)))
+
+
+def test_a_corrector_that_does_not_lengthen_the_step_is_discarded(
+        monkeypatch):
+    ref = solve_ipm(_small_ops())
+    monkeypatch.setattr(ipm, "_CORRECTOR_MIN_M", 0)
+    monkeypatch.setattr(ipm, "_CORRECTOR_GAIN", np.inf)
+    res = solve_ipm(_small_ops())
+    # one corrector tried and dropped per iteration that has a short step,
+    # each refined once; the iterates are those of the run without
+    # correctors
+    c = res.corrector_solves
+    assert 0 < c <= res.iterations
+    assert _same_run(dataclasses.replace(
+        res, corrector_solves=0, refine_steps=res.refine_steps - c), ref)
+
+
+def test_no_corrector_once_both_steps_are_full(monkeypatch):
+    monkeypatch.setattr(ipm, "_CORRECTOR_MIN_M", 0)
+    monkeypatch.setattr(ipm, "_max_step", lambda li, da: np.inf)
+    res = solve_ipm(_small_ops(), max_iters=3)
+    assert res.iterations > 0 and res.corrector_solves == 0
+
+
+# a tight, a non-tight and a square (k = d, no slack block) draw
+@pytest.mark.parametrize("family,d,k,tight", [("hppca", 10, 3, True),
+                                              ("randpsd", 10, 8, False),
+                                              ("randpsd", 4, 4, True)])
+def test_correctors_match_the_corrector_free_path(family, d, k, tight,
+                                                  monkeypatch):
+    inst = make_instance(family, d, k, {}, 1)
+    mats = shift_and_scale(inst.mats)[0]
+    runs = []
+    for gate in (ipm._CORRECTOR_MIN_M, 0):
+        monkeypatch.setattr(ipm, "_CORRECTOR_MIN_M", gate)
+        rep = solve_sdp(inst)
+        runs.append((rep, solve_ipm(FantopeOps(mats, d))))
+    (ref_rep, ref), (rep, res) = runs
+    assert ref.corrector_solves == 0 < res.corrector_solves
+    assert res.summary()["corrector_solves"] == res.corrector_solves
+    assert res.iterations <= ref.iterations
+    assert (rep.status, res.stop_reason) == (ref_rep.status, ref.stop_reason)
+    assert is_tight(rep) == is_tight(ref_rep) == tight
+    # each run stops once its relative gap is below tol = 1e-8, so their
+    # objectives agree within that stop rule
+    bound = 2e-8 * (1.0 + abs(ref.pobj) + abs(ref.dobj))
+    assert abs(res.pobj - ref.pobj) <= bound
 
 
 def test_singular_start_fails_closed(monkeypatch):
