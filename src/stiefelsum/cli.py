@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import STATUS_CERTIFIED, certify, classify_inconclusive
-from .core import load_instance, save_instance
+from .core import check_size, load_instance, save_instance
 from .diagonal import tightness_sweep
 from .generators import FAMILIES, make_instance, rank_two_pair
 from .harness import (
@@ -87,7 +87,8 @@ def _cmd_gen(args) -> int:
         Path(args.out).write_text(json.dumps({"d": 4, "blocks": blocks}))
         print(f"wrote {args.out}")
         return 0
-    d, k = int(args.params.pop("d")), int(args.params.pop("k"))
+    d = check_size(args.params.pop("d"), "malformed --params: d")
+    k = check_size(args.params.pop("k"), "malformed --params: k")
     inst = make_instance(args.family, d, k, args.params, seed=args.seed)
     if "known_optimum" in inst.meta:
         print(f"known optimum: {inst.meta['known_optimum']}")

@@ -47,15 +47,16 @@ def shift_and_scale(mats):
     stack mats.
 
     Returns (scaled mats, shift, scale); the shift preserves commutators and
-    only translates the objective, the scale conditions the solver.
+    only translates the objective, the scale conditions the solver. The
+    empty stack (k = 0) gets no shift and scale 1.
     """
     vals = np.linalg.eigvalsh(mats)
-    minlam = float(vals[:, 0].min())
+    minlam = float(vals[:, 0].min(initial=0.0))
     shift = -minlam if minlam < -1e-12 else 0.0
     if shift > 0.0:
         mats = mats + shift * np.eye(mats.shape[1])
         vals = np.linalg.eigvalsh(mats)
-    scale = float(np.abs(vals).max())
+    scale = float(np.abs(vals).max(initial=0.0))
     if scale <= 1e-300:
         scale = 1.0
     if abs(scale - 1.0) > 1e-12:
@@ -249,6 +250,15 @@ def check_rop_orthogonality(x_blocks, orth_tol: float = SOLVER_ORTH_TOL) -> bool
 # Instance file format: a single JSON document
 #   { "d": int, "k": int, "mats": [[row-major floats] x k], "meta": object }
 
+def check_size(n, what: str) -> int:
+    """n, if it is a positive integer; ValueError naming what otherwise. A
+    bool, float or string is not one, so no size is truncated or cast: the
+    one rule for a size read from JSON or from an experiment grid."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{what} must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def save_instance(c: ProblemInstance, path) -> None:
     doc = {
         "d": c.d,
@@ -264,11 +274,8 @@ def load_instance(path) -> ProblemInstance:
     document is bad input: ValueError (or KeyError for a missing field)."""
     doc = json.loads(Path(path).read_text())
     try:
-        d, k = doc["d"], doc["k"]
-        for name, n in (("d", d), ("k", k)):
-            if type(n) is not int or n < 1:
-                raise ValueError(f"malformed instance {path}: {name} must be "
-                                 f"a positive integer, got {n!r}")
+        d = check_size(doc["d"], f"malformed instance {path}: d")
+        k = check_size(doc["k"], f"malformed instance {path}: k")
         if len(doc["mats"]) != k:
             raise ValueError(
                 f"expected {k} matrices, found {len(doc['mats'])}")

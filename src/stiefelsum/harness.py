@@ -30,7 +30,7 @@ from .certificate import (
     certify,
     classify_inconclusive,
 )
-from .core import max_commuting_distance
+from .core import check_size, max_commuting_distance
 from .generators import family_builder, make_instance
 from .sdp import (
     STATUS_NUMERICAL_FAILURE,
@@ -88,9 +88,14 @@ def failed(rec) -> bool:
         rec.get("status"), rec.get("sdp_status"), rec.get("certificate"))
 
 
-def _check_trials(trials: int):
+def _check_grid(trials: int, cells):
+    """Bad input before any trial runs: fewer than one trial, or a (d, k)
+    cell that is not a pair of positive integers with k <= d."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    for d, k in cells:
+        if check_size(k, "k") > check_size(d, "d"):
+            raise ValueError(f"need k <= d, got d={d}, k={k}")
 
 
 # BLAS thread counts of a pool's workers: one each, so that jobs workers
@@ -129,10 +134,10 @@ def run_rop_table(family: str, grid: dict, trials: int, seed=0,
     grid: {"d": [...], "k": [...]} plus the family's parameters (see
     generators.FAMILIES). Returns (rows, records); failed trials are
     counted per cell and never count as tight."""
-    _check_trials(trials)
     params = {key: val for key, val in grid.items() if key not in ("d", "k")}
     family_builder(family, params)
     cells = [(d, k) for d in grid["d"] for k in grid["k"]]
+    _check_grid(trials, cells)
     args = [(family, d, k, params, s) for d, k in cells
             for s in trial_seeds((seed, d, k), trials)]
     records = _run_trials(rop_trial, args, jobs)
@@ -163,7 +168,7 @@ def sweep_trial(args) -> dict:
     settings for hppca), then the certificate, whose status is recorded; an
     Inconclusive one also gets classify_inconclusive's classification. The
     record carries both solves' meta["ipm"] (sdp_ipm, certificate_ipm) and
-    the certificate's meta["reason"]."""
+    meta["reason"] (sdp_reason, certificate_reason)."""
     family, d, k, params, seed = args
     cfg = SolverConfig.for_hppca() if family == "hppca" else SolverConfig()
     rec = {"family": family, "d": d, "k": k, "seed": seed}
@@ -176,7 +181,7 @@ def sweep_trial(args) -> dict:
         rec["sdp_wall"] = time.perf_counter() - t0
         rec.update(sdp_status=rep.status, sdp_value=rep.value,
                    rop_err=rep.rop_err, tight=_is_tight(rep),
-                   sdp_ipm=rep.meta["ipm"])
+                   sdp_ipm=rep.meta["ipm"], sdp_reason=rep.meta["reason"])
 
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
@@ -229,7 +234,7 @@ def run_cjd_sweep(sweep_values, trials: int, d, k, family: str = "cjd",
     (d, k) reuses the per-value seeds. Returns (rows, records): one curve
     row per cell, its statistics over the trials that did not raise (NaN
     when all of them raised) and trial_errors, the count that did."""
-    _check_trials(trials)
+    _check_grid(trials, [(dd, kk) for dd in d for kk in k])
     cells = [(dd, kk, val) for dd in d for kk in k for val in sweep_values]
     args = [(family, dd, kk, {"n": [int(val), 4 * int(val)]}
              if family == "hppca" else {"sigma": float(val)}, s)
@@ -255,7 +260,7 @@ def bench_cell(d: int, k: int, trials: int, seed=0) -> dict:
     settings) plus the certificate, over hppca sweep trials. Always serial:
     timings under a pool are meaningless. Errored trials stay in the records
     and out of the medians."""
-    _check_trials(trials)
+    _check_grid(trials, [(d, k)])
     records = [sweep_trial(("hppca", d, k, {}, s))
                for s in trial_seeds((seed, d, k), trials)]
     ok = [r for r in records if "error" not in r]
@@ -273,8 +278,9 @@ def bench_cell(d: int, k: int, trials: int, seed=0) -> dict:
 
 
 def run_bench(d_list, k_list, trials: int, seed=0):
-    return [bench_cell(d, k, trials, seed=seed)
-            for k in k_list for d in d_list]
+    cells = [(d, k) for k in k_list for d in d_list]
+    _check_grid(trials, cells)
+    return [bench_cell(d, k, trials, seed=seed) for d, k in cells]
 
 
 def write_csv(path, rows):

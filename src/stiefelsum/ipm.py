@@ -6,9 +6,11 @@ Standard form over a product of PSD cones:
 
 solved together with its dual  max b'y  s.t.  A*(y) + Z = C,  Z_j PSD.
 The search direction is the HKM direction, stepped with a Mehrotra
-predictor-corrector. The constraint operator is FantopeOps: k trace-one
-blocks coupled through sum_i X_i + S = I, the structure of the relaxation,
-whose Schur complement is assembled blockwise.
+predictor-corrector. The constraint operator is FantopeOps: k < d
+trace-one blocks coupled through sum_i X_i + S = I, the structure of the
+relaxation, whose Schur complement is assembled blockwise. It has one
+formulation, whose constraints have full row rank; the square case k = d
+is the same one on k - 1 blocks (sdp.solve_sdp).
 
 Every block of the relaxation has size d, so the blocks are held as one
 (nb, d, d) stack, the layout of the cost ops.C: the iteration's per-block
@@ -181,19 +183,20 @@ def least_eigenvalues(a):
 class FantopeOps:
     """Constraints of the block relaxation.
 
-    Variable blocks X_1..X_k of size d, plus one slack block S of size d
-    when k < d, with
+    Variable blocks X_1..X_k of size d, k < d, plus one slack block S of
+    size d, with
 
         tr(X_i) = 1              (k rows)
-        sum_i X_i [+ S] = I      (d(d+1)/2 rows in svec coordinates)
+        sum_i X_i + S = I        (d(d+1)/2 rows in svec coordinates)
 
-    With the slack the coupling reads sum_i X_i <= I; without it (used when
-    k = d, where the slack is forced to zero and would kill strict
-    feasibility) the coupling is an equality. Cost blocks are -mats[i] (the
-    relaxation minimizes the negated objective) and zero on the slack. mats
-    is the (k, d, d) stack of the M_i; the cost C is the (nb, d, d) stack
-    of every block, nb = k + [k < d], with the slack last. The rows of y
-    are the k trace rows, then the svec rows of the coupling.
+    so the coupling reads sum_i X_i <= I. k >= d raises ValueError: at
+    k = d the coupling forces X_k = I - sum_{i<k} X_i, so sdp.solve_sdp
+    solves that case as this relaxation of its first k - 1 blocks, with
+    X_k as the slack. Cost blocks are -mats[i] (the relaxation minimizes
+    the negated objective) and zero on the slack. mats is the (k, d, d)
+    stack of the M_i, k = 0 included; the cost C is the (k + 1, d, d) stack
+    of every block, slack last. The rows of y are the k trace rows, then
+    the svec rows of the coupling.
 
     schur assembles the lower triangle of the Schur complement into one
     Fortran-ordered (m, m) buffer, allocated on the first call and reused
@@ -206,14 +209,13 @@ class FantopeOps:
 
     def __init__(self, mats, d: int):
         mats = np.asarray(mats, dtype=float)
-        if mats.shape[1:] != (d, d):
-            raise ValueError("variable blocks must have size d")
+        if mats.shape[1:] != (d, d) or len(mats) >= d:
+            raise ValueError(f"need k < d blocks of size d, got {mats.shape}")
         self.k = len(mats)
         self.d = d
-        self.has_slack = self.k < d
         self.sd = d * (d + 1) // 2
         self.m = self.k + self.sd
-        self.C = np.zeros((self.k + self.has_slack, d, d))
+        self.C = np.zeros((self.k + 1, d, d))
         self.C[:self.k] = np.negative(mats)
         b = np.ones(self.m)
         b[self.k:] = svec(np.eye(d))
@@ -227,8 +229,7 @@ class FantopeOps:
         d, k = self.d, self.k
         eye = np.eye(d)
         x = np.repeat(eye[None] / d, len(self.C), axis=0)
-        if self.has_slack:
-            x[k] = (1.0 - k / d) * eye
+        x[k] = (1.0 - k / d) * eye
         y = np.zeros(self.m)
         y[:k] = -1.0
         y[k:] = svec(-eye)

@@ -29,7 +29,7 @@ from .core import (
     sym,
     top_eigenpairs,
 )
-from .ipm import FantopeOps, least_eigenvalues, smat, solve_ipm
+from .ipm import FantopeOps, least_eigenvalues, solve_ipm
 from .stiefel import SolverConfig
 
 STATUS_OPTIMAL = "Optimal"
@@ -139,21 +139,6 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
     return KktResiduals(res_primal, res_dual_eq, res_slack, res_block, res_cone)
 
 
-def _recover_coupling_dual(ops, res, scale):
-    """Input-unit (Y, Z_i, nu) from the solver's internal variables."""
-    k, z = ops.k, res.z
-    if ops.has_slack:
-        y_mat = sym(z[-1]) * scale
-        nu = -res.y[:k] * scale
-    else:
-        # sum X_i = I exactly: shift the equality multiplier into the cone
-        y_raw = -smat(res.y[k:], ops.d)
-        c = max(0.0, -float(np.linalg.eigvalsh(sym(y_raw))[0]))
-        y_mat = sym(y_raw + c * np.eye(ops.d)) * scale
-        nu = (-res.y[:k] - c) * scale
-    return y_mat, tuple(sym(z[:k]) * scale), nu
-
-
 def _status_from(res, gap, kkt_max, p, dd):
     # written as "not x <= tol" so that NaN fails every gate
     reasons = []
@@ -173,7 +158,10 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
 
     Inputs need not be normalized or PSD: core.shift_and_scale's uniform
     eigenvalue shift and global scale are applied internally and mapped
-    back, and recorded as meta["psd_shift"] and meta["scale"].
+    back, and recorded as meta["psd_shift"] and meta["scale"]. At k = d,
+    where the coupling forces X_k = I - sum_{i<k} X_i, the relaxation is
+    solved on the blocks M_i - M_k, i < k, with X_k as its slack, and the
+    shift and scale are those of that reduced stack.
     meta["ipm"] is the IPM run's IpmResult.summary(): its stop status,
     the exit that ended it (stop_reason), iterations, final residuals,
     the largest diagonal shift its Schur factorization needed
@@ -187,21 +175,31 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    mats_s, shift, scale = shift_and_scale(c.mats)
+    # at k = d the coupling forces X_k = I - sum_{i<k} X_i: the relaxation
+    # of the blocks M_i - M_k, i < k, whose slack is X_k
+    mats = c.mats[:-1] - c.mats[-1] if c.k == c.d else c.mats
+    mats_s, shift, scale = shift_and_scale(mats)
     ops = FantopeOps(mats_s, c.d)
     res = solve_ipm(ops, tol=cfg.sdp_tol, max_iters=cfg.sdp_max_iters,
                     step_frac=cfg.step_frac)
 
+    # at k = d, X_k and Z_k are the slack and its dual Y'
     x_blocks = tuple(sym(res.x[:c.k]))
-    y_mat, z_blocks, nu = _recover_coupling_dual(ops, res, scale)
-    nu = nu - shift
+    z_blocks = tuple(sym(res.z[:c.k]) * scale)
+    y_mat = sym(res.z[-1]) * scale
+    nu = -res.y[:ops.k] * scale - shift
+    if ops.k < c.k:
+        # nu_k = lambda_min(Y' + M_k), Y = Y' + M_k - nu_k I and nu_i + nu_k
+        # for i < k: every dual equation holds, and Y is PSD
+        nu_k = float(least_eigenvalues((y_mat + c.mats[-1])[None])[0])
+        y_mat = y_mat + c.mats[-1] - nu_k * np.eye(c.d)
+        nu = np.append(nu + nu_k, nu_k)
 
     p = -sum(float(np.sum(m * x)) for m, x in zip(c.mats, x_blocks))
     dd = -(float(np.trace(y_mat)) + float(np.sum(nu)))
     gap = abs(p - dd)
 
-    dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks,
-                           nu=np.asarray(nu, dtype=float), objective=dd)
+    dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks, nu=nu, objective=dd)
     kkt = check_kkt(c, x_blocks, dual)
     status, reason = _status_from(res, gap, kkt.max_residual, p, dd)
 

@@ -70,7 +70,8 @@ DELETED = [
     (core, "spectral_norm"), (core.ProblemInstance, "spectral_norms"),
     (sdp, "_normalize_for_solve"), (ipm, "eye_stacks"),
     (sdp, "_fantope_start"), (ipm, "dpotrs"), (certificate, "dpotrs"),
-    (ipm, "dsymv"), (ipm, "_CHUNK_LOWER"),
+    (ipm, "dsymv"), (ipm, "_CHUNK_LOWER"), (sdp, "_recover_coupling_dual"),
+    (sdp, "smat"),
 ]
 
 

@@ -330,7 +330,8 @@ def test_non_finite_instance_is_bad_input(tmp_path, capsys):
     assert "error:" in err and "finite" in err
 
 
-# well-formed JSON of the wrong shape, as the instance or as the point
+# well-formed JSON of the wrong shape: as the instance, as the point, or
+# (point "gen") as gen's --params
 @pytest.mark.parametrize("instance,point", [
     ([1, 2], None),
     ({"d": 2, "k": 1, "mats": None}, None),
@@ -341,15 +342,41 @@ def test_non_finite_instance_is_bad_input(tmp_path, capsys):
     ({"d": 2.7, "k": 1, "mats": [[1.0, 0.0, 0.0, 1.0]]}, None),
     ({"d": True, "k": 1, "mats": [[1.0]]}, None),
     ({"d": -2, "k": 1, "mats": [[1.0, 0.0, 0.0, 1.0]]}, None),
+    ({"d": 6.7, "k": 2}, "gen"),
+    ({"d": True, "k": 1}, "gen"),
+    ({"d": "6", "k": 2}, "gen"),
+    ({"d": 6, "k": 0}, "gen"),
 ])
 def test_malformed_json_is_bad_input(tmp_path, capsys, instance, point):
     inst_path, point_path = tmp_path / "inst.json", tmp_path / "pt.json"
-    inst_path.write_text(json.dumps(instance))
-    point_path.write_text(json.dumps(point))
-    argv = ["certify", "--instance", str(inst_path)]
-    rc = main(argv + (["--point", str(point_path)] if point else []))
-    assert rc == 1
+    if point == "gen":
+        argv = ["gen", "--family", "randpsd", "--params", json.dumps(instance),
+                "--out", str(inst_path)]
+    else:
+        inst_path.write_text(json.dumps(instance))
+        point_path.write_text(json.dumps(point))
+        argv = ["certify", "--instance", str(inst_path)]
+        argv += ["--point", str(point_path)] if point else []
+    assert main(argv) == 1
     assert "error: malformed" in capsys.readouterr().err
+    assert point != "gen" or not inst_path.exists()
+
+
+# a (d, k) cell that cannot hold a Stiefel point stops the experiment before
+# any trial runs: bad input, not a numerical failure
+@pytest.mark.parametrize("argv", [
+    ["rop-table", "--family", "randpsd", "--d", "3", "--k", "5"],
+    ["rop-table", "--family", "randpsd", "--d", "0", "--k", "1"],
+    ["cjd-sweep", "--d", "3", "--k", "5"],
+    ["bench", "--d", "6,3", "--k", "5"],
+], ids=lambda argv: "-".join(argv[::2]))
+def test_impossible_grid_is_bad_input(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main(argv + ["--trials", "2", "--out-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 OPTIONS = {

@@ -113,6 +113,35 @@ def test_failed_relaxation_record_names_its_gate(monkeypatch):
     assert max(rec["ipm"][key] for key in ("pinf", "dinf", "relgap")) <= 1e-8
 
 
+def test_failed_relaxation_sweep_record_names_its_gate(monkeypatch):
+    real = sdp.solve_ipm
+
+    def stalled(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs),
+                                   status="numerical_failure")
+
+    monkeypatch.setattr(sdp, "solve_ipm", stalled)
+    rec = harness.sweep_trial(("diagonal", 5, 2, {}, 1))
+    assert rec["sdp_status"] == "NumericalFailure" and harness.failed(rec)
+    assert rec["sdp_reason"] == "solver did not converge"
+    assert rec["sdp_ipm"]["status"] == "numerical_failure"
+
+
+# k > d, a size below 1, or a size that is not an integer
+@pytest.mark.parametrize("d,k", [(3, 5), (0, 1), (4, 0), (4, 1.5), (True, 1)])
+def test_impossible_cells_stop_before_any_trial(d, k, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "rop_trial", ran.append)
+    monkeypatch.setattr(harness, "sweep_trial", ran.append)
+    for run in (lambda: run_rop_table("randpsd", {"d": [6, d], "k": [k]}, 2),
+                lambda: run_cjd_sweep([0.0], 2, [6, d], [k]),
+                lambda: bench_cell(d, k, 2),
+                lambda: harness.run_bench([6, d], [k], 2)):
+        with pytest.raises(ValueError, match="positive integer|k <= d"):
+            run()
+    assert ran == []
+
+
 def test_subspace_distance_cases():
     u = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 2)))[0]
     assert subspace_distance(u, u) == pytest.approx(0.0, abs=1e-12)
@@ -139,7 +168,7 @@ def test_sweep_markers_on_commuting_family():
         assert r["sdp_ipm"]["schur_shift"] == 0.0
         assert r["sdp_ipm"]["iterations"] > 0
         assert r["certificate_ipm"]["iterations"] >= 0
-        assert r["certificate_reason"] == ""
+        assert r["sdp_reason"] == r["certificate_reason"] == ""
         assert 0 <= r["stmm_newton_steps"] <= r["stmm_iterations"]
         assert 0 <= r["stmm_accelerated_steps"] <= r["stmm_iterations"]
         assert (r["stmm_newton_steps"] + r["stmm_accelerated_steps"]

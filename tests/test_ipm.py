@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefelsum import ipm
-from stiefelsum.core import shift_and_scale, sym
+from stiefelsum import ipm, sdp
+from stiefelsum.core import ProblemInstance, shift_and_scale, sym
 from stiefelsum.generators import make_instance
 from stiefelsum.ipm import (
     FantopeOps,
@@ -83,6 +83,14 @@ def _brute_schur(ops, p, q):
     return h
 
 
+def _relaxation_mats(mats, d):
+    """The blocks of the relaxation of mats: at k = d the coupling forces
+    X_k = I - sum_{i<k} X_i, so the relaxation is that of the blocks
+    M_i - M_k, i < k, whose slack is X_k (as sdp.solve_sdp solves it)."""
+    mats = np.asarray(mats, dtype=float)
+    return mats[:-1] - mats[-1] if len(mats) == d else mats
+
+
 def _assert_adjoint(ops, x, y):
     # the operator and its adjoint agree: <A(X), y> = <X, A*(y)>, with the
     # inner product summed block by block
@@ -91,17 +99,19 @@ def _assert_adjoint(ops, x, y):
     assert np.isclose(lhs, rhs)
 
 
-# d = 12 has 78 coupling rows, several chunks; k = 10 gives 11 blocks
-@pytest.mark.parametrize("d,k,slack", [(3, 1, True), (4, 2, True),
-                                       (5, 3, True), (3, 3, False),
-                                       (12, 3, True), (12, 10, True),
-                                       (12, 12, False)])
-def test_fantope_schur_vs_brute_force(d, k, slack):
+# d = 12 has 78 coupling rows, several chunks; k = 10 gives 11 blocks. The
+# slack is free when k < d; at k = d it is X_k, and the relaxation that of
+# the first k - 1 blocks
+@pytest.mark.parametrize("d,k,free_slack", [(3, 1, True), (4, 2, True),
+                                            (5, 3, True), (3, 3, False),
+                                            (12, 3, True), (12, 10, True),
+                                            (12, 12, False)])
+def test_fantope_schur_vs_brute_force(d, k, free_slack):
     rng = np.random.default_rng(d * 10 + k)
-    mats = [_rand_sym(rng, d) for _ in range(k)]
+    mats = _relaxation_mats([_rand_sym(rng, d) for _ in range(k)], d)
     ops = FantopeOps(mats, d)
-    assert ops.has_slack == slack
-    assert ops.C.shape == (k + slack, d, d)
+    assert ops.k == k - (not free_slack)
+    assert ops.C.shape == (ops.k + 1, d, d)
     p = _rand_spd_stack(rng, ops)
     q = _rand_spd_stack(rng, ops)
     h = ops.schur(p, q)
@@ -117,7 +127,7 @@ def test_fantope_schur_vs_brute_force(d, k, slack):
     assert np.allclose(np.tril(h), np.tril(hb),
                        atol=1e-8 * max(1.0, np.abs(hb).max()))
     # A itself, block by block: the traces, then svec of the coupling sum
-    want = [np.trace(pb) for pb in p[:k]]
+    want = [np.trace(pb) for pb in p[:ops.k]]
     want.extend(svec(sum(p)))
     assert np.allclose(ops.apply_A(p), want)
     _assert_adjoint(ops, p, rng.standard_normal(ops.m))
@@ -127,10 +137,11 @@ def test_fantope_schur_vs_brute_force(d, k, slack):
        st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_schur_product_matches_the_assembled_schur(d, k, square, seed):
-    # k = d has no slack block
+    # k = d is the relaxation of k - 1 blocks, none at d = 1
     k = d if square else min(k, d)
     rng = np.random.default_rng(seed)
-    ops = FantopeOps([_rand_sym(rng, d) for _ in range(k)], d)
+    ops = FantopeOps(_relaxation_mats([_rand_sym(rng, d) for _ in range(k)],
+                                      d), d)
     zinv, x = _rand_spd_stack(rng, ops), _rand_spd_stack(rng, ops)
     v = rng.standard_normal(ops.m)
     want = _from_lower(ops.schur(zinv, x)) @ v
@@ -191,13 +202,13 @@ def _record_factor_dtypes(monkeypatch):
     return seen
 
 
-# the single path forced on small solves: square ones hand every
-# iteration to float64 once their Schur complement loses conditioning
+# the single path forced on small solves, square ones (k = d) included
 @pytest.mark.parametrize("family,d,k", [("randpsd", 3, 1), ("randpsd", 5, 3),
                                         ("randpsd", 3, 3), ("hppca", 10, 3),
                                         ("diagonal", 4, 4)])
 def test_single_path_matches_the_float64_path(family, d, k, monkeypatch):
-    mats = np.array(make_instance(family, d, k, {}, 1).mats)
+    mats = shift_and_scale(_relaxation_mats(
+        make_instance(family, d, k, {}, 1).mats, d))[0]
     ref = solve_ipm(FantopeOps(mats, d))
     assert ref.single_iterations == 0
     monkeypatch.setattr(ipm, "_SINGLE_MIN_M", 0)
@@ -284,30 +295,46 @@ def test_fantope_solve_k1_matches_top_eigenvalue():
 
 def test_fantope_solve_k_equals_d():
     # full square case: every coordinate must be picked exactly once
-    mats = [np.diag([2.0, 1.0]), np.diag([1.0, 2.0])]
-    ops = FantopeOps(mats, 2)
-    res = solve_ipm(ops)
-    assert res.status == "optimal"
-    assert abs(res.pobj - (-4.0)) < 1e-7
-    assert abs(res.x[0, 0, 0] - 1.0) < 1e-6
-    assert abs(res.x[1, 1, 1] - 1.0) < 1e-6
+    rep = solve_sdp(ProblemInstance((np.diag([2.0, 1.0]),
+                                     np.diag([1.0, 2.0]))))
+    assert rep.status == "Optimal"
+    assert abs(rep.value - 4.0) < 1e-7
+    assert abs(rep.primal.x_blocks[0][0, 0] - 1.0) < 1e-6
+    assert abs(rep.primal.x_blocks[1][1, 1] - 1.0) < 1e-6
 
 
-# k = d: no slack block, so the k cost blocks are the relaxation's one stack;
-# with diagonal data the relaxation is the assignment problem. The iteration
-# counts are pinned from a block-by-block run of the same iteration.
+def test_fantope_ops_need_a_free_slack():
+    # k >= d: the coupling would force the slack to zero, and with it the
+    # constraint rows to lose rank
+    for d, k in ((1, 1), (2, 2), (3, 3), (2, 3)):
+        with pytest.raises(ValueError, match="k < d"):
+            FantopeOps(np.zeros((k, d, d)), d)
+
+
+# k = d: the relaxation of the first k - 1 blocks, with X_k as the slack, is
+# again one stack of d blocks; with diagonal data it is the assignment
+# problem. Its constraints have full row rank, so it needs no Schur shift;
+# the iteration counts are pinned.
 @pytest.mark.parametrize("d,seed,iterations", [(3, 0, 6), (4, 1, 6),
                                                (5, 2, 7)])
-def test_square_relaxation_is_one_stack(d, seed, iterations):
+def test_square_relaxation_is_one_stack(d, seed, iterations, monkeypatch):
     vals = np.random.default_rng(seed).uniform(size=(d, d))
-    ops = FantopeOps([np.diag(v) for v in vals], d)
-    assert not ops.has_slack
-    assert ops.C.shape == (d, d, d)
-    res = solve_ipm(ops)
-    assert res.status == "optimal" and res.iterations == iterations
+    runs = []
+    real = sdp.solve_ipm
+
+    def recording(ops, **kwargs):
+        runs.append(real(ops, **kwargs))
+        assert ops.C.shape == (d, d, d)
+        return runs[-1]
+
+    monkeypatch.setattr(sdp, "solve_ipm", recording)
+    rep = solve_sdp(ProblemInstance(tuple(np.diag(v) for v in vals)))
+    (res,) = runs
+    assert rep.status == "Optimal" and res.iterations == iterations
+    assert res.schur_shift == 0.0
     best = max(sum(vals[i, p[i]] for i in range(d))
                for p in itertools.permutations(range(d)))
-    assert -res.pobj == pytest.approx(best, abs=1e-7)
+    assert rep.value == pytest.approx(best, abs=1e-7)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -485,7 +512,8 @@ def test_stacked_factor_and_step_match_each_matrix(n, count, seed):
 def test_one_cholesky_per_block_and_iteration(case, monkeypatch):
     rng = np.random.default_rng(5)
     d = 2 if case == "fantope-square" else 3
-    ops = FantopeOps([_rand_sym(rng, d) for _ in range(2)], d)
+    ops = FantopeOps(_relaxation_mats([_rand_sym(rng, d) for _ in range(2)],
+                                      d), d)
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -595,14 +623,14 @@ def test_no_corrector_once_both_steps_are_full(monkeypatch):
     assert res.iterations > 0 and res.corrector_solves == 0
 
 
-# a tight, a non-tight and a square (k = d, no slack block) draw
+# a tight, a non-tight and a square (k = d, X_k the slack) draw
 @pytest.mark.parametrize("family,d,k,tight", [("hppca", 10, 3, True),
                                               ("randpsd", 10, 8, False),
                                               ("randpsd", 4, 4, True)])
 def test_correctors_match_the_corrector_free_path(family, d, k, tight,
                                                   monkeypatch):
     inst = make_instance(family, d, k, {}, 1)
-    mats = shift_and_scale(inst.mats)[0]
+    mats = shift_and_scale(_relaxation_mats(inst.mats, d))[0]
     runs = []
     for gate in (ipm._CORRECTOR_MIN_M, 0):
         monkeypatch.setattr(ipm, "_CORRECTOR_MIN_M", gate)

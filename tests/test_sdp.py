@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stiefelsum import ipm
 from stiefelsum.certificate import STATUS_CERTIFIED, certify
 from stiefelsum.core import (
     ROP_TOL,
@@ -101,6 +102,26 @@ def test_square_case_matches_assignment_enumeration():
     assert rep.value == pytest.approx(best, abs=1e-6)
 
 
+# k = d is the relaxation of the first k - 1 blocks with X_k as the slack:
+# its constraints have full row rank, so no Schur complement is shifted
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_square_solves_need_no_schur_shift(d):
+    for family in ("randpsd", "hppca", "cjd", "diagonal"):
+        for seed in (0, 1):
+            inst = make_instance(family, d, d, {}, seed)
+            rep = solve_sdp(inst)
+            assert rep.status == STATUS_OPTIMAL, (family, seed, rep.meta)
+            assert rep.meta["ipm"]["schur_shift"] == 0.0
+            assert len(rep.primal.x_blocks) == len(rep.dual.z_blocks) == d
+            assert rep.dual.nu.shape == (d,)
+    # commuting blocks: the relaxation's value is the assignment optimum
+    c = gen_random_diagonal(d, d, seed=7)
+    diag = np.array([np.diag(m) for m in c.mats])
+    best = max(sum(diag[i, p[i]] for i in range(d))
+               for p in itertools.permutations(range(d)))
+    assert solve_sdp(c).value == pytest.approx(best, abs=1e-6)
+
+
 def test_shift_and_scale_mapping():
     rng = np.random.default_rng(31)
     mats = tuple(_rand_psd(5, rng) for _ in range(2))
@@ -138,12 +159,20 @@ def test_verdicts_hold_at_every_input_scale():
     assert huge.value / 1e300 == pytest.approx(1.0, abs=1e-8)
 
 
-def test_schur_regularization_is_reported():
-    # k = d: the coupling is an equality and the last Schur complements
-    # need a diagonal shift
-    rep = solve_sdp(gen_random_diagonal(4, 4, seed=21))
+def test_schur_regularization_is_reported(monkeypatch):
+    # one failed dpotrf: the retry shifts the Schur complement's diagonal
+    dpotrf, failures = ipm.dpotrf, [1]
+
+    def failing_once(a, **kwargs):
+        c, info = dpotrf(a, **kwargs)
+        return c, (failures.pop() if failures else info)
+
+    monkeypatch.setattr(ipm, "dpotrf", failing_once)
+    rep = solve_sdp(gen_random_diagonal(5, 2, seed=21))
+    assert failures == []
     assert rep.status == STATUS_OPTIMAL
     assert rep.meta["ipm"]["schur_shift"] > 0.0
+    monkeypatch.undo()
     rep = solve_sdp(gen_random_diagonal(5, 2, seed=21))
     assert rep.status == STATUS_OPTIMAL
     assert rep.meta["ipm"]["schur_shift"] == 0.0
