@@ -87,8 +87,8 @@ def _cmd_gen(args) -> int:
         Path(args.out).write_text(json.dumps({"d": 4, "blocks": blocks}))
         print(f"wrote {args.out}")
         return 0
-    d = check_size(args.params.pop("d"), "malformed --params: d")
-    k = check_size(args.params.pop("k"), "malformed --params: k")
+    d = check_size(args.params.pop("d", None), "malformed --params: d")
+    k = check_size(args.params.pop("k", None), "malformed --params: k")
     inst = make_instance(args.family, d, k, args.params, seed=args.seed)
     if "known_optimum" in inst.meta:
         print(f"known optimum: {inst.meta['known_optimum']}")

@@ -58,9 +58,23 @@ the extra solves and step lengths cost about what the saved iterations
 do. IpmResult.summary() reports them as corrector_solves.
 
 A step length needs only the least eigenvalue of the scaled direction
-(Toh 2002), so least_eigenvalues computes that one eigenvalue per matrix
-rather than the spectrum; the certificate's slack gate and sdp.check_kkt
-use it too.
+B = L^-1 dA L^-T over all blocks (Toh 2002), and least_eigenvalues
+computes that one eigenvalue of a matrix rather than its spectrum (the
+certificate's slack gate and sdp.check_kkt use it too). _max_step first
+computes it for the block g with the least diagonal entry of B, an upper
+bound on a block's least eigenvalue, so g likely binds; alpha =
+-1/lambda_g. Every other block j is then cleared by one dpotrf of
+I + (1 + _CLEAR_MARGIN) alpha B_j: if that succeeds, B_j's least
+eigenvalue lies above lambda_g by the relative margin _CLEAR_MARGIN =
+1e-8, so it cannot be the least. Only the blocks that fail get their own
+eigenvalue, and the step is -1 over the least of these and lambda_g.
+That is exactly the float that taking every block's eigenvalue gives: the
+blocks that could hold the least one get the same dsyevx call on the same
+matrix, and a block within the margin of lambda_g (a near-tie) fails the
+test and gets one too. It would differ only if roundoff in a cleared
+block's eigenvalue or factor exceeded _CLEAR_MARGIN |lambda_g|. A
+direction that keeps the cone at block g, 1 x 1 blocks and a non-finite B
+take every block's eigenvalue, as before.
 """
 
 from __future__ import annotations
@@ -338,10 +352,37 @@ def _inverse_factor(a):
     return np.array([dtrtri(f, lower=1)[0] for f in np.linalg.cholesky(a)])
 
 
+# a block clears the step -1/lambda_g when I + (1 + _CLEAR_MARGIN) alpha B_j
+# is PD: its least eigenvalue is then above lambda_g by this relative margin
+_CLEAR_MARGIN = 1e-8
+
+
 def _max_step(li, da):
     """Largest alpha with a + alpha da PSD for every matrix of the stack a,
-    where li = _inverse_factor(a); inf when da keeps the cone."""
-    lmin = float(np.min(least_eigenvalues(sym(li @ da @ li.swapaxes(1, 2)))))
+    where li = _inverse_factor(a); inf when da keeps the cone.
+
+    -1 over the least eigenvalue of B = li da li', from the block of B's
+    least diagonal entry and the blocks that fail its Cholesky test (see
+    the module docstring). Every block's eigenvalue is taken when that
+    block's direction keeps the cone, on 1 x 1 blocks and on a non-finite
+    B, where dpotrf may report success but least_eigenvalues raises
+    LinAlgError."""
+    b = sym(li @ da @ li.swapaxes(1, 2))
+    n = b.shape[1]
+    if n > 1 and np.isfinite(b).all():
+        g = int(np.argmin(b.diagonal(axis1=1, axis2=2).min(axis=1)))
+        lmin = float(least_eigenvalues(b[g:g + 1])[0])
+        if lmin < -1e-14:
+            # each shifted[j] is symmetric and C-ordered, so shifted[j].T is
+            # the same matrix as a Fortran-ordered view dpotrf takes as is
+            shifted = b * ((1.0 + _CLEAR_MARGIN) * (-1.0 / lmin))
+            shifted.reshape(len(b), n * n)[:, ::n + 1] += 1.0
+            fail = [j for j in range(len(b)) if j != g and dpotrf(
+                shifted[j].T, lower=1, clean=0, overwrite_a=1)[1] != 0]
+            if fail:
+                lmin = min(lmin, float(np.min(least_eigenvalues(b[fail]))))
+            return -1.0 / lmin
+    lmin = float(np.min(least_eigenvalues(b)))
     if lmin >= -1e-14:
         return np.inf
     return -1.0 / lmin

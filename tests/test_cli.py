@@ -346,6 +346,8 @@ def test_non_finite_instance_is_bad_input(tmp_path, capsys):
     ({"d": True, "k": 1}, "gen"),
     ({"d": "6", "k": 2}, "gen"),
     ({"d": 6, "k": 0}, "gen"),
+    ({"k": 2}, "gen"),
+    ({"d": 6}, "gen"),
 ])
 def test_malformed_json_is_bad_input(tmp_path, capsys, instance, point):
     inst_path, point_path = tmp_path / "inst.json", tmp_path / "pt.json"

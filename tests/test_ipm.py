@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stiefelsum import ipm, sdp
@@ -506,6 +506,95 @@ def test_stacked_factor_and_step_match_each_matrix(n, count, seed):
         steps.append(_max_step(lj, da[j:j + 1]))
     # the stack's step is the least of its matrices' steps
     assert _max_step(li, da) == pytest.approx(min(steps), rel=1e-10)
+
+
+def _all_block_step(li, da):
+    """The step from every block's least eigenvalue: _max_step's oracle."""
+    b = sym(li @ da @ li.swapaxes(1, 2))
+    lmin = float(np.min(ipm.least_eigenvalues(b)))
+    return np.inf if lmin >= -1e-14 else -1.0 / lmin
+
+
+def _step_case(n, count, kind, seed):
+    """(li, da) whose scaled direction B = li da li' is of the kind named:
+    "random"; "hidden", where the block of the least diagonal entry does
+    not bind; "tie", two equal blocks; or "psd", a direction that keeps
+    the cone."""
+    rng = np.random.default_rng(seed)
+    a = np.array([_rand_spd(rng, n) for _ in range(count)])
+    li = _inverse_factor(a)
+    if kind == "psd":
+        g = rng.standard_normal((count, n, int(rng.integers(0, n + 1))))
+        return li, g @ g.swapaxes(1, 2)
+    b = np.array([_rand_sym(rng, n) + rng.uniform(-2.0, 1.0) * np.eye(n)
+                  for _ in range(count)])
+    if kind == "hidden" and n > 1:
+        # zero diagonal, least eigenvalue -3; every other block has a
+        # negative diagonal and a least eigenvalue near -1
+        b[1:] = -np.eye(n) + 0.1 * b[1:]
+        b[0] = 3.0 * (np.eye(n) - 1.0) / (n - 1)
+    factor = np.linalg.cholesky(a)
+    da = sym(factor @ b @ factor.swapaxes(1, 2))
+    if kind == "tie":
+        li[-1], da[-1] = li[0], da[0]
+    return li, da
+
+
+@given(st.integers(1, 8), st.integers(1, 6),
+       st.sampled_from(["random", "hidden", "tie", "psd"]),
+       st.integers(0, 2**32 - 1))
+@example(1, 4, "random", 0)
+@example(5, 1, "random", 0)
+@example(4, 3, "hidden", 0)
+@example(4, 3, "tie", 0)
+@example(4, 3, "psd", 0)
+@settings(max_examples=200, deadline=None)
+def test_max_step_equals_the_all_block_step(n, count, kind, seed):
+    li, da = _step_case(n, count, kind, seed)
+    step = _max_step(li, da)
+    assert step == _all_block_step(li, da)
+    if kind == "psd":
+        assert step == np.inf
+    if kind == "hidden" and n > 1 and count > 1:
+        b = sym(li @ da @ li.swapaxes(1, 2))
+        lam = np.linalg.eigvalsh(b)[:, 0]
+        guess = np.argmin(b.diagonal(axis1=1, axis2=2).min(axis=1))
+        assert guess != 0 and lam[guess] > lam[0]
+        assert step == pytest.approx(1.0 / 3.0, rel=1e-9)
+
+
+# a NaN or an inf in one block of da spreads over that block of B; 1e308
+# overflows B's two off-diagonal entries alone
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_non_finite_unguessed_block_fails_the_step(bad):
+    _, da = _step_case(5, 4, "random", 3)
+    li = np.repeat(np.eye(5)[None], 4, axis=0)  # B = da
+    guess = np.argmin(da.diagonal(axis1=1, axis2=2).min(axis=1))
+    assert _all_block_step(li, da) < np.inf
+    da[(guess + 1) % 4, 2, 1] = da[(guess + 1) % 4, 1, 2] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        _max_step(li, da)
+
+
+def test_most_blocks_are_cleared_without_an_eigenvalue(monkeypatch):
+    # the relaxation of a wide random PSD draw has k + 1 = 11 blocks, of
+    # which few can bind any one step length
+    d, k = 20, 10
+    mats = shift_and_scale(make_instance("randpsd", d, k, {}, 1).mats)[0]
+    counted = []
+    real = ipm.least_eigenvalues
+
+    def counting(a):
+        counted.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(ipm, "least_eigenvalues", counting)
+    calls = _count_calls(monkeypatch, "_max_step")
+    res = solve_ipm(FantopeOps(mats, d))
+    assert res.status == "optimal"
+    assert calls["_max_step"] == 4 * res.iterations
+    assert sum(counted) < 0.5 * 4 * res.iterations * (k + 1)
 
 
 @pytest.mark.parametrize("case", ["fantope", "fantope-square"])
