@@ -6,11 +6,12 @@ Standard form over a product of PSD cones:
 
 solved together with its dual  max b'y  s.t.  A*(y) + Z = C,  Z_j PSD.
 The search direction is the HKM direction, stepped with a Mehrotra
-predictor-corrector. The constraint operator is FantopeOps: k < d
-trace-one blocks coupled through sum_i X_i + S = I, the structure of the
-relaxation, whose Schur complement is assembled blockwise. It has one
-formulation, whose constraints have full row rank; the square case k = d
-is the same one on k - 1 blocks (sdp.solve_sdp).
+predictor-corrector and one step length for X, y and Z (see below). The
+constraint operator is FantopeOps: k < d trace-one blocks coupled through
+sum_i X_i + S = I, the structure of the relaxation, whose Schur
+complement is assembled blockwise. It has one formulation, whose
+constraints have full row rank; the square case k = d is the same one on
+k - 1 blocks (sdp.solve_sdp).
 
 Every block of the relaxation has size d, so the blocks are held as one
 (nb, d, d) stack, the layout of the cost ops.C: the iteration's per-block
@@ -38,19 +39,33 @@ below _SINGLE_RTOL relative. While H is well conditioned (the early
 iterations) that takes a few steps. A float32 factor that fails, or a
 solve that misses _SINGLE_RTOL within _SINGLE_MAX_STEPS, hands that
 iteration and every later one to float64; a solve that needed
-_SINGLE_SLOW_STEPS or more hands over every later one. A float64 solve is
+_SINGLE_SLOW_STEPS = 3 or more hands over every later one, because the
+float32 attempt after such a solve mostly fails (spotrf finds H
+indefinite, or a solve misses) and wastes its factor. A float64 solve is
 refined once. IpmResult.summary() reports the iterations factored in
 float32 (single_iterations) and the refinement steps over every solve
 (refine_steps).
+
+One step length (Zhang 1998; Potra & Sheng 1998): X, y and Z all move by
+alpha = min(1, step_frac alpha_X, step_frac alpha_Z), where alpha_X and
+alpha_Z are the longest steps that keep X and Z in the cone (_max_step).
+The start is primal feasible but not dual feasible, and a common step
+shrinks both residuals and the complementarity by the same factor
+1 - alpha. Separate step lengths let the primal side lag: at HPPCA
+(60, 3) they took primal steps of 0.08-0.54 in iterations 2-8 and 17
+iterations in all, against 11 with the common step, and on small draws
+they could collapse one step short of tol. The predictor keeps each
+side's own affine step for Mehrotra's mu_aff and sigma: a common
+predictor step cost 2 more iterations at HPPCA (20, 3) and (60, 3).
 
 Repeated correctors (Carpenter, Lustig, Mulvey & Shanno 1993; Gondzio
 1996): a solve on the factor costs a small part of factoring it, so from
 m = _CORRECTOR_MIN_M on, an iteration repeats the Mehrotra correction on
 its one factor. Each extra corrector keeps the centering target tau and
 takes its second-order term sym(Z^-1 dZ dX) from the latest direction; it
-is kept only while it lengthens the shorter step length by the factor
+is kept only while it lengthens the step length by the factor
 _CORRECTOR_GAIN, at most _MAX_CORRECTORS times per iteration, and none is
-tried once both steps are full. Its solves follow the float32 and float64
+tried once the step is full. Its solves follow the float32 and float64
 rules above. On HPPCA and random draws at d = 50-70, k = 3, the extra
 solves cut the iterations by 10-20 %, float64 ones the most; the gate sits
 past the measured break-even near m = 1,100 (d = 47 at k = 3), below which
@@ -173,13 +188,15 @@ _EIG_ABSTOL = 2.0 * dlamch("S")
 def least_eigenvalues(a):
     """Least eigenvalue of each matrix of the (count, n, n) stack a, whose
     lower triangles are read, as eigvalsh reads them. One LAPACK dsyevx call
-    per matrix computes only that eigenvalue; a 1 x 1 matrix is its own. A
-    call that fails (as on a NaN) raises LinAlgError, as does a non-finite
-    1 x 1 matrix."""
+    per matrix computes only that eigenvalue; a 1 x 1 matrix is its own.
+    A stack with a NaN or an inf anywhere raises LinAlgError before any
+    call: dsyevx can report success on one (on a NaN diagonal entry of a
+    matrix with a repeated diagonal), so its info is no gate. A call that
+    fails raises LinAlgError too."""
     a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("matrix not finite")
     if a.shape[-1] == 1:
-        if not np.isfinite(a).all():
-            raise np.linalg.LinAlgError("matrix not finite")
         return a[:, 0, 0].copy()
     out = np.empty(len(a))
     for i, m in enumerate(a):
@@ -304,7 +321,7 @@ class IpmResult:
       a block lost definiteness, or the Schur complement was not finite or
       not positive definite after every shift);
     - "overflow": a Schur solve's residual was not finite (ValueError);
-    - "step_collapse": both step lengths fell below 1e-8.
+    - "step_collapse": the common step length fell below 1e-8.
 
     single_iterations counts the iterations whose directions came from a
     float32 Schur factor, and refine_steps the refinement steps over every
@@ -396,7 +413,7 @@ _SINGLE_MIN_M = 500
 _SINGLE_RTOL = 1e-13
 _SINGLE_MAX_STEPS = 10
 # a solve that needed this many steps hands every later iteration to float64
-_SINGLE_SLOW_STEPS = 5
+_SINGLE_SLOW_STEPS = 3
 
 
 # Schur size from which an iteration repeats the Mehrotra correction on its
@@ -404,7 +421,7 @@ _SINGLE_SLOW_STEPS = 5
 # lengths cost what the saved iterations do, and the d = 40 solves slow down
 _CORRECTOR_MIN_M = 1200
 # at most this many extra correctors per iteration, each kept only when it
-# lengthens the shorter step length by the factor _CORRECTOR_GAIN
+# lengthens the common step length by the factor _CORRECTOR_GAIN
 _MAX_CORRECTORS = 2
 _CORRECTOR_GAIN = 1.01
 
@@ -552,8 +569,9 @@ def solve_ipm(
                     resid = residual(rhs, dy)
 
             def newton_step(float32):
-                """(dx, dy, dz, ap, ad) of the last corrector kept, from
-                one Schur factor: a float32 one when float32 is set."""
+                """(dx, dy, dz, alpha) of the last corrector kept, with its
+                common step length alpha, from one Schur factor: a float32
+                one when float32 is set."""
                 nonlocal schur_shift, corrector_solves
                 hf, reg = _factor_schur(lambda: ops.schur(zinv, x, float32))
                 if hf is None:
@@ -571,7 +589,8 @@ def solve_ipm(
                              - corr)
                     return dx, dy, dz
 
-                # predictor (affine scaling)
+                # predictor (affine scaling): each side's own step, for
+                # Mehrotra's mu_aff and sigma
                 dx_a, _, dz_a = direction(0.0, 0.0)
                 ap = min(1.0, _max_step(lx, dx_a))
                 ad = min(1.0, _max_step(lz, dz_a))
@@ -580,24 +599,25 @@ def solve_ipm(
                 sigma = min(1.0, max(mu_aff / mu, 0.0)) ** 3
                 tau = sigma * mu
 
-                def steps(dx, dz):
-                    return (min(1.0, step_frac * _max_step(lx, dx)),
-                            min(1.0, step_frac * _max_step(lz, dz)))
+                def step(dx, dz):
+                    """The common step length of X, y and Z."""
+                    return min(1.0, step_frac * _max_step(lx, dx),
+                               step_frac * _max_step(lz, dz))
 
                 # corrector
                 dx, dy, dz = direction(tau, sym(zinv @ dz_a @ dx_a))
-                ap, ad = steps(dx, dz)
+                alpha = step(dx, dz)
                 # repeated correctors on the same factor
                 for _ in range(correctors):
-                    if min(ap, ad) >= 1.0:
+                    if alpha >= 1.0:
                         break
                     cand = direction(tau, sym(zinv @ dz @ dx))
-                    cand_steps = steps(cand[0], cand[2])
+                    cand_alpha = step(cand[0], cand[2])
                     corrector_solves += 1
-                    if min(cand_steps) < _CORRECTOR_GAIN * min(ap, ad):
+                    if cand_alpha < _CORRECTOR_GAIN * alpha:
                         break
-                    (dx, dy, dz), (ap, ad) = cand, cand_steps
-                return dx, dy, dz, ap, ad
+                    (dx, dy, dz), alpha = cand, cand_alpha
+                return dx, dy, dz, alpha
 
             found = None
             if single:
@@ -606,19 +626,19 @@ def solve_ipm(
                     single_iterations += 1
                 except _SingleMiss:
                     single = False
-            dx, dy, dz, ap, ad = found or newton_step(False)
+            dx, dy, dz, alpha = found or newton_step(False)
         except np.linalg.LinAlgError:
             stop_reason = "factorization_lost"
             break
         except ValueError:
             stop_reason = "overflow"
             break
-        if ap < 1e-8 and ad < 1e-8:
+        if alpha < 1e-8:
             stop_reason = "step_collapse"
             break
-        x = sym(x + ap * dx)
-        z = sym(z + ad * dz)
-        y = y + ad * dy
+        x = sym(x + alpha * dx)
+        z = sym(z + alpha * dz)
+        y = y + alpha * dy
 
     return IpmResult(
         status=status,

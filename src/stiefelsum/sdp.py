@@ -110,6 +110,13 @@ def _blocks_of(primal):
     return [np.asarray(b, dtype=float) for b in primal]
 
 
+def _nonnegative_max(*values) -> float:
+    """max(0.0, *values), but NaN when any value is NaN: np.max, unlike
+    max(), propagates a NaN in any position. Adding 0.0 makes a zero
+    maximum +0.0, as max(0.0, ...) gives."""
+    return float(np.max((0.0,) + values)) + 0.0
+
+
 def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals:
     """Residuals of the five optimality conditions for a primal/dual pair.
 
@@ -123,19 +130,17 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
     xsum = x.sum(axis=0)
 
     # each check reads one end of a spectrum; lambda_max(A) = -lambda_min(-A)
-    res_primal = max(
-        0.0,
+    res_primal = _nonnegative_max(
         -float(least_eigenvalues(sym(x)).min()),
         float(np.abs(np.trace(x, axis1=1, axis2=2) - 1.0).max()),
         -float(least_eigenvalues(-sym(xsum)[None])[0]) - 1.0)
-    res_dual_eq = max(
-        0.0,
+    res_dual_eq = _nonnegative_max(
         -float(least_eigenvalues(sym(y)[None])[0]),
         float(np.linalg.norm(y - mats - z + nu[:, None, None] * eye,
                              axis=(1, 2)).max()))
     res_slack = abs(float(np.sum((eye - xsum) * y)))
     res_block = float(np.abs(np.sum(z * x, axis=(1, 2))).max())
-    res_cone = max(0.0, -float(least_eigenvalues(sym(z)).min()))
+    res_cone = _nonnegative_max(-float(least_eigenvalues(sym(z)).min()))
     return KktResiduals(res_primal, res_dual_eq, res_slack, res_block, res_cone)
 
 

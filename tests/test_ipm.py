@@ -490,6 +490,23 @@ def test_least_eigenvalues_match_the_full_spectrum(n, count, seed):
         ipm.least_eigenvalues(a)
 
 
+# a NaN on the diagonal of a matrix with a repeated diagonal, where dsyevx
+# reports success; a NaN off the diagonal, an inf, and a 1 x 1 matrix
+@pytest.mark.parametrize("diagonal,spot,bad", [
+    ((1.0, 1.0, 1.0, 1.0), (1, 1), np.nan),
+    ((2.0, 2.0, 2.0, 2.0), (2, 2), np.nan),
+    ((1.0, 2.0, 3.0, 4.0), (2, 1), np.nan),
+    ((1.0, 2.0, 3.0, 4.0), (0, 3), np.inf),
+    ((1.0,), (0, 0), -np.inf),
+])
+def test_least_eigenvalues_fail_closed(diagonal, spot, bad):
+    a = np.repeat(np.diag(diagonal)[None], 3, axis=0)
+    assert np.array_equal(ipm.least_eigenvalues(a), [min(diagonal)] * 3)
+    a[1][spot] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        ipm.least_eigenvalues(a)
+
+
 @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_stacked_factor_and_step_match_each_matrix(n, count, seed):
@@ -681,7 +698,7 @@ def test_below_the_corrector_gate_the_solve_is_unchanged(monkeypatch):
     assert _hppca_ops(40, 3, 1).m < ipm._CORRECTOR_MIN_M
     calls = _count_calls(monkeypatch, "_max_step")
     res = solve_ipm(_hppca_ops(40, 3, 1))
-    assert (res.iterations, res.single_iterations) == (13, 10)
+    assert (res.iterations, res.single_iterations) == (13, 9)
     assert res.corrector_solves == 0
     assert calls["_max_step"] == 4 * res.iterations
     # bitwise the run that allows no extra corrector at any size
@@ -710,6 +727,45 @@ def test_no_corrector_once_both_steps_are_full(monkeypatch):
     monkeypatch.setattr(ipm, "_max_step", lambda li, da: np.inf)
     res = solve_ipm(_small_ops(), max_iters=3)
     assert res.iterations > 0 and res.corrector_solves == 0
+
+
+def _alternating(s_x, s_z):
+    """A _max_step that returns s_x on the X calls and s_z on the Z calls,
+    which alternate, X first. It keeps every direction it is given in its
+    directions list."""
+    directions = []
+
+    def step(li, da):
+        directions.append(da)
+        return s_x if len(directions) % 2 else s_z
+    step.directions = directions
+    return step
+
+
+# the shorter side binds, either side; a tie; and two full steps
+@pytest.mark.parametrize("s_x,s_z", [(0.3, 2.0), (2.0, 0.3), (0.5, 0.5),
+                                     (np.inf, np.inf)])
+def test_x_y_and_z_move_by_one_step_length(s_x, s_z, monkeypatch):
+    ops = _small_ops()
+    x0, y0, z0 = ops.start()
+    step = _alternating(s_x, s_z)
+    monkeypatch.setattr(ipm, "_max_step", step)
+    res = solve_ipm(ops, max_iters=1)
+    assert (res.iterations, res.stop_reason) == (1, "max_iters")
+    # below the corrector gate: the predictor's X and Z calls, then the
+    # corrector's, whose directions the iteration takes
+    assert len(step.directions) == 4
+    dx, dz = step.directions[2:]
+    alpha = min(1.0, 0.98 * min(s_x, s_z))
+    assert np.allclose(res.x, x0 + alpha * dx, rtol=0.0, atol=1e-14)
+    assert np.allclose(res.z, z0 + alpha * dz, rtol=0.0, atol=1e-14)
+    # y moves by the same alpha: A*(dy) + dZ is the dual residual, which
+    # therefore shrinks by the factor 1 - alpha, to roundoff
+    r0 = ops.C - ops.apply_AT(y0) - z0
+    r1 = ops.C - ops.apply_AT(res.y) - res.z
+    assert np.linalg.norm(r0) > 0.1
+    assert np.linalg.norm(r1 - (1.0 - alpha) * r0) <= (
+        1e-13 * np.linalg.norm(r0))
 
 
 # a tight, a non-tight and a square (k = d, X_k the slack) draw
@@ -752,9 +808,12 @@ def test_singular_start_fails_closed(monkeypatch):
 
 
 # the exits not covered by the tests above, each forced on a tiny solve; a
-# step of 1e-7 is above the collapse threshold but makes no progress
+# step of 1e-7 is above the collapse threshold but makes no progress, and
+# a tiny Z step collapses the common step however long the X step is
 @pytest.mark.parametrize("name,patch,reason", [
     ("_max_step", lambda li, da: 1e-9, "step_collapse"),
+    pytest.param("_max_step", _alternating(1.0, 1e-9), "step_collapse",
+                 id="_max_step-tiny_z_step-step_collapse"),
     ("_max_step", lambda li, da: 1e-7, "stalled"),
     pytest.param("_solve_factor", lambda f, b: np.full_like(b, np.inf),
                  "overflow",

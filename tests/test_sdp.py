@@ -8,10 +8,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stiefelsum import ipm
+from stiefelsum import ipm, sdp
 from stiefelsum.certificate import STATUS_CERTIFIED, certify
 from stiefelsum.core import (
     ROP_TOL,
@@ -274,6 +274,64 @@ def test_tied_block_is_flagged():
     assert point.cols.shape == (2, 1)  # candidate still produced
 
 
+def _hand_pair():
+    """An exact KKT point at unit scale, so every residual is 0.0: d = 4,
+    k = 1, M = diag(1, 0.5, 0.5, 0.5), X = e1 e1', nu = 1, Y = 0 and
+    Z = I - M."""
+    m = np.diag([1.0, 0.5, 0.5, 0.5])
+    dual = SdpDualSolution(y=np.zeros((4, 4)), z_blocks=(np.eye(4) - m,),
+                           nu=np.array([1.0]), objective=-1.0)
+    return ProblemInstance((m,)), (np.diag([1.0, 0.0, 0.0, 0.0]),), dual
+
+
+def _nan_on_call(monkeypatch, n):
+    """Make the n-th least_eigenvalues call of check_kkt return NaN."""
+    calls = []
+    real = sdp.least_eigenvalues
+
+    def poisoned(a):
+        calls.append(a)
+        out = real(a)
+        if len(calls) == n + 1:
+            out[0] = np.nan
+        return out
+    monkeypatch.setattr(sdp, "least_eigenvalues", poisoned)
+
+
+# a NaN in each component of the residuals that take a maximum, the other
+# components being 0.0, where max(0.0, ...) dropped a NaN that came later:
+# the four spectrum ends (the X blocks, their sum, Y, the Z blocks) and the
+# dual equation's norm
+@pytest.mark.parametrize("component,field", [
+    ("x_blocks", "primal"), ("x_sum", "primal"), ("y", "dual_eq"),
+    ("z_blocks", "dual_cone"), ("dual_equation", "dual_eq")])
+def test_check_kkt_carries_a_nan_in_any_component(component, field,
+                                                  monkeypatch):
+    c, x, dual = _hand_pair()
+    assert check_kkt(c, x, dual) == KktResiduals(0.0, 0.0, 0.0, 0.0, 0.0)
+    if component == "dual_equation":
+        dual = dataclasses.replace(dual, nu=np.array([np.nan]))
+    else:
+        calls = ["x_blocks", "x_sum", "y", "z_blocks"]
+        _nan_on_call(monkeypatch, calls.index(component))
+    res = check_kkt(c, x, dual)
+    assert np.isnan(getattr(res, field)) and np.isnan(res.max_residual)
+    others = dataclasses.asdict(res)
+    del others[field]
+    assert set(others.values()) == {0.0}
+
+
+def test_check_kkt_fails_closed_on_a_nan_block():
+    # a NaN on the diagonal of a matrix with a repeated diagonal, which
+    # LAPACK's eigensolver alone lets through: in an X block, and in Y
+    c, x, dual = _hand_pair()
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        check_kkt(c, (np.diag([0.25, np.nan, 0.25, 0.25]),), dual)
+    y = np.diag([0.0, np.nan, 0.0, 0.0])
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        check_kkt(c, x, dataclasses.replace(dual, y=y))
+
+
 def test_kkt_max_residual_propagates_nan():
     for pos in range(5):
         fields = [0.0] * 5
@@ -342,8 +400,28 @@ def test_is_tight_takes_one_batched_eigh(monkeypatch):
     assert calls == [("eigh", (3, 6, 6)), ("eigvalsh", (6, 6))]
 
 
+# draws that ended step_collapse one step short of the IPM's tol while X
+# and Z took separate step lengths; the last is from a corpus of 2,000
+# randpsd (8, 3) draws
+COLLAPSED_DRAWS = [("randpsd", 6, 2, 6625), ("randpsd", 6, 2, 28205),
+                   ("randpsd", 4, 3, 23532), ("hppca", 6, 2, 21162),
+                   ("randpsd", 8, 3, 2932598981083430647)]
+
+
+@pytest.mark.parametrize("family,d,k,seed", COLLAPSED_DRAWS)
+def test_draws_that_collapsed_are_solved_and_tight(family, d, k, seed):
+    rep = solve_sdp(make_instance(family, d, k, {}, seed))
+    assert rep.status == STATUS_OPTIMAL, rep.meta
+    assert rep.meta["ipm"]["stop_reason"] == "converged"
+    assert is_tight(rep)
+
+
 @given(st.sampled_from(["hppca", "randpsd"]), st.integers(2, 8),
        st.integers(1, 3), st.integers(0, 2**16), st.floats(-2.0, 2.0))
+@example("randpsd", 6, 2, 6625, 0.5)
+@example("randpsd", 6, 2, 28205, -1.5)
+@example("randpsd", 4, 3, 23532, 0.5)
+@example("hppca", 6, 2, 21162, -1.5)
 @settings(max_examples=30, deadline=None)
 def test_value_bounds_stmm_and_moves_with_a_shift(family, d, k, seed, c):
     k = min(k, d)
@@ -379,6 +457,10 @@ def test_solve_is_invariant_under_scale(family, d, k, seed, c):
 
 @given(st.sampled_from(["hppca", "randpsd"]), st.integers(2, 8),
        st.integers(1, 3), st.integers(0, 2**16))
+@example("randpsd", 6, 2, 6625)
+@example("randpsd", 6, 2, 28205)
+@example("randpsd", 4, 3, 23532)
+@example("hppca", 6, 2, 21162)
 @settings(max_examples=30, deadline=None)
 def test_a_certified_point_attains_the_relaxation_value(family, d, k, seed):
     inst = make_instance(family, d, min(k, d), {}, seed)
