@@ -17,11 +17,13 @@ log-barrier path-following solve, O(k^3 d) per Newton step, stops at the
 first nu that clears the verdict's full-block slack gate, or once a bound
 proves that no nu can.
 
-A certified result is re-verified by building the induced primal/dual pair
-and checking all optimality residuals, so neither a CertifiedGlobal verdict
-nor a wrong reduction goes unverified, and a failed margin solve is the
-status NumericalFailure, as in sdp.solve_sdp. Infeasibility of the system
-is NOT a proof of suboptimality; that asymmetry is deliberate.
+The slack gate evaluates the dual pair that nu induces (_induced_pair),
+and a certified result re-verifies that same pair, with X_i = u_i u_i',
+against all optimality residuals, so neither a CertifiedGlobal verdict nor
+a wrong reduction goes unverified. A failed margin solve, or a gate that
+raises LinAlgError, is the status NumericalFailure, as in sdp.solve_sdp.
+Infeasibility of the system is NOT a proof of suboptimality; that
+asymmetry is deliberate.
 """
 
 from __future__ import annotations
@@ -82,13 +84,16 @@ class CertificateResult:
     meta: dict = field(default_factory=dict)
 
 
-def _lmi_slacks(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
-                nu: np.ndarray) -> np.ndarray:
-    """Least eigenvalue of each certificate matrix at the given nu."""
+def _induced_pair(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
+                  nu: np.ndarray):
+    """The dual pair that nu induces, Y = U (L - D_nu) U' and
+    Z_j = Y + nu_j I - M_j, and its slacks: the least eigenvalue of each
+    Z_j, then that of L - D_nu. Returns (SdpDualSolution, slacks)."""
     core_mat = u @ (lam_s - np.diag(nu)) @ u.T
-    blocks = core_mat + nu[:, None, None] * np.eye(c.d) - c.mats
-    return np.append(least_eigenvalues(sym(blocks)),
-                     least_eigenvalues(sym(lam_s - np.diag(nu))[None]))
+    z_blocks = sym(core_mat + nu[:, None, None] * np.eye(c.d) - c.mats)
+    slacks = np.append(least_eigenvalues(z_blocks),
+                       least_eigenvalues(sym(lam_s - np.diag(nu))[None]))
+    return SdpDualSolution(y=sym(core_mat), z_blocks=z_blocks, nu=nu), slacks
 
 
 def _complete_basis(u: np.ndarray) -> np.ndarray:
@@ -96,32 +101,6 @@ def _complete_basis(u: np.ndarray) -> np.ndarray:
     q = np.linalg.qr(u, mode="complete")[0]
     q[:, :u.shape[1]] = u
     return q
-
-
-@dataclass(frozen=True)
-class _Reduction:
-    """The LMI blocks in the bases [U, W V_j]: block j is
-
-        [[corner[j] + nu_j I - D_nu,  border[j]                   ],
-         [border[j]',                 nu_j I - diag(theta[j])     ]]
-
-    with corner[j] = L - U' M_j U, border[j] = -U' M_j W V_j and
-    W' M_j W = V_j diag(theta[j]) V_j'."""
-
-    corner: np.ndarray  # (k, k, k)
-    border: np.ndarray  # (k, k, d - k)
-    theta: np.ndarray  # (k, d - k)
-    v: np.ndarray  # (k, d - k, d - k)
-
-
-def _reduce(c: ProblemInstance, u: np.ndarray,
-            lam_s: np.ndarray) -> _Reduction:
-    """One eigendecomposition of size d - k per block; O(k d^3) in all."""
-    w = _complete_basis(u)[:, c.k:]
-    mw = c.mats @ w
-    theta, v = np.linalg.eigh(sym(w.T @ mw))
-    return _Reduction(corner=lam_s - u.T @ c.mats @ u,
-                      border=-(u.T @ mw) @ v, theta=theta, v=v)
 
 
 @dataclass(frozen=True)
@@ -140,26 +119,35 @@ class _Arrowheads:
     tcoef: np.ndarray  # (m, k + 1)
 
 
-def _margin_program(red: _Reduction, lam_s: np.ndarray,
-                    scale: float) -> _Arrowheads:
+def _reduce(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
+            scale: float) -> _Arrowheads:
     """The deflated margin program's LMIs, divided by scale, as one stack:
-    the k blocks, then L - D_nu. Block j is deflated by replacing its row
-    and column j with those of the identity, whose determinant factor is 1
-    and which no coordinate of z moves; L - D_nu gets a tail of ones that
-    no coordinate moves either."""
-    k, p = red.border.shape[1:]
+    the k blocks, then L - D_nu. With W' M_j W = V_j diag(theta_j) V_j',
+    block j in the basis [U, W V_j] is
+
+        [[L - U' M_j U + nu_j I - D_nu,  -U' M_j W V_j          ],
+         [(-U' M_j W V_j)',              nu_j I - diag(theta_j)  ]]
+
+    and it is deflated by replacing its row and column j with those of the
+    identity, whose determinant factor is 1 and which no coordinate of z
+    moves; L - D_nu gets a tail of ones that no coordinate moves either.
+    One eigendecomposition of size d - k per block; O(k d^3) in all."""
+    k, p = c.k, c.d - c.k
+    w = _complete_basis(u)[:, k:]
+    mw = c.mats @ w
+    theta, v = np.linalg.eigh(sym(w.T @ mw))
     e = np.eye(k + 1)  # e[:k] are the nu coordinates, e[k] is t
     j = np.arange(k)
-    corner = np.append(red.corner, lam_s[None], axis=0) / scale
+    corner = np.append(lam_s - u.T @ c.mats @ u, lam_s[None], axis=0) / scale
     ccoef = np.append(e[:k, None] - e[:k] - e[k], (-e[:k] - e[k])[None],
                       axis=0)
-    border = np.append(red.border, np.zeros((1, k, p)), axis=0) / scale
+    border = np.append(-(u.T @ mw) @ v, np.zeros((1, k, p)), axis=0) / scale
     corner[j, j], corner[j, :, j] = 0.0, 0.0
     corner[j, j, j] = 1.0
     ccoef[j, j] = 0.0
     border[j, j] = 0.0
     return _Arrowheads(corner, ccoef, border,
-                       np.append(red.theta / scale, -np.ones((1, p)), axis=0),
+                       np.append(theta / scale, -np.ones((1, p)), axis=0),
                        np.append(e[:k] - e[k], np.zeros((1, k + 1)), axis=0))
 
 
@@ -307,10 +295,12 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     within KKT_TOL. Every gate, the stationarity flag and the multiplier
     gate included, is relative to s = c.gate_unit, which the instance
     computes once. Weak stationarity of u_bar does not abort the
-    computation; it only flags the result. A failed margin solve is
-    reported, not raised: status NumericalFailure, no witness, NaN t_star
-    and slacks. meta["reason"] names the gate that decided against
-    certification ("" for a certified point), and meta["ipm"] is the
+    computation; it only flags the result. A failed margin solve, or a
+    gate evaluation that raises LinAlgError (as on a gate matrix that is
+    not finite), is reported, not raised: status NumericalFailure, no
+    witness, NaN t_star and slacks, and meta["reason"] names the cause.
+    Otherwise meta["reason"] names the gate that decided against
+    certification ("" for a certified point). meta["ipm"] is the
     margin solve's _MarginRun.summary(); its status is "feasible" when the
     slack gate cleared, "infeasible" when the bound stop fired and
     "optimal" when the solve ran to MARGIN_TOL, and it is absent when the
@@ -336,46 +326,45 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
             status=status, nu_witness=nu, min_eig_slacks=slacks, t_star=t_star,
             precondition_weak=weak, kkt_residuals=kkt, meta=meta)
 
-    # necessary condition: L - D_nu >= 0 with nu >= 0 forces L >= 0
-    lam_min = float(np.linalg.eigvalsh(lam_s)[0])
-    if lam_min < -_PRECONDITION_TOL * s:
-        return verdict("multiplier matrix indefinite",
-                       _lmi_slacks(c, u, lam_s, np.zeros(c.k)), lam_min)
+    def failure(reason):  # a failed solve has no verdict
+        return verdict(reason, np.full(c.k + 1, np.nan), float("nan"),
+                       STATUS_NUMERICAL_FAILURE)
 
-    scale = max(s, float(np.linalg.norm(lam_s, 2)))
-    lmis = _margin_program(_reduce(c, u, lam_s), lam_s, scale)
-    tried = {}  # the slacks at the last iterate the gate was tried on
+    try:
+        # necessary condition: L - D_nu >= 0 with nu >= 0 forces L >= 0
+        lam_min = float(np.linalg.eigvalsh(lam_s)[0])
+        if lam_min < -_PRECONDITION_TOL * s:
+            return verdict("multiplier matrix indefinite",
+                           _induced_pair(c, u, lam_s, np.zeros(c.k))[1],
+                           lam_min)
 
-    def clears(z):  # the verdict's slack gate
-        tried["slacks"] = _lmi_slacks(c, u, lam_s, z[:c.k] * scale)
-        return tried["slacks"].min() >= -CERT_TOL * s
+        scale = max(s, float(np.linalg.norm(lam_s, 2)))
+        tried = {}  # the pair and slacks of the last iterate the gate saw
 
-    res = _margin_solve(lmis, -CERT_TOL * s / scale, clears)
-    meta["ipm"] = res.summary(scale)
-    # a failed solve has no verdict: nothing here reads as certified
-    if res.status == "numerical_failure":
-        return verdict("feasibility solve stalled", np.full(c.k + 1, np.nan),
-                       float("nan"), STATUS_NUMERICAL_FAILURE)
+        def clears(z):  # the verdict's slack gate
+            tried["pair"] = _induced_pair(c, u, lam_s, z[:c.k] * scale)
+            return tried["pair"][1].min() >= -CERT_TOL * s
 
-    nu = res.z[:c.k] * scale
-    # a "feasible" stop returns the z its last gate call was made at
-    slacks = (tried["slacks"] if res.status == "feasible"
-              else _lmi_slacks(c, u, lam_s, nu))
-    t_star = float(slacks.min())
-    if not t_star >= -CERT_TOL * s:  # NaN fails too
-        return verdict("least slack below -CERT_TOL * s", slacks, t_star)
+        res = _margin_solve(_reduce(c, u, lam_s, scale),
+                            -CERT_TOL * s / scale, clears)
+        meta["ipm"] = res.summary(scale)
+        if res.status == "numerical_failure":
+            return failure("feasibility solve stalled")
 
-    # rebuild the induced optimal pair and verify before claiming anything
-    y_mat = sym(u @ (lam_s - np.diag(nu)) @ u.T)
-    z_blocks = tuple(sym(y_mat + nu[:, None, None] * np.eye(c.d) - c.mats))
-    x_blocks = [np.outer(u[:, i], u[:, i]) for i in range(c.k)]
-    dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks, nu=nu,
-                           objective=-(float(np.trace(y_mat)) + float(np.sum(nu))))
-    kkt = check_kkt(c, x_blocks, dual)
+        # a "feasible" stop returns the z its last gate call was made at
+        dual, slacks = (tried["pair"] if res.status == "feasible" else
+                        _induced_pair(c, u, lam_s, res.z[:c.k] * scale))
+        t_star = float(slacks.min())
+        if not t_star >= -CERT_TOL * s:  # NaN fails too
+            return verdict("least slack below -CERT_TOL * s", slacks, t_star)
+        # verify the induced pair against X_i = u_i u_i' before claiming
+        kkt = check_kkt(c, u.T[:, :, None] * u.T[:, None, :], dual)
+    except np.linalg.LinAlgError as exc:  # as on a gate matrix not finite
+        return failure(f"gate evaluation failed: {exc}")
     if not kkt.max_residual <= KKT_TOL:  # NaN fails too
         return verdict("constructed pair failed verification", slacks,
                        t_star, kkt=kkt)
-    return verdict("", slacks, t_star, STATUS_CERTIFIED, nu=nu, kkt=kkt)
+    return verdict("", slacks, t_star, STATUS_CERTIFIED, nu=dual.nu, kkt=kkt)
 
 
 def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,

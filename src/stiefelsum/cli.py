@@ -101,8 +101,7 @@ def _report_doc(rep) -> dict:
     return {
         "status": rep.status,
         "value": rep.value,
-        "primal_objective": rep.primal.objective,
-        "dual_objective": rep.dual.objective,
+        "dual_value": rep.dual.value,
         "gap": rep.gap,
         "rop_err": rep.rop_err,
         "kkt": asdict(rep.kkt_residuals),

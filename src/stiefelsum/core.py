@@ -87,14 +87,6 @@ class StiefelPoint:
             raise ValueError(f"columns not orthonormal: ||U'U - I||_F = {err:.3e}")
         object.__setattr__(self, "cols", _readonly(cols))
 
-    @property
-    def d(self) -> int:
-        return self.cols.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.cols.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
@@ -133,8 +125,13 @@ class ProblemInstance:
     def gate_unit(self) -> float:
         """s = max(1, max_i ||M_i||_2), the unit of every verdict gate that
         carries the units of the M_i; it is 1 for normalized inputs. The
-        M_i are read-only, so it is computed once per instance."""
-        return max(1.0, float(spectral_norms(self.mats).max()))
+        M_i are read-only, so it is computed once per instance. Finite
+        entries can still have a spectral norm that overflows: such an
+        instance has no unit and is bad input (ValueError)."""
+        s = float(spectral_norms(self.mats).max())
+        if not np.isfinite(s):
+            raise ValueError("spectral norm overflows: instance has no unit")
+        return max(1.0, s)
 
 
 def commuting_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -193,14 +193,9 @@ def goldman_tucker_dual(diag_values: np.ndarray,
     if primal.ties:
         raise TieError("optimal assignment is not unique within %g" % TIE_TOL)
     y, nu, z = primal.dual
-    y_mat = np.diag(y)
-    z_blocks = tuple(np.diag(z[i]) for i in range(m.shape[0]))
-    return SdpDualSolution(
-        y=y_mat,
-        z_blocks=z_blocks,
-        nu=np.asarray(nu, dtype=float),
-        objective=-(float(np.sum(y)) + float(np.sum(nu))),
-    )
+    return SdpDualSolution(y=np.diag(y),
+                           z_blocks=z[:, None] * np.eye(m.shape[1]),
+                           nu=np.asarray(nu, dtype=float))
 
 
 def perturb_instance(c: ProblemInstance, scale: float,

@@ -6,8 +6,11 @@ with Y = M_i + Z_i - nu_i I blockwise. This module solves both, checks the
 five KKT residuals, extracts orthonormal candidates from the primal blocks,
 and decides whether a solve is tight.
 
-Sign convention: the solver minimizes the negated objective; reports expose
-the minimization optimum p* and the maximized value -p*.
+Sign convention: reports are in the maximization's sign, as the paper
+states the relaxation and its dual. The primal value is sum_i <M_i, X_i>
+and the dual value tr Y + sum_i nu_i, which bounds every Stiefel objective
+from above. Only the interior-point solver (ipm) minimizes the negated
+objective, and solve_sdp maps its output back in one place.
 """
 
 from __future__ import annotations
@@ -42,23 +45,25 @@ RANK_TOL = 1e-7
 
 @dataclass(frozen=True)
 class SdpPrimalSolution:
-    """Primal blocks X_i and the minimization optimum p*."""
+    """The primal blocks X_i as one (k, d, d) stack, and its value
+    sum_i <M_i, X_i>."""
 
-    x_blocks: tuple
-    objective: float
-
-    @property
-    def value(self) -> float:
-        # the maximized quadratic-sum value
-        return -self.objective
+    x_blocks: np.ndarray
+    value: float
 
 
 @dataclass(frozen=True)
 class SdpDualSolution:
+    """The dual (Y, Z_i, nu_i), with the Z_i as one (k, d, d) stack."""
+
     y: np.ndarray
-    z_blocks: tuple
+    z_blocks: np.ndarray
     nu: np.ndarray
-    objective: float
+
+    @property
+    def value(self) -> float:
+        """tr Y + sum_i nu_i, the dual objective."""
+        return float(np.trace(self.y)) + float(np.sum(self.nu))
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,10 @@ class KktResiduals:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """A relaxation solve: its primal and dual, in the maximization's
+    sign, gap = |primal value - dual value|, and the checks behind status.
+    """
+
     status: str
     primal: SdpPrimalSolution
     dual: SdpDualSolution
@@ -102,12 +111,14 @@ class SolveReport:
         return self.primal.value
 
 
-def _blocks_of(primal):
+def _blocks_of(primal) -> np.ndarray:
+    """The (k, d, d) block stack of a report, a primal or a sequence of
+    blocks."""
     if isinstance(primal, SolveReport):
-        return list(primal.primal.x_blocks)
+        primal = primal.primal
     if isinstance(primal, SdpPrimalSolution):
-        return list(primal.x_blocks)
-    return [np.asarray(b, dtype=float) for b in primal]
+        return primal.x_blocks
+    return np.asarray(primal, dtype=float)
 
 
 def _nonnegative_max(*values) -> float:
@@ -122,10 +133,10 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
 
     The M_i and the dual are divided by s = c.gate_unit first, so the four
     dual-side residuals are in units of s and cannot overflow."""
-    x = np.array(_blocks_of(primal))
+    x = _blocks_of(primal)
     s = c.gate_unit
     mats = c.mats / s
-    y, z, nu = dual.y / s, np.array(dual.z_blocks) / s, dual.nu / s
+    y, z, nu = dual.y / s, dual.z_blocks / s, dual.nu / s
     eye = np.eye(c.d)
     xsum = x.sum(axis=0)
 
@@ -145,7 +156,8 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
 
 
 def _status_from(res, gap, kkt_max, p, dd):
-    # written as "not x <= tol" so that NaN fails every gate
+    # written as "not x <= tol" so that NaN fails every gate; p and dd are
+    # the primal and dual values
     reasons = []
     if res.status != "optimal":
         reasons.append("solver did not converge")
@@ -176,10 +188,12 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     solved on the iterations' factors (corrector_solves). A report is never
     labeled Optimal unless the duality gap and all five KKT residuals
     (check_kkt's, relative to c.gate_unit) pass GAP_TOL and KKT_TOL;
-    meta["reason"] names the gates that failed ("" for none).
+    meta["reason"] names the gates that failed ("" for none). An instance
+    whose spectral norm overflows raises ValueError (gate_unit) first.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
+    c.gate_unit  # raises on bad input before any other work
     # at k = d the coupling forces X_k = I - sum_{i<k} X_i: the relaxation
     # of the blocks M_i - M_k, i < k, whose slack is X_k
     mats = c.mats[:-1] - c.mats[-1] if c.k == c.d else c.mats
@@ -188,9 +202,11 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     res = solve_ipm(ops, tol=cfg.sdp_tol, max_iters=cfg.sdp_max_iters,
                     step_frac=cfg.step_frac)
 
-    # at k = d, X_k and Z_k are the slack and its dual Y'
-    x_blocks = tuple(sym(res.x[:c.k]))
-    z_blocks = tuple(sym(res.z[:c.k]) * scale)
+    # back to the maximization's sign: the IPM minimized the negated
+    # objective, so the nu_i are its negated trace multipliers, unscaled
+    # and unshifted; at k = d, X_k and Z_k are the slack and its dual Y'
+    x_blocks = sym(res.x[:c.k])
+    z_blocks = sym(res.z[:c.k]) * scale
     y_mat = sym(res.z[-1]) * scale
     nu = -res.y[:ops.k] * scale - shift
     if ops.k < c.k:
@@ -200,17 +216,17 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
         y_mat = y_mat + c.mats[-1] - nu_k * np.eye(c.d)
         nu = np.append(nu + nu_k, nu_k)
 
-    p = -sum(float(np.sum(m * x)) for m, x in zip(c.mats, x_blocks))
-    dd = -(float(np.trace(y_mat)) + float(np.sum(nu)))
+    p = sum(float(np.sum(m * x)) for m, x in zip(c.mats, x_blocks))
+    dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks, nu=nu)
+    dd = dual.value
     gap = abs(p - dd)
 
-    dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks, nu=nu, objective=dd)
     kkt = check_kkt(c, x_blocks, dual)
     status, reason = _status_from(res, gap, kkt.max_residual, p, dd)
 
     return SolveReport(
         status=status,
-        primal=SdpPrimalSolution(x_blocks=x_blocks, objective=p),
+        primal=SdpPrimalSolution(x_blocks=x_blocks, value=p),
         dual=dual,
         gap=gap,
         kkt_residuals=kkt,
@@ -236,8 +252,7 @@ def is_tight(report: SolveReport) -> bool:
     computed here, from one batched eigendecomposition of the blocks."""
     if report.status != STATUS_OPTIMAL or not report.rop_err <= ROP_TOL:
         return False
-    return orthogonal_rank_one(np.array(report.primal.x_blocks),
-                               SOLVER_ORTH_TOL)
+    return orthogonal_rank_one(report.primal.x_blocks, SOLVER_ORTH_TOL)
 
 
 def extract_candidate(primal):
@@ -255,7 +270,7 @@ def extract_candidate(primal):
 
 def dual_rank_profile(dual: SdpDualSolution) -> np.ndarray:
     """Numerical rank of each Z_i: eigenvalues above RANK_TOL * ||Z_i||."""
-    z = sym(np.array(dual.z_blocks))
+    z = sym(dual.z_blocks)
     nrm = spectral_norms(z)
     # an all-zero Z_i has no eigenvalue above 0 = RANK_TOL * 0: rank 0
     return np.sum(np.linalg.eigvalsh(z) > RANK_TOL * nrm[:, None], axis=1)

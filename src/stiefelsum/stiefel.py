@@ -51,9 +51,11 @@ _ANDERSON_DEPTH = 3
 class SolverConfig:
     """Shared knobs for the manifold solver and the relaxation backend.
 
-    max_iters/grad_tol drive the ascent iteration; the sdp_* fields and
-    step_frac configure the interior-point backend. The gates that label a
-    report Optimal are fixed constants in the sdp module, not knobs.
+    max_iters/grad_tol drive the ascent iteration; grad_tol is in units of
+    the instance's gate unit s (core.ProblemInstance.gate_unit). The sdp_*
+    fields and step_frac configure the interior-point backend. The gates
+    that label a report Optimal are fixed constants in the sdp module, not
+    knobs.
     """
 
     max_iters: int = 2000
@@ -152,7 +154,9 @@ def _newton_point(mats: np.ndarray, u: np.ndarray, g: np.ndarray,
 
     with H = blockdiag(2 M_i) - sym(U'G) (x) I_d, the Euclidean Hessian
     shifted by the curvature term, and N spanning the normal space
-    {U A : A symmetric}; vec stacks the columns of eta. A singular,
+    {U A : A symmetric}; vec stacks the columns of eta. Dividing M_i, G
+    and rgrad by one scalar leaves eta unchanged, so stmm_solve passes
+    them in units of s, which keeps H of the order of N. A singular,
     ill-conditioned or non-finite system gives None.
     """
     d, k = u.shape
@@ -222,12 +226,15 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
     Every step, MM, Anderson or Newton, counts against cfg.max_iters and
     appends one objective and gradient norm; the indices of the Anderson
     and Newton steps are recorded in accelerated_steps and newton_steps.
-    Stops when the Riemannian gradient norm drops below cfg.grad_tol or at
-    cfg.max_iters. A rank-deficient gradient is perturbed by 1e-12 U and
-    the step index recorded in degenerate_steps.
+    Stops when the Riemannian gradient norm drops below cfg.grad_tol * s,
+    s = c.gate_unit, or at cfg.max_iters, so that scaling the M_i changes
+    no step. A rank-deficient gradient is perturbed by 1e-12 U and the step
+    index recorded in degenerate_steps.
     """
     cfg = cfg or SolverConfig()
-    switch = NEWTON_SWITCH * c.gate_unit
+    s = c.gate_unit
+    switch, stop = NEWTON_SWITCH * s, cfg.grad_tol * s
+    mats_s = c.mats / s  # the Newton system in units of s
     u = _cols(u0)
     g, f, rg = _evaluate(c.mats, u)
     objs = []
@@ -242,7 +249,7 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
     for t in range(cfg.max_iters + 1):
         objs.append(f)
         gnorms.append(float(np.linalg.norm(rg)))
-        if gnorms[-1] <= cfg.grad_tol:
+        if gnorms[-1] <= stop:
             status = STATUS_STATIONARY
             break
         if t == cfg.max_iters:
@@ -250,7 +257,7 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
         if wait:
             wait -= 1
         elif gnorms[-1] <= switch:
-            cand = _newton_point(c.mats, u, g, rg)
+            cand = _newton_point(mats_s, u, g / s, rg / s)
             if cand is not None:
                 g_new, f_new, rg_new = _evaluate(c.mats, cand)
                 if f_new >= f and np.linalg.norm(rg_new) < gnorms[-1]:

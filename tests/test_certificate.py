@@ -11,8 +11,7 @@ from stiefelsum.certificate import (
     CERT_TOL,
     VALUE_MARGIN,
     _complete_basis,
-    _lmi_slacks,
-    _margin_program,
+    _induced_pair,
     _margin_solve,
     _reduce,
     certify,
@@ -126,9 +125,9 @@ def _report(blocks, status="Optimal"):
     zero = np.zeros((d, d))
     return SolveReport(
         status=status,
-        primal=SdpPrimalSolution(x_blocks=tuple(blocks), objective=0.0),
-        dual=SdpDualSolution(y=zero, z_blocks=(zero,) * k,
-                             nu=np.zeros(k), objective=0.0),
+        primal=SdpPrimalSolution(x_blocks=np.array(blocks), value=0.0),
+        dual=SdpDualSolution(y=zero, z_blocks=np.zeros((k, d, d)),
+                             nu=np.zeros(k)),
         gap=0.0, kkt_residuals=KktResiduals(0.0, 0.0, 0.0, 0.0, 0.0),
         iterations=0, wall_time=0.0, rop_err=rop_error(blocks))
 
@@ -232,23 +231,27 @@ def _random_setup(d, k, seed):
 def test_arrowheads_are_the_lmi_blocks_in_the_eigenbases(d, k, seed):
     k = min(k, d)
     c, u, lam_s, nu, t = _random_setup(d, k, seed)
-    red = _reduce(c, u, lam_s)
     q = _complete_basis(u)
     assert np.array_equal(q[:, :k], u)
     assert np.allclose(q.T @ q, np.eye(d), atol=1e-14)
     scale = 2.5
-    lmis = _margin_program(red, lam_s, scale)
+    lmis = _reduce(c, u, lam_s, scale)
     z = np.append(nu, t) / scale
     core_mat = u @ (lam_s - np.diag(nu)) @ u.T
     for j, m in enumerate(c.mats):
         # block j of the LMI system, less t I, in the basis [U, W V_j]
+        # with W' M_j W = V_j diag(theta_j) V_j'
+        w = q[:, k:]
+        theta, v = np.linalg.eigh(sym(w.T @ m @ w))
+        border = -u.T @ m @ w @ v
         arrow = np.zeros((d, d))
-        arrow[:k, :k] = red.corner[j] - np.diag(nu) + (nu[j] - t) * np.eye(k)
-        arrow[:k, k:] = red.border[j]
-        arrow[k:, :k] = red.border[j].T
-        arrow[k:, k:] = np.diag(nu[j] - t - red.theta[j])
+        arrow[:k, :k] = (lam_s - u.T @ m @ u - np.diag(nu)
+                         + (nu[j] - t) * np.eye(k))
+        arrow[:k, k:] = border
+        arrow[k:, :k] = border.T
+        arrow[k:, k:] = np.diag(nu[j] - t - theta)
         basis = np.eye(d)
-        basis[k:, k:] = red.v[j]
+        basis[k:, k:] = v
         lmi = core_mat + (nu[j] - t) * np.eye(d) - m
         assert np.allclose(basis @ arrow @ basis.T, q.T @ lmi @ q,
                            atol=1e-12)
@@ -273,8 +276,8 @@ def test_deflated_blocks_bound_the_full_blocks(d, k, seed):
     # least eigenvalue is at least the full block's (Cauchy interlacing)
     k = min(k, d)
     c, u, lam_s, nu, _ = _random_setup(d, k, seed)
-    lmis = _margin_program(_reduce(c, u, lam_s), lam_s, 1.0)
-    slacks = _lmi_slacks(c, u, lam_s, nu)
+    lmis = _reduce(c, u, lam_s, 1.0)
+    slacks = _induced_pair(c, u, lam_s, nu)[1]
     for j in range(k):
         keep = np.arange(d) != j
         block = _arrowhead(lmis, j, np.append(nu, 0.0))[np.ix_(keep, keep)]
@@ -299,10 +302,11 @@ def test_bound_stop_never_fires_on_a_certifiable_point(family, d, k, steps,
     lam_s = sym(lambda_matrix(c, u).matrix)
     s = c.gate_unit
     scale = max(s, np.linalg.norm(lam_s, 2))
-    lmis = _margin_program(_reduce(c, u, lam_s), lam_s, scale)
+    lmis = _reduce(c, u, lam_s, scale)
 
     def clears(z):
-        return _lmi_slacks(c, u, lam_s, z[:k] * scale).min() >= -CERT_TOL * s
+        slacks = _induced_pair(c, u, lam_s, z[:k] * scale)[1]
+        return slacks.min() >= -CERT_TOL * s
 
     floor = -CERT_TOL * s / scale
     bounded = _margin_solve(lmis, floor, clears)
@@ -358,9 +362,9 @@ def test_feasibility_solve_stops_once_the_gate_clears(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return _lmi_slacks(*args)
+        return _induced_pair(*args)
 
-    monkeypatch.setattr(certificate, "_lmi_slacks", counting)
+    monkeypatch.setattr(certificate, "_induced_pair", counting)
     res = certify(c, u)
     assert res.status == "CertifiedGlobal"
     assert res.meta["ipm"]["status"] == "feasible"
@@ -371,10 +375,10 @@ def test_feasibility_solve_stops_once_the_gate_clears(monkeypatch):
     assert 1 <= len(calls) <= res.meta["ipm"]["iterations"] + 1
     lam_s = sym(lambda_matrix(c, u).matrix)
     assert np.array_equal(res.min_eig_slacks,
-                          _lmi_slacks(c, u.cols, lam_s, res.nu_witness))
+                          _induced_pair(c, u.cols, lam_s, res.nu_witness)[1])
     # the same program with a gate that never clears runs on to MARGIN_TOL
     scale = max(c.gate_unit, np.linalg.norm(lam_s, 2))
-    lmis = _margin_program(_reduce(c, u.cols, lam_s), lam_s, scale)
+    lmis = _reduce(c, u.cols, lam_s, scale)
     full = _margin_solve(lmis, -np.inf, lambda z: False)
     assert full.status == "optimal"
     assert res.meta["ipm"]["iterations"] < full.iterations
@@ -399,3 +403,79 @@ def test_verdicts_do_not_depend_on_the_units(a):
     assert res.status == "Inconclusive" and not res.precondition_weak
     rep = solve_sdp(pair)
     assert classify_inconclusive(pair, swapped, rep) == "SuboptimalStationary"
+
+
+_barrier = certificate._barrier
+
+
+def _no_trial_point(a, z, derivatives=False):
+    """_barrier at the iterates, None at every line-search trial point."""
+    return _barrier(a, z, derivatives) if derivatives else None
+
+
+def _nan_factor(build):
+    return np.full_like(build(), np.nan), 0.0
+
+
+def _unfactorable(build):
+    raise np.linalg.LinAlgError("not positive definite")
+
+
+# each numerical_failure exit of _margin_solve: no barrier value at the
+# start, an unfactorable Newton system, a non-finite Newton decrement, the
+# step cap, and a line search that finds no interior point
+@pytest.mark.parametrize("name,patch", [
+    ("_barrier", lambda *args, **kwargs: None),
+    ("_factor_schur", _unfactorable),
+    ("_factor_schur", _nan_factor),
+    ("_MAX_NEWTON", 0),
+    ("_barrier", _no_trial_point),
+])
+def test_every_margin_solve_failure_is_a_status(monkeypatch, name, patch):
+    c = gen_separated_diagonal(6, 2, seed=6)
+    u = StiefelPoint(np.eye(6)[:, :2])  # certified when nothing is patched
+    monkeypatch.setattr(certificate, name, patch)
+    res = certify(c, u)
+    assert res.status == STATUS_NUMERICAL_FAILURE
+    assert res.nu_witness is None and np.isnan(res.t_star)
+    assert np.isnan(res.min_eig_slacks).all()
+    assert res.meta["reason"] == "feasibility solve stalled"
+    assert res.meta["ipm"]["status"] == "numerical_failure"
+
+
+def test_barrier_is_none_where_its_value_overflows():
+    # one 1 x 1 corner: at nu = 1.5e308 its diagonal overflows to inf,
+    # which Cholesky passes, so the log det is what is not finite
+    lmis = certificate._Arrowheads(
+        corner=np.array([[[1.5e308]]]), ccoef=np.array([[[1.0, 0.0]]]),
+        border=np.zeros((1, 1, 1)), theta=np.zeros((1, 1)),
+        tcoef=np.array([[1.0, 0.0]]))
+    assert np.isfinite(_barrier(lmis, np.array([1.0, 0.0])))
+    with np.errstate(over="ignore"):
+        assert _barrier(lmis, np.array([1.5e308, 0.0])) is None
+
+
+def test_a_pair_that_fails_verification_is_not_certified(monkeypatch):
+    c = gen_separated_diagonal(6, 2, seed=6)
+    bad = KktResiduals(1.0, 0.0, 0.0, 0.0, 0.0)
+    monkeypatch.setattr(certificate, "check_kkt", lambda *args: bad)
+    res = certify(c, StiefelPoint(np.eye(6)[:, :2]))
+    assert res.status == "Inconclusive" and res.nu_witness is None
+    assert res.meta["reason"] == "constructed pair failed verification"
+    assert res.kkt_residuals is bad
+    assert res.t_star >= -CERT_TOL * c.gate_unit
+
+
+def _overflowing_gates():
+    """Finite M_i whose induced pair overflows at the point e_2, e_3."""
+    c = ProblemInstance((np.diag([8.9e307, 8.9e307, 0.0]),
+                         np.diag([-8.9e307, 0.0, 8.9e307])))
+    return c, StiefelPoint(np.eye(3)[:, [1, 2]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_gate_matrices_are_a_status():
+    res = certify(*_overflowing_gates())
+    assert res.status == STATUS_NUMERICAL_FAILURE
+    assert res.nu_witness is None and np.isnan(res.t_star)
+    assert res.meta["reason"] == "gate evaluation failed: matrix not finite"

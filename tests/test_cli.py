@@ -4,11 +4,12 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from stiefelsum import cli, harness
 from stiefelsum.cli import build_parser, main
-from stiefelsum.core import load_instance
+from stiefelsum.core import ProblemInstance, load_instance, save_instance
 
 SWEEP = ["cjd-sweep", "--sigmas", "0", "--d", "6", "--k", "2", "--trials", "1"]
 BENCH = ["bench", "--d", "6", "--k", "2", "--trials", "1"]
@@ -420,3 +421,67 @@ def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--help"])
     assert exc.value.code == 0
+
+
+def test_solve_sdp_reports_one_dual_value_and_saves_the_primal(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--family", "cjd",
+          "--params", '{"d": 6, "k": 2, "sigma": 0.0}',
+          "--out", str(inst_path)])
+    rep_path, x_path = tmp_path / "rep.json", tmp_path / "x.npz"
+    assert main(["solve-sdp", "--instance", str(inst_path),
+                 "--out", str(rep_path), "--save-primal", str(x_path)]) == 0
+    rep = json.loads(rep_path.read_text())
+    # both values in the maximization's sign: the dual bounds the primal
+    assert "primal_objective" not in rep and "dual_objective" not in rep
+    assert abs(rep["dual_value"] - rep["value"]) <= rep["gap"] + 1e-15
+    with np.load(x_path) as saved:
+        assert sorted(saved.files) == ["x0", "x1"]
+        blocks = np.array([saved["x0"], saved["x1"]])
+    inst = load_instance(inst_path)
+    assert np.sum(inst.mats * blocks) == pytest.approx(rep["value"],
+                                                       abs=1e-12)
+
+
+def test_certify_classifies_an_inconclusive_point(tmp_path):
+    # a randpsd draw whose relaxation is not tight: the relaxation's
+    # polished candidate cannot be certified, and the report says why
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--family", "randpsd", "--params", '{"d": 8, "k": 4}',
+          "--seed", "10", "--out", str(inst_path)])
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify", "--instance", str(inst_path),
+                 "--out", str(cert_path)]) == 0
+    doc = json.loads(cert_path.read_text())
+    assert doc["status"] == "Inconclusive"
+    assert doc["classification"] == "SdpNotTight"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_certify_exits_2_on_non_finite_gate_matrices(tmp_path):
+    inst = ProblemInstance((np.diag([8.9e307, 8.9e307, 0.0]),
+                            np.diag([-8.9e307, 0.0, 8.9e307])))
+    inst_path, pt_path = tmp_path / "inst.json", tmp_path / "pt.json"
+    save_instance(inst, inst_path)
+    pt_path.write_text(json.dumps({"u": np.eye(3)[:, [1, 2]].tolist()}))
+    cert_path = tmp_path / "cert.json"
+    argv = ["certify", "--instance", str(inst_path), "--point", str(pt_path),
+            "--out", str(cert_path)]
+    assert main(argv) == 2
+    doc = json.loads(cert_path.read_text())
+    assert doc["status"] == "NumericalFailure"
+    assert doc["reason"] == "gate evaluation failed: matrix not finite"
+    assert main(argv + ["--tolerate-failures"]) == 0
+
+
+def test_cjd_sweep_over_sample_sizes(tmp_path):
+    argv = ["cjd-sweep", "--n1", "40", "--d", "6", "--k", "2", "--trials",
+            "1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    (rec,) = [json.loads(line) for line in
+              (tmp_path / "sweep_records.jsonl").read_text().splitlines()]
+    # --n1 sweeps the hppca family's group sizes [n1, 4 n1]
+    assert rec["family"] == "hppca" and rec["sweep_value"] == 40
+    assert rec["sdp_status"] == "Optimal" and "error" not in rec
+    rows = (tmp_path / "sweep_curve.tsv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split("\t")[2] == "40"

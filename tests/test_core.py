@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiefelsum import core
+from stiefelsum.certificate import certify
 from stiefelsum.core import (
     ORTH_TOL,
     ProblemInstance,
@@ -23,6 +24,8 @@ from stiefelsum.core import (
     sym,
     top_eigenpairs,
 )
+from stiefelsum.sdp import solve_sdp
+from stiefelsum.stiefel import stmm_solve
 
 
 def _rand_sym(rng, d):
@@ -108,6 +111,17 @@ def test_problem_instance_validation():
     with pytest.raises(ValueError):
         ProblemInstance((np.eye(2), np.array([[1.0, np.nan], [np.nan, 0.0]])))
     assert np.allclose(spectral_norms(c.mats), [4.0, 1.0])
+
+
+def test_an_overflowing_spectral_norm_is_bad_input():
+    # finite entries whose spectral norm, 1.8e308, overflows: the instance
+    # has no gate unit, and each solver says so before any other work
+    c = ProblemInstance((6e307 * np.ones((3, 3)), np.eye(3)))
+    u0 = StiefelPoint(np.eye(3)[:, :2])
+    for solve in (solve_sdp, certify, stmm_solve):
+        args = (c,) if solve is solve_sdp else (c, u0)
+        with pytest.raises(ValueError, match="spectral norm overflows"):
+            solve(*args)
 
 
 def _assert_one_readonly_stack(c, k, d):

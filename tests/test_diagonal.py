@@ -68,7 +68,7 @@ def test_goldman_tucker_ranks_and_kkt():
     primal = tuple(np.outer(eye[:, j], eye[:, j]) for j in sol.assignment)
     res = check_kkt(c, primal, dual)
     assert res.max_residual <= 1e-9
-    assert dual.objective == pytest.approx(-sol.value, abs=1e-9)
+    assert dual.value == pytest.approx(sol.value, abs=1e-9)
 
 
 def test_goldman_tucker_rejects_ties():

@@ -15,6 +15,7 @@ from stiefelsum.harness import (
     run_cjd_sweep,
     run_rop_table,
     subspace_distance,
+    sweep_trial,
     trial_seeds,
     write_csv,
     write_jsonl,
@@ -173,6 +174,17 @@ def test_sweep_markers_on_commuting_family():
         assert 0 <= r["stmm_accelerated_steps"] <= r["stmm_iterations"]
         assert (r["stmm_newton_steps"] + r["stmm_accelerated_steps"]
                 <= r["stmm_iterations"])
+
+
+def test_sweep_classifies_an_inconclusive_certificate():
+    # a randpsd draw whose relaxation is not tight: StMM's point cannot be
+    # certified, and the record says why
+    rec = sweep_trial(("randpsd", 8, 4, {}, 10))
+    assert rec["sdp_status"] == "Optimal" and not rec["tight"]
+    assert rec["certificate"] == "Inconclusive"
+    assert rec["certificate_reason"] == "least slack below -CERT_TOL * s"
+    assert rec["classification"] == "SdpNotTight"
+    assert not harness.failed(rec)
 
 
 def test_sweep_cell_of_failed_trials_has_no_statistics():

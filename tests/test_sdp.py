@@ -203,15 +203,15 @@ def test_check_kkt_hand_point():
     c = ProblemInstance((np.diag([3.0, 1.0]),))
     x = np.diag([1.0, 0.0])
     dual = SdpDualSolution(
-        y=np.diag([2.0, 0.0]), z_blocks=(np.zeros((2, 2)),),
-        nu=np.array([1.0]), objective=-3.0)
+        y=np.diag([2.0, 0.0]), z_blocks=np.zeros((1, 2, 2)),
+        nu=np.array([1.0]))
     res = check_kkt(c, (x,), dual)
     assert res.max_residual <= 1e-12
 
     # breaking one condition moves exactly the matching residual
     bad = SdpDualSolution(
-        y=np.diag([2.0, 0.0]), z_blocks=(np.diag([0.0, -0.1]),),
-        nu=np.array([1.0]), objective=-3.0)
+        y=np.diag([2.0, 0.0]), z_blocks=np.diag([0.0, -0.1])[None],
+        nu=np.array([1.0]))
     res_bad = check_kkt(c, (x,), bad)
     # the dual-side residuals are in units of s = ||M||_2 = 3
     assert res_bad.dual_cone == pytest.approx(0.1 / 3, abs=1e-12)
@@ -242,9 +242,8 @@ def test_check_kkt_matches_full_spectra():
         x_blocks = tuple(sym(rng.standard_normal((d, d))) for _ in range(k))
         dual = SdpDualSolution(
             y=sym(rng.standard_normal((d, d))),
-            z_blocks=tuple(sym(rng.standard_normal((d, d)))
-                           for _ in range(k)),
-            nu=rng.standard_normal(k), objective=0.0)
+            z_blocks=sym(rng.standard_normal((k, d, d))),
+            nu=rng.standard_normal(k))
         got = dataclasses.astuple(check_kkt(c, x_blocks, dual))
         assert got == pytest.approx(_kkt_by_full_spectra(c, x_blocks, dual),
                                     rel=0, abs=1e-12)
@@ -253,9 +252,9 @@ def test_check_kkt_matches_full_spectra():
 def test_dual_rank_profile_hand_and_solved():
     dual = SdpDualSolution(
         y=np.zeros((3, 3)),
-        z_blocks=(np.zeros((3, 3)), np.diag([1.0, 0.5, 0.0]),
-                  np.diag([2.0, 0.0, 0.0])),
-        nu=np.zeros(3), objective=0.0)
+        z_blocks=np.array([np.zeros((3, 3)), np.diag([1.0, 0.5, 0.0]),
+                           np.diag([2.0, 0.0, 0.0])]),
+        nu=np.zeros(3))
     assert dual_rank_profile(dual).tolist() == [0, 2, 1]
 
     c = gen_separated_diagonal(5, 2, seed=13)
@@ -279,8 +278,8 @@ def _hand_pair():
     k = 1, M = diag(1, 0.5, 0.5, 0.5), X = e1 e1', nu = 1, Y = 0 and
     Z = I - M."""
     m = np.diag([1.0, 0.5, 0.5, 0.5])
-    dual = SdpDualSolution(y=np.zeros((4, 4)), z_blocks=(np.eye(4) - m,),
-                           nu=np.array([1.0]), objective=-1.0)
+    dual = SdpDualSolution(y=np.zeros((4, 4)), z_blocks=(np.eye(4) - m)[None],
+                           nu=np.array([1.0]))
     return ProblemInstance((m,)), (np.diag([1.0, 0.0, 0.0, 0.0]),), dual
 
 
@@ -353,9 +352,9 @@ def _hand_report(blocks, status=STATUS_OPTIMAL, rop_err=None):
     zero = np.zeros((d, d))
     return SolveReport(
         status=status,
-        primal=SdpPrimalSolution(x_blocks=tuple(blocks), objective=0.0),
-        dual=SdpDualSolution(y=zero, z_blocks=(zero,) * k,
-                             nu=np.zeros(k), objective=0.0),
+        primal=SdpPrimalSolution(x_blocks=np.array(blocks), value=0.0),
+        dual=SdpDualSolution(y=zero, z_blocks=np.zeros((k, d, d)),
+                             nu=np.zeros(k)),
         gap=0.0,
         kkt_residuals=KktResiduals(0.0, 0.0, 0.0, 0.0, 0.0),
         iterations=0,

@@ -150,13 +150,32 @@ def test_mm_steps_build_no_points(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_gradient_raises_on_the_first_step():
-    # the first gradient's singular values, 5.7e307 and 1.6, fail the rank
+    # the first gradient's singular values, 4.7e307 and 1.6, fail the rank
     # check on the MM step and on its perturbed retry: the run ends there,
-    # before any iterate overflows to NaN
-    c = ProblemInstance((6e307 * np.ones((3, 3)), np.eye(3)))
+    # before any iterate overflows to NaN; the spectral norm, 1.5e308, is
+    # still finite
+    c = ProblemInstance((5e307 * np.ones((3, 3)), np.eye(3)))
     u0 = random_stiefel(3, 2, np.random.default_rng(0))
     with pytest.raises(ValueError, match="rank-deficient"):
         stmm_solve(c, u0)
+
+
+def test_steps_do_not_depend_on_the_units():
+    # the stop and the Newton system are in units of s = c.gate_unit: a
+    # power-of-two scale changes no bit, and 1e8 changes no step
+    c = gen_hppca(20, 3, seed=1)
+    u0 = random_stiefel(20, 3, np.random.default_rng(0))
+    runs = {a: stmm_solve(ProblemInstance(a * c.mats), u0)
+            for a in (1.0, 2.0, 2.0 ** 31, 1e8)}
+    base = runs[1.0]
+    assert base.status == "Stationary" and len(base.newton_steps) == 2
+    for tr in runs.values():
+        assert (tr.status, tr.iterations, tr.newton_steps,
+                tr.accelerated_steps) == (base.status, base.iterations,
+                                          base.newton_steps,
+                                          base.accelerated_steps)
+        assert np.allclose(tr.final.cols, base.final.cols, atol=1e-12)
+    assert np.array_equal(runs[2.0 ** 31].final.cols, runs[2.0].final.cols)
 
 
 def test_k1_ascent_finds_top_eigenvector():
