@@ -17,6 +17,16 @@ log-barrier path-following solve, O(k^3 d) per Newton step, stops at the
 first nu that clears the verdict's full-block slack gate, or once a bound
 proves that no nu can.
 
+The program is built on the instance's one view: the M_i + shift I,
+shift = c.psd_shift, and their multiplier matrix L + shift I, divided by
+the gate unit s, so its t is in the units of every gate. A program
+nu' >= 0 is the witness nu = s nu' - shift, and every block is s times
+the program's. Adding a I to every M_i then moves L and the witness by a
+and changes no program, so no verdict. Its nu' >= 0 cuts no certificate:
+for k < d the tail of block j forces nu_j >= lambda_max(W' M_j W) >=
+-shift, and for k = d the dual's lineality (Y + a I, nu - a 1) moves any
+certificate into nu >= -shift.
+
 The slack gate evaluates the dual pair that nu induces (_induced_pair),
 and a certified result re-verifies that same pair, with X_i = u_i u_i',
 against all optimality residuals, so neither a CertifiedGlobal verdict nor
@@ -43,7 +53,7 @@ from .sdp import (
     check_kkt,
     is_tight,
 )
-from .stiefel import lambda_matrix, objective, riemannian_gradient
+from .stiefel import _cols, _evaluate
 
 STATUS_CERTIFIED = "CertifiedGlobal"
 STATUS_INCONCLUSIVE = "Inconclusive"
@@ -73,7 +83,7 @@ _MAX_NEWTON = 2000
 @dataclass(frozen=True)
 class CertificateResult:
     """t_star is min(min_eig_slacks), the least slack at the returned nu
-    (the multiplier matrix's least eigenvalue when that gate fails first)."""
+    (lambda_min(L + psd_shift I) when the multiplier gate fails first)."""
 
     status: str
     nu_witness: np.ndarray | None
@@ -119,11 +129,11 @@ class _Arrowheads:
     tcoef: np.ndarray  # (m, k + 1)
 
 
-def _reduce(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
-            scale: float) -> _Arrowheads:
-    """The deflated margin program's LMIs, divided by scale, as one stack:
-    the k blocks, then L - D_nu. With W' M_j W = V_j diag(theta_j) V_j',
-    block j in the basis [U, W V_j] is
+def _reduce(mats: np.ndarray, u: np.ndarray, lam: np.ndarray) -> _Arrowheads:
+    """The deflated margin program's LMIs for the (k, d, d) stack mats
+    and the multiplier matrix lam at u, as one stack: the k blocks, then
+    L - D_nu, for L = lam. With W' M_j W = V_j diag(theta_j) V_j', block j
+    in the basis [U, W V_j] is
 
         [[L - U' M_j U + nu_j I - D_nu,  -U' M_j W V_j          ],
          [(-U' M_j W V_j)',              nu_j I - diag(theta_j)  ]]
@@ -132,22 +142,23 @@ def _reduce(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
     identity, whose determinant factor is 1 and which no coordinate of z
     moves; L - D_nu gets a tail of ones that no coordinate moves either.
     One eigendecomposition of size d - k per block; O(k d^3) in all."""
-    k, p = c.k, c.d - c.k
+    d, k = u.shape
+    p = d - k
     w = _complete_basis(u)[:, k:]
-    mw = c.mats @ w
+    mw = mats @ w
     theta, v = np.linalg.eigh(sym(w.T @ mw))
     e = np.eye(k + 1)  # e[:k] are the nu coordinates, e[k] is t
     j = np.arange(k)
-    corner = np.append(lam_s - u.T @ c.mats @ u, lam_s[None], axis=0) / scale
+    corner = np.append(lam - u.T @ mats @ u, lam[None], axis=0)
     ccoef = np.append(e[:k, None] - e[:k] - e[k], (-e[:k] - e[k])[None],
                       axis=0)
-    border = np.append(-(u.T @ mw) @ v, np.zeros((1, k, p)), axis=0) / scale
+    border = np.append(-(u.T @ mw) @ v, np.zeros((1, k, p)), axis=0)
     corner[j, j], corner[j, :, j] = 0.0, 0.0
     corner[j, j, j] = 1.0
     ccoef[j, j] = 0.0
     border[j, j] = 0.0
     return _Arrowheads(corner, ccoef, border,
-                       np.append(theta / scale, -np.ones((1, p)), axis=0),
+                       np.append(theta, -np.ones((1, p)), axis=0),
                        np.append(e[:k] - e[k], np.zeros((1, k + 1)), axis=0))
 
 
@@ -201,16 +212,17 @@ def _barrier(a: _Arrowheads, z: np.ndarray, derivatives: bool = False):
 @dataclass(frozen=True)
 class _MarginRun:
     status: str  # "feasible", "infeasible", "optimal" or "numerical_failure"
-    z: np.ndarray  # (nu, t), divided by the program's scale
+    z: np.ndarray  # (nu', t'), the program's (see the module docstring)
     iterations: int  # Newton steps
     mu: float  # the last barrier parameter
     shift: float  # largest diagonal shift of a unit-diagonal Newton system
 
-    def summary(self, scale: float) -> dict:
+    def summary(self, s: float) -> dict:
         """The run as reports and records describe it; "margin" is the
-        deflated margin t at the returned nu, in the units of the M_i."""
+        deflated margin t = s t' at the returned nu, in the units of the
+        M_i."""
         return {"status": self.status, "iterations": self.iterations,
-                "mu": self.mu, "margin": float(self.z[-1] * scale),
+                "mu": self.mu, "margin": float(self.z[-1] * s),
                 "shift": self.shift}
 
 
@@ -294,7 +306,8 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     result additionally passes the induced primal/dual optimality check
     within KKT_TOL. Every gate, the stationarity flag and the multiplier
     gate included, is relative to s = c.gate_unit, which the instance
-    computes once. Weak stationarity of u_bar does not abort the
+    computes once, and the margin program is in units of s (see the
+    module docstring). Weak stationarity of u_bar does not abort the
     computation; it only flags the result. A failed margin solve, or a
     gate evaluation that raises LinAlgError (as on a gate matrix that is
     not finite), is reported, not raised: status NumericalFailure, no
@@ -311,13 +324,14 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     u = u_bar.cols
     if u.shape != (c.d, c.k):
         raise ValueError("candidate shape does not match the instance")
-    s = c.gate_unit
-    lam = lambda_matrix(c, u_bar)
-    lam_s = sym(lam.matrix)
-    rg = float(np.linalg.norm(riemannian_gradient(c, u)))
-    weak = (lam.symmetry_residual > _PRECONDITION_TOL * s
-            or rg > _PRECONDITION_TOL * s)
-    meta = {"grad_norm": rg, "symmetry_residual": lam.symmetry_residual}
+    s, shift = c.gate_unit, c.psd_shift
+    g, _, rg = _evaluate(c.mats, u)
+    lam = 0.5 * (u.T @ g)  # the multiplier matrix L
+    asym = float(np.linalg.norm(lam - lam.T))
+    lam_s = sym(lam)
+    rg = float(np.linalg.norm(rg))
+    weak = asym > _PRECONDITION_TOL * s or rg > _PRECONDITION_TOL * s
+    meta = {"grad_norm": rg, "symmetry_residual": asym}
 
     def verdict(reason, slacks, t_star, status=STATUS_INCONCLUSIVE, nu=None,
                 kkt=None):
@@ -330,30 +344,34 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
         return verdict(reason, np.full(c.k + 1, np.nan), float("nan"),
                        STATUS_NUMERICAL_FAILURE)
 
-    try:
-        # necessary condition: L - D_nu >= 0 with nu >= 0 forces L >= 0
-        lam_min = float(np.linalg.eigvalsh(lam_s)[0])
-        if lam_min < -_PRECONDITION_TOL * s:
-            return verdict("multiplier matrix indefinite",
-                           _induced_pair(c, u, lam_s, np.zeros(c.k))[1],
-                           lam_min)
+    def witness(z):  # the program's nu' >= 0 in the instance's terms
+        return z[:c.k] * s - shift
 
-        scale = max(s, float(np.linalg.norm(lam_s, 2)))
+    try:
+        # necessary condition: L - D_nu >= 0 with nu >= -shift forces
+        # L + shift I >= 0; slacks and t_star are the program's at nu' = 0
+        lam_min = float(np.linalg.eigvalsh(lam_s)[0])
+        if lam_min < -shift - _PRECONDITION_TOL * s:
+            slacks = _induced_pair(c, u, lam_s, witness(np.zeros(c.k)))[1]
+            return verdict("multiplier matrix indefinite", slacks,
+                           lam_min + shift)
+
         tried = {}  # the pair and slacks of the last iterate the gate saw
 
         def clears(z):  # the verdict's slack gate
-            tried["pair"] = _induced_pair(c, u, lam_s, z[:c.k] * scale)
+            tried["pair"] = _induced_pair(c, u, lam_s, witness(z))
             return tried["pair"][1].min() >= -CERT_TOL * s
 
-        res = _margin_solve(_reduce(c, u, lam_s, scale),
-                            -CERT_TOL * s / scale, clears)
-        meta["ipm"] = res.summary(scale)
+        res = _margin_solve(
+            _reduce((c.mats + shift * np.eye(c.d)) / s, u,
+                    (lam_s + shift * np.eye(c.k)) / s), -CERT_TOL, clears)
+        meta["ipm"] = res.summary(s)
         if res.status == "numerical_failure":
             return failure("feasibility solve stalled")
 
         # a "feasible" stop returns the z its last gate call was made at
         dual, slacks = (tried["pair"] if res.status == "feasible" else
-                        _induced_pair(c, u, lam_s, res.z[:c.k] * scale))
+                        _induced_pair(c, u, lam_s, witness(res.z)))
         t_star = float(slacks.min())
         if not t_star >= -CERT_TOL * s:  # NaN fails too
             return verdict("least slack below -CERT_TOL * s", slacks, t_star)
@@ -383,9 +401,9 @@ def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,
     if not is_tight(sdp_report):
         return CLASS_NOT_TIGHT
     s = c.gate_unit
-    rg = float(np.linalg.norm(riemannian_gradient(c, u_bar)))
-    if not rg <= _PRECONDITION_TOL * s:  # NaN is not stationary either
+    _, f, rg = _evaluate(c.mats, _cols(u_bar))
+    if not np.linalg.norm(rg) <= _PRECONDITION_TOL * s:  # NaN fails too
         return CLASS_UNKNOWN
-    if objective(c, u_bar) < sdp_report.value - VALUE_MARGIN * s:
+    if f < sdp_report.value - VALUE_MARGIN * s:
         return CLASS_SUBOPTIMAL
     return CLASS_UNKNOWN

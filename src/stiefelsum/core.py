@@ -42,6 +42,13 @@ def spectral_norms(stack) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(stack)).max(axis=-1)
 
 
+def _shift_for(vals) -> float:
+    """The uniform PSD shift of a stack whose ascending spectra are the rows
+    of vals: -lambda_min when it is below -1e-12, else 0.0."""
+    minlam = float(vals[:, 0].min(initial=0.0))
+    return -minlam if minlam < -1e-12 else 0.0
+
+
 def shift_and_scale(mats):
     """Uniform PSD shift plus a global spectral-norm scale of the (k, d, d)
     stack mats.
@@ -51,8 +58,7 @@ def shift_and_scale(mats):
     empty stack (k = 0) gets no shift and scale 1.
     """
     vals = np.linalg.eigvalsh(mats)
-    minlam = float(vals[:, 0].min(initial=0.0))
-    shift = -minlam if minlam < -1e-12 else 0.0
+    shift = _shift_for(vals)
     if shift > 0.0:
         mats = mats + shift * np.eye(mats.shape[1])
         vals = np.linalg.eigvalsh(mats)
@@ -92,7 +98,11 @@ class StiefelPoint:
 class ProblemInstance:
     """The M_1, ..., M_k of the objective sum_i u_i' M_i u_i, held as one
     read-only, symmetrized (k, d, d) array. meta["psd_shift"], when present,
-    is the uniform shift that was added to make the M_i PSD.
+    is the uniform shift a generator already added to make the M_i PSD;
+    the psd_shift property is the one these M_i still need.
+
+    The M_i are read-only, so their spectra are decomposed once, on first
+    use, and that one batched eigvalsh gives both gate_unit and psd_shift.
     """
 
     mats: np.ndarray
@@ -122,16 +132,28 @@ class ProblemInstance:
         return self.mats.shape[0]
 
     @cached_property
+    def _spectra(self) -> np.ndarray:
+        """The ascending eigenvalues of each M_i, one row per block."""
+        return np.linalg.eigvalsh(self.mats)
+
+    @cached_property
     def gate_unit(self) -> float:
         """s = max(1, max_i ||M_i||_2), the unit of every verdict gate that
-        carries the units of the M_i; it is 1 for normalized inputs. The
-        M_i are read-only, so it is computed once per instance. Finite
+        carries the units of the M_i; it is 1 for normalized inputs. Finite
         entries can still have a spectral norm that overflows: such an
         instance has no unit and is bad input (ValueError)."""
-        s = float(spectral_norms(self.mats).max())
+        s = float(np.abs(self._spectra).max())
         if not np.isfinite(s):
             raise ValueError("spectral norm overflows: instance has no unit")
         return max(1.0, s)
+
+    @cached_property
+    def psd_shift(self) -> float:
+        """The uniform shift c >= 0 that makes every M_i + c I PSD, by
+        shift_and_scale's rule: -min_i lambda_min(M_i) when that is below
+        -1e-12, else 0.0. StMM and certify work on the M_i + c I, which
+        have the maximizers of the M_i."""
+        return _shift_for(self._spectra)
 
 
 def commuting_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -268,7 +290,9 @@ def save_instance(c: ProblemInstance, path) -> None:
 
 def load_instance(path) -> ProblemInstance:
     """The instance save_instance wrote to path. A file that is not such a
-    document is bad input: ValueError (or KeyError for a missing field)."""
+    document is bad input: ValueError (or KeyError for a missing field), as
+    is a matrix whose max |A - A'| exceeds 1e-12 times the largest |entry|
+    of the stack."""
     doc = json.loads(Path(path).read_text())
     try:
         d = check_size(doc["d"], f"malformed instance {path}: d")
@@ -280,7 +304,9 @@ def load_instance(path) -> ProblemInstance:
         meta = dict(doc.get("meta") or {})
     except TypeError as exc:  # a JSON value of the wrong type
         raise ValueError(f"malformed instance {path}: {exc}") from exc
+    # relative to the largest entry, so that rescaling a file changes
+    # nothing; an all-zero stack passes
     asym = np.max(np.abs(mats - mats.swapaxes(1, 2)), initial=0.0)
-    if asym > 1e-12:
+    if asym > 1e-12 * np.max(np.abs(mats), initial=0.0):
         raise ValueError(f"matrix not symmetric: max |A - A'| = {asym:.3e}")
     return ProblemInstance(mats=mats, meta=meta)

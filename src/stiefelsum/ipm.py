@@ -47,14 +47,14 @@ float32 (single_iterations) and the refinement steps over every solve
 (refine_steps).
 
 One step length (Zhang 1998; Potra & Sheng 1998): X, y and Z all move by
-alpha = min(1, step_frac alpha_X, step_frac alpha_Z), where alpha_X and
+alpha = min(1, STEP_FRAC alpha_X, STEP_FRAC alpha_Z), where alpha_X and
 alpha_Z are the longest steps that keep X and Z in the cone (_max_step).
 The start is primal feasible but not dual feasible, and a common step
 shrinks both residuals and the complementarity by the same factor
 1 - alpha. Separate step lengths let the primal side lag: at HPPCA
 (60, 3) they took primal steps of 0.08-0.54 in iterations 2-8 and 17
 iterations in all, against 11 with the common step, and on small draws
-they could collapse one step short of tol. The predictor keeps each
+they could collapse one step short of STOP_TOL. The predictor keeps each
 side's own affine step for Mehrotra's mu_aff and sigma: a common
 predictor step cost 2 more iterations at HPPCA (20, 3) and (60, 3).
 
@@ -311,7 +311,7 @@ class IpmResult:
     """A solve_ipm run. status is "optimal" or "numerical_failure";
     stop_reason names the exit that ended it, one value per exit:
 
-    - "converged": the residuals and the relative gap are below tol
+    - "converged": the residuals and the relative gap are below STOP_TOL
       (the only "optimal" exit);
     - "non_finite": the stop metric or mu is NaN or infinite;
     - "stalled": the metric did not fall below 0.9 times its best for
@@ -342,7 +342,6 @@ class IpmResult:
     pinf: float
     dinf: float
     relgap: float
-    mu: float
     schur_shift: float  # largest diagonal shift _factor_schur applied
     single_iterations: int
     refine_steps: int
@@ -403,6 +402,12 @@ def _max_step(li, da):
     if lmin >= -1e-14:
         return np.inf
     return -1.0 / lmin
+
+
+# solve_ipm stops once the residuals and the relative gap are below
+# STOP_TOL; each step goes STEP_FRAC of the way to the cone's boundary
+STOP_TOL = 1e-8
+STEP_FRAC = 0.98
 
 
 # Schur size from which an iteration first tries a float32 factor: below
@@ -483,14 +488,10 @@ def _solve_factor(f, b):
     return dtrsv(f, x, lower=1, trans=1, overwrite_x=1)
 
 
-def solve_ipm(
-    ops: FantopeOps,
-    tol: float = 1e-8,
-    max_iters: int = 100,
-    step_frac: float = 0.98,
-) -> IpmResult:
+def solve_ipm(ops: FantopeOps, max_iters: int = 100) -> IpmResult:
     """Run the iteration from ops.start() until the residuals and the
-    relative gap are below tol, or it stalls, diverges or hits max_iters."""
+    relative gap are below STOP_TOL, or it stalls, diverges or hits
+    max_iters."""
     x, y, z = ops.start()
     ntot = ops.C.shape[0] * ops.C.shape[1]
     bnorm = 1.0 + np.linalg.norm(ops.b)
@@ -501,7 +502,7 @@ def solve_ipm(
     status = "numerical_failure"
     stop_reason = "max_iters"
     it = 0
-    pinf = dinf = relgap = mu = np.nan
+    pinf = dinf = relgap = np.nan
     pobj = dobj = np.nan
     schur_shift = 0.0
     single = ops.m >= _SINGLE_MIN_M
@@ -523,7 +524,7 @@ def solve_ipm(
         if not np.isfinite(metric) or not np.isfinite(mu):
             stop_reason = "non_finite"  # diverged (e.g. infeasible problem)
             break
-        if metric <= tol:
+        if metric <= STOP_TOL:
             status, stop_reason = "optimal", "converged"
             break
         if metric < 0.9 * best:
@@ -601,8 +602,8 @@ def solve_ipm(
 
                 def step(dx, dz):
                     """The common step length of X, y and Z."""
-                    return min(1.0, step_frac * _max_step(lx, dx),
-                               step_frac * _max_step(lz, dz))
+                    return min(1.0, STEP_FRAC * _max_step(lx, dx),
+                               STEP_FRAC * _max_step(lz, dz))
 
                 # corrector
                 dx, dy, dz = direction(tau, sym(zinv @ dz_a @ dx_a))
@@ -652,7 +653,6 @@ def solve_ipm(
         pinf=pinf,
         dinf=dinf,
         relgap=relgap,
-        mu=mu,
         schur_shift=schur_shift,
         single_iterations=single_iterations,
         refine_steps=refine_steps,

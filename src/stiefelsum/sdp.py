@@ -199,8 +199,7 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     mats = c.mats[:-1] - c.mats[-1] if c.k == c.d else c.mats
     mats_s, shift, scale = shift_and_scale(mats)
     ops = FantopeOps(mats_s, c.d)
-    res = solve_ipm(ops, tol=cfg.sdp_tol, max_iters=cfg.sdp_max_iters,
-                    step_frac=cfg.step_frac)
+    res = solve_ipm(ops, max_iters=cfg.sdp_max_iters)
 
     # back to the maximization's sign: the IPM minimized the negated
     # objective, so the nu_i are its negated trace multipliers, unscaled

@@ -1,10 +1,13 @@
 """Ascent solver on the Stiefel manifold.
 
-The objective F(U) = sum_i u_i' M_i u_i is convex in U, so its linear
-minorizer at the current iterate is exact to first order; maximizing that
-minorizer over the manifold is an orthogonal Procrustes problem whose
-solution is the polar factor of the Euclidean gradient. Iterating this step
-gives a monotone ascent method with O(dk^2 + k^3) per-iteration cost. The
+The objective F(U) = sum_i u_i' M_i u_i is convex in U once every M_i is
+PSD, so its linear minorizer at the current iterate is exact to first
+order and below F everywhere; maximizing that minorizer over the manifold
+is an orthogonal Procrustes problem whose solution is the polar factor of
+the Euclidean gradient. Iterating this step gives a monotone ascent method
+with O(dk^2 + k^3) per-iteration cost. For indefinite M_i the minorizer
+is not one, so stmm_solve steps on M_i + shift I, shift = c.psd_shift: on
+St(k, d) that adds the constant k shift to F and moves no maximizer. The
 MM map U -> polar(G(U)) converges only linearly, so stmm_solve speeds it up
 twice: every step also tries an Anderson extrapolation of the map (Walker
 and Ni 2011), kept only when it climbs at least as far as the MM step
@@ -52,17 +55,15 @@ class SolverConfig:
     """Shared knobs for the manifold solver and the relaxation backend.
 
     max_iters/grad_tol drive the ascent iteration; grad_tol is in units of
-    the instance's gate unit s (core.ProblemInstance.gate_unit). The sdp_*
-    fields and step_frac configure the interior-point backend. The gates
-    that label a report Optimal are fixed constants in the sdp module, not
-    knobs.
+    the instance's gate unit s (core.ProblemInstance.gate_unit).
+    sdp_max_iters caps the interior-point iterations. The IPM's stop
+    tolerance and step fraction, and the gates that label a report
+    Optimal, are fixed constants in the ipm and sdp modules, not knobs.
     """
 
     max_iters: int = 2000
     grad_tol: float = 1e-10
-    sdp_tol: float = 1e-8
     sdp_max_iters: int = 100
-    step_frac: float = 0.98
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -89,17 +90,6 @@ class IterateTrace:
         return len(self.objectives) - 1
 
 
-@dataclass(frozen=True)
-class LambdaMatrix:
-    """Multiplier matrix of the orthonormality constraints.
-
-    Column i is U' M_i u_i; symmetric at stationary points and PSD at local
-    maxima."""
-
-    matrix: np.ndarray
-    symmetry_residual: float
-
-
 def _cols(u) -> np.ndarray:
     return u.cols if isinstance(u, StiefelPoint) else np.asarray(u, dtype=float)
 
@@ -111,7 +101,10 @@ def _block_products(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _evaluate(mats: np.ndarray, u: np.ndarray):
     """Euclidean gradient G, objective (read off it as <U, G>/2) and
-    Riemannian gradient (I - UU')G + U skew(U'G) = G - U sym(U'G) at u."""
+    Riemannian gradient (I - UU')G + U skew(U'G) = G - U sym(U'G) at u.
+    U'G / 2 is the multiplier matrix of the orthonormality constraints,
+    whose column i is U' M_i u_i: symmetric at stationary points and PSD
+    at local maxima."""
     g = 2.0 * _block_products(mats, u)
     return g, 0.5 * float(np.sum(u * g)), g - u @ sym(u.T @ g)
 
@@ -120,19 +113,8 @@ def objective(c: ProblemInstance, u) -> float:
     return _evaluate(c.mats, _cols(u))[1]
 
 
-def euclidean_gradient(c: ProblemInstance, u) -> np.ndarray:
-    return _evaluate(c.mats, _cols(u))[0]
-
-
 def riemannian_gradient(c: ProblemInstance, u) -> np.ndarray:
     return _evaluate(c.mats, _cols(u))[2]
-
-
-def lambda_matrix(c: ProblemInstance, u) -> LambdaMatrix:
-    cols = _cols(u)
-    lam = cols.T @ _block_products(c.mats, cols)
-    return LambdaMatrix(matrix=lam,
-                        symmetry_residual=float(np.linalg.norm(lam - lam.T)))
 
 
 def random_stiefel(d: int, k: int, rng: np.random.Generator) -> StiefelPoint:
@@ -230,13 +212,20 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
     s = c.gate_unit, or at cfg.max_iters, so that scaling the M_i changes
     no step. A rank-deficient gradient is perturbed by 1e-12 U and the step
     index recorded in degenerate_steps.
+
+    Every step is taken on M_i + shift I, shift = c.psd_shift, where F is
+    convex and the MM step never descends, whatever the symmetric M_i;
+    the Riemannian gradient and Hessian do not see the shift, and the
+    trace reports the objective of the M_i themselves, F - k shift. On
+    PSD M_i the shift is 0 and nothing changes.
     """
     cfg = cfg or SolverConfig()
-    s = c.gate_unit
+    s, shift = c.gate_unit, c.psd_shift
     switch, stop = NEWTON_SWITCH * s, cfg.grad_tol * s
-    mats_s = c.mats / s  # the Newton system in units of s
+    mats = c.mats + shift * np.eye(c.d) if shift else c.mats
+    mats_s = mats / s  # the Newton system in units of s
     u = _cols(u0)
-    g, f, rg = _evaluate(c.mats, u)
+    g, f, rg = _evaluate(mats, u)
     objs = []
     gnorms = []
     degenerate = []
@@ -247,7 +236,7 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
     status = STATUS_MAX_ITERS
 
     for t in range(cfg.max_iters + 1):
-        objs.append(f)
+        objs.append(f - c.k * shift)
         gnorms.append(float(np.linalg.norm(rg)))
         if gnorms[-1] <= stop:
             status = STATUS_STATIONARY
@@ -259,7 +248,7 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
         elif gnorms[-1] <= switch:
             cand = _newton_point(mats_s, u, g / s, rg / s)
             if cand is not None:
-                g_new, f_new, rg_new = _evaluate(c.mats, cand)
+                g_new, f_new, rg_new = _evaluate(mats, cand)
                 if f_new >= f and np.linalg.norm(rg_new) < gnorms[-1]:
                     newton.append(t)
                     history.clear()
@@ -272,8 +261,8 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
             degenerate.append(t)
             u_mm = polar_factor(g + 1e-12 * u)
         history.append((u.ravel(), (u_mm - u).ravel()))
-        mm = (u_mm, *_evaluate(c.mats, u_mm))
-        aa = (_anderson_point(c.mats, history, u.shape)
+        mm = (u_mm, *_evaluate(mats, u_mm))
+        aa = (_anderson_point(mats, history, u.shape)
               if len(history) > 1 else None)
         if aa is not None and aa[2] >= mm[2]:
             accelerated.append(t)

@@ -30,7 +30,7 @@ SIGNATURES = {
     sdp.extract_candidate: ["primal"],
     sdp.dual_rank_profile: ["dual"],
     ipm.FantopeOps: ["mats", "d"],
-    ipm.solve_ipm: ["ops", "tol", "max_iters", "step_frac"],
+    ipm.solve_ipm: ["ops", "max_iters"],
     certificate.certify: ["c", "u_bar"],
     diagonal.joint_diagonalize: ["c"],
     diagonal.goldman_tucker_dual: ["diag_values", "primal"],
@@ -49,8 +49,7 @@ SIGNATURES = {
 FIELDS = {
     core.StiefelPoint: ["cols"],
     core.ProblemInstance: ["mats", "meta"],
-    stiefel.SolverConfig: ["max_iters", "grad_tol", "sdp_tol", "sdp_max_iters",
-                           "step_frac"],
+    stiefel.SolverConfig: ["max_iters", "grad_tol", "sdp_max_iters"],
     certificate.CertificateResult: ["status", "nu_witness", "min_eig_slacks",
                                     "t_star", "precondition_weak",
                                     "kkt_residuals", "meta"],
@@ -71,7 +70,8 @@ DELETED = [
     (sdp, "_normalize_for_solve"), (ipm, "eye_stacks"),
     (sdp, "_fantope_start"), (ipm, "dpotrs"), (certificate, "dpotrs"),
     (ipm, "dsymv"), (ipm, "_CHUNK_LOWER"), (sdp, "_recover_coupling_dual"),
-    (sdp, "smat"),
+    (sdp, "smat"), (stiefel, "LambdaMatrix"), (stiefel, "lambda_matrix"),
+    (stiefel, "euclidean_gradient"),
 ]
 
 
@@ -85,6 +85,7 @@ def test_fixed_values_are_constants_not_parameters():
     assert (sdp.RANK_TOL, certificate.CERT_TOL, diagonal.JD_TOL) == (
         1e-7, 1e-7, 1e-8)
     assert stiefel.NEWTON_SWITCH == 1e-4
+    assert (ipm.STOP_TOL, ipm.STEP_FRAC) == (1e-8, 0.98)
     assert (certificate.MARGIN_TOL, certificate.VALUE_MARGIN) == (1e-9, 1e-5)
 
 

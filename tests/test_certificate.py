@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefelsum import certificate, core
+from stiefelsum import certificate, core, stiefel
 from stiefelsum.certificate import (
     CERT_TOL,
     VALUE_MARGIN,
@@ -34,7 +34,6 @@ from stiefelsum.sdp import (
 )
 from stiefelsum.stiefel import (
     SolverConfig,
-    lambda_matrix,
     objective,
     random_stiefel,
     riemannian_gradient,
@@ -43,29 +42,37 @@ from stiefelsum.stiefel import (
 
 
 def test_certify_computes_the_gate_unit_once(monkeypatch):
-    # the gate unit is one batched core.spectral_norms of the k blocks;
-    # certify's slack gate and its KKT check share it, and certify adds one
-    # 2-norm of its own. A fresh instance, since stmm_solve has already
-    # cached the unit on c.
+    # one batched eigvalsh of the k blocks gives both the gate unit and the
+    # PSD shift; certify's slack gate, its program and its KKT check share
+    # them, and certify adds no spectral norm of its own. A fresh
+    # instance, since stmm_solve has already cached the spectra on c.
     c = gen_separated_diagonal(6, 3, seed=2)
     u = stmm_solve(c, random_stiefel(6, 3, np.random.default_rng(2))).final
     fresh = ProblemInstance(c.mats)
-    norm, spectral_norms = np.linalg.norm, core.spectral_norms
+    norm, eigvalsh = np.linalg.norm, np.linalg.eigvalsh
+    spectral_norms = core.spectral_norms
     calls = []
 
     def counting(a, ord=None, *args, **kwargs):
         calls.append((ord, np.shape(a)))
         return norm(a, ord, *args, **kwargs)
 
+    def counting_eig(a, *args, **kwargs):
+        calls.append(("eigvalsh", np.shape(a)))
+        return eigvalsh(a, *args, **kwargs)
+
     def counting_stack(stack):
         calls.append(("stack", np.shape(stack)))
         return spectral_norms(stack)
 
     monkeypatch.setattr(np.linalg, "norm", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eig)
     monkeypatch.setattr(core, "spectral_norms", counting_stack)
     assert certify(fresh, u).status == "CertifiedGlobal"
-    assert [(o, s) for o, s in calls if o in (2, "stack")] == [
-        ("stack", (3, 6, 6)), (2, (3, 3))]
+    assert (fresh.gate_unit, fresh.psd_shift) == (1.0, 0.0)
+    assert [(o, s) for o, s in calls
+            if o in (2, "stack") or (o == "eigvalsh" and len(s) == 3)] == [
+        ("eigvalsh", (3, 6, 6))]
     assert fresh.gate_unit == pytest.approx(
         max(1.0, *(norm(m, 2) for m in c.mats)), rel=1e-14)
 
@@ -147,12 +154,21 @@ def test_classification_uses_the_one_tightness_rule():
 
 
 def test_indefinite_multiplier_gate():
-    c = ProblemInstance((np.diag([3.0, -1.0]),))
-    res = certify(c, StiefelPoint(np.array([[0.0], [1.0]])))
-    assert res.status == "Inconclusive"
-    assert res.meta["reason"] == "multiplier matrix indefinite"
-    assert "ipm" not in res.meta  # decided before any solve
-    assert res.t_star == pytest.approx(-1.0, abs=1e-12)
+    # at U = [(e1 + e2)/sqrt(2), (e2 - e1)/sqrt(2)], L = [[1.5, 0], [1.5, 0]]
+    # and sym(L) has the least eigenvalue (1.5 - sqrt(4.5)) / 2 = -0.311,
+    # below -psd_shift = 0; M_i - 2 I moves L and -psd_shift by -2 and
+    # t_star, the least eigenvalue of L + psd_shift I, not at all
+    e1, e2 = np.eye(3)[:, 0], np.eye(3)[:, 1]
+    u = StiefelPoint(np.column_stack([e1 + e2, e2 - e1]) / np.sqrt(2.0))
+    for shift in (0.0, 2.0):
+        c = ProblemInstance((np.diag([0.0, 3.0, 1.0]) - shift * np.eye(3),
+                             -shift * np.eye(3)))
+        res = certify(c, u)
+        assert res.status == "Inconclusive"
+        assert res.meta["reason"] == "multiplier matrix indefinite"
+        assert "ipm" not in res.meta  # decided before any solve
+        assert res.t_star == pytest.approx((1.5 - np.sqrt(4.5)) / 2,
+                                           abs=1e-12)
 
 
 def test_candidate_shape_check():
@@ -216,13 +232,18 @@ def _arrowhead(a, m, z):
     return out
 
 
+def _multipliers(c, u):
+    """sym(L), for the multiplier matrix L = U'G / 2 at u."""
+    return sym(0.5 * (u.T @ stiefel._evaluate(c.mats, u)[0]))
+
+
 def _random_setup(d, k, seed):
     """A random instance, point, multiplier vector and margin; the point is
     not stationary, so no row of any block vanishes."""
     rng = np.random.default_rng(seed)
     c = gen_random_psd(d, k, seed=seed)
     u = random_stiefel(d, k, rng).cols
-    lam_s = sym(lambda_matrix(c, u).matrix)
+    lam_s = _multipliers(c, u)
     return c, u, lam_s, rng.uniform(0.0, 2.0, k), float(rng.standard_normal())
 
 
@@ -235,7 +256,7 @@ def test_arrowheads_are_the_lmi_blocks_in_the_eigenbases(d, k, seed):
     assert np.array_equal(q[:, :k], u)
     assert np.allclose(q.T @ q, np.eye(d), atol=1e-14)
     scale = 2.5
-    lmis = _reduce(c, u, lam_s, scale)
+    lmis = _reduce(c.mats / scale, u, lam_s / scale)
     z = np.append(nu, t) / scale
     core_mat = u @ (lam_s - np.diag(nu)) @ u.T
     for j, m in enumerate(c.mats):
@@ -276,7 +297,7 @@ def test_deflated_blocks_bound_the_full_blocks(d, k, seed):
     # least eigenvalue is at least the full block's (Cauchy interlacing)
     k = min(k, d)
     c, u, lam_s, nu, _ = _random_setup(d, k, seed)
-    lmis = _reduce(c, u, lam_s, 1.0)
+    lmis = _reduce(c.mats, u, lam_s)
     slacks = _induced_pair(c, u, lam_s, nu)[1]
     for j in range(k):
         keep = np.arange(d) != j
@@ -299,16 +320,16 @@ def test_bound_stop_never_fires_on_a_certifiable_point(family, d, k, steps,
          else gen_random_psd(d, k, seed=seed))
     start = random_stiefel(d, k, np.random.default_rng(seed))
     u = stmm_solve(c, start, SolverConfig(max_iters=steps)).final.cols
-    lam_s = sym(lambda_matrix(c, u).matrix)
-    s = c.gate_unit
-    scale = max(s, np.linalg.norm(lam_s, 2))
-    lmis = _reduce(c, u, lam_s, scale)
+    lam_s = _multipliers(c, u)
+    s, shift = c.gate_unit, c.psd_shift
+    lmis = _reduce((c.mats + shift * np.eye(d)) / s, u,
+                   (lam_s + shift * np.eye(k)) / s)
 
     def clears(z):
-        slacks = _induced_pair(c, u, lam_s, z[:k] * scale)[1]
+        slacks = _induced_pair(c, u, lam_s, z[:k] * s - shift)[1]
         return slacks.min() >= -CERT_TOL * s
 
-    floor = -CERT_TOL * s / scale
+    floor = -CERT_TOL
     bounded = _margin_solve(lmis, floor, clears)
     unbounded = _margin_solve(lmis, -np.inf, clears)
     assert unbounded.status in ("feasible", "optimal")
@@ -331,6 +352,18 @@ def test_certify_edge_shapes(d, k):
     # rank one; the full blocks keep their zero row, so t_star is at most 0
     assert res.meta["ipm"]["margin"] > 0.0
     assert -CERT_TOL * c.gate_unit <= res.t_star <= 1e-12
+
+
+@pytest.mark.parametrize("c_shift", [-0.5, -2.0, 3.0])
+@pytest.mark.parametrize("d,k", [(3, 3), (4, 4), (1, 1)])
+def test_certify_at_k_equals_d_does_not_depend_on_a_shift(d, k, c_shift):
+    # M_i + c I moves L and every witness by c and changes no program: the
+    # optimum stays certified, also where -c exceeds every eigenvalue
+    c = gen_separated_diagonal(d, k, seed=d)
+    shifted = ProblemInstance(c.mats + c_shift * np.eye(d))
+    res = certify(shifted, StiefelPoint(np.eye(d)[:, :k]))
+    assert res.status == "CertifiedGlobal"
+    assert res.meta["reason"] == ""
 
 
 @pytest.mark.parametrize("d,k", [(3, 3), (5, 1), (6, 2)])
@@ -373,12 +406,13 @@ def test_feasibility_solve_stops_once_the_gate_clears(monkeypatch):
     # the gate is tried only where the margin is near or above zero, and
     # the verdict reuses the last try's slacks, those of the returned nu
     assert 1 <= len(calls) <= res.meta["ipm"]["iterations"] + 1
-    lam_s = sym(lambda_matrix(c, u).matrix)
+    lam_s = _multipliers(c, u.cols)
     assert np.array_equal(res.min_eig_slacks,
                           _induced_pair(c, u.cols, lam_s, res.nu_witness)[1])
     # the same program with a gate that never clears runs on to MARGIN_TOL
-    scale = max(c.gate_unit, np.linalg.norm(lam_s, 2))
-    lmis = _reduce(c, u.cols, lam_s, scale)
+    scale, shift = c.gate_unit, c.psd_shift
+    lmis = _reduce((c.mats + shift * np.eye(c.d)) / scale, u.cols,
+                   (lam_s + shift * np.eye(c.k)) / scale)
     full = _margin_solve(lmis, -np.inf, lambda z: False)
     assert full.status == "optimal"
     assert res.meta["ipm"]["iterations"] < full.iterations

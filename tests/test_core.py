@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stiefelsum import core
+from stiefelsum.cli import main
 from stiefelsum.certificate import certify
 from stiefelsum.core import (
     ORTH_TOL,
@@ -280,3 +283,37 @@ def test_load_rejects_asymmetric(tmp_path):
         '{"d": 2, "k": 1, "mats": [[0.0, 1.0, 0.0, 0.0]], "meta": {}}')
     with pytest.raises(ValueError):
         load_instance(path)
+
+
+def _roundoff_asymmetric_blocks():
+    """Three blocks Q diag(1e5 u) Q', d = 30: their largest entry is 7.0e4
+    and roundoff leaves max |A - A'| = 5.5e-12."""
+    rng = np.random.default_rng(0)
+    blocks = []
+    for _ in range(3):
+        q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+        blocks.append(q @ np.diag(1e5 * rng.uniform(size=30)) @ q.T)
+    return np.array(blocks)
+
+
+def _write_raw_instance(path, mats):
+    """mats as an instance file, bit for bit: save_instance would
+    symmetrize them first."""
+    k, d = mats.shape[:2]
+    path.write_text(json.dumps(
+        {"d": d, "k": k, "mats": mats.reshape(k, -1).tolist(), "meta": {}}))
+
+
+@pytest.mark.parametrize("a", [1.0, 1e-4])
+def test_load_symmetry_check_does_not_depend_on_units(tmp_path, a):
+    mats = a * _roundoff_asymmetric_blocks()
+    path = tmp_path / "inst.json"
+    _write_raw_instance(path, mats)
+    assert np.array_equal(load_instance(path).mats, sym(mats))
+    assert main(["solve-sdp", "--instance", str(path)]) == 0
+    # an asymmetry of 1e-6 of the largest entry is bad input at any scale
+    mats[0, 0, 1] += 1e-6 * np.abs(mats).max()
+    _write_raw_instance(path, mats)
+    with pytest.raises(ValueError, match="not symmetric"):
+        load_instance(path)
+    assert main(["solve-sdp", "--instance", str(path)]) == 1

@@ -3,8 +3,11 @@ values and central finite differences, the ascent against monotonicity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stiefelsum import stiefel
+from stiefelsum.certificate import certify
 from stiefelsum.core import ProblemInstance, StiefelPoint, polar_factor, sym
 from stiefelsum.generators import (
     gen_cjd,
@@ -14,8 +17,6 @@ from stiefelsum.generators import (
 )
 from stiefelsum.stiefel import (
     SolverConfig,
-    euclidean_gradient,
-    lambda_matrix,
     objective,
     random_stiefel,
     riemannian_gradient,
@@ -27,7 +28,9 @@ def test_gradient_hand_values():
     c = ProblemInstance((np.diag([3.0, 1.0]),))
     e1 = np.array([[1.0], [0.0]])
     assert objective(c, e1) == pytest.approx(3.0)
-    assert euclidean_gradient(c, e1) == pytest.approx(np.array([[6.0], [0.0]]))
+    g, f, _ = stiefel._evaluate(c.mats, e1)
+    assert g == pytest.approx(np.array([[6.0], [0.0]]))
+    assert f == objective(c, e1)
     # e1 is stationary: tangent projection kills the gradient
     assert np.linalg.norm(riemannian_gradient(c, e1)) <= 1e-15
 
@@ -54,9 +57,11 @@ def test_gradient_matches_finite_differences():
         assert fd == pytest.approx(an, abs=1e-5 * max(1.0, abs(an)))
         # the batched M_i u_i against a per-column loop
         loop = np.column_stack([m @ u.cols[:, i] for i, m in enumerate(c.mats)])
-        assert euclidean_gradient(c, u) == pytest.approx(2.0 * loop, abs=1e-12)
-        assert lambda_matrix(c, u).matrix == pytest.approx(u.cols.T @ loop,
-                                                           abs=1e-12)
+        g = stiefel._evaluate(c.mats, u.cols)[0]
+        assert g == pytest.approx(2.0 * loop, abs=1e-12)
+        # the multiplier matrix L = U'G / 2, column i U' M_i u_i
+        assert 0.5 * (u.cols.T @ g) == pytest.approx(u.cols.T @ loop,
+                                                     abs=1e-12)
         assert objective(c, u) == pytest.approx(float(np.sum(u.cols * loop)),
                                                 abs=1e-12)
 
@@ -73,13 +78,14 @@ def test_riemannian_gradient_is_tangent():
 
 
 def test_lambda_matrix_symmetric_only_at_stationarity():
+    # certify reports ||L - L'||_F of the multiplier matrix L = U'G / 2
     c = gen_separated_diagonal(6, 3, seed=2)
     rng = np.random.default_rng(2)
     u0 = random_stiefel(6, 3, rng)
-    assert lambda_matrix(c, u0).symmetry_residual > 1e-3
+    assert certify(c, u0).meta["symmetry_residual"] > 1e-3
     trace = stmm_solve(c, u0)
     assert trace.status == "Stationary"
-    assert lambda_matrix(c, trace.final).symmetry_residual <= 1e-8
+    assert certify(c, trace.final).meta["symmetry_residual"] <= 1e-8
 
 
 def test_random_stiefel_deterministic_and_orthonormal():
@@ -358,3 +364,40 @@ def test_a_newton_step_clears_the_history(monkeypatch):
     mm_after_mm = [t for t in range(1, trace.iterations)
                    if t not in newton and t - 1 not in newton]
     assert tried == [2] * len(mm_after_mm)
+
+
+@pytest.mark.parametrize("c_shift", [0.5, 2.0])
+@pytest.mark.parametrize("family", ["hppca", "randpsd"])
+def test_ascent_on_shifted_blocks_is_the_unshifted_ascent(family, c_shift):
+    # M_i - c I moves no maximizer and only lowers F by k c on St(k, d);
+    # StMM steps on the PSD M_i + psd_shift I, so it still climbs
+    # monotonically to the same stationary value, and certify agrees
+    c = (gen_hppca(20, 3, seed=1) if family == "hppca"
+         else gen_random_psd(12, 3, seed=1))
+    u0 = random_stiefel(c.d, c.k, np.random.default_rng(0))
+    base = stmm_solve(c, u0)
+    shifted = ProblemInstance(c.mats - c_shift * np.eye(c.d))
+    trace = stmm_solve(shifted, u0)
+    s = shifted.gate_unit
+    assert base.status == trace.status == "Stationary"
+    assert float(np.diff(trace.objectives).min()) >= -1e-12 * s
+    assert abs(trace.objectives[-1] + c.k * c_shift
+               - base.objectives[-1]) <= 1e-9 * s
+    assert certify(shifted, trace.final).status == "CertifiedGlobal"
+    assert shifted.psd_shift > 0.0  # the shifted blocks are indefinite
+
+
+@given(st.sampled_from(["hppca", "randpsd"]), st.integers(2, 8),
+       st.integers(1, 3), st.integers(0, 2**16), st.floats(-3.0, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_ascent_is_monotone_for_any_shift(family, d, k, seed, c_shift):
+    # for c > 0 the M_i + c I need no shift, so the run may end elsewhere
+    # than the c = 0 one; only monotonicity is claimed
+    k = min(k, d)
+    c = gen_hppca(d, k, seed=seed) if family == "hppca" else gen_random_psd(
+        d, k, seed=seed)
+    shifted = ProblemInstance(c.mats + c_shift * np.eye(d))
+    trace = stmm_solve(shifted, random_stiefel(d, k,
+                                               np.random.default_rng(seed)))
+    diffs = np.diff(trace.objectives)
+    assert diffs.min(initial=0.0) >= -1e-12 * shifted.gate_unit
