@@ -17,15 +17,18 @@ log-barrier path-following solve, O(k^3 d) per Newton step, stops at the
 first nu that clears the verdict's full-block slack gate, or once a bound
 proves that no nu can.
 
-The program is built on the instance's one view: the M_i + shift I,
-shift = c.psd_shift, and their multiplier matrix L + shift I, divided by
-the gate unit s, so its t is in the units of every gate. A program
-nu' >= 0 is the witness nu = s nu' - shift, and every block is s times
-the program's. Adding a I to every M_i then moves L and the witness by a
-and changes no program, so no verdict. Its nu' >= 0 cuts no certificate:
-for k < d the tail of block j forces nu_j >= lambda_max(W' M_j W) >=
--shift, and for k = d the dual's lineality (Y + a I, nu - a 1) moves any
-certificate into nu >= -shift.
+The program, its slack gate and the dual pair a nu induces all live in
+the instance's view (M_i + c I) / s, c = c.psd_shift and s = c.gate_unit
+(core.ProblemInstance.view). There L is (L + c I) / s, a program nu' is
+(nu + c) / s, every block is the full block over s, and each gate
+compares with a bare tolerance. The witness nu = s (nu' - c / s), the
+slacks and t_star are mapped back to the units of the M_i once, where the
+result is written; the pair is verified where it was built, since in the
+units of the M_i it can exceed the double range. Adding a I to every
+M_i moves L and the witness by a and changes no program, so no verdict.
+Its nu' >= 0 cuts no certificate: for k < d the tail of block j forces
+nu_j >= lambda_max(W' M_j W) >= -c, and for k = d the dual's lineality
+(Y + a I, nu - a 1) moves any certificate into nu >= -c.
 
 The slack gate evaluates the dual pair that nu induces (_induced_pair),
 and a certified result re-verifies that same pair, with X_i = u_i u_i',
@@ -66,11 +69,11 @@ CERT_TOL = 1e-7
 # the margin solve's stop tolerance on its optimality gap, for a point that
 # never clears the gate
 MARGIN_TOL = 1e-9
-# how far, in units of c.gate_unit, a stationary candidate's objective must
-# fall below a tight relaxation's value to be called suboptimal
+# how far, on the view, a stationary candidate's objective must fall below
+# a tight relaxation's value to be called suboptimal
 VALUE_MARGIN = 1e-5
 
-# stationarity gate, in units of c.gate_unit; StMM's stationary points
+# stationarity gate on the view; StMM's stationary points
 # (grad_tol 1e-10) pass it
 _PRECONDITION_TOL = 1e-6
 
@@ -94,15 +97,16 @@ class CertificateResult:
     meta: dict = field(default_factory=dict)
 
 
-def _induced_pair(c: ProblemInstance, u: np.ndarray, lam_s: np.ndarray,
+def _induced_pair(mats: np.ndarray, u: np.ndarray, lam: np.ndarray,
                   nu: np.ndarray):
-    """The dual pair that nu induces, Y = U (L - D_nu) U' and
-    Z_j = Y + nu_j I - M_j, and its slacks: the least eigenvalue of each
-    Z_j, then that of L - D_nu. Returns (SdpDualSolution, slacks)."""
-    core_mat = u @ (lam_s - np.diag(nu)) @ u.T
-    z_blocks = sym(core_mat + nu[:, None, None] * np.eye(c.d) - c.mats)
+    """The dual pair that nu induces for the (k, d, d) stack mats and the
+    multiplier matrix lam, Y = U (lam - D_nu) U' and Z_j = Y + nu_j I -
+    M_j, and its slacks: the least eigenvalue of each Z_j, then that of
+    lam - D_nu. Returns (SdpDualSolution, slacks)."""
+    core_mat = u @ (lam - np.diag(nu)) @ u.T
+    z_blocks = sym(core_mat + nu[:, None, None] * np.eye(u.shape[0]) - mats)
     slacks = np.append(least_eigenvalues(z_blocks),
-                       least_eigenvalues(sym(lam_s - np.diag(nu))[None]))
+                       least_eigenvalues(sym(lam - np.diag(nu))[None]))
     return SdpDualSolution(y=sym(core_mat), z_blocks=z_blocks, nu=nu), slacks
 
 
@@ -222,7 +226,7 @@ class _MarginRun:
         deflated margin t = s t' at the returned nu, in the units of the
         M_i."""
         return {"status": self.status, "iterations": self.iterations,
-                "mu": self.mu, "margin": float(self.z[-1] * s),
+                "mu": self.mu, "margin": float(self.z[-1]) * s,
                 "shift": self.shift}
 
 
@@ -301,41 +305,46 @@ def _margin_solve(lmis: _Arrowheads, floor: float, clears) -> _MarginRun:
 def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
     """Decide the certificate system at a (near-)stationary point.
 
-    The verdict is computed from freshly evaluated eigenvalue slacks at the
-    recovered witness, which must clear -CERT_TOL, and a CertifiedGlobal
+    The point is read on the instance's view (see the module docstring),
+    and so are every gate, the stationarity flag and the multiplier gate:
+    the verdict is computed from freshly evaluated eigenvalue slacks at the
+    program's witness, which must clear -CERT_TOL, and a CertifiedGlobal
     result additionally passes the induced primal/dual optimality check
-    within KKT_TOL. Every gate, the stationarity flag and the multiplier
-    gate included, is relative to s = c.gate_unit, which the instance
-    computes once, and the margin program is in units of s (see the
-    module docstring). Weak stationarity of u_bar does not abort the
-    computation; it only flags the result. A failed margin solve, or a
-    gate evaluation that raises LinAlgError (as on a gate matrix that is
-    not finite), is reported, not raised: status NumericalFailure, no
-    witness, NaN t_star and slacks, and meta["reason"] names the cause.
-    Otherwise meta["reason"] names the gate that decided against
-    certification ("" for a certified point). meta["ipm"] is the
-    margin solve's _MarginRun.summary(); its status is "feasible" when the
-    slack gate cleared, "infeasible" when the bound stop fired and
-    "optimal" when the solve ran to MARGIN_TOL, and it is absent when the
-    multiplier gate decided before any solve.
+    within KKT_TOL (check_kkt, on the view). The slacks, t_star, the
+    witness and meta's grad_norm and symmetry_residual are reported in
+    the units of the M_i, as inf beyond the double range. Weak
+    stationarity of u_bar does not abort the computation; it only flags
+    the result. A failed margin solve, or a gate evaluation that raises
+    LinAlgError (as on a gate matrix that is not finite), is reported,
+    not raised: status NumericalFailure, no witness, NaN t_star and
+    slacks, and meta["reason"] names the cause. Otherwise meta["reason"]
+    names the gate that decided against certification ("" for a
+    certified point).
+    meta["ipm"] is the margin solve's _MarginRun.summary(); its status is
+    "feasible" when the slack gate cleared, "infeasible" when the bound
+    stop fired and "optimal" when the solve ran to MARGIN_TOL, and it is
+    absent when the multiplier gate decided before any solve.
     """
     if not isinstance(u_bar, StiefelPoint):
         u_bar = StiefelPoint(np.asarray(u_bar, dtype=float))
     u = u_bar.cols
     if u.shape != (c.d, c.k):
         raise ValueError("candidate shape does not match the instance")
-    s, shift = c.gate_unit, c.psd_shift
-    g, _, rg = _evaluate(c.mats, u)
-    lam = 0.5 * (u.T @ g)  # the multiplier matrix L
+    g, _, rg = _evaluate(c.view, u)
+    lam = 0.5 * (u.T @ g)  # the program's multiplier matrix (L + c I) / s
     asym = float(np.linalg.norm(lam - lam.T))
     lam_s = sym(lam)
     rg = float(np.linalg.norm(rg))
-    weak = asym > _PRECONDITION_TOL * s or rg > _PRECONDITION_TOL * s
-    meta = {"grad_norm": rg, "symmetry_residual": asym}
+    weak = asym > _PRECONDITION_TOL or rg > _PRECONDITION_TOL
+    s, shift = c.gate_unit, c.psd_shift  # for what the result reports only
+    meta = {"grad_norm": s * rg, "symmetry_residual": s * asym}
 
     def verdict(reason, slacks, t_star, status=STATUS_INCONCLUSIVE, nu=None,
                 kkt=None):
         meta["reason"] = reason
+        with np.errstate(over="ignore"):  # beyond the double range is inf
+            slacks, t_star = s * slacks, s * t_star
+            nu = None if nu is None else s * (nu - shift / s)
         return CertificateResult(
             status=status, nu_witness=nu, min_eig_slacks=slacks, t_star=t_star,
             precondition_weak=weak, kkt_residuals=kkt, meta=meta)
@@ -344,39 +353,33 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
         return verdict(reason, np.full(c.k + 1, np.nan), float("nan"),
                        STATUS_NUMERICAL_FAILURE)
 
-    def witness(z):  # the program's nu' >= 0 in the instance's terms
-        return z[:c.k] * s - shift
-
     try:
-        # necessary condition: L - D_nu >= 0 with nu >= -shift forces
-        # L + shift I >= 0; slacks and t_star are the program's at nu' = 0
+        # necessary condition: lam_s - D_nu' >= 0 with nu' >= 0 forces
+        # lam_s >= 0; slacks and t_star are the program's at nu' = 0
         lam_min = float(np.linalg.eigvalsh(lam_s)[0])
-        if lam_min < -shift - _PRECONDITION_TOL * s:
-            slacks = _induced_pair(c, u, lam_s, witness(np.zeros(c.k)))[1]
-            return verdict("multiplier matrix indefinite", slacks,
-                           lam_min + shift)
+        if lam_min < -_PRECONDITION_TOL:
+            slacks = _induced_pair(c.view, u, lam_s, np.zeros(c.k))[1]
+            return verdict("multiplier matrix indefinite", slacks, lam_min)
 
         tried = {}  # the pair and slacks of the last iterate the gate saw
 
         def clears(z):  # the verdict's slack gate
-            tried["pair"] = _induced_pair(c, u, lam_s, witness(z))
-            return tried["pair"][1].min() >= -CERT_TOL * s
+            tried["pair"] = _induced_pair(c.view, u, lam_s, z[:c.k])
+            return tried["pair"][1].min() >= -CERT_TOL
 
-        res = _margin_solve(
-            _reduce((c.mats + shift * np.eye(c.d)) / s, u,
-                    (lam_s + shift * np.eye(c.k)) / s), -CERT_TOL, clears)
+        res = _margin_solve(_reduce(c.view, u, lam_s), -CERT_TOL, clears)
         meta["ipm"] = res.summary(s)
         if res.status == "numerical_failure":
             return failure("feasibility solve stalled")
 
         # a "feasible" stop returns the z its last gate call was made at
         dual, slacks = (tried["pair"] if res.status == "feasible" else
-                        _induced_pair(c, u, lam_s, witness(res.z)))
+                        _induced_pair(c.view, u, lam_s, res.z[:c.k]))
         t_star = float(slacks.min())
-        if not t_star >= -CERT_TOL * s:  # NaN fails too
+        if not t_star >= -CERT_TOL:  # NaN fails too
             return verdict("least slack below -CERT_TOL * s", slacks, t_star)
         # verify the induced pair against X_i = u_i u_i' before claiming
-        kkt = check_kkt(c, u.T[:, :, None] * u.T[:, None, :], dual)
+        kkt = check_kkt(c.view, u.T[:, :, None] * u.T[:, None, :], dual)
     except np.linalg.LinAlgError as exc:  # as on a gate matrix not finite
         return failure(f"gate evaluation failed: {exc}")
     if not kkt.max_residual <= KKT_TOL:  # NaN fails too
@@ -395,15 +398,15 @@ def classify_inconclusive(c: ProblemInstance, u_bar: StiefelPoint,
     (Riemannian gradient within _PRECONDITION_TOL) by more than
     VALUE_MARGIN means a suboptimal stationary point; anything else,
     including a missing or non-Optimal solve or an unconverged candidate,
-    stays Unknown. Both tolerances are in units of c.gate_unit."""
+    stays Unknown. The candidate is read on the instance's view, and the
+    relaxation's value is mapped into it once, as (value + k c) / s."""
     if sdp_report is None or sdp_report.status != STATUS_OPTIMAL:
         return CLASS_UNKNOWN
     if not is_tight(sdp_report):
         return CLASS_NOT_TIGHT
-    s = c.gate_unit
-    _, f, rg = _evaluate(c.mats, _cols(u_bar))
-    if not np.linalg.norm(rg) <= _PRECONDITION_TOL * s:  # NaN fails too
+    _, f, rg = _evaluate(c.view, _cols(u_bar))
+    if not np.linalg.norm(rg) <= _PRECONDITION_TOL:  # NaN fails too
         return CLASS_UNKNOWN
-    if f < sdp_report.value - VALUE_MARGIN * s:
-        return CLASS_SUBOPTIMAL
-    return CLASS_UNKNOWN
+    s = c.gate_unit
+    value = sdp_report.value / s + c.k * (c.psd_shift / s)  # on the view
+    return CLASS_SUBOPTIMAL if f < value - VALUE_MARGIN else CLASS_UNKNOWN

@@ -1,7 +1,7 @@
 """Symmetric-matrix and Stiefel-point primitives shared by every other module.
 
 Matrices are plain numpy arrays kept exactly symmetric by construction
-(symmetrized via (A + A') / 2 when wrapped in a container type). Dense
+(symmetrized via A / 2 + A' / 2 when wrapped in a container type). Dense
 storage throughout; the intended scale is d up to a few hundred.
 """
 
@@ -102,7 +102,9 @@ class ProblemInstance:
     the psd_shift property is the one these M_i still need.
 
     The M_i are read-only, so their spectra are decomposed once, on first
-    use, and that one batched eigvalsh gives both gate_unit and psd_shift.
+    use, and that one batched eigvalsh gives both gate_unit and psd_shift,
+    and from them the one stack StMM, certify and check_kkt read, view.
+    Entries may be any finite doubles, up to the largest.
     """
 
     mats: np.ndarray
@@ -115,7 +117,8 @@ class ProblemInstance:
         d = mats[0].shape[0]
         if any(m.shape != (d, d) for m in mats):
             raise ValueError("all matrices must share one square dimension")
-        mats = sym(np.array(mats))
+        mats = np.array(mats)  # halved first, so that no sum overflows
+        mats = 0.5 * mats + 0.5 * mats.swapaxes(1, 2)
         if not np.all(np.isfinite(mats)):
             raise ValueError("matrices must have finite entries")
         if len(mats) > d:
@@ -151,9 +154,23 @@ class ProblemInstance:
     def psd_shift(self) -> float:
         """The uniform shift c >= 0 that makes every M_i + c I PSD, by
         shift_and_scale's rule: -min_i lambda_min(M_i) when that is below
-        -1e-12, else 0.0. StMM and certify work on the M_i + c I, which
-        have the maximizers of the M_i."""
+        -1e-12, else 0.0. The M_i + c I have the maximizers of the M_i,
+        and on St(k, d) their objective is F + k c."""
         return _shift_for(self._spectra)
+
+    @cached_property
+    def view(self) -> np.ndarray:
+        """The read-only stack (M_i + c I) / s = M_i / s + (c / s) I, with
+        s = gate_unit and c = psd_shift: PSD, of spectral norm at most 2,
+        and, up to rounding, the same for every positive multiple of the
+        M_i. StMM, certify and check_kkt evaluate only this stack, so each
+        tolerance they compare with is a bare number, and each maps its
+        results back to the units of the M_i once, where it writes them
+        (an objective f of the view is s (f - k c / s)). No finite entry
+        overflows here, and those three build no M_i + c I or M_i / s of
+        their own."""
+        s = self.gate_unit
+        return _readonly(self.mats / s + self.psd_shift / s * np.eye(self.d))
 
 
 def commuting_distance(a: np.ndarray, b: np.ndarray) -> float:

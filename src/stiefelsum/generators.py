@@ -77,15 +77,25 @@ def gen_separated_diagonal(d: int, k: int, peak: float = 1.0,
     return normalize_instance(inst)
 
 
+def check_sigma(sigma) -> float:
+    """sigma, if it is a finite noise level >= 0; ValueError otherwise. The
+    one rule for a cjd noise level, which gen_cjd and the sweep apply."""
+    if not 0.0 <= sigma < np.inf:  # NaN fails too
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    return float(sigma)
+
+
 def gen_cjd(d: int, k: int, r=None, sigma: float = 1e-3, seed=0,
             reverse_nesting: bool = False) -> ProblemInstance:
     """Nested chain M_1 >= ... >= M_k >= 0 of diagonally dominant blocks.
 
     Each level adds a fresh diagonal with r (default min(3, d)) uniform
     entries plus a noise term S S^T / (10 d), S Gaussian d x 10d with
-    variance sigma, so sigma sweeps the tuple's commuting distance.
-    reverse_nesting builds the chain in ascending order (M_k >= ... >= M_1)."""
+    variance sigma (see check_sigma), so sigma sweeps the tuple's
+    commuting distance. reverse_nesting builds the chain in ascending
+    order (M_k >= ... >= M_1)."""
     r = min(3, d) if r is None else r
+    check_sigma(sigma)
     if r > d:
         raise ValueError("need r <= d")
     rng = np.random.default_rng(seed)

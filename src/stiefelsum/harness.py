@@ -31,7 +31,7 @@ from .certificate import (
     classify_inconclusive,
 )
 from .core import check_size, max_commuting_distance
-from .generators import family_builder, make_instance
+from .generators import check_sigma, family_builder, make_instance
 from .sdp import (
     STATUS_NUMERICAL_FAILURE,
     extract_candidate,
@@ -231,13 +231,16 @@ def run_cjd_sweep(sweep_values, trials: int, d, k, family: str = "cjd",
                   seed=0, jobs: int = 1):
     """Sweep trials over noise level (cjd: sigma = value) or sample size
     (hppca: group sizes [value, 4 value]) on every (d, k, value) cell; each
-    (d, k) reuses the per-value seeds. Returns (rows, records): one curve
-    row per cell, its statistics over the trials that did not raise (NaN
-    when all of them raised) and trial_errors, the count that did."""
+    (d, k) reuses the per-value seeds. A value that is not a positive
+    integer (hppca, core.check_size) or a finite sigma >= 0 (cjd,
+    generators.check_sigma) is bad input, rejected before any trial runs.
+    Returns (rows, records): one curve row per cell, its statistics over
+    the trials that did not raise (NaN when all of them raised) and
+    trial_errors, the count that did."""
     _check_grid(trials, [(dd, kk) for dd in d for kk in k])
     cells = [(dd, kk, val) for dd in d for kk in k for val in sweep_values]
-    args = [(family, dd, kk, {"n": [int(val), 4 * int(val)]}
-             if family == "hppca" else {"sigma": float(val)}, s)
+    args = [(family, dd, kk, {"n": [check_size(val, "n1"), 4 * int(val)]}
+             if family == "hppca" else {"sigma": check_sigma(val)}, s)
             for dd, kk, val in cells
             for s in trial_seeds((seed, str(val)), trials)]
     records = _run_trials(sweep_trial, args, jobs)

@@ -128,16 +128,22 @@ def _nonnegative_max(*values) -> float:
     return float(np.max((0.0,) + values)) + 0.0
 
 
-def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals:
+def check_kkt(c, primal, dual: SdpDualSolution) -> KktResiduals:
     """Residuals of the five optimality conditions for a primal/dual pair.
 
-    The M_i and the dual are divided by s = c.gate_unit first, so the four
-    dual-side residuals are in units of s and cannot overflow."""
+    The dual is read in the units of the instance's view (M_i + c I) / s
+    (core.ProblemInstance.view), so the four dual-side residuals are in
+    units of s = c.gate_unit, and no finite M_i overflows them. c is the
+    instance, whose dual, a report's, is read against c.view as Y / s,
+    Z_i / s and (nu_i + c) / s; or a view stack itself, whose dual is
+    already in its units (certify's, which can exceed the double range in
+    the units of the M_i)."""
     x = _blocks_of(primal)
-    s = c.gate_unit
-    mats = c.mats / s
-    y, z, nu = dual.y / s, dual.z_blocks / s, dual.nu / s
-    eye = np.eye(c.d)
+    view, y, z, nu = c, dual.y, dual.z_blocks, dual.nu
+    if isinstance(c, ProblemInstance):
+        s = c.gate_unit
+        view, y, z, nu = c.view, y / s, z / s, nu / s + c.psd_shift / s
+    eye = np.eye(view.shape[1])
     xsum = x.sum(axis=0)
 
     # each check reads one end of a spectrum; lambda_max(A) = -lambda_min(-A)
@@ -147,7 +153,7 @@ def check_kkt(c: ProblemInstance, primal, dual: SdpDualSolution) -> KktResiduals
         -float(least_eigenvalues(-sym(xsum)[None])[0]) - 1.0)
     res_dual_eq = _nonnegative_max(
         -float(least_eigenvalues(sym(y)[None])[0]),
-        float(np.linalg.norm(y - mats - z + nu[:, None, None] * eye,
+        float(np.linalg.norm(y - view - z + nu[:, None, None] * eye,
                              axis=(1, 2)).max()))
     res_slack = abs(float(np.sum((eye - xsum) * y)))
     res_block = float(np.abs(np.sum(z * x, axis=(1, 2))).max())

@@ -6,17 +6,19 @@ order and below F everywhere; maximizing that minorizer over the manifold
 is an orthogonal Procrustes problem whose solution is the polar factor of
 the Euclidean gradient. Iterating this step gives a monotone ascent method
 with O(dk^2 + k^3) per-iteration cost. For indefinite M_i the minorizer
-is not one, so stmm_solve steps on M_i + shift I, shift = c.psd_shift: on
-St(k, d) that adds the constant k shift to F and moves no maximizer. The
-MM map U -> polar(G(U)) converges only linearly, so stmm_solve speeds it up
-twice: every step also tries an Anderson extrapolation of the map (Walker
-and Ni 2011), kept only when it climbs at least as far as the MM step
-(the monotone safeguard of Henderson and Varadhan 2019); and near a
-stationary point it polishes with guarded Riemannian Newton steps (Absil,
-Mahony and Sepulchre 2008), each a dense solve of size dk + k(k+1)/2. The
-MM and Anderson steps work on bare arrays (core.polar_factor); the only
-points built and validated as StiefelPoints are the returned final one and
-each Newton retraction.
+is not one, so stmm_solve steps on the instance's view (M_i + c I) / s,
+c = c.psd_shift and s = c.gate_unit (core.ProblemInstance.view): on
+St(k, d) that maps F to (F + k c) / s and moves no maximizer, and every
+step and gate is then the same, up to rounding, for every positive
+multiple of the M_i. The MM map U -> polar(G(U)) converges only
+linearly, so stmm_solve speeds it up twice: every step also tries an
+Anderson extrapolation of the map (Walker and Ni 2011), kept only when it
+climbs at least as far as the MM step (the monotone safeguard of
+Henderson and Varadhan 2019); and near a stationary point it polishes
+with guarded Riemannian Newton steps (Absil, Mahony and Sepulchre 2008),
+each a dense solve of size dk + k(k+1)/2. The MM and Anderson steps work
+on bare arrays (core.polar_factor); the only points built and validated
+as StiefelPoints are the returned final one and each Newton retraction.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .core import (
 STATUS_STATIONARY = "Stationary"
 STATUS_MAX_ITERS = "MaxIters"
 
-# Newton is tried once the Riemannian gradient norm is at most
-# NEWTON_SWITCH * c.gate_unit; 1e-2 let a step leave the basin of the MM
+# Newton is tried once the Riemannian gradient norm on the view is at
+# most NEWTON_SWITCH; 1e-2 let a step leave the basin of the MM
 # limit. A rejected step holds Newton off for _NEWTON_WAIT MM steps.
 NEWTON_SWITCH = 1e-4
 _NEWTON_WAIT = 50
@@ -54,8 +56,9 @@ _ANDERSON_DEPTH = 3
 class SolverConfig:
     """Shared knobs for the manifold solver and the relaxation backend.
 
-    max_iters/grad_tol drive the ascent iteration; grad_tol is in units of
-    the instance's gate unit s (core.ProblemInstance.gate_unit).
+    max_iters/grad_tol drive the ascent iteration; grad_tol bounds the
+    Riemannian gradient norm on the instance's view, so it is in units of
+    the gate unit s (core.ProblemInstance.gate_unit).
     sdp_max_iters caps the interior-point iterations. The IPM's stop
     tolerance and step fraction, and the gates that label a report
     Optimal, are fixed constants in the ipm and sdp modules, not knobs.
@@ -136,10 +139,10 @@ def _newton_point(mats: np.ndarray, u: np.ndarray, g: np.ndarray,
 
     with H = blockdiag(2 M_i) - sym(U'G) (x) I_d, the Euclidean Hessian
     shifted by the curvature term, and N spanning the normal space
-    {U A : A symmetric}; vec stacks the columns of eta. Dividing M_i, G
-    and rgrad by one scalar leaves eta unchanged, so stmm_solve passes
-    them in units of s, which keeps H of the order of N. A singular,
-    ill-conditioned or non-finite system gives None.
+    {U A : A symmetric}; vec stacks the columns of eta. stmm_solve passes
+    the view and its G and rgrad as they are: the view's norm is at most
+    2, which keeps H of the order of N. A singular, ill-conditioned or
+    non-finite system gives None.
     """
     d, k = u.shape
     n = d * k
@@ -199,33 +202,29 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
     from the last _ANDERSON_DEPTH + 1 iterates. It is kept only if its
     objective is at least the MM step's; otherwise the MM step is taken
     and the history drops to its last pair. Once the Riemannian gradient
-    norm is at most NEWTON_SWITCH * c.gate_unit, a Newton step (see
-    _newton_point) is tried in place of the MM step and kept only if the
-    objective does not fall and the gradient norm does; otherwise the MM
-    step is taken, and Newton waits _NEWTON_WAIT MM steps. A Newton step
-    clears the Anderson history.
+    norm is at most NEWTON_SWITCH, a Newton step (see _newton_point) is
+    tried in place of the MM step and kept only if the objective does not
+    fall and the gradient norm does; otherwise the MM step is taken, and
+    Newton waits _NEWTON_WAIT MM steps. A Newton step clears the Anderson
+    history. Stops when the Riemannian gradient norm drops below
+    cfg.grad_tol, or at cfg.max_iters. A rank-deficient gradient is
+    perturbed by 1e-12 U and the step index recorded in degenerate_steps.
 
-    Every step, MM, Anderson or Newton, counts against cfg.max_iters and
-    appends one objective and gradient norm; the indices of the Anderson
-    and Newton steps are recorded in accelerated_steps and newton_steps.
-    Stops when the Riemannian gradient norm drops below cfg.grad_tol * s,
-    s = c.gate_unit, or at cfg.max_iters, so that scaling the M_i changes
-    no step. A rank-deficient gradient is perturbed by 1e-12 U and the step
-    index recorded in degenerate_steps.
-
-    Every step is taken on M_i + shift I, shift = c.psd_shift, where F is
-    convex and the MM step never descends, whatever the symmetric M_i;
-    the Riemannian gradient and Hessian do not see the shift, and the
-    trace reports the objective of the M_i themselves, F - k shift. On
-    PSD M_i the shift is 0 and nothing changes.
+    Every step and gate reads the view (M_i + c I) / s alone
+    (core.ProblemInstance.view), where F is convex and the MM step never
+    descends, whatever the symmetric M_i, and which a power-of-two
+    multiple of the M_i leaves bit for bit. Every step, MM, Anderson or
+    Newton, counts against cfg.max_iters and appends one objective and
+    gradient norm; the indices of the Anderson and Newton steps are
+    recorded in accelerated_steps and newton_steps. The trace is written
+    back to the units of the M_i once, at the end: the objective of the
+    M_i themselves, s (f - k c / s) for the view's f, and the gradient
+    norm s ||rgrad||, the Riemannian gradient not seeing the shift. An
+    objective beyond the double range is reported as inf.
     """
     cfg = cfg or SolverConfig()
-    s, shift = c.gate_unit, c.psd_shift
-    switch, stop = NEWTON_SWITCH * s, cfg.grad_tol * s
-    mats = c.mats + shift * np.eye(c.d) if shift else c.mats
-    mats_s = mats / s  # the Newton system in units of s
     u = _cols(u0)
-    g, f, rg = _evaluate(mats, u)
+    g, f, rg = _evaluate(c.view, u)
     objs = []
     gnorms = []
     degenerate = []
@@ -236,19 +235,19 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
     status = STATUS_MAX_ITERS
 
     for t in range(cfg.max_iters + 1):
-        objs.append(f - c.k * shift)
+        objs.append(f)
         gnorms.append(float(np.linalg.norm(rg)))
-        if gnorms[-1] <= stop:
+        if gnorms[-1] <= cfg.grad_tol:
             status = STATUS_STATIONARY
             break
         if t == cfg.max_iters:
             break
         if wait:
             wait -= 1
-        elif gnorms[-1] <= switch:
-            cand = _newton_point(mats_s, u, g / s, rg / s)
+        elif gnorms[-1] <= NEWTON_SWITCH:
+            cand = _newton_point(c.view, u, g, rg)
             if cand is not None:
-                g_new, f_new, rg_new = _evaluate(mats, cand)
+                g_new, f_new, rg_new = _evaluate(c.view, cand)
                 if f_new >= f and np.linalg.norm(rg_new) < gnorms[-1]:
                     newton.append(t)
                     history.clear()
@@ -261,8 +260,8 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
             degenerate.append(t)
             u_mm = polar_factor(g + 1e-12 * u)
         history.append((u.ravel(), (u_mm - u).ravel()))
-        mm = (u_mm, *_evaluate(mats, u_mm))
-        aa = (_anderson_point(mats, history, u.shape)
+        mm = (u_mm, *_evaluate(c.view, u_mm))
+        aa = (_anderson_point(c.view, history, u.shape)
               if len(history) > 1 else None)
         if aa is not None and aa[2] >= mm[2]:
             accelerated.append(t)
@@ -272,12 +271,14 @@ def stmm_solve(c: ProblemInstance, u0: StiefelPoint,
                 history.popleft()
             u, g, f, rg = mm
 
-    return IterateTrace(
-        objectives=np.asarray(objs),
-        grad_norms=np.asarray(gnorms),
-        final=StiefelPoint(u),
-        status=status,
-        degenerate_steps=tuple(degenerate),
-        newton_steps=tuple(newton),
-        accelerated_steps=tuple(accelerated),
-    )
+    s = c.gate_unit
+    with np.errstate(over="ignore"):  # F beyond the double range is inf
+        return IterateTrace(
+            objectives=s * (np.asarray(objs) - c.k * (c.psd_shift / s)),
+            grad_norms=s * np.asarray(gnorms),
+            final=StiefelPoint(u),
+            status=status,
+            degenerate_steps=tuple(degenerate),
+            newton_steps=tuple(newton),
+            accelerated_steps=tuple(accelerated),
+        )

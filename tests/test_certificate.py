@@ -298,7 +298,7 @@ def test_deflated_blocks_bound_the_full_blocks(d, k, seed):
     k = min(k, d)
     c, u, lam_s, nu, _ = _random_setup(d, k, seed)
     lmis = _reduce(c.mats, u, lam_s)
-    slacks = _induced_pair(c, u, lam_s, nu)[1]
+    slacks = _induced_pair(c.mats, u, lam_s, nu)[1]
     for j in range(k):
         keep = np.arange(d) != j
         block = _arrowhead(lmis, j, np.append(nu, 0.0))[np.ix_(keep, keep)]
@@ -326,7 +326,7 @@ def test_bound_stop_never_fires_on_a_certifiable_point(family, d, k, steps,
                    (lam_s + shift * np.eye(k)) / s)
 
     def clears(z):
-        slacks = _induced_pair(c, u, lam_s, z[:k] * s - shift)[1]
+        slacks = _induced_pair(c.mats, u, lam_s, z[:k] * s - shift)[1]
         return slacks.min() >= -CERT_TOL * s
 
     floor = -CERT_TOL
@@ -408,7 +408,8 @@ def test_feasibility_solve_stops_once_the_gate_clears(monkeypatch):
     assert 1 <= len(calls) <= res.meta["ipm"]["iterations"] + 1
     lam_s = _multipliers(c, u.cols)
     assert np.array_equal(res.min_eig_slacks,
-                          _induced_pair(c, u.cols, lam_s, res.nu_witness)[1])
+                          _induced_pair(c.mats, u.cols, lam_s,
+                                        res.nu_witness)[1])
     # the same program with a gate that never clears runs on to MARGIN_TOL
     scale, shift = c.gate_unit, c.psd_shift
     lmis = _reduce((c.mats + shift * np.eye(c.d)) / scale, u.cols,
@@ -500,16 +501,16 @@ def test_a_pair_that_fails_verification_is_not_certified(monkeypatch):
     assert res.t_star >= -CERT_TOL * c.gate_unit
 
 
-def _overflowing_gates():
-    """Finite M_i whose induced pair overflows at the point e_2, e_3."""
-    c = ProblemInstance((np.diag([8.9e307, 8.9e307, 0.0]),
-                         np.diag([-8.9e307, 0.0, 8.9e307])))
-    return c, StiefelPoint(np.eye(3)[:, [1, 2]])
+def test_non_finite_gate_matrices_are_a_status(monkeypatch):
+    # every least eigenvalue of the gates raises, as least_eigenvalues
+    # does on a matrix with a NaN or an inf
+    def not_finite(stack):
+        raise np.linalg.LinAlgError("matrix not finite")
 
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_gate_matrices_are_a_status():
-    res = certify(*_overflowing_gates())
+    monkeypatch.setattr(certificate, "least_eigenvalues", not_finite)
+    res = certify(ProblemInstance((np.diag([3.0, 1.0]),)),
+                  StiefelPoint(np.array([[1.0], [0.0]])))
     assert res.status == STATUS_NUMERICAL_FAILURE
     assert res.nu_witness is None and np.isnan(res.t_star)
     assert res.meta["reason"] == "gate evaluation failed: matrix not finite"
+

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from stiefelsum import cli, harness
+from stiefelsum import certificate, cli, harness
 from stiefelsum.cli import build_parser, main
 from stiefelsum.core import ProblemInstance, load_instance, save_instance
 
@@ -457,13 +457,17 @@ def test_certify_classifies_an_inconclusive_point(tmp_path):
     assert doc["classification"] == "SdpNotTight"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_certify_exits_2_on_non_finite_gate_matrices(tmp_path):
-    inst = ProblemInstance((np.diag([8.9e307, 8.9e307, 0.0]),
-                            np.diag([-8.9e307, 0.0, 8.9e307])))
+def test_certify_exits_2_on_non_finite_gate_matrices(tmp_path, monkeypatch):
+    # every least eigenvalue of the gates raises, as least_eigenvalues
+    # does on a matrix with a NaN or an inf
+    def not_finite(stack):
+        raise np.linalg.LinAlgError("matrix not finite")
+
+    monkeypatch.setattr(certificate, "least_eigenvalues", not_finite)
+    inst = ProblemInstance((np.diag([3.0, 1.0]),))
     inst_path, pt_path = tmp_path / "inst.json", tmp_path / "pt.json"
     save_instance(inst, inst_path)
-    pt_path.write_text(json.dumps({"u": np.eye(3)[:, [1, 2]].tolist()}))
+    pt_path.write_text(json.dumps({"u": [[1.0], [0.0]]}))
     cert_path = tmp_path / "cert.json"
     argv = ["certify", "--instance", str(inst_path), "--point", str(pt_path),
             "--out", str(cert_path)]
@@ -472,6 +476,44 @@ def test_certify_exits_2_on_non_finite_gate_matrices(tmp_path):
     assert doc["status"] == "NumericalFailure"
     assert doc["reason"] == "gate evaluation failed: matrix not finite"
     assert main(argv + ["--tolerate-failures"]) == 0
+
+
+def test_solve_stmm_and_certify_near_the_double_range(tmp_path):
+    # finite entries of norm 8.9e307, whose M_i + c I and gradient overflow
+    # in their own units: both commands work on the instance's view
+    inst = ProblemInstance((np.diag([8.9e307, 8.9e307, 0.0]),
+                            np.diag([-8.9e307, 0.0, 8.9e307])))
+    inst_path, pt_path = tmp_path / "inst.json", tmp_path / "pt.json"
+    save_instance(inst, inst_path)
+    stmm_path, cert_path = tmp_path / "stmm.json", tmp_path / "cert.json"
+    assert main(["solve-stmm", "--instance", str(inst_path),
+                 "--out", str(stmm_path)]) == 0
+    assert json.loads(stmm_path.read_text())["status"] == "Stationary"
+    pt_path.write_text(json.dumps({"u": np.eye(3)[:, [1, 2]].tolist()}))
+    assert main(["certify", "--instance", str(inst_path), "--point",
+                 str(pt_path), "--out", str(cert_path)]) == 0
+    assert json.loads(cert_path.read_text())["status"] == "CertifiedGlobal"
+
+
+# a sweep value that is not a positive integer n1 or a finite sigma >= 0
+# stops the sweep before any trial runs: bad input, not a failed trial
+@pytest.mark.parametrize("value", ["--n1=0", "--sigmas=-0.1", "--sigmas=nan"])
+def test_bad_sweep_values_are_bad_input(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    rc = main(["cjd-sweep", value, "--d", "6", "--k", "2", "--trials", "1",
+               "--out-dir", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_gen_rejects_a_negative_sigma(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--family", "cjd", "--params",
+                 '{"d": 6, "k": 2, "sigma": -0.1}', "--out", str(out)]) == 1
+    assert "sigma must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cjd_sweep_over_sample_sizes(tmp_path):

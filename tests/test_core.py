@@ -28,7 +28,7 @@ from stiefelsum.core import (
     top_eigenpairs,
 )
 from stiefelsum.sdp import solve_sdp
-from stiefelsum.stiefel import stmm_solve
+from stiefelsum.stiefel import random_stiefel, stmm_solve
 
 
 def _rand_sym(rng, d):
@@ -114,6 +114,25 @@ def test_problem_instance_validation():
     with pytest.raises(ValueError):
         ProblemInstance((np.eye(2), np.array([[1.0, np.nan], [np.nan, 0.0]])))
     assert np.allclose(spectral_norms(c.mats), [4.0, 1.0])
+
+
+def test_finite_entries_up_to_the_largest_double_are_an_instance():
+    # the input is symmetrized as A / 2 + A' / 2, whose sum cannot overflow
+    c = ProblemInstance((np.diag([1.7e308, 1.0]),))
+    assert c.mats[0, 0, 0] == 1.7e308
+    trace = stmm_solve(c, random_stiefel(2, 1, np.random.default_rng(0)))
+    assert trace.status == "Stationary"
+    assert certify(c, trace.final).status == "CertifiedGlobal"
+    pair = np.array([[0.0, 1.7e308], [1.5e308, 0.0]])
+    assert ProblemInstance((pair,)).mats[0, 1, 0] == 0.5 * 1.7e308 + 0.75e308
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_halves_symmetrize_as_the_sum_does(n, seed):
+    # A / 2 + A' / 2 and (A + A') / 2 are the same float at normal magnitude
+    a = np.random.default_rng(seed).standard_normal((min(n, 3), n, n))
+    assert np.array_equal(ProblemInstance(a).mats, sym(a))
 
 
 def test_an_overflowing_spectral_norm_is_bad_input():

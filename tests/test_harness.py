@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stiefelsum import harness, sdp
+from stiefelsum.generators import gen_cjd
 from stiefelsum.harness import (
     bench_cell,
     rop_trial,
@@ -143,6 +144,24 @@ def test_impossible_cells_stop_before_any_trial(d, k, monkeypatch):
     assert ran == []
 
 
+# a sweep value that is not a positive integer n1 (hppca) or a finite
+# sigma >= 0 (cjd, the rule gen_cjd applies too) is not truncated or
+# clipped: the sweep stops before any trial runs
+@pytest.mark.parametrize("family,value", [
+    ("hppca", 40.5), ("hppca", 0), ("hppca", True), ("cjd", -0.1),
+    ("cjd", float("nan")), ("cjd", float("inf"))])
+def test_bad_sweep_values_stop_before_any_trial(family, value, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "sweep_trial", ran.append)
+    good = 40 if family == "hppca" else 1e-3
+    with pytest.raises(ValueError, match="positive integer|sigma must be"):
+        run_cjd_sweep([good, value], 1, [6], [2], family=family)
+    assert ran == []
+    if family == "cjd":
+        with pytest.raises(ValueError, match="sigma must be"):
+            gen_cjd(6, 2, sigma=value)
+
+
 def test_subspace_distance_cases():
     u = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 2)))[0]
     assert subspace_distance(u, u) == pytest.approx(0.0, abs=1e-12)
@@ -187,15 +206,20 @@ def test_sweep_classifies_an_inconclusive_certificate():
     assert not harness.failed(rec)
 
 
-def test_sweep_cell_of_failed_trials_has_no_statistics():
-    # group sizes [0, 0] cannot be sampled: both trials raise ValueError
-    rows, recs = run_cjd_sweep([0], 2, [6], [2], family="hppca")
+def test_sweep_cell_of_failed_trials_has_no_statistics(monkeypatch):
+    # instances that cannot be built: both trials raise ValueError
+    def unbuildable(*args):
+        raise ValueError("cannot sample this draw")
+
+    monkeypatch.setattr(harness, "_make_instance", unbuildable)
+    rows, recs = run_cjd_sweep([40], 2, [6], [2], family="hppca")
     assert len(recs) == 2 and all("ValueError" in r["error"] for r in recs)
     (row,) = rows
     assert row["n_trials"] == 2 and row["trial_errors"] == 2
     for col in harness._CURVE:
         assert np.isnan(row[col])
     # a cell with no errors counts none
+    monkeypatch.undo()
     rows, _ = run_cjd_sweep([0.0], 1, [6], [2], seed=3)
     assert rows[0]["trial_errors"] == 0
     assert rows[0]["fraction_tight"] == 1.0

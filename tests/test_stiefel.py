@@ -3,7 +3,7 @@ values and central finite differences, the ascent against monotonicity."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stiefelsum import stiefel
@@ -14,6 +14,7 @@ from stiefelsum.generators import (
     gen_hppca,
     gen_random_psd,
     gen_separated_diagonal,
+    make_instance,
 )
 from stiefelsum.stiefel import (
     SolverConfig,
@@ -154,34 +155,116 @@ def test_mm_steps_build_no_points(monkeypatch):
     assert len(built) == 1 and built[0] is trace.final
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_gradient_raises_on_the_first_step():
-    # the first gradient's singular values, 4.7e307 and 1.6, fail the rank
-    # check on the MM step and on its perturbed retry: the run ends there,
-    # before any iterate overflows to NaN; the spectral norm, 1.5e308, is
-    # still finite
+def test_a_norm_near_the_double_range_ends_stationary():
+    # ||5e307 ones(3, 3)||_2 = 1.5e308 is finite, and I is 1.5e308 times
+    # smaller: the view holds it as 6.7e-309 I, and neither the run nor
+    # the certificate overflows
     c = ProblemInstance((5e307 * np.ones((3, 3)), np.eye(3)))
-    u0 = random_stiefel(3, 2, np.random.default_rng(0))
+    trace = stmm_solve(c, random_stiefel(3, 2, np.random.default_rng(0)))
+    assert trace.status == "Stationary"
+    assert certify(c, trace.final).status == "CertifiedGlobal"
+
+
+def test_a_rank_deficient_retry_raises(monkeypatch):
+    # an MM step whose gradient and perturbed retry are both rank-deficient
+    # ends the run with the polar factor's ValueError
+    calls = []
+
+    def deficient(m):
+        calls.append(m)
+        raise ValueError("rank-deficient input: polar factor not unique")
+
+    monkeypatch.setattr(stiefel, "polar_factor", deficient)
+    c = gen_random_psd(6, 2, seed=1)
+    u0 = random_stiefel(6, 2, np.random.default_rng(1))
     with pytest.raises(ValueError, match="rank-deficient"):
         stmm_solve(c, u0)
+    assert len(calls) == 2
+    assert np.array_equal(calls[1], calls[0] + 1e-12 * u0.cols)
+
+
+def _near_the_double_range(a):
+    """The indefinite pair (diag(a, a, 0), diag(-a, 0, a)); at a = 8.9e307
+    its M_i + c I and its gradient overflow in the units of the M_i."""
+    return ProblemInstance((np.diag([a, a, 0.0]), np.diag([-a, 0.0, a])))
+
+
+def test_near_the_double_range_is_the_unit_pair():
+    # StMM and certify read the view (M_i + c I) / s, the same stack up to
+    # rounding for both: LAPACK rescales a matrix whose norm is above about
+    # 1e146, so s is not exactly 8.9e307 and the runs are not bitwise equal
+    u0 = random_stiefel(3, 2, np.random.default_rng(0))
+    finals, witnesses = [], []
+    for a in (1.0, 8.9e307):
+        c = _near_the_double_range(a)
+        trace = stmm_solve(c, u0)
+        assert (trace.status, trace.iterations) == ("Stationary", 5)
+        assert np.all(np.isfinite(trace.objectives))
+        finals.append(trace.objectives[-1] / c.gate_unit)
+        for u in (StiefelPoint(np.eye(3)[:, [1, 2]]), trace.final):
+            res = certify(c, u)
+            assert res.status == "CertifiedGlobal", (a, res.meta["reason"])
+            assert np.all(np.isfinite(res.min_eig_slacks))
+            witnesses.append(res.nu_witness / c.gate_unit)
+    assert abs(finals[0] - finals[1]) <= 1e-14
+    assert np.allclose(witnesses[:2], witnesses[2:], rtol=0, atol=1e-12)
+
+
+@given(st.sampled_from(["hppca", "randpsd"]), st.integers(2, 8),
+       st.integers(1, 3), st.integers(0, 2**16), st.sampled_from([0.0, -0.3]),
+       st.floats(1.0, 8.8e307))
+@example("randpsd", 8, 3, 1, -0.3, 8.8e307)
+@example("hppca", 8, 3, 1, 0.0, 8.8e307)
+@settings(max_examples=20, deadline=None)
+def test_verdicts_hold_up_to_the_largest_double(family, d, k, seed, c_shift,
+                                                top):
+    # a draw scaled so that its largest entry is at most top and its
+    # spectral norm stays finite: StMM and certify see the unit draw's view
+    # and reach its verdicts, with no RuntimeWarning (an error here)
+    k = min(k, d)
+    unit = ProblemInstance(make_instance(family, d, k, {}, seed).mats
+                           + c_shift * np.eye(d))
+    a = min(top / float(np.abs(unit.mats).max()), 1.7e308 / unit.gate_unit)
+    big = ProblemInstance(a * unit.mats)
+    u0 = random_stiefel(d, k, np.random.default_rng(seed))
+    small, large = stmm_solve(unit, u0), stmm_solve(big, u0)
+    assert large.status == small.status
+    assert (certify(big, large.final).status
+            == certify(unit, small.final).status)
+    # F of k blocks can exceed the double range, where inf is its value
+    f = a * float(small.objectives[-1])
+    if np.isfinite(f):
+        assert float(large.objectives[-1]) == pytest.approx(
+            f, rel=0, abs=1e-9 * big.gate_unit)
 
 
 def test_steps_do_not_depend_on_the_units():
-    # the stop and the Newton system are in units of s = c.gate_unit: a
-    # power-of-two scale changes no bit, and 1e8 changes no step
+    # every step reads the view (M_i + c I) / s, which a power-of-two scale
+    # of the M_i leaves bit for bit: the steps and the final point are the
+    # same and the trace scales exactly. 1e8 rounds the view differently
+    # (this draw's s is 1 + 4.4e-16), so its steps may differ, but not its
+    # verdicts or its final point
     c = gen_hppca(20, 3, seed=1)
     u0 = random_stiefel(20, 3, np.random.default_rng(0))
     runs = {a: stmm_solve(ProblemInstance(a * c.mats), u0)
             for a in (1.0, 2.0, 2.0 ** 31, 1e8)}
     base = runs[1.0]
-    assert base.status == "Stationary" and len(base.newton_steps) == 2
-    for tr in runs.values():
+    assert base.status == "Stationary" and len(base.newton_steps) >= 1
+    for a in (2.0, 2.0 ** 31):
+        tr = runs[a]
         assert (tr.status, tr.iterations, tr.newton_steps,
                 tr.accelerated_steps) == (base.status, base.iterations,
                                           base.newton_steps,
                                           base.accelerated_steps)
-        assert np.allclose(tr.final.cols, base.final.cols, atol=1e-12)
-    assert np.array_equal(runs[2.0 ** 31].final.cols, runs[2.0].final.cols)
+        assert np.array_equal(tr.objectives, a * base.objectives)
+        assert np.array_equal(tr.grad_norms, a * base.grad_norms)
+        assert np.array_equal(tr.final.cols, base.final.cols)
+    big = runs[1e8]
+    assert big.status == base.status
+    assert certify(c, base.final).status == "CertifiedGlobal"
+    assert certify(ProblemInstance(1e8 * c.mats),
+                   big.final).status == "CertifiedGlobal"
+    assert np.allclose(big.final.cols, base.final.cols, rtol=0, atol=1e-9)
 
 
 def test_k1_ascent_finds_top_eigenvector():
