@@ -377,7 +377,7 @@ def certify(c: ProblemInstance, u_bar: StiefelPoint) -> CertificateResult:
                         _induced_pair(c.view, u, lam_s, res.z[:c.k]))
         t_star = float(slacks.min())
         if not t_star >= -CERT_TOL:  # NaN fails too
-            return verdict("least slack below -CERT_TOL * s", slacks, t_star)
+            return verdict("least slack below -CERT_TOL", slacks, t_star)
         # verify the induced pair against X_i = u_i u_i' before claiming
         kkt = check_kkt(c.view, u.T[:, :, None] * u.T[:, None, :], dual)
     except np.linalg.LinAlgError as exc:  # as on a gate matrix not finite

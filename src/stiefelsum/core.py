@@ -8,6 +8,7 @@ storage throughout; the intended scale is d up to a few hundred.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -42,32 +43,36 @@ def spectral_norms(stack) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(stack)).max(axis=-1)
 
 
-def _shift_for(vals) -> float:
-    """The uniform PSD shift of a stack whose ascending spectra are the rows
-    of vals: -lambda_min when it is below -1e-12, else 0.0."""
-    minlam = float(vals[:, 0].min(initial=0.0))
-    return -minlam if minlam < -1e-12 else 0.0
-
-
 def shift_and_scale(mats):
-    """Uniform PSD shift plus a global spectral-norm scale of the (k, d, d)
-    stack mats.
+    """The one normalization of a (k, d, d) stack: (view, shift, scale),
+    all from one batched eigvalsh of the M_i.
 
-    Returns (scaled mats, shift, scale); the shift preserves commutators and
-    only translates the objective, the scale conditions the solver. The
-    empty stack (k = 0) gets no shift and scale 1.
+    The shift c is -min_i lambda_min(M_i) when that is below
+    -1e-12 max_i ||M_i||_2, else 0.0; it moves no maximizer and, on
+    St(k, d), adds k c to the objective. The scale s = max_i ||M_i + c I||_2
+    is read off the same spectra, 1.0 for a zero or empty stack, and set to
+    the nearest power of two when within 1e-12 of one, so that dividing by
+    it is exact and a normalized stack, or a power-of-two multiple of one,
+    keeps every bit. The view, M_i / s + (c / s) I, is read-only, PSD up
+    to 1e-12 and of spectral norm 1 up to the snap, and no finite entry
+    overflows in it. A stack whose spectral norm, or that of its
+    M_i + c I, overflows has no scale: ValueError.
     """
     vals = np.linalg.eigvalsh(mats)
-    shift = _shift_for(vals)
-    if shift > 0.0:
-        mats = mats + shift * np.eye(mats.shape[1])
-        vals = np.linalg.eigvalsh(mats)
-    scale = float(np.abs(vals).max(initial=0.0))
-    if scale <= 1e-300:
-        scale = 1.0
-    if abs(scale - 1.0) > 1e-12:
-        mats = mats / scale
-    return mats, shift, scale
+    low = float(vals[:, 0].min(initial=0.0))
+    top = float(np.abs(vals).max(initial=0.0))
+    shift = -low if low < -1e-12 * top else 0.0
+    # with c = 0 no lambda is below -1e-12 max |lambda|, and with c > 0
+    # none is below -c, so max_i ||M_i + c I||_2 is max lambda_max + c
+    scale = float(vals[:, -1].max(initial=0.0)) + shift or 1.0
+    if not math.isfinite(scale):
+        raise ValueError("spectral norm overflows: instance has no unit")
+    frac, exp = math.frexp(scale)  # scale = frac 2^exp, 0.5 <= frac < 1
+    power = math.ldexp(1.0 if frac > 0.75 and exp < 1024 else 0.5, exp)
+    if abs(scale - power) <= 1e-12 * power:
+        scale = power
+    view = mats / scale + (shift / scale) * np.eye(mats.shape[-1])
+    return _readonly(view), shift, scale
 
 
 def _readonly(a):
@@ -101,10 +106,11 @@ class ProblemInstance:
     is the uniform shift a generator already added to make the M_i PSD;
     the psd_shift property is the one these M_i still need.
 
-    The M_i are read-only, so their spectra are decomposed once, on first
-    use, and that one batched eigvalsh gives both gate_unit and psd_shift,
-    and from them the one stack StMM, certify and check_kkt read, view.
-    Entries may be any finite doubles, up to the largest.
+    The M_i are read-only, so they are normalized once, on first use, by
+    shift_and_scale, the one normalization rule: its one batched eigvalsh
+    gives gate_unit and psd_shift, and from them the one stack every
+    solver and gate reads, view. Entries may be any finite doubles, up to
+    the largest.
     """
 
     mats: np.ndarray
@@ -135,42 +141,42 @@ class ProblemInstance:
         return self.mats.shape[0]
 
     @cached_property
-    def _spectra(self) -> np.ndarray:
-        """The ascending eigenvalues of each M_i, one row per block."""
-        return np.linalg.eigvalsh(self.mats)
+    def _normalized(self):
+        """shift_and_scale(mats), computed once: (view, psd_shift,
+        gate_unit)."""
+        return shift_and_scale(self.mats)
 
-    @cached_property
+    @property
     def gate_unit(self) -> float:
-        """s = max(1, max_i ||M_i||_2), the unit of every verdict gate that
-        carries the units of the M_i; it is 1 for normalized inputs. Finite
+        """s = max_i ||M_i + c I||_2 with c = psd_shift, snapped to a power
+        of two within 1e-12 (shift_and_scale): the unit of every verdict
+        gate that carries the units of the M_i, at any magnitude. It is 1
+        for normalized PSD inputs and 1.0 for the zero instance. Finite
         entries can still have a spectral norm that overflows: such an
         instance has no unit and is bad input (ValueError)."""
-        s = float(np.abs(self._spectra).max())
-        if not np.isfinite(s):
-            raise ValueError("spectral norm overflows: instance has no unit")
-        return max(1.0, s)
+        return self._normalized[2]
 
-    @cached_property
+    @property
     def psd_shift(self) -> float:
         """The uniform shift c >= 0 that makes every M_i + c I PSD, by
         shift_and_scale's rule: -min_i lambda_min(M_i) when that is below
-        -1e-12, else 0.0. The M_i + c I have the maximizers of the M_i,
-        and on St(k, d) their objective is F + k c."""
-        return _shift_for(self._spectra)
+        -1e-12 max_i ||M_i||_2, else 0.0. The M_i + c I have the
+        maximizers of the M_i, and on St(k, d) their objective is F + k c."""
+        return self._normalized[1]
 
-    @cached_property
+    @property
     def view(self) -> np.ndarray:
         """The read-only stack (M_i + c I) / s = M_i / s + (c / s) I, with
-        s = gate_unit and c = psd_shift: PSD, of spectral norm at most 2,
-        and, up to rounding, the same for every positive multiple of the
-        M_i. StMM, certify and check_kkt evaluate only this stack, so each
-        tolerance they compare with is a bare number, and each maps its
-        results back to the units of the M_i once, where it writes them
-        (an objective f of the view is s (f - k c / s)). No finite entry
-        overflows here, and those three build no M_i + c I or M_i / s of
-        their own."""
-        s = self.gate_unit
-        return _readonly(self.mats / s + self.psd_shift / s * np.eye(self.d))
+        s = gate_unit and c = psd_shift: PSD, of spectral norm 1 up to the
+        snap of s, and, up to rounding, the same for every positive
+        multiple of the M_i (bit for bit for a power of two). solve_sdp's
+        relaxation (for k < d), StMM, certify and check_kkt evaluate only
+        this stack, so each tolerance they compare with is a bare number,
+        and each maps its results back to the units of the M_i once, where
+        it writes them (an objective f of the view is s (f - k c / s)).
+        No finite entry overflows here, and none of them builds an
+        M_i + c I or M_i / s of its own."""
+        return self._normalized[0]
 
 
 def commuting_distance(a: np.ndarray, b: np.ndarray) -> float:

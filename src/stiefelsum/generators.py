@@ -15,6 +15,7 @@ rank_two_pair (gen's fixture) returns relaxation blocks, not an instance.
 from __future__ import annotations
 
 import inspect
+import numbers
 
 import numpy as np
 
@@ -78,9 +79,11 @@ def gen_separated_diagonal(d: int, k: int, peak: float = 1.0,
 
 
 def check_sigma(sigma) -> float:
-    """sigma, if it is a finite noise level >= 0; ValueError otherwise. The
-    one rule for a cjd noise level, which gen_cjd and the sweep apply."""
-    if not 0.0 <= sigma < np.inf:  # NaN fails too
+    """sigma, if it is a finite noise level >= 0; ValueError otherwise, as
+    for a sigma that is not a real number (a string or null read from
+    JSON). The one rule for a cjd noise level, which gen_cjd and the sweep
+    apply."""
+    if not isinstance(sigma, numbers.Real) or not 0.0 <= sigma < np.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     return float(sigma)
 

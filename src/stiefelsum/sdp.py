@@ -161,13 +161,14 @@ def check_kkt(c, primal, dual: SdpDualSolution) -> KktResiduals:
     return KktResiduals(res_primal, res_dual_eq, res_slack, res_block, res_cone)
 
 
-def _status_from(res, gap, kkt_max, p, dd):
+def _status_from(res, gap, kkt_max, p, dd, s):
     # written as "not x <= tol" so that NaN fails every gate; p and dd are
-    # the primal and dual values
+    # the primal and dual values, and s = c.gate_unit is the gap's unit, as
+    # it is the KKT residuals'
     reasons = []
     if res.status != "optimal":
         reasons.append("solver did not converge")
-    if not gap <= GAP_TOL * (1.0 + abs(p) + abs(dd)):
+    if not gap <= GAP_TOL * (s + abs(p) + abs(dd)):
         reasons.append("duality gap above tolerance")
     if not kkt_max <= KKT_TOL:
         reasons.append("KKT residual above tolerance")
@@ -179,12 +180,16 @@ def _status_from(res, gap, kkt_max, p, dd):
 def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveReport:
     """Solve the relaxation and self-verify the reported optimality.
 
-    Inputs need not be normalized or PSD: core.shift_and_scale's uniform
-    eigenvalue shift and global scale are applied internally and mapped
-    back, and recorded as meta["psd_shift"] and meta["scale"]. At k = d,
-    where the coupling forces X_k = I - sum_{i<k} X_i, the relaxation is
-    solved on the blocks M_i - M_k, i < k, with X_k as its slack, and the
-    shift and scale are those of that reduced stack.
+    Inputs need not be normalized or PSD: the relaxation is solved on the
+    instance's view (M_i + c I) / s (core.ProblemInstance.view, the one
+    normalization, core.shift_and_scale), and its dual is mapped back to
+    the units of the M_i once; meta["psd_shift"] and meta["scale"] record
+    the c and the divisor s. At k = d, where the coupling forces
+    X_k = I - sum_{i<k} X_i, the relaxation is solved on the blocks
+    M_i - M_k, i < k, with X_k as its slack, normalized by the same rule,
+    and meta records that reduced stack's c and s. A power-of-two
+    multiple of the M_i therefore changes no bit of X and scales the dual
+    exactly.
     meta["ipm"] is the IPM run's IpmResult.summary(): its stop status,
     the exit that ended it (stop_reason), iterations, final residuals,
     the largest diagonal shift its Schur factorization needed
@@ -192,19 +197,20 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     factored in float32 (single_iterations), the refinement steps over
     every Schur solve (refine_steps) and the extra corrector directions
     solved on the iterations' factors (corrector_solves). A report is never
-    labeled Optimal unless the duality gap and all five KKT residuals
-    (check_kkt's, relative to c.gate_unit) pass GAP_TOL and KKT_TOL;
+    labeled Optimal unless the duality gap, in units of s = c.gate_unit
+    (gap <= GAP_TOL (s + |p| + |dd|)), and all five KKT residuals
+    (check_kkt's, relative to s) pass GAP_TOL and KKT_TOL;
     meta["reason"] names the gates that failed ("" for none). An instance
     whose spectral norm overflows raises ValueError (gate_unit) first.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    c.gate_unit  # raises on bad input before any other work
+    s = c.gate_unit  # every gate's unit; bad input raises here, first
     # at k = d the coupling forces X_k = I - sum_{i<k} X_i: the relaxation
     # of the blocks M_i - M_k, i < k, whose slack is X_k
-    mats = c.mats[:-1] - c.mats[-1] if c.k == c.d else c.mats
-    mats_s, shift, scale = shift_and_scale(mats)
-    ops = FantopeOps(mats_s, c.d)
+    view, shift, scale = (shift_and_scale(c.mats[:-1] - c.mats[-1])
+                          if c.k == c.d else (c.view, c.psd_shift, s))
+    ops = FantopeOps(view, c.d)
     res = solve_ipm(ops, max_iters=cfg.sdp_max_iters)
 
     # back to the maximization's sign: the IPM minimized the negated
@@ -227,7 +233,7 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     gap = abs(p - dd)
 
     kkt = check_kkt(c, x_blocks, dual)
-    status, reason = _status_from(res, gap, kkt.max_residual, p, dd)
+    status, reason = _status_from(res, gap, kkt.max_residual, p, dd, s)
 
     return SolveReport(
         status=status,

@@ -71,7 +71,8 @@ DELETED = [
     (sdp, "_fantope_start"), (ipm, "dpotrs"), (certificate, "dpotrs"),
     (ipm, "dsymv"), (ipm, "_CHUNK_LOWER"), (sdp, "_recover_coupling_dual"),
     (sdp, "smat"), (stiefel, "LambdaMatrix"), (stiefel, "lambda_matrix"),
-    (stiefel, "euclidean_gradient"),
+    (stiefel, "euclidean_gradient"), (core, "_shift_for"),
+    (core.ProblemInstance, "_spectra"),
 ]
 
 

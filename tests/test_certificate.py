@@ -23,13 +23,15 @@ from stiefelsum.generators import (
     gen_random_psd,
     gen_separated_diagonal,
 )
-from stiefelsum.harness import sweep_trial
+from stiefelsum.harness import make_instance, sweep_trial, trial_seeds
 from stiefelsum.sdp import (
     STATUS_NUMERICAL_FAILURE,
     KktResiduals,
     SdpDualSolution,
     SdpPrimalSolution,
     SolveReport,
+    extract_candidate,
+    is_tight,
     solve_sdp,
 )
 from stiefelsum.stiefel import (
@@ -42,13 +44,14 @@ from stiefelsum.stiefel import (
 
 
 def test_certify_computes_the_gate_unit_once(monkeypatch):
-    # one batched eigvalsh of the k blocks gives both the gate unit and the
-    # PSD shift; certify's slack gate, its program and its KKT check share
-    # them, and certify adds no spectral norm of its own. A fresh
-    # instance, since stmm_solve has already cached the spectra on c.
+    # one batched eigvalsh of the k blocks gives the gate unit, the PSD
+    # shift and the view; certify's slack gate, its program and its KKT
+    # check share them, and certify adds no spectral norm of its own. Nor
+    # does solve_sdp at k < d, whose relaxation reads the same view. Fresh
+    # instances, since stmm_solve has already normalized c.
     c = gen_separated_diagonal(6, 3, seed=2)
     u = stmm_solve(c, random_stiefel(6, 3, np.random.default_rng(2))).final
-    fresh = ProblemInstance(c.mats)
+    fresh, fresh_sdp = ProblemInstance(c.mats), ProblemInstance(c.mats)
     norm, eigvalsh = np.linalg.norm, np.linalg.eigvalsh
     spectral_norms = core.spectral_norms
     calls = []
@@ -59,6 +62,8 @@ def test_certify_computes_the_gate_unit_once(monkeypatch):
 
     def counting_eig(a, *args, **kwargs):
         calls.append(("eigvalsh", np.shape(a)))
+        if np.shape(a) == c.mats.shape and np.array_equal(a, c.mats):
+            calls.append(("instance", np.shape(a)))
         return eigvalsh(a, *args, **kwargs)
 
     def counting_stack(stack):
@@ -73,8 +78,15 @@ def test_certify_computes_the_gate_unit_once(monkeypatch):
     assert [(o, s) for o, s in calls
             if o in (2, "stack") or (o == "eigvalsh" and len(s) == 3)] == [
         ("eigvalsh", (3, 6, 6))]
+    # s = max_i ||M_i + c I||_2, set to the power of two it is within 1e-12
+    # of (core.shift_and_scale)
     assert fresh.gate_unit == pytest.approx(
-        max(1.0, *(norm(m, 2) for m in c.mats)), rel=1e-14)
+        max(norm(m + fresh.psd_shift * np.eye(6), 2) for m in c.mats),
+        rel=1e-12)
+    calls.clear()
+    assert solve_sdp(fresh_sdp).status == "Optimal"
+    assert [(o, s) for o, s in calls if o in (2, "stack", "instance")] == [
+        ("instance", (3, 6, 6))]
 
 
 def test_certifies_known_global_optimum():
@@ -101,7 +113,7 @@ def test_suboptimal_stationary_point_is_inconclusive():
     # the deflated margin, max over nu >= 0 of min(nu - 3, 1 - nu) = -1, is
     # far below the gate, so the path-following bound stops the solve
     assert res.meta["ipm"]["status"] == "infeasible"
-    assert res.meta["reason"] == "least slack below -CERT_TOL * s"
+    assert res.meta["reason"] == "least slack below -CERT_TOL"
     assert res.t_star == res.min_eig_slacks.min()
     # at the returned nu neither margin beats the optimum -1; the full
     # block's zero corner makes its least slack at most that
@@ -379,7 +391,7 @@ def test_certify_refuses_a_non_stationary_point(d, k):
     assert np.linalg.norm(riemannian_gradient(c, u)) > 0.1
     res = certify(c, u)
     assert res.status == "Inconclusive" and res.precondition_weak
-    assert res.meta["reason"] == "least slack below -CERT_TOL * s"
+    assert res.meta["reason"] == "least slack below -CERT_TOL"
     # the deflated margin stays positive, so the solve runs to MARGIN_TOL;
     # at k = d its optimum is degenerate and the Newton system is shifted
     assert res.meta["ipm"]["status"] == "optimal"
@@ -514,3 +526,31 @@ def test_non_finite_gate_matrices_are_a_status(monkeypatch):
     assert res.nu_witness is None and np.isnan(res.t_star)
     assert res.meta["reason"] == "gate evaluation failed: matrix not finite"
 
+
+@pytest.mark.parametrize("family, d, k, params", [
+    ("randpsd", 8, 3, {}), ("randpsd", 12, 3, {}), ("randpsd", 6, 6, {}),
+    ("hppca", 10, 3, {}), ("cjd", 8, 3, {"sigma": 0.01})])
+def test_verdicts_are_invariant_under_the_problems_symmetries(family, d, k,
+                                                               params):
+    # the problem is the same under M_i -> a Q M_pi(i) Q' (a > 0, Q
+    # orthogonal, pi a block permutation), with U -> (Q U) pi, and under
+    # M_i -> M_i + b I: no verdict may move. Fixed draws, the first two of
+    # each cell of a 100-draw corpus, since on a degenerate optimal face
+    # is_tight may depend on rounding; scales from 2^-40 to 1e6
+    for seed in trial_seeds((11, family, d, k), 2):
+        c = make_instance(family, d, k, params, seed)
+        rep = solve_sdp(c)
+        u = stmm_solve(c, extract_candidate(rep)[0],
+                       SolverConfig.for_hppca()).final
+        verdict = (rep.status, is_tight(rep), certify(c, u).status)
+        rng = np.random.default_rng(seed % 2**32)
+        for a in (2.0 ** -40, 1e-12, 1e-3, 1e6):
+            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            pi = rng.permutation(k)
+            moved = ProblemInstance(a * (q @ c.mats[pi] @ q.T))
+            rep_a = solve_sdp(moved)
+            assert (rep_a.status, is_tight(rep_a),
+                    certify(moved, q @ u.cols[:, pi]).status) == verdict
+        for b in (-2.0, 5.0):
+            shifted = ProblemInstance(c.mats + b * np.eye(d))
+            assert certify(shifted, u).status == verdict[2]

@@ -516,6 +516,19 @@ def test_gen_rejects_a_negative_sigma(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ['"x"', "null", "[0.1]"])
+def test_gen_rejects_a_sigma_that_is_not_a_number(tmp_path, capsys, sigma):
+    # bad input, reported as an error line and exit status 1, not a
+    # traceback
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--family", "cjd", "--params",
+                 f'{{"d": 6, "k": 2, "sigma": {sigma}}}',
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma must be finite and >= 0")
+    assert not out.exists()
+
+
 def test_cjd_sweep_over_sample_sizes(tmp_path):
     argv = ["cjd-sweep", "--n1", "40", "--d", "6", "--k", "2", "--trials",
             "1", "--out-dir", str(tmp_path)]

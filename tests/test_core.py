@@ -27,6 +27,7 @@ from stiefelsum.core import (
     sym,
     top_eigenpairs,
 )
+from stiefelsum.generators import make_instance
 from stiefelsum.sdp import solve_sdp
 from stiefelsum.stiefel import random_stiefel, stmm_solve
 
@@ -260,9 +261,43 @@ def test_batched_block_reductions_match_the_loop():
     c = ProblemInstance(blocks)
     norms = [np.abs(np.linalg.eigvalsh(m)).max() for m in blocks]
     assert list(spectral_norms(c.mats)) == norms
-    assert c.gate_unit == max(1.0, *norms)
+    # these blocks are indefinite: the unit is the largest ||M_i + c I||_2
+    spectra = [np.linalg.eigvalsh(m) for m in blocks]
+    shift = -min(v[0] for v in spectra)
+    assert c.psd_shift == shift
+    assert c.gate_unit == max(v[-1] for v in spectra) + shift
     assert c.gate_unit == pytest.approx(
-        max(1.0, *(np.linalg.norm(m, 2) for m in blocks)), rel=1e-14)
+        max(np.linalg.norm(m + shift * np.eye(7), 2) for m in blocks),
+        rel=1e-14)
+
+
+def test_the_shift_is_relative_to_the_instance():
+    # an indefinite draw of norm 1e-20: its least eigenvalue, -3e-21, is
+    # far below -1e-12 ||M||, so the view is lifted to PSD, as at norm 1
+    unit = ProblemInstance(make_instance("randpsd", 8, 3, {}, 1).mats
+                           - 0.3 * np.eye(8))
+    c = ProblemInstance(1e-20 * unit.mats)
+    assert c.psd_shift > 0.0
+    assert c.psd_shift == pytest.approx(1e-20 * unit.psd_shift, rel=1e-12)
+    assert c.gate_unit == pytest.approx(1e-20 * unit.gate_unit, rel=1e-12)
+    vals = np.linalg.eigvalsh(c.view)
+    assert vals.min() >= -1e-14 * vals.max()
+
+
+def test_the_scale_snaps_to_a_power_of_two():
+    # within 1e-12 of a power of two, s is that power, so the view divides
+    # exactly
+    for top, s in ((1.0 - 2e-16, 1.0), (1.0 + 4e-13, 1.0), (3.0, 3.0),
+                   (0.25 * (1.0 - 3e-13), 0.25), (1.0 + 2e-12, 1.0 + 2e-12),
+                   (2.0 ** 1023 * (1.0 + 1e-13), 2.0 ** 1023), (0.0, 1.0)):
+        view, shift, scale = core.shift_and_scale(np.diag([top, 0.0])[None])
+        assert (scale, shift) == (s, 0.0)
+        assert view[0, 0, 0] == top / s
+        assert not view.flags.writeable
+    # the largest double is within 1.1e-16 of 2^1024, which does not exist
+    top = np.finfo(float).max
+    _, _, scale = core.shift_and_scale(np.diag([top, 0.0])[None])
+    assert 2.0 ** 1023 < scale < np.inf
 
 
 def test_top_eigenpairs_tie_flag():

@@ -122,6 +122,30 @@ def test_square_solves_need_no_schur_shift(d):
     assert solve_sdp(c).value == pytest.approx(best, abs=1e-6)
 
 
+@pytest.mark.parametrize("family, d, k", [("hppca", 12, 3),
+                                          ("randpsd", 8, 3)])
+@pytest.mark.parametrize("stretch", [1.0, 1.0 + 5e-13])
+@pytest.mark.parametrize("j", [1, 10, -30])
+def test_solve_sdp_is_exact_under_powers_of_two(family, d, k, stretch, j):
+    # both draws are PSD and of norm within 1e-12 of 1, so s snaps to 1
+    # and 2^j M is solved on the same view bit for bit: X is the same and
+    # the dual and the value scale exactly, by the divisor s = 2^j that
+    # meta reports (the IPM solved on M / s, not on M / ||M||)
+    c = ProblemInstance(stretch * make_instance(family, d, k, {}, 3).mats)
+    big = ProblemInstance(2.0 ** j * c.mats)
+    base, rep = solve_sdp(c), solve_sdp(big)
+    assert (base.meta["scale"], rep.meta["scale"]) == (1.0, 2.0 ** j)
+    assert base.meta["psd_shift"] == rep.meta["psd_shift"] == 0.0
+    assert np.array_equal(c.view, c.mats)
+    assert np.array_equal(big.view, c.view)
+    assert np.array_equal(rep.primal.x_blocks, base.primal.x_blocks)
+    assert np.array_equal(rep.dual.y, 2.0 ** j * base.dual.y)
+    assert np.array_equal(rep.dual.z_blocks, 2.0 ** j * base.dual.z_blocks)
+    assert np.array_equal(rep.dual.nu, 2.0 ** j * base.dual.nu)
+    assert rep.value == 2.0 ** j * base.value
+    assert rep.status == base.status == STATUS_OPTIMAL
+
+
 def test_shift_and_scale_mapping():
     rng = np.random.default_rng(31)
     mats = tuple(_rand_psd(5, rng) for _ in range(2))
@@ -340,11 +364,24 @@ def test_kkt_max_residual_propagates_nan():
 
 def test_status_gates_fail_closed_on_nan():
     converged = SimpleNamespace(status="optimal")
-    assert _status_from(converged, 0.0, 0.0, 1.0, 1.0)[0] == STATUS_OPTIMAL
+    assert _status_from(converged, 0.0, 0.0, 1.0, 1.0,
+                        1.0)[0] == STATUS_OPTIMAL
     for gap, kkt_max in ((float("nan"), 0.0), (0.0, float("nan"))):
-        status, reason = _status_from(converged, gap, kkt_max, 1.0, 1.0)
+        status, reason = _status_from(converged, gap, kkt_max, 1.0, 1.0, 1.0)
         assert status == STATUS_NUMERICAL_FAILURE
         assert "tolerance" in reason
+
+
+def test_gap_gate_is_in_units_of_the_instance():
+    # GAP_TOL (s + |p| + |dd|): at s = 1e-12 and values 2e-12, a gap of
+    # 1e-15 is 0.02 % of the values, far above the gate; an absolute 1
+    # in its place would admit any gap below 1e-7
+    converged = SimpleNamespace(status="optimal")
+    status, reason = _status_from(converged, 1e-15, 0.0, 2e-12, 2e-12, 1e-12)
+    assert status == STATUS_NUMERICAL_FAILURE
+    assert reason == "duality gap above tolerance"
+    assert _status_from(converged, 4e-19, 0.0, 2e-12, 2e-12,
+                        1e-12)[0] == STATUS_OPTIMAL
 
 
 def _hand_report(blocks, status=STATUS_OPTIMAL, rop_err=None):

@@ -224,8 +224,12 @@ def test_verdicts_hold_up_to_the_largest_double(family, d, k, seed, c_shift,
     k = min(k, d)
     unit = ProblemInstance(make_instance(family, d, k, {}, seed).mats
                            + c_shift * np.eye(d))
-    a = min(top / float(np.abs(unit.mats).max()), 1.7e308 / unit.gate_unit)
-    big = ProblemInstance(a * unit.mats)
+    # big = a M with a = min(top / entry, 1.7e308 / s), built as b (M / entry)
+    # so that no factor overflows where s or the largest entry is below 1
+    entry = float(np.abs(unit.mats).max())
+    b = min(top, 1.7e308 / unit.gate_unit * entry)
+    big = ProblemInstance(b * (unit.mats / entry))
+    a = b / entry
     u0 = random_stiefel(d, k, np.random.default_rng(seed))
     small, large = stmm_solve(unit, u0), stmm_solve(big, u0)
     assert large.status == small.status
@@ -241,9 +245,10 @@ def test_verdicts_hold_up_to_the_largest_double(family, d, k, seed, c_shift,
 def test_steps_do_not_depend_on_the_units():
     # every step reads the view (M_i + c I) / s, which a power-of-two scale
     # of the M_i leaves bit for bit: the steps and the final point are the
-    # same and the trace scales exactly. 1e8 rounds the view differently
-    # (this draw's s is 1 + 4.4e-16), so its steps may differ, but not its
-    # verdicts or its final point
+    # same and the trace scales exactly. 1e8 M may round its view
+    # differently, so its steps may differ, but not its verdicts or its
+    # final point (this draw's norm, 1 + 4.4e-16, snaps to s = 1, and M and
+    # 1e8 M both take 60 steps, with Newton steps 58 and 59)
     c = gen_hppca(20, 3, seed=1)
     u0 = random_stiefel(20, 3, np.random.default_rng(0))
     runs = {a: stmm_solve(ProblemInstance(a * c.mats), u0)
@@ -265,6 +270,25 @@ def test_steps_do_not_depend_on_the_units():
     assert certify(ProblemInstance(1e8 * c.mats),
                    big.final).status == "CertifiedGlobal"
     assert np.allclose(big.final.cols, base.final.cols, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("a", [1e-12, 1e-20])
+def test_units_below_one_gate_as_the_unit_draw(a):
+    # the gates are in units of s = ||M||, however small: a random point of
+    # a tiny HPPCA draw is neither stationary nor certified, and StMM climbs
+    # from it to the unit draw's certified final point
+    c = gen_hppca(20, 3, seed=1)
+    tiny = ProblemInstance(a * c.mats)
+    u0 = random_stiefel(20, 3, np.random.default_rng(0))
+    base, trace = stmm_solve(c, u0), stmm_solve(tiny, u0)
+    assert tiny.gate_unit == pytest.approx(a, rel=1e-12)
+    assert trace.status == base.status == "Stationary"
+    assert trace.iterations >= 50
+    assert certify(tiny, u0).status == "Inconclusive"
+    assert certify(tiny, trace.final).status == "CertifiedGlobal"
+    assert np.allclose(trace.final.cols, base.final.cols, rtol=0, atol=1e-9)
+    assert trace.objectives[-1] == pytest.approx(a * base.objectives[-1],
+                                                 rel=1e-12)
 
 
 def test_k1_ascent_finds_top_eigenvector():
