@@ -53,20 +53,25 @@ def shift_and_scale(mats):
     is read off the same spectra, 1.0 for a zero or empty stack, and set to
     the nearest power of two when within 1e-12 of one, so that dividing by
     it is exact and a normalized stack, or a power-of-two multiple of one,
-    keeps every bit. The view, M_i / s + (c / s) I, is read-only, PSD up
-    to 1e-12 and of spectral norm 1 up to the snap, and no finite entry
-    overflows in it. A stack whose spectral norm, or that of its
-    M_i + c I, overflows has no scale: ValueError.
+    keeps every bit. Where max_i ||M_i + c I||_2 overflows although
+    max_i ||M_i||_2 does not, s is 2^1023. The view, M_i / s + (c / s) I,
+    is read-only, PSD up to 1e-12 and of spectral norm 1 up to the snap
+    (below 4 where s is 2^1023 for an overflow), and no finite entry
+    overflows in it. A stack whose spectral norm overflows has no scale:
+    ValueError.
     """
     vals = np.linalg.eigvalsh(mats)
     low = float(vals[:, 0].min(initial=0.0))
     top = float(np.abs(vals).max(initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError("spectral norm overflows: instance has no unit")
     shift = -low if low < -1e-12 * top else 0.0
     # with c = 0 no lambda is below -1e-12 max |lambda|, and with c > 0
-    # none is below -c, so max_i ||M_i + c I||_2 is max lambda_max + c
+    # none is below -c, so max_i ||M_i + c I||_2 is max lambda_max + c;
+    # where that sum of two finite terms overflows, 2^1023 stands for it
     scale = float(vals[:, -1].max(initial=0.0)) + shift or 1.0
-    if not math.isfinite(scale):
-        raise ValueError("spectral norm overflows: instance has no unit")
+    if scale == math.inf:
+        scale = 2.0 ** 1023
     frac, exp = math.frexp(scale)  # scale = frac 2^exp, 0.5 <= frac < 1
     power = math.ldexp(1.0 if frac > 0.75 and exp < 1024 else 0.5, exp)
     if abs(scale - power) <= 1e-12 * power:
@@ -149,9 +154,10 @@ class ProblemInstance:
     @property
     def gate_unit(self) -> float:
         """s = max_i ||M_i + c I||_2 with c = psd_shift, snapped to a power
-        of two within 1e-12 (shift_and_scale): the unit of every verdict
-        gate that carries the units of the M_i, at any magnitude. It is 1
-        for normalized PSD inputs and 1.0 for the zero instance. Finite
+        of two within 1e-12 and 2^1023 where it overflows
+        (shift_and_scale): the unit of every verdict gate that carries the
+        units of the M_i, at any magnitude. It is 1 for normalized PSD
+        inputs and 1.0 for the zero instance. Finite
         entries can still have a spectral norm that overflows: such an
         instance has no unit and is bad input (ValueError)."""
         return self._normalized[2]

@@ -137,14 +137,33 @@ def test_halves_symmetrize_as_the_sum_does(n, seed):
 
 
 def test_an_overflowing_spectral_norm_is_bad_input():
-    # finite entries whose spectral norm, 1.8e308, overflows: the instance
-    # has no gate unit, and each solver says so before any other work
-    c = ProblemInstance((6e307 * np.ones((3, 3)), np.eye(3)))
+    # finite entries whose spectral norm, 1.8e308, overflows on either side
+    # of the spectrum: the instance has no gate unit, and each solver says
+    # so before any other work
     u0 = StiefelPoint(np.eye(3)[:, :2])
-    for solve in (solve_sdp, certify, stmm_solve):
-        args = (c,) if solve is solve_sdp else (c, u0)
-        with pytest.raises(ValueError, match="spectral norm overflows"):
-            solve(*args)
+    for sign in (1.0, -1.0):
+        c = ProblemInstance((sign * 6e307 * np.ones((3, 3)), np.eye(3)))
+        for solve in (solve_sdp, certify, stmm_solve):
+            args = (c,) if solve is solve_sdp else (c, u0)
+            with pytest.raises(ValueError, match="spectral norm overflows"):
+                solve(*args)
+
+
+def test_a_finite_norm_whose_shifted_spread_overflows_has_a_unit():
+    # ||M_i||_2 = 9e307 is finite, but lambda_max + c = 1.8e308 is not: s is
+    # 2^1023, the view is finite and PSD with norm below 4, StMM and certify
+    # reach their verdicts, and solve_sdp, whose optimal value 1.8e308
+    # overflows, reports a numerical failure instead of raising
+    c = ProblemInstance((np.diag([9e307, -9e307, 0.0]),
+                         np.diag([0.0, 9e307, 1.0])))
+    assert (c.psd_shift, c.gate_unit) == (9e307, 2.0 ** 1023)
+    vals = np.linalg.eigvalsh(c.view)
+    assert np.all(np.isfinite(c.view))
+    assert vals.min() >= 0.0 and 2.0 < vals.max() < 4.0
+    trace = stmm_solve(c, random_stiefel(3, 2, np.random.default_rng(0)))
+    assert trace.status == "Stationary"
+    assert certify(c, trace.final).status == "CertifiedGlobal"
+    assert solve_sdp(c).status == "NumericalFailure"
 
 
 def _assert_one_readonly_stack(c, k, d):
