@@ -26,9 +26,11 @@ slacks and t_star are mapped back to the units of the M_i once, where the
 result is written; the pair is verified where it was built, since in the
 units of the M_i it can exceed the double range. Adding a I to every
 M_i moves L and the witness by a and changes no program, so no verdict.
-Its nu' >= 0 cuts no certificate: for k < d the tail of block j forces
-nu_j >= lambda_max(W' M_j W) >= -c, and for k = d the dual's lineality
-(Y + a I, nu - a 1) moves any certificate into nu >= -c.
+Its nu' >= 0 cuts no certificate, since every block V_j of the view is
+PSD: for k < d the tail of block j forces nu'_j >= lambda_max(W' V_j W)
+>= 0, and for k = d each Z_j >= 0 gives Y >= V_j - nu'_j I >= -nu'_j I,
+so the dual's lineality (Y + a I, nu' - a 1), a = min(0, min_j nu'_j),
+moves any certificate into nu' >= 0.
 
 The slack gate evaluates the dual pair that nu induces (_induced_pair),
 and a certified result re-verifies that same pair, with X_i = u_i u_i',

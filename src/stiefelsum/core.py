@@ -47,31 +47,26 @@ def shift_and_scale(mats):
     """The one normalization of a (k, d, d) stack: (view, shift, scale),
     all from one batched eigvalsh of the M_i.
 
-    The shift c is -min_i lambda_min(M_i) when that is below
-    -1e-12 max_i ||M_i||_2, else 0.0; it moves no maximizer and, on
-    St(k, d), adds k c to the objective. The scale s = max_i ||M_i + c I||_2
-    is read off the same spectra, 1.0 for a zero or empty stack, and set to
-    the nearest power of two when within 1e-12 of one, so that dividing by
-    it is exact and a normalized stack, or a power-of-two multiple of one,
-    keeps every bit. Where max_i ||M_i + c I||_2 overflows although
-    max_i ||M_i||_2 does not, s is 2^1023. The view, M_i / s + (c / s) I,
-    is read-only, PSD up to 1e-12 and of spectral norm 1 up to the snap
-    (below 4 where s is 2^1023 for an overflow), and no finite entry
-    overflows in it. A stack whose spectral norm overflows has no scale:
-    ValueError.
+    The shift c = -min_i lambda_min(M_i) and the scale s, the spread
+    max_i lambda_max(M_i) - min_i lambda_min(M_i), make the view
+    (M_i + c I) / s PSD, with least eigenvalue 0 and spectral norm 1: the
+    canonical form of the orbit {a M + b I : a > 0}, the same stack for
+    every a and b up to the rounding of the input. On St(k, d) the view's
+    objective is (F + k c) / s, so it moves no maximizer. s is 1.0 for a
+    zero spread, 2^1023 where the spread overflows, and the nearest power
+    of two when within 1e-12 of one, so that dividing by it is exact and
+    a power-of-two multiple of the M_i keeps every bit of the view. The
+    view, M_i / s + (c / s) I, is read-only, and no finite entry overflows
+    in it (its norm is below 4 where s is 2^1023). A stack whose spectral
+    norm overflows has no scale: ValueError.
     """
-    vals = np.linalg.eigvalsh(mats)
-    low = float(vals[:, 0].min(initial=0.0))
-    top = float(np.abs(vals).max(initial=0.0))
-    if not math.isfinite(top):
+    vals = np.linalg.eigvalsh(mats) if len(mats) else np.zeros((1, 1))
+    low, high = float(vals[:, 0].min()), float(vals[:, -1].max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ValueError("spectral norm overflows: instance has no unit")
-    shift = -low if low < -1e-12 * top else 0.0
-    # with c = 0 no lambda is below -1e-12 max |lambda|, and with c > 0
-    # none is below -c, so max_i ||M_i + c I||_2 is max lambda_max + c;
-    # where that sum of two finite terms overflows, 2^1023 stands for it
-    scale = float(vals[:, -1].max(initial=0.0)) + shift or 1.0
-    if scale == math.inf:
-        scale = 2.0 ** 1023
+    shift, spread = 0.0 - low, high - low  # a shift of +0.0 for low = 0.0
+    # where the spread of two finite terms overflows, 2^1023 stands for it
+    scale = 2.0 ** 1023 if spread == math.inf else spread or 1.0
     frac, exp = math.frexp(scale)  # scale = frac 2^exp, 0.5 <= frac < 1
     power = math.ldexp(1.0 if frac > 0.75 and exp < 1024 else 0.5, exp)
     if abs(scale - power) <= 1e-12 * power:
@@ -107,9 +102,7 @@ class StiefelPoint:
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """The M_1, ..., M_k of the objective sum_i u_i' M_i u_i, held as one
-    read-only, symmetrized (k, d, d) array. meta["psd_shift"], when present,
-    is the uniform shift a generator already added to make the M_i PSD;
-    the psd_shift property is the one these M_i still need.
+    read-only, symmetrized (k, d, d) array.
 
     The M_i are read-only, so they are normalized once, on first use, by
     shift_and_scale, the one normalization rule: its one batched eigvalsh
@@ -153,33 +146,33 @@ class ProblemInstance:
 
     @property
     def gate_unit(self) -> float:
-        """s = max_i ||M_i + c I||_2 with c = psd_shift, snapped to a power
-        of two within 1e-12 and 2^1023 where it overflows
-        (shift_and_scale): the unit of every verdict gate that carries the
-        units of the M_i, at any magnitude. It is 1 for normalized PSD
-        inputs and 1.0 for the zero instance. Finite
-        entries can still have a spectral norm that overflows: such an
-        instance has no unit and is bad input (ValueError)."""
+        """s = max_i lambda_max(M_i) - min_i lambda_min(M_i), the spread,
+        snapped to a power of two within 1e-12, 1.0 for a zero spread and
+        2^1023 where it overflows (shift_and_scale): the unit in which
+        every solver reads the M_i, at any magnitude and under any shift.
+        Finite entries can still have a spectral norm that overflows: such
+        an instance has no unit and is bad input (ValueError)."""
         return self._normalized[2]
 
     @property
     def psd_shift(self) -> float:
-        """The uniform shift c >= 0 that makes every M_i + c I PSD, by
-        shift_and_scale's rule: -min_i lambda_min(M_i) when that is below
-        -1e-12 max_i ||M_i||_2, else 0.0. The M_i + c I have the
-        maximizers of the M_i, and on St(k, d) their objective is F + k c."""
+        """c = -min_i lambda_min(M_i), of either sign (shift_and_scale):
+        the uniform shift that makes the least eigenvalue of the stack
+        M_i + c I zero. The M_i + c I have the maximizers of the M_i, and
+        on St(k, d) their objective is F + k c."""
         return self._normalized[1]
 
     @property
     def view(self) -> np.ndarray:
         """The read-only stack (M_i + c I) / s = M_i / s + (c / s) I, with
-        s = gate_unit and c = psd_shift: PSD, of spectral norm 1 up to the
-        snap of s, and, up to rounding, the same for every positive
-        multiple of the M_i (bit for bit for a power of two). solve_sdp's
-        relaxation (for k < d), StMM, certify and check_kkt evaluate only
-        this stack, so each tolerance they compare with is a bare number,
-        and each maps its results back to the units of the M_i once, where
-        it writes them (an objective f of the view is s (f - k c / s)).
+        s = gate_unit and c = psd_shift: PSD, with least eigenvalue 0 and
+        spectral norm 1 up to the snap of s, and, up to rounding, the same
+        for every a M_i + b I with a > 0 (bit for bit for a = 2^j and
+        b = 0). solve_sdp, StMM, certify and check_kkt evaluate only this
+        stack (solve_sdp its reduced blocks V_i - V_k at k = d), so each
+        tolerance they compare with is a bare number, and each maps its
+        results back to the units of the M_i once, where it writes them
+        (an objective f of the view is s (f - k c / s)).
         No finite entry overflows here, and none of them builds an
         M_i + c I or M_i / s of its own."""
         return self._normalized[0]
@@ -209,15 +202,14 @@ def instance_distance(c: ProblemInstance, cbar: ProblemInstance) -> float:
 
 
 def normalize_instance(c: ProblemInstance) -> ProblemInstance:
-    """Scale so that max_i ||M_i||_2 = 1. The maximizer set is unchanged.
-    meta records the scale and the PSD shift in the new units (0.0 when
-    none was applied)."""
+    """Scale so that max_i ||M_i||_2 = 1, the generators' rule for the
+    instances they write; the maximizer set is unchanged, and no shift is
+    applied. meta["normalization_scale"] accumulates the divisors."""
     scale = float(spectral_norms(c.mats).max())
     if scale <= 0.0:
         raise ValueError("cannot normalize an all-zero instance")
     meta = dict(c.meta)
     meta["normalization_scale"] = scale * meta.get("normalization_scale", 1.0)
-    meta["psd_shift"] = meta.get("psd_shift", 0.0) / scale
     return ProblemInstance(mats=c.mats / scale, meta=meta)
 
 

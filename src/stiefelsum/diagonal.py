@@ -10,6 +10,7 @@ diagonal center to map where the relaxation stays tight.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -19,7 +20,6 @@ from .core import (
     ProblemInstance,
     StiefelPoint,
     max_commuting_distance,
-    shift_and_scale,
     sym,
 )
 from .sdp import SdpDualSolution, is_tight, solve_sdp
@@ -201,17 +201,18 @@ def goldman_tucker_dual(diag_values: np.ndarray,
 def perturb_instance(c: ProblemInstance, scale: float,
                      rng: np.random.Generator) -> ProblemInstance:
     """Add independent symmetric noise of exact spectral norm `scale` to
-    each block, then restore PSD-ness and renormalize by
-    core.shift_and_scale, recorded in meta as in core.normalize_instance."""
+    each block (a zero draw leaves its block as it is). The solvers read
+    the result's own view, so it is neither shifted nor rescaled here.
+    scale must be a finite real number >= 0, as a cjd sigma must
+    (generators.check_sigma); ValueError otherwise."""
+    if not isinstance(scale, numbers.Real) or not 0.0 <= scale < np.inf:
+        raise ValueError(
+            f"perturbation scale must be finite and >= 0, got {scale!r}")
     e = sym(rng.standard_normal(c.mats.shape))
     nrm = np.linalg.norm(e, 2, axis=(1, 2))
-    # a zero scale or a zero draw leaves its block as it is
-    weight = np.divide(scale if scale > 0.0 else 0.0, nrm,
-                       out=np.zeros_like(nrm), where=nrm > 0.0)
-    mats, shift, norm = shift_and_scale(c.mats + e * weight[:, None, None])
-    return ProblemInstance(mats=mats, meta={
-        "perturbation_scale": scale, "normalization_scale": norm,
-        "psd_shift": shift / norm})
+    weight = np.divide(scale, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
+    return ProblemInstance(c.mats + e * weight[:, None, None],
+                           meta={"perturbation_scale": scale})
 
 
 def tightness_sweep(center: ProblemInstance, perturbation_scale: float,

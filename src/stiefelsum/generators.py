@@ -19,7 +19,7 @@ import numbers
 
 import numpy as np
 
-from .core import ProblemInstance, normalize_instance
+from .core import ProblemInstance, check_size, normalize_instance
 from .hppca import build_instance, make_model, sample, save_model
 
 
@@ -35,10 +35,9 @@ def gen_hppca(d: int, k: int, n=(100, 400), v=(1.0, 4.0), lambdas=None,
 
 
 def gen_random_psd(d: int, k: int, rank=None, seed=0) -> ProblemInstance:
-    """k independent Wishart-style blocks A A^T, A Gaussian d x rank."""
-    rank = k if rank is None else int(rank)
-    if rank < 1:
-        raise ValueError("rank must be positive")
+    """k independent Wishart-style blocks A A^T, A Gaussian d x rank; rank
+    (default k, capped at d) must be a positive integer (core.check_size)."""
+    rank = k if rank is None else check_size(rank, "rank")
     rng = np.random.default_rng(seed)
     mats = []
     for _ in range(k):
@@ -92,12 +91,12 @@ def gen_cjd(d: int, k: int, r=None, sigma: float = 1e-3, seed=0,
             reverse_nesting: bool = False) -> ProblemInstance:
     """Nested chain M_1 >= ... >= M_k >= 0 of diagonally dominant blocks.
 
-    Each level adds a fresh diagonal with r (default min(3, d)) uniform
-    entries plus a noise term S S^T / (10 d), S Gaussian d x 10d with
-    variance sigma (see check_sigma), so sigma sweeps the tuple's
-    commuting distance. reverse_nesting builds the chain in ascending
-    order (M_k >= ... >= M_1)."""
-    r = min(3, d) if r is None else r
+    Each level adds a fresh diagonal with r (default min(3, d); a positive
+    integer, core.check_size, at most d) uniform entries plus a noise term
+    S S^T / (10 d), S Gaussian d x 10d with variance sigma (see
+    check_sigma), so sigma sweeps the tuple's commuting distance.
+    reverse_nesting builds the chain in ascending order (M_k >= ... >= M_1)."""
+    r = min(3, d) if r is None else check_size(r, "r")
     check_sigma(sigma)
     if r > d:
         raise ValueError("need r <= d")
@@ -135,7 +134,7 @@ def gen_nested(d: int, k: int, coeffs, seed=0):
     deliberately left unnormalized so the known value is preserved.
 
     Returns (instance, known_optimum); the instance's meta records
-    known_optimum too, and a psd_shift of 0.0, as normalized families do."""
+    known_optimum too."""
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (k, k):
         raise ValueError("coefficient matrix must be k x k")
@@ -155,7 +154,6 @@ def gen_nested(d: int, k: int, coeffs, seed=0):
     opt = float(np.sum(c * c))
     inst = ProblemInstance(mats=tuple(mats), meta={
         "family": "nested", "seed": seed, "known_optimum": opt,
-        "psd_shift": 0.0,
     })
     return inst, opt
 

@@ -136,8 +136,8 @@ def check_kkt(c, primal, dual: SdpDualSolution) -> KktResiduals:
     units of s = c.gate_unit, and no finite M_i overflows them. c is the
     instance, whose dual, a report's, is read against c.view as Y / s,
     Z_i / s and (nu_i + c) / s; or a view stack itself, whose dual is
-    already in its units (certify's, which can exceed the double range in
-    the units of the M_i)."""
+    already in its units (solve_sdp's and certify's, which can exceed the
+    double range in the units of the M_i)."""
     x = _blocks_of(primal)
     view, y, z, nu = c, dual.y, dual.z_blocks, dual.nu
     if isinstance(c, ProblemInstance):
@@ -161,17 +161,20 @@ def check_kkt(c, primal, dual: SdpDualSolution) -> KktResiduals:
     return KktResiduals(res_primal, res_dual_eq, res_slack, res_block, res_cone)
 
 
-def _status_from(res, gap, kkt_max, p, dd, s):
-    # written as "not x <= tol" so that NaN fails every gate; p and dd are
-    # the primal and dual values, and s = c.gate_unit is the gap's unit, as
-    # it is the KKT residuals'
+def _status_from(res, gap, kkt_max, p, dd, mapped=()):
+    # written as "not x <= tol" so that NaN fails every gate; gap, p and dd
+    # are the view's, whose norm is 1, so every tolerance is a bare number;
+    # mapped are the report's value and gap in the units of the M_i, which
+    # must be finite
     reasons = []
     if res.status != "optimal":
         reasons.append("solver did not converge")
-    if not gap <= GAP_TOL * (s + abs(p) + abs(dd)):
+    if not gap <= GAP_TOL * (1.0 + abs(p) + abs(dd)):
         reasons.append("duality gap above tolerance")
     if not kkt_max <= KKT_TOL:
         reasons.append("KKT residual above tolerance")
+    if not np.all(np.isfinite(mapped)):
+        reasons.append("value beyond the double range")
     if reasons:
         return STATUS_NUMERICAL_FAILURE, "; ".join(reasons)
     return STATUS_OPTIMAL, ""
@@ -180,16 +183,18 @@ def _status_from(res, gap, kkt_max, p, dd, s):
 def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveReport:
     """Solve the relaxation and self-verify the reported optimality.
 
-    Inputs need not be normalized or PSD: the relaxation is solved on the
-    instance's view (M_i + c I) / s (core.ProblemInstance.view, the one
-    normalization, core.shift_and_scale), and its dual is mapped back to
-    the units of the M_i once; meta["psd_shift"] and meta["scale"] record
-    the c and the divisor s. At k = d, where the coupling forces
-    X_k = I - sum_{i<k} X_i, the relaxation is solved on the blocks
-    M_i - M_k, i < k, with X_k as its slack, normalized by the same rule,
-    and meta records that reduced stack's c and s. A power-of-two
-    multiple of the M_i therefore changes no bit of X and scales the dual
-    exactly.
+    Inputs need not be normalized or PSD: the relaxation is solved and
+    judged on the instance's view V_i = (M_i + c I) / s
+    (core.ProblemInstance.view), as stmm_solve and certify are, and its
+    dual is mapped back to the units of the M_i once, as Y = s Y_V,
+    Z_i = s Z_V,i and nu_i = s (nu_V,i - c / s); meta["psd_shift"] and
+    meta["scale"] record c and s. At k = d, where the coupling forces
+    X_k = I - sum_{i<k} X_i, the IPM solves the relaxation of the view's
+    reduced blocks V_i - V_k, i < k, with X_k as its slack, normalized by
+    the same rule (core.shift_and_scale). A view is the same for every
+    a M_i + b I with a > 0, so no verdict depends on a or b, and a
+    power-of-two multiple of the M_i changes no bit of X and scales the
+    dual exactly.
     meta["ipm"] is the IPM run's IpmResult.summary(): its stop status,
     the exit that ended it (stop_reason), iterations, final residuals,
     the largest diagonal shift its Schur factorization needed
@@ -197,43 +202,48 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
     factored in float32 (single_iterations), the refinement steps over
     every Schur solve (refine_steps) and the extra corrector directions
     solved on the iterations' factors (corrector_solves). A report is never
-    labeled Optimal unless the duality gap, in units of s = c.gate_unit
-    (gap <= GAP_TOL (s + |p| + |dd|)), and all five KKT residuals
-    (check_kkt's, relative to s) pass GAP_TOL and KKT_TOL;
-    meta["reason"] names the gates that failed ("" for none). An instance
-    whose spectral norm overflows raises ValueError (gate_unit) first.
+    labeled Optimal unless, on the view, the duality gap
+    (gap <= GAP_TOL (1 + |p| + |dd|)) and all five KKT residuals
+    (check_kkt's) pass GAP_TOL and KKT_TOL, and its primal and dual values
+    are finite in the units of the M_i; meta["reason"] names the gates
+    that failed ("" for none). An instance whose spectral norm overflows
+    raises ValueError (gate_unit) first.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    s = c.gate_unit  # every gate's unit; bad input raises here, first
+    view, s = c.view, c.gate_unit  # bad input raises here, first
     # at k = d the coupling forces X_k = I - sum_{i<k} X_i: the relaxation
-    # of the blocks M_i - M_k, i < k, whose slack is X_k
-    view, shift, scale = (shift_and_scale(c.mats[:-1] - c.mats[-1])
-                          if c.k == c.d else (c.view, c.psd_shift, s))
-    ops = FantopeOps(view, c.d)
+    # of the view's blocks V_i - V_k, i < k, whose slack is X_k
+    mats, shift, scale = (shift_and_scale(view[:-1] - view[-1])
+                          if c.k == c.d else (view, 0.0, 1.0))
+    ops = FantopeOps(mats, c.d)
     res = solve_ipm(ops, max_iters=cfg.sdp_max_iters)
 
-    # back to the maximization's sign: the IPM minimized the negated
-    # objective, so the nu_i are its negated trace multipliers, unscaled
-    # and unshifted; at k = d, X_k and Z_k are the slack and its dual Y'
+    # back to the maximization's sign on the view: the IPM minimized the
+    # negated objective, so the nu_i are its negated trace multipliers; at
+    # k = d, X_k and Z_k are the slack and its dual Y'
     x_blocks = sym(res.x[:c.k])
     z_blocks = sym(res.z[:c.k]) * scale
     y_mat = sym(res.z[-1]) * scale
     nu = -res.y[:ops.k] * scale - shift
     if ops.k < c.k:
-        # nu_k = lambda_min(Y' + M_k), Y = Y' + M_k - nu_k I and nu_i + nu_k
+        # nu_k = lambda_min(Y' + V_k), Y = Y' + V_k - nu_k I and nu_i + nu_k
         # for i < k: every dual equation holds, and Y is PSD
-        nu_k = float(least_eigenvalues((y_mat + c.mats[-1])[None])[0])
-        y_mat = y_mat + c.mats[-1] - nu_k * np.eye(c.d)
+        nu_k = float(least_eigenvalues((y_mat + view[-1])[None])[0])
+        y_mat = y_mat + view[-1] - nu_k * np.eye(c.d)
         nu = np.append(nu + nu_k, nu_k)
+    dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks, nu=nu)  # on the view
+    kkt = check_kkt(view, x_blocks, dual)
+    p_view, d_view = float(np.sum(view * x_blocks)), dual.value
 
-    p = sum(float(np.sum(m * x)) for m, x in zip(c.mats, x_blocks))
-    dual = SdpDualSolution(y=y_mat, z_blocks=z_blocks, nu=nu)
-    dd = dual.value
-    gap = abs(p - dd)
-
-    kkt = check_kkt(c, x_blocks, dual)
-    status, reason = _status_from(res, gap, kkt.max_residual, p, dd, s)
+    # beyond the double range is inf, and inf - inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = sum(float(np.sum(m * x)) for m, x in zip(c.mats, x_blocks))
+        dual = SdpDualSolution(y=s * y_mat, z_blocks=s * z_blocks,
+                               nu=s * (nu - c.psd_shift / s))
+        gap = abs(p - dual.value)
+    status, reason = _status_from(res, abs(p_view - d_view), kkt.max_residual,
+                                  p_view, d_view, (p, gap))
 
     return SolveReport(
         status=status,
@@ -245,8 +255,8 @@ def solve_sdp(c: ProblemInstance, cfg: SolverConfig | None = None) -> SolveRepor
         wall_time=time.perf_counter() - t0,
         rop_err=rop_error(x_blocks),
         meta={
-            "psd_shift": shift,
-            "scale": scale,
+            "psd_shift": c.psd_shift,
+            "scale": s,
             "ipm": res.summary(),
             "reason": reason,
         },

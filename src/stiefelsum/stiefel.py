@@ -7,19 +7,20 @@ is an orthogonal Procrustes problem whose solution is the polar factor of
 the Euclidean gradient. Iterating this step gives a monotone ascent method
 with O(dk^2 + k^3) per-iteration cost. For indefinite M_i the minorizer
 is not one, so stmm_solve steps on the instance's view (M_i + c I) / s,
-c = c.psd_shift and s = c.gate_unit = max_i ||M_i + c I||_2
-(core.shift_and_scale, the one normalization, which the relaxation reads
-too): on St(k, d) that maps F to (F + k c) / s and moves no maximizer,
-and every step and gate is then the same for every positive multiple of
-the M_i, however small or large: up to rounding, and bit for bit for a
-power of two. The MM map U -> polar(G(U)) converges only linearly, so
-stmm_solve speeds it up twice: every step also tries an Anderson
-extrapolation of the map (Walker and Ni 2011), kept only when it climbs
-at least as far as the MM step (the monotone safeguard of Henderson and
-Varadhan 2019); and near a stationary point it polishes
-with guarded Riemannian Newton steps (Absil, Mahony and Sepulchre 2008),
-each a dense solve of size dk + k(k+1)/2. The MM and Anderson steps work
-on bare arrays (core.polar_factor); the only points built and validated
+c = c.psd_shift = -min_i lambda_min(M_i) and s = c.gate_unit, the spread
+max_i lambda_max(M_i) + c (core.shift_and_scale, the one normalization,
+which the relaxation reads too): on St(k, d) that maps F to (F + k c) / s
+and moves no maximizer, and every step and gate is then the same for
+every a M_i + b I with a > 0, however small or large: up to rounding,
+and bit for bit for a power of two a and b = 0. The MM map
+U -> polar(G(U)) converges only linearly, so stmm_solve speeds it up
+twice: every step also tries an Anderson extrapolation of the map
+(Walker and Ni 2011), kept only when it climbs at least as far as the MM
+step (the monotone safeguard of Henderson and Varadhan 2019); and near a
+stationary point it polishes with guarded Riemannian Newton steps
+(Absil, Mahony and Sepulchre 2008), each a dense solve of size
+dk + k(k+1)/2. The MM and Anderson steps work on bare arrays
+(core.polar_factor); the only points built and validated
 as StiefelPoints are the returned final one and each Newton retraction.
 """
 
@@ -60,8 +61,9 @@ class SolverConfig:
 
     max_iters/grad_tol drive the ascent iteration; grad_tol bounds the
     Riemannian gradient norm on the instance's view, so it is in units of
-    the gate unit s = max_i ||M_i + c I||_2 (core.ProblemInstance.gate_unit)
-    at every magnitude, below unit norm too.
+    the gate unit s (core.ProblemInstance.gate_unit), the spread of the
+    M_i's spectra, at every magnitude and under every shift; it must be
+    a number >= 0 (ValueError otherwise, as for max_iters < 0).
     sdp_max_iters caps the interior-point iterations. The IPM's stop
     tolerance and step fraction, and the gates that label a report
     Optimal, are fixed constants in the ipm and sdp modules, not knobs.
@@ -74,6 +76,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"need max_iters >= 0, got {self.max_iters}")
+        if not self.grad_tol >= 0.0:  # NaN fails too
+            raise ValueError(f"need grad_tol >= 0, got {self.grad_tol}")
 
     @classmethod
     def for_hppca(cls) -> "SolverConfig":

@@ -74,15 +74,15 @@ def test_certify_computes_the_gate_unit_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eig)
     monkeypatch.setattr(core, "spectral_norms", counting_stack)
     assert certify(fresh, u).status == "CertifiedGlobal"
-    assert (fresh.gate_unit, fresh.psd_shift) == (1.0, 0.0)
     assert [(o, s) for o, s in calls
             if o in (2, "stack") or (o == "eigvalsh" and len(s) == 3)] == [
         ("eigvalsh", (3, 6, 6))]
-    # s = max_i ||M_i + c I||_2, set to the power of two it is within 1e-12
-    # of (core.shift_and_scale)
-    assert fresh.gate_unit == pytest.approx(
-        max(norm(m + fresh.psd_shift * np.eye(6), 2) for m in c.mats),
-        rel=1e-12)
+    # s is the spread max_i lambda_max - min_i lambda_min and c is
+    # -min_i lambda_min, both read off one eigvalsh (core.shift_and_scale);
+    # this spread is not within 1e-12 of a power of two
+    vals = eigvalsh(c.mats)
+    assert (fresh.gate_unit, fresh.psd_shift) == (
+        vals[:, -1].max() - vals[:, 0].min(), -vals[:, 0].min())
     calls.clear()
     assert solve_sdp(fresh_sdp).status == "Optimal"
     assert [(o, s) for o, s in calls if o in (2, "stack", "instance")] == [
@@ -361,8 +361,13 @@ def test_certify_edge_shapes(d, k):
     assert res.meta["ipm"]["status"] == "feasible"
     assert res.meta["ipm"]["shift"] == 0.0
     # a positive deflated margin: the relaxation's optimum is unique and
-    # rank one; the full blocks keep their zero row, so t_star is at most 0
-    assert res.meta["ipm"]["margin"] > 0.0
+    # rank one; the full blocks keep their zero row, so t_star is at most 0.
+    # At d = k = 1 the view is the zero stack, whose certificates all have
+    # nu' <= 0: the program's nu' >= 0 leaves only nu' = 0, of margin 0
+    if d > 1:
+        assert res.meta["ipm"]["margin"] > 0.0
+    else:
+        assert res.meta["ipm"]["margin"] >= -CERT_TOL
     assert -CERT_TOL * c.gate_unit <= res.t_star <= 1e-12
 
 
@@ -418,12 +423,17 @@ def test_feasibility_solve_stops_once_the_gate_clears(monkeypatch):
     # the gate is tried only where the margin is near or above zero, and
     # the verdict reuses the last try's slacks, those of the returned nu
     assert 1 <= len(calls) <= res.meta["ipm"]["iterations"] + 1
+    # (the last try reads the view, and its nu' and slacks are mapped back
+    # to the units of the M_i by s)
     lam_s = _multipliers(c, u.cols)
-    assert np.array_equal(res.min_eig_slacks,
-                          _induced_pair(c.mats, u.cols, lam_s,
-                                        res.nu_witness)[1])
-    # the same program with a gate that never clears runs on to MARGIN_TOL
     scale, shift = c.gate_unit, c.psd_shift
+    nu_view = calls[-1][3]
+    assert calls[-1][0] is c.view
+    assert np.array_equal(res.nu_witness, scale * (nu_view - shift / scale))
+    lam_view = sym(0.5 * (u.cols.T @ stiefel._evaluate(c.view, u.cols)[0]))
+    assert np.array_equal(res.min_eig_slacks, scale * _induced_pair(
+        c.view, u.cols, lam_view, nu_view)[1])
+    # the same program with a gate that never clears runs on to MARGIN_TOL
     lmis = _reduce((c.mats + shift * np.eye(c.d)) / scale, u.cols,
                    (lam_s + shift * np.eye(c.k)) / scale)
     full = _margin_solve(lmis, -np.inf, lambda z: False)
@@ -554,3 +564,21 @@ def test_verdicts_are_invariant_under_the_problems_symmetries(family, d, k,
         for b in (-2.0, 5.0):
             shifted = ProblemInstance(c.mats + b * np.eye(d))
             assert certify(shifted, u).status == verdict[2]
+
+
+def test_verdicts_do_not_move_under_a_scale_and_a_shift():
+    # a M + b I (a > 0) has the view of M up to the rounding of the input,
+    # so no verdict of the 100-draw corpus's randpsd (8, 3) cell may move,
+    # also where b dwarfs a M: the relaxation, StMM from its candidate and
+    # certify, each run on the moved instance
+    cfg = SolverConfig.for_hppca()
+    for seed in trial_seeds((11, "randpsd", 8, 3), 20):
+        c = make_instance("randpsd", 8, 3, {}, seed)
+        verdicts = []
+        for a, b in ((1.0, 0.0), (1e-6, -2.0), (1e-6, 3.0), (1e6, 3.0)):
+            moved = ProblemInstance(a * c.mats + b * np.eye(8))
+            rep = solve_sdp(moved)
+            u = stmm_solve(moved, extract_candidate(rep)[0], cfg).final
+            verdicts.append((rep.status, is_tight(rep),
+                             certify(moved, u).status))
+        assert verdicts == verdicts[:1] * 4, seed

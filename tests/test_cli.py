@@ -321,6 +321,54 @@ def test_negative_max_iters_is_bad_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grad_tol", ["nan", "-1e-10"])
+def test_a_grad_tol_that_is_nan_or_negative_is_bad_input(tmp_path, capsys,
+                                                         grad_tol):
+    # a NaN tolerance would run every step and report MaxIters, exit 0
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "--family", "randpsd", "--params", '{"d": 6, "k": 2}',
+                 "--out", str(inst_path)]) == 0
+    out = tmp_path / "pt.json"
+    rc = main(["solve-stmm", "--instance", str(inst_path),
+               f"--grad-tol={grad_tol}", "--out", str(out)])
+    assert rc == 1
+    assert "error: need grad_tol >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, size", [
+    ("randpsd", '"rank": 2.5'), ("randpsd", '"rank": true'),
+    ("randpsd", '"rank": "3"'), ("randpsd", '"rank": 0'),
+    ("cjd", '"r": 2.5'), ("cjd", '"r": true'), ("cjd", '"r": 0'),
+])
+def test_gen_size_parameters_are_positive_integers(tmp_path, capsys, family,
+                                                   size):
+    # core.check_size's rule: never truncated, cast or run as a noise-only
+    # chain, and never a traceback
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--family", family, "--params",
+                 f'{{"d": 6, "k": 2, {size}}}', "--out", str(out)]) == 1
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scales, bad", [("-0.1,nan", "-0.1"), ("nan", "nan"),
+                                         ("inf", "inf")])
+def test_a_perturbation_scale_is_finite_and_at_least_zero(tmp_path, capsys,
+                                                          scales, bad):
+    center = tmp_path / "center.json"
+    main(["gen", "--family", "cjd",
+          "--params", '{"d": 5, "k": 2, "sigma": 0.0}', "--out", str(center)])
+    out = tmp_path / "sweep.csv"
+    capsys.readouterr()
+    assert main(["diag-sweep", "--center", str(center), f"--scales={scales}",
+                 "--trials", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (f"error: perturbation scale must be finite and >= 0, got {bad}"
+            in captured.err)
+    assert captured.out == "" and not out.exists()
+
+
 def test_non_finite_instance_is_bad_input(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(

@@ -280,7 +280,8 @@ def test_batched_block_reductions_match_the_loop():
     c = ProblemInstance(blocks)
     norms = [np.abs(np.linalg.eigvalsh(m)).max() for m in blocks]
     assert list(spectral_norms(c.mats)) == norms
-    # these blocks are indefinite: the unit is the largest ||M_i + c I||_2
+    # these blocks are indefinite: the unit is the spread max lambda_max + c,
+    # the largest ||M_i + c I||_2 of the lifted blocks
     spectra = [np.linalg.eigvalsh(m) for m in blocks]
     shift = -min(v[0] for v in spectra)
     assert c.psd_shift == shift
@@ -291,16 +292,49 @@ def test_batched_block_reductions_match_the_loop():
 
 
 def test_the_shift_is_relative_to_the_instance():
-    # an indefinite draw of norm 1e-20: its least eigenvalue, -3e-21, is
-    # far below -1e-12 ||M||, so the view is lifted to PSD, as at norm 1
+    # an indefinite draw of norm 1e-20, whose least eigenvalue is -3e-21:
+    # the view is lifted to least eigenvalue 0, as at norm 1
     unit = ProblemInstance(make_instance("randpsd", 8, 3, {}, 1).mats
                            - 0.3 * np.eye(8))
     c = ProblemInstance(1e-20 * unit.mats)
     assert c.psd_shift > 0.0
-    assert c.psd_shift == pytest.approx(1e-20 * unit.psd_shift, rel=1e-12)
-    assert c.gate_unit == pytest.approx(1e-20 * unit.gate_unit, rel=1e-12)
+    assert c.psd_shift == pytest.approx(1e-20 * unit.psd_shift, rel=1e-12,
+                                        abs=0)
+    assert c.gate_unit == pytest.approx(1e-20 * unit.gate_unit, rel=1e-12,
+                                        abs=0)
     vals = np.linalg.eigvalsh(c.view)
     assert vals.min() >= -1e-14 * vals.max()
+
+
+def test_a_negative_definite_stack_is_scaled_by_its_spread():
+    # c = -min lambda_min = 2 and s = the spread 1, not c: the view is PSD
+    # with least eigenvalue 0 and norm 1
+    c = ProblemInstance((np.diag([-1.0, -2.0]),))
+    assert (c.psd_shift, c.gate_unit) == (2.0, 1.0)
+    assert np.array_equal(c.view, np.diag([1.0, 0.0])[None])
+
+
+@pytest.mark.parametrize("family, d, k", [("randpsd", 6, 2), ("hppca", 12, 3),
+                                          ("cjd", 8, 3)])
+def test_one_view_for_every_positive_multiple_and_shift(family, d, k):
+    # the view is the canonical form of {a M + b I : a > 0}: the same
+    # stack up to the rounding of the input, d eps (|b| + a max |M|) in
+    # units of the spread a s, and bit for bit for a = 2^j and b = 0
+    c = make_instance(family, d, k, {}, 1)
+    vals = np.linalg.eigvalsh(c.view)
+    assert vals[:, 0].min() == pytest.approx(0.0, abs=1e-15)
+    assert vals[:, -1].max() == pytest.approx(1.0, rel=1e-15)
+    top = np.abs(c.mats).max()
+    for a in (1e-6, 1.0, 1e6):
+        for b in (-2.0, 3.0):
+            moved = ProblemInstance(a * c.mats + b * np.eye(d))
+            bound = d * np.finfo(float).eps * (abs(b) + a * top) / (
+                a * c.gate_unit)
+            assert np.abs(moved.view - c.view).max() <= bound, (a, b)
+            assert moved.psd_shift == pytest.approx(
+                a * c.psd_shift - b, rel=0, abs=bound * a * c.gate_unit)
+    for j in (-40, -1, 3, 60):
+        assert np.array_equal(ProblemInstance(2.0 ** j * c.mats).view, c.view)
 
 
 def test_the_scale_snaps_to_a_power_of_two():

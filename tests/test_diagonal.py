@@ -105,18 +105,27 @@ def test_joint_diagonalize_rejects_noncommuting():
 
 
 def test_perturb_instance_properties():
+    # each block's noise has spectral norm `scale`, and nothing is shifted
+    # or rescaled: the solvers read the perturbed instance's own view
     center = gen_separated_diagonal(6, 2, seed=3)
-    rng = np.random.default_rng(3)
-    p = perturb_instance(center, 0.1, rng)
-    assert max(spectral_norms(p.mats)) == pytest.approx(1.0, abs=1e-12)
-    for m in p.mats:
-        assert float(np.linalg.eigvalsh(m)[0]) >= -1e-12
-    assert p.meta["perturbation_scale"] == 0.1
-    assert p.meta["psd_shift"] >= 0.0
+    p = perturb_instance(center, 0.1, np.random.default_rng(3))
+    assert spectral_norms(p.mats - center.mats) == pytest.approx(
+        [0.1, 0.1], rel=0, abs=1e-12)
+    assert p.meta == {"perturbation_scale": 0.1}
 
     z = perturb_instance(center, 0.0, np.random.default_rng(0))
-    for a, b in zip(z.mats, center.mats):
-        assert np.allclose(a, b, atol=1e-12)
+    assert np.array_equal(z.mats, center.mats)
+    assert z.meta == {"perturbation_scale": 0.0}
+
+
+@pytest.mark.parametrize("scale", [-0.1, float("nan"), float("inf"), "0.1",
+                                   None])
+def test_a_perturbation_scale_is_a_finite_number_at_least_zero(scale):
+    center = gen_separated_diagonal(6, 2, seed=3)
+    with pytest.raises(ValueError, match="perturbation scale"):
+        perturb_instance(center, scale, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="perturbation scale"):
+        tightness_sweep(center, scale, trials=2, seed=0)
 
 
 def test_tightness_sweep_zero_scale_is_tight():

@@ -65,8 +65,9 @@ def test_random_psd_rank_and_normalization():
     low = gen_random_psd(7, 3, rank=1, seed=5)
     for m in low.mats:
         assert _numrank(m) == 1
-    with pytest.raises(ValueError):
-        gen_random_psd(7, 3, rank=0)
+    for rank in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="rank must be a positive"):
+            gen_random_psd(7, 3, rank=rank)
     a = gen_random_psd(6, 2, seed=9)
     b = gen_random_psd(6, 2, seed=9)
     for x, y in zip(a.mats, b.mats):

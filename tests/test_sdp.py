@@ -122,21 +122,39 @@ def test_square_solves_need_no_schur_shift(d):
     assert solve_sdp(c).value == pytest.approx(best, abs=1e-6)
 
 
+def test_a_square_instance_of_finite_norm_gets_a_status():
+    # at k = d the relaxation reads the view's reduced blocks V_i - V_k, so
+    # M_1 - M_2 = 3.4e308 diag(1, 0), beyond the double range, is never
+    # formed: the solve is Optimal and tight at value 1.7e308, and its
+    # witness nu_1 = 1.7e308 is mapped back without overflowing
+    c = ProblemInstance((1.7e308 * np.diag([1.0, 0.0]),
+                         -1.7e308 * np.diag([1.0, 0.0])))
+    rep = solve_sdp(c)
+    assert rep.status == STATUS_OPTIMAL and is_tight(rep)
+    assert rep.value == pytest.approx(1.7e308, rel=1e-8)
+    assert rep.dual.value == pytest.approx(1.7e308, rel=1e-8)
+    assert np.all(np.isfinite(rep.dual.nu))
+
+
 @pytest.mark.parametrize("family, d, k", [("hppca", 12, 3),
                                           ("randpsd", 8, 3)])
 @pytest.mark.parametrize("stretch", [1.0, 1.0 + 5e-13])
 @pytest.mark.parametrize("j", [1, 10, -30])
 def test_solve_sdp_is_exact_under_powers_of_two(family, d, k, stretch, j):
-    # both draws are PSD and of norm within 1e-12 of 1, so s snaps to 1
-    # and 2^j M is solved on the same view bit for bit: X is the same and
-    # the dual and the value scale exactly, by the divisor s = 2^j that
-    # meta reports (the IPM solved on M / s, not on M / ||M||)
-    c = ProblemInstance(stretch * make_instance(family, d, k, {}, 3).mats)
+    # a draw's own view, stretched, has a spread within 1e-12 of 1, so s
+    # snaps to 1, and 2^j M is solved on the same view bit for bit: X is
+    # the same, and the dual and the value scale exactly, by the divisor
+    # s = 2^j and with the shift -2^j min_i lambda_min that meta reports
+    c = ProblemInstance(stretch * make_instance(family, d, k, {}, 3).view)
     big = ProblemInstance(2.0 ** j * c.mats)
     base, rep = solve_sdp(c), solve_sdp(big)
+    vals = np.linalg.eigvalsh(c.mats)
+    shift = -vals[:, 0].min()
+    assert vals[:, -1].max() + shift == pytest.approx(1.0, rel=1e-12)
     assert (base.meta["scale"], rep.meta["scale"]) == (1.0, 2.0 ** j)
-    assert base.meta["psd_shift"] == rep.meta["psd_shift"] == 0.0
-    assert np.array_equal(c.view, c.mats)
+    assert (base.meta["psd_shift"], rep.meta["psd_shift"]) == (
+        shift, 2.0 ** j * shift)
+    assert np.array_equal(c.view, c.mats + shift * np.eye(d))
     assert np.array_equal(big.view, c.view)
     assert np.array_equal(rep.primal.x_blocks, base.primal.x_blocks)
     assert np.array_equal(rep.dual.y, 2.0 ** j * base.dual.y)
@@ -165,7 +183,7 @@ def test_shift_and_scale_mapping():
 
 
 def test_verdicts_hold_at_every_input_scale():
-    # the KKT and certificate gates are relative to max(1, max ||M_i||)
+    # the KKT and certificate gates are in units of s, the spread of the M_i
     for seed in (1, 2, 3):
         unit = gen_random_psd(6, 2, seed=seed)
         base = solve_sdp(unit)
@@ -237,9 +255,9 @@ def test_check_kkt_hand_point():
         y=np.diag([2.0, 0.0]), z_blocks=np.diag([0.0, -0.1])[None],
         nu=np.array([1.0]))
     res_bad = check_kkt(c, (x,), bad)
-    # the dual-side residuals are in units of s = ||M||_2 = 3
-    assert res_bad.dual_cone == pytest.approx(0.1 / 3, abs=1e-12)
-    assert res_bad.dual_eq > 0.05 / 3
+    # the dual-side residuals are in units of s, the spread 3 - 1 = 2
+    assert res_bad.dual_cone == pytest.approx(0.1 / 2, abs=1e-12)
+    assert res_bad.dual_eq > 0.05 / 2
 
 
 def _kkt_by_full_spectra(c, x_blocks, dual):
@@ -364,24 +382,34 @@ def test_kkt_max_residual_propagates_nan():
 
 def test_status_gates_fail_closed_on_nan():
     converged = SimpleNamespace(status="optimal")
-    assert _status_from(converged, 0.0, 0.0, 1.0, 1.0,
-                        1.0)[0] == STATUS_OPTIMAL
+    assert _status_from(converged, 0.0, 0.0, 1.0, 1.0)[0] == STATUS_OPTIMAL
     for gap, kkt_max in ((float("nan"), 0.0), (0.0, float("nan"))):
-        status, reason = _status_from(converged, gap, kkt_max, 1.0, 1.0, 1.0)
+        status, reason = _status_from(converged, gap, kkt_max, 1.0, 1.0)
         assert status == STATUS_NUMERICAL_FAILURE
         assert "tolerance" in reason
+    # a value of the report that is not finite in the units of the M_i
+    for mapped in ((float("inf"), 1.0), (1.0, float("nan"))):
+        status, reason = _status_from(converged, 0.0, 0.0, 1.0, 1.0, mapped)
+        assert (status, reason) == (STATUS_NUMERICAL_FAILURE,
+                                    "value beyond the double range")
 
 
-def test_gap_gate_is_in_units_of_the_instance():
-    # GAP_TOL (s + |p| + |dd|): at s = 1e-12 and values 2e-12, a gap of
-    # 1e-15 is 0.02 % of the values, far above the gate; an absolute 1
-    # in its place would admit any gap below 1e-7
+def test_the_gap_is_judged_on_the_view():
+    # GAP_TOL (1 + |p| + |dd|) on the view's values, which are at most k:
+    # a gap of 1e-6 fails whatever the units of the M_i, and the gate
+    # reads no scale or shift of theirs
     converged = SimpleNamespace(status="optimal")
-    status, reason = _status_from(converged, 1e-15, 0.0, 2e-12, 2e-12, 1e-12)
+    status, reason = _status_from(converged, 1e-6, 0.0, 2.0, 2.0)
     assert status == STATUS_NUMERICAL_FAILURE
     assert reason == "duality gap above tolerance"
-    assert _status_from(converged, 4e-19, 0.0, 2e-12, 2e-12,
-                        1e-12)[0] == STATUS_OPTIMAL
+    assert _status_from(converged, 4e-7, 0.0, 2.0, 2.0)[0] == STATUS_OPTIMAL
+    # the same solve on M and on 1e-6 M + 3 I: one view up to the rounding
+    # of the input, so one verdict
+    c = gen_random_psd(6, 2, seed=1)
+    moved = ProblemInstance(1e-6 * c.mats + 3.0 * np.eye(6))
+    base, rep = solve_sdp(c), solve_sdp(moved)
+    assert rep.status == base.status == STATUS_OPTIMAL
+    assert rep.value == pytest.approx(1e-6 * base.value + 6.0, rel=1e-12)
 
 
 def _hand_report(blocks, status=STATUS_OPTIMAL, rop_err=None):

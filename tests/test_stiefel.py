@@ -274,21 +274,21 @@ def test_steps_do_not_depend_on_the_units():
 
 @pytest.mark.parametrize("a", [1e-12, 1e-20])
 def test_units_below_one_gate_as_the_unit_draw(a):
-    # the gates are in units of s = ||M||, however small: a random point of
-    # a tiny HPPCA draw is neither stationary nor certified, and StMM climbs
-    # from it to the unit draw's certified final point
+    # the gates are in units of s, the spread of a M, however small: a
+    # random point of a tiny HPPCA draw is neither stationary nor certified,
+    # and StMM climbs from it to the unit draw's certified final point
     c = gen_hppca(20, 3, seed=1)
     tiny = ProblemInstance(a * c.mats)
     u0 = random_stiefel(20, 3, np.random.default_rng(0))
     base, trace = stmm_solve(c, u0), stmm_solve(tiny, u0)
-    assert tiny.gate_unit == pytest.approx(a, rel=1e-12)
+    assert tiny.gate_unit == pytest.approx(a * c.gate_unit, rel=1e-12, abs=0)
     assert trace.status == base.status == "Stationary"
     assert trace.iterations >= 50
     assert certify(tiny, u0).status == "Inconclusive"
     assert certify(tiny, trace.final).status == "CertifiedGlobal"
     assert np.allclose(trace.final.cols, base.final.cols, rtol=0, atol=1e-9)
     assert trace.objectives[-1] == pytest.approx(a * base.objectives[-1],
-                                                 rel=1e-12)
+                                                 rel=1e-12, abs=0)
 
 
 def test_k1_ascent_finds_top_eigenvector():
@@ -305,6 +305,28 @@ def test_k1_ascent_finds_top_eigenvector():
 
 def test_config_factories():
     assert SolverConfig.for_hppca().max_iters == 10000
+
+
+@pytest.mark.parametrize("grad_tol", [float("nan"), -1e-10])
+def test_a_grad_tol_that_is_nan_or_negative_is_rejected(grad_tol):
+    # a NaN gate never passes, so every run would end MaxIters
+    with pytest.raises(ValueError, match="grad_tol"):
+        SolverConfig(grad_tol=grad_tol)
+    assert SolverConfig(grad_tol=0.0).grad_tol == 0.0
+
+
+def test_a_shift_does_not_slow_the_ascent():
+    # M_i + 3 I has the view of M_i up to rounding, so StMM takes the same
+    # path, within 5 % of the unshifted steps
+    c = gen_hppca(40, 3, seed=1)
+    u0 = random_stiefel(40, 3, np.random.default_rng(1))
+    cfg = SolverConfig.for_hppca()
+    base = stmm_solve(c, u0, cfg)
+    shifted = stmm_solve(ProblemInstance(c.mats + 3.0 * np.eye(40)), u0, cfg)
+    assert base.status == shifted.status == "Stationary"
+    assert abs(shifted.iterations - base.iterations) <= 0.05 * base.iterations
+    assert shifted.objectives[-1] == pytest.approx(
+        base.objectives[-1] + 9.0, rel=1e-12)
 
 
 def test_negative_max_iters_is_rejected():
@@ -403,15 +425,18 @@ def test_rejected_extrapolations_leave_plain_mm_bit_for_bit(monkeypatch):
     assert same(plain, every_rejected)
 
     # every candidate still rejected and no Newton: the steps are the bare
-    # MM map U -> polar(G(U))
+    # MM map U -> polar(G(U)) on the view, whose objective is mapped back
+    # to the units of the M_i once, as s (f - k c / s)
     monkeypatch.setattr(stiefel, "NEWTON_SWITCH", 0.0)
     trace = stmm_solve(c, u0, SolverConfig(max_iters=200))
     u, objs = u0.cols, []
     for _ in range(201):
-        g, f, _ = stiefel._evaluate(c.mats, u)
+        g, f, _ = stiefel._evaluate(c.view, u)
         objs.append(f)
         u = polar_factor(g)
-    assert np.array_equal(trace.objectives, objs)
+    s = c.gate_unit
+    assert np.array_equal(trace.objectives,
+                          s * (np.asarray(objs) - c.k * (c.psd_shift / s)))
 
 
 def test_accelerated_ascent_is_monotone():
@@ -477,7 +502,7 @@ def test_a_newton_step_clears_the_history(monkeypatch):
 @pytest.mark.parametrize("family", ["hppca", "randpsd"])
 def test_ascent_on_shifted_blocks_is_the_unshifted_ascent(family, c_shift):
     # M_i - c I moves no maximizer and only lowers F by k c on St(k, d);
-    # StMM steps on the PSD M_i + psd_shift I, so it still climbs
+    # StMM steps on the view, PSD with least eigenvalue 0, so it still climbs
     # monotonically to the same stationary value, and certify agrees
     c = (gen_hppca(20, 3, seed=1) if family == "hppca"
          else gen_random_psd(12, 3, seed=1))
@@ -498,8 +523,8 @@ def test_ascent_on_shifted_blocks_is_the_unshifted_ascent(family, c_shift):
        st.integers(1, 3), st.integers(0, 2**16), st.floats(-3.0, 3.0))
 @settings(max_examples=30, deadline=None)
 def test_ascent_is_monotone_for_any_shift(family, d, k, seed, c_shift):
-    # for c > 0 the M_i + c I need no shift, so the run may end elsewhere
-    # than the c = 0 one; only monotonicity is claimed
+    # every shift has the view of c = 0 up to the rounding of the input;
+    # monotonicity is claimed here, on the objective of the M_i + c I
     k = min(k, d)
     c = gen_hppca(d, k, seed=seed) if family == "hppca" else gen_random_psd(
         d, k, seed=seed)
